@@ -20,8 +20,6 @@ from .spqr import (
     SpqrTree,
     compose_embedding,
     conventional_order,
-    first_embedding_P,
-    first_embedding_R,
 )
 
 
@@ -77,12 +75,8 @@ def _rotate_to(seq: list[int], first: int) -> list[int]:
     return seq[i:] + seq[:i]
 
 
-def chi(rot: Rotation, tree: SpqrTree,
-        first_r_cache: dict[int, dict[int, list[int]]] | None = None
-        ) -> tuple[list[int], list[int]]:
+def chi(rot: Rotation, tree: SpqrTree) -> tuple[list[int], list[int]]:
     """Tuple <p_1..p_y, r_1..r_z> of a block embedding."""
-    if first_r_cache is None:
-        first_r_cache = {}
     p_nodes, r_nodes = conventional_order(tree)
     if not p_nodes and not r_nodes:
         return [], []
@@ -92,8 +86,7 @@ def chi(rot: Rotation, tree: SpqrTree,
         u = min(nd.poles)
         induced = _rotate_to(_induced_cycle(tree, nd, u, rot),
                              nd.edge_of_pair(nd.ref_pair).uid)
-        first = list(first_embedding_P(tree, nd).order)
-        base = first[1:]
+        base = tree.first_p[nd.index].order[1:]
         try:
             sigma = [base.index(t) for t in induced[1:]]
         except ValueError as exc:
@@ -102,10 +95,8 @@ def chi(rot: Rotation, tree: SpqrTree,
 
     r_vals = []
     for nd in r_nodes:
-        if nd.index not in first_r_cache:
-            first_r_cache[nd.index] = first_embedding_R(tree, nd)
         u = min(nd.poles)
-        want = first_r_cache[nd.index][u]
+        want = tree.first_r[nd.index][u]
         induced = _rotate_to(_induced_cycle(tree, nd, u, rot), want[0])
         if induced == want:
             r_vals.append(0)
@@ -118,12 +109,8 @@ def chi(rot: Rotation, tree: SpqrTree,
     return p_vals, r_vals
 
 
-def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree,
-                first_r_cache: dict[int, dict[int, list[int]]] | None = None
-                ) -> Rotation:
+def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree) -> Rotation:
     """Embedding of the block from a P/R tuple (inverse of chi)."""
-    if first_r_cache is None:
-        first_r_cache = {}
     p_nodes, r_nodes = conventional_order(tree)
     if len(p_vals) != len(p_nodes) or len(r_vals) != len(r_nodes):
         raise BoundViolation("tuple layout does not match the tree")
@@ -133,7 +120,7 @@ def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree,
         k = len(nd.edges) - 1
         if not 0 <= p < factorial(k):
             raise BoundViolation(f"p={p} outside 0..{factorial(k) - 1}")
-        first = list(first_embedding_P(tree, nd).order)
+        first = tree.first_p[nd.index].order
         base = first[1:]
         sigma = perm_unrank(p, k)
         choices[nd.index] = SkeletonEmbedding(
@@ -143,4 +130,4 @@ def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree,
         if r not in (0, 1):
             raise BoundViolation(f"r={r} is not a bit")
         choices[nd.index] = SkeletonEmbedding(nd.index, flip=r)
-    return compose_embedding(tree, choices, first_r_cache)
+    return compose_embedding(tree, choices)

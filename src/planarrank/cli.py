@@ -14,9 +14,8 @@ import sys
 from .embedding import PlanarEmbedding
 from .errors import MalformedInput, NotPlanar, PlanarRankError, RankOutOfRange, TooLarge
 from .full import EmbeddingRanker
-from .graph import Graph, block_cut_tree, connected_components
+from .graph import Graph
 from .oracle import enumerate_disconnected
-from .spqr import build_spqr
 
 
 def _load_graph(path: str) -> Graph:
@@ -120,22 +119,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _load_graph(args.graph)
-    for cid, comp in connected_components(g):
+    ranker = EmbeddingRanker(_load_graph(args.graph))
+    for ci, (cid, comp) in enumerate(ranker.comps):
         print(f"component {cid}: vertices {sorted(comp)}")
-        order = sorted(comp)
-        remap = {v: i + 1 for i, v in enumerate(order)}
-        back = {i + 1: v for i, v in enumerate(order)}
-        sub = Graph(len(order), [(remap[u], remap[v]) for u, v in g.edges if u in comp])
-        bct = block_cut_tree(sub)
-        print(f"  cut-vertices: {[back[v] for v in bct.cut_vertices]}")
-        for blk in bct.blocks:
-            g_edges = sorted((back[a], back[b]) for a, b in blk.edges)
-            print(f"  block {g_edges}")
-            bg, remap2 = blk.to_graph()
-            back2 = {i: back[v] for v, i in remap2.items()}
-            tree = build_spqr(bg)
-            for line in tree.dump(relabel=back2).splitlines():
+        print(f"  cut-vertices: {[cut.v for cut in ranker.cuts if cut.comp == ci]}")
+        for info in ranker.blocks:
+            if info.comp != ci:
+                continue
+            print(f"  block {info.edges}")
+            for line in info.tree.dump(relabel=info.to_global).splitlines():
                 print(f"    {line}")
     return 0
 
@@ -188,14 +180,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedInput, PlanarRankError) as exc:
+    except PlanarRankError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NotPlanar):
-            print(f"error: {exc}", file=sys.stderr)
             return 2
         if isinstance(exc, RankOutOfRange):
-            print(f"error: {exc}", file=sys.stderr)
             return 3
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -22,22 +22,27 @@ Edges at v are named by their far endpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import BoundViolation, EmbeddingMismatch
 from .graph import UnionFind, edge_id
 
 
+def arrangement_bounds(deltas: list[int]) -> tuple[list[int], list[int]]:
+    """Bounds of <c_1..c_b> and <d_1..d_{b-2}> for blocks of these degrees at v.
+
+    c_j ranges over block j's delta_j edges; d_j over delta_v - j cells,
+    where delta_v is the total degree.
+    """
+    total = sum(deltas)
+    return list(deltas), [total - j for j in range(1, len(deltas) - 1)]
+
+
 def arrangement_count(deltas: list[int]) -> int:
     """E_v: product of block degrees times falling factors of the total."""
-    b = len(deltas)
-    total = sum(deltas)
-    out = 1
-    for d in deltas:
-        out *= d
-    for j in range(1, b - 1):
-        out *= total - j
-    return out
+    c_bounds, d_bounds = arrangement_bounds(deltas)
+    return math.prod(c_bounds) * math.prod(d_bounds)
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,7 @@ class BlocksAtV:
 
     def bounds(self) -> tuple[list[int], list[int]]:
         """Per-element bounds of (c values, d values)."""
-        c_bounds = list(self.deltas)
-        d_bounds = [self.delta_v - j for j in range(1, self.b - 1)]
-        return c_bounds, d_bounds
+        return arrangement_bounds(self.deltas)
 
     def id_order(self, j: int) -> list[int]:
         """Edges of block j at v sorted by edge id (far endpoints)."""
@@ -475,48 +478,3 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
         if not 0 <= d < limit:
             raise EmbeddingMismatch(f"derived d={d} outside 0..{limit - 1}")
     return c_vals, d_vals
-
-
-# ---------------------------------------------------------------------------
-# All cut-vertices of a connected graph
-# ---------------------------------------------------------------------------
-
-
-def cutvertex_contexts(bct, block_rotations: list[dict[int, list[int]]]
-                       ) -> list[tuple[int, BlocksAtV]]:
-    """One BlocksAtV per cut-vertex, cut-vertices ascending."""
-    out = []
-    for v in bct.cut_vertices:
-        rots = [block_rotations[i][v] for i in bct.blocks_at[v]]
-        out.append((v, BlocksAtV.make(v, rots)))
-    return out
-
-
-def connected_rank(bct, block_rotations: list[dict[int, list[int]]],
-                   rot: dict[int, list[int]],
-                   counter: OpCounter | None = None) -> list[tuple[list[int], list[int]]]:
-    """Per-cut-vertex tuples of a connected embedding, blocks fixed."""
-    return [
-        phi_v(ctx, rot[v], counter)
-        for v, ctx in cutvertex_contexts(bct, block_rotations)
-    ]
-
-
-def connected_unrank(bct, block_rotations: list[dict[int, list[int]]],
-                     tuples: list[tuple[list[int], list[int]]]) -> dict[int, list[int]]:
-    """Rotation system of the connected graph from per-cut-vertex tuples.
-
-    A merge only rewrites the rotation at its own cut-vertex, so the
-    cut-vertices are independent: every other vertex keeps the rotation of
-    its unique block.
-    """
-    rot: dict[int, list[int]] = {}
-    for block_rot in block_rotations:
-        for x, nbrs in block_rot.items():
-            rot[x] = list(nbrs)
-    cuts = cutvertex_contexts(bct, block_rotations)
-    if len(tuples) != len(cuts):
-        raise BoundViolation(f"{len(tuples)} tuples for {len(cuts)} cut-vertices")
-    for (v, ctx), (c_vals, d_vals) in zip(cuts, tuples):
-        rot[v] = phi_v_inverse(ctx, c_vals, d_vals)
-    return rot

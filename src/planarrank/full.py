@@ -22,10 +22,10 @@ import networkx as nx
 
 from .biconnected import biconn_bounds, chi, chi_inverse
 from .codecs import bounds_product, tuple_rank, tuple_unrank
-from .cutvertex import BlocksAtV, phi_v, phi_v_inverse
+from .cutvertex import BlocksAtV, arrangement_bounds, phi_v, phi_v_inverse
 from .embedding import PlanarEmbedding, Rotation, validate
-from .errors import BoundViolation, EmbeddingMismatch, NotPlanar
-from .graph import Graph, block_cut_tree, connected_components
+from .errors import EmbeddingMismatch, NotPlanar
+from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
 
@@ -97,6 +97,9 @@ class EmbeddingRanker:
 
         cut_infos.sort(key=lambda c: c.v)
         self.cuts = cut_infos
+        self._block_of_edge = {
+            e: b for b, info in enumerate(self.blocks) for e in info.edges
+        }
         self.block_order = sorted(range(len(self.blocks)),
                                   key=lambda b: self.blocks[b].min_edge)
         self.nesting_codec = NestingCodec(self.face_counts)
@@ -112,11 +115,10 @@ class EmbeddingRanker:
                 sum(1 for e in self.blocks[b].edges if cut.v in e)
                 for b in cut.block_ids
             ]
-            total = sum(deltas)
-            self.c_bounds.extend(deltas)
-            ds = [total - j for j in range(1, len(deltas) - 1)]
+            cs, ds = arrangement_bounds(deltas)
+            self.c_bounds.extend(cs)
             self.d_bounds.extend(ds)
-            self._cut_shapes.append((len(deltas), len(ds)))
+            self._cut_shapes.append((len(cs), len(ds)))
         self.p_bounds: list[int] = []
         self.r_bounds: list[int] = []
         self._block_shapes: list[tuple[int, int]] = []  # (#p, #r) per block
@@ -128,7 +130,6 @@ class EmbeddingRanker:
             self._block_shapes.append((y, len(bb) - y))
         self.bounds = (self.a_bounds + self.b_bounds + self.c_bounds
                        + self.d_bounds + self.p_bounds + self.r_bounds)
-        self._first_r_caches: dict[int, dict] = {b: {} for b in self.block_order}
         self._block_rot_cache: dict[int, dict] = {b: {} for b in self.block_order}
 
     # -- counting -----------------------------------------------------------
@@ -140,12 +141,11 @@ class EmbeddingRanker:
 
     def _block_rotation(self, emb: PlanarEmbedding, b: int) -> Rotation:
         info = self.blocks[b]
-        edge_set = set(info.edges)
         rot = {}
         for x in info.vertices:
             rot[info.to_local[x]] = [
                 info.to_local[w] for w in emb.rot[x]
-                if (min(x, w), max(x, w)) in edge_set
+                if self._block_of_edge[edge_id(x, w)] == b
             ]
         return rot
 
@@ -164,15 +164,10 @@ class EmbeddingRanker:
         c_vals: list[int] = []
         d_vals: list[int] = []
         for cut in self.cuts:
-            block_cycles = []
-            for b in cut.block_ids:
-                info = self.blocks[b]
-                edge_set = set(info.edges)
-                block_cycles.append([
-                    w for w in emb.rot[cut.v]
-                    if (min(cut.v, w), max(cut.v, w)) in edge_set
-                ])
-            ctx = BlocksAtV.make(cut.v, block_cycles)
+            block_cycles: dict[int, list[int]] = {b: [] for b in cut.block_ids}
+            for w in emb.rot[cut.v]:
+                block_cycles[self._block_of_edge[edge_id(cut.v, w)]].append(w)
+            ctx = BlocksAtV.make(cut.v, block_cycles.values())
             cs, ds = phi_v(ctx, list(emb.rot[cut.v]))
             c_vals.extend(cs)
             d_vals.extend(ds)
@@ -182,8 +177,7 @@ class EmbeddingRanker:
         for bi, b in enumerate(self.block_order):
             if self._block_shapes[bi] == (0, 0):
                 continue  # choice-free block (bridge, cycle)
-            ps, rs = chi(self._block_rotation(emb, b), self.blocks[b].tree,
-                         self._first_r_caches[b])
+            ps, rs = chi(self._block_rotation(emb, b), self.blocks[b].tree)
             p_vals.extend(ps)
             r_vals.extend(rs)
         return a_vals + b_vals + c_vals + d_vals + p_vals + r_vals
@@ -194,10 +188,6 @@ class EmbeddingRanker:
     # -- inverse: tuple/rank -> embedding ------------------------------------
 
     def _split(self, values: list[int]) -> tuple[list[int], ...]:
-        if len(values) != len(self.bounds):
-            raise BoundViolation(
-                f"tuple has {len(values)} elements, expected {len(self.bounds)}"
-            )
         out = []
         i = 0
         for seg in (self.a_bounds, self.b_bounds, self.c_bounds,
@@ -226,8 +216,7 @@ class EmbeddingRanker:
             cache = self._block_rot_cache[b]
             cached = cache.get(key)
             if cached is None:
-                local = chi_inverse(list(key[0]), list(key[1]),
-                                    self.blocks[b].tree, self._first_r_caches[b])
+                local = chi_inverse(list(key[0]), list(key[1]), self.blocks[b].tree)
                 info = self.blocks[b]
                 cached = {
                     info.to_global[x]: [info.to_global[w] for w in nbrs]

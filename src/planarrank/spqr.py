@@ -10,11 +10,19 @@ has exactly one twin in the adjacent skeleton.
 The tree is rooted at the Q-node of the graph's minimum edge.  Node
 identifiers are (depth, minimum pertinent edge); "conventional order"
 sorts P- and R-nodes by that identifier.
+
+An SpqrTree stores its graph, its nodes (kind, skeleton edges, parent,
+children, depth, minimum pertinent edge, preorder interval), the root, the
+two nodes of every twin pair and the Q-node of every real edge.  It also
+owns the data derived from that fixed structure, each computed on first
+use and kept for the life of the tree: the conventional order, the first
+embedding of every P- and R-skeleton, and the uid -> skeleton edge map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import networkx as nx
 
@@ -98,6 +106,27 @@ class SpqrTree:
 
     def r_nodes(self) -> list[SpqrNode]:
         return [n for n in self.nodes if n.kind == "R"]
+
+    @cached_property
+    def conventional(self) -> tuple[list[SpqrNode], list[SpqrNode]]:
+        """P-nodes and R-nodes sorted by identifier (depth, min pertinent edge)."""
+        key = lambda n: (n.depth, n.min_edge)
+        return sorted(self.p_nodes(), key=key), sorted(self.r_nodes(), key=key)
+
+    @cached_property
+    def first_p(self) -> dict[int, SkeletonEmbedding]:
+        """First embedding of every P-node, by node index."""
+        return {nd.index: first_embedding_P(self, nd) for nd in self.p_nodes()}
+
+    @cached_property
+    def first_r(self) -> dict[int, dict[int, list[int]]]:
+        """First embedding (uid rotation lists) of every R-node, by node index."""
+        return {nd.index: first_embedding_R(self, nd) for nd in self.r_nodes()}
+
+    @cached_property
+    def uid_edge(self) -> dict[int, SkelEdge]:
+        """Every skeleton edge, virtual ones included, by uid."""
+        return {e.uid: e for nd in self.nodes for e in nd.edges}
 
     def child_via(self, node: SpqrNode, pair: int) -> int:
         a, b = self.pair_nodes[pair]
@@ -416,12 +445,7 @@ def _cycle_tree(g: Graph, new_edge) -> SpqrTree:
 
 def conventional_order(tree: SpqrTree) -> tuple[list[SpqrNode], list[SpqrNode]]:
     """P-nodes and R-nodes sorted by identifier (depth, min pertinent edge)."""
-    cached = getattr(tree, "_conv", None)
-    if cached is None:
-        key = lambda n: (n.depth, n.min_edge)
-        cached = (sorted(tree.p_nodes(), key=key), sorted(tree.r_nodes(), key=key))
-        tree._conv = cached
-    return cached
+    return tree.conventional
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +483,11 @@ def first_embedding_P(tree: SpqrTree, node: SpqrNode) -> SkeletonEmbedding:
 
     Stored counter-clockwise, i.e. reference first, children reversed.
     """
-    cache = getattr(tree, "_first_p", None)
-    if cache is None:
-        cache = tree._first_p = {}
-    if node.index not in cache:
-        ref = node.edge_of_pair(node.ref_pair)
-        ordered = _p_children_sorted(tree, node)
-        cache[node.index] = SkeletonEmbedding(
-            node.index, order=(ref.uid, *[e.uid for e in reversed(ordered)])
-        )
-    return cache[node.index]
+    ref = node.edge_of_pair(node.ref_pair)
+    ordered = _p_children_sorted(tree, node)
+    return SkeletonEmbedding(
+        node.index, order=(ref.uid, *[e.uid for e in reversed(ordered)])
+    )
 
 
 _R_ROTATION_CACHE: dict[tuple, dict[int, tuple[int, ...]]] = {}
@@ -519,7 +538,6 @@ def first_embedding_R(tree: SpqrTree, node: SpqrNode) -> dict[int, list[int]]:
 
 def skeleton_rotation(
     tree: SpqrTree, node: SpqrNode, choice: SkeletonEmbedding | None,
-    first_r_cache: dict[int, dict[int, list[int]]],
 ) -> dict[int, list[int]]:
     """Token (uid) rotation lists realizing the chosen skeleton embedding."""
     if node.kind == "Q":
@@ -541,9 +559,7 @@ def skeleton_rotation(
     # R-node
     if choice is None or choice.flip is None:
         raise IncompleteChoices(f"R-node {node.index} has no flip bit")
-    if node.index not in first_r_cache:
-        first_r_cache[node.index] = first_embedding_R(tree, node)
-    rot = first_r_cache[node.index]
+    rot = tree.first_r[node.index]
     if choice.flip:
         return {x: list(reversed(lst)) for x, lst in rot.items()}
     return {x: list(lst) for x, lst in rot.items()}
@@ -551,7 +567,6 @@ def skeleton_rotation(
 
 def compose_embedding(
     tree: SpqrTree, choices: dict[int, SkeletonEmbedding],
-    first_r_cache: dict[int, dict[int, list[int]]] | None = None,
 ) -> dict[int, list[int]]:
     """Rotation system of the block from per-skeleton choices.
 
@@ -559,8 +574,6 @@ def compose_embedding(
     virtual edge is replaced, at both poles, by the child's rotation read
     counter-clockwise from just after its own twin.
     """
-    if first_r_cache is None:
-        first_r_cache = {}
     order: list[int] = []
     stack = [tree.root]
     while stack:
@@ -569,14 +582,10 @@ def compose_embedding(
         stack.extend(tree.nodes[idx].children)
 
     expanded: dict[int, dict[int, list[int]]] = {}
-    uid_edge = getattr(tree, "_uid_edge", None)
-    if uid_edge is None:
-        uid_edge = tree._uid_edge = {
-            e.uid: e for nd in tree.nodes for e in nd.edges
-        }
+    uid_edge = tree.uid_edge
     for idx in reversed(order):
         nd = tree.nodes[idx]
-        rot = skeleton_rotation(tree, nd, choices.get(idx), first_r_cache)
+        rot = skeleton_rotation(tree, nd, choices.get(idx))
         for c in nd.children:
             child = tree.nodes[c]
             pair = child.ref_pair

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from planarrank import spqr
 from planarrank.biconnected import biconn_bounds, chi, chi_inverse
 from planarrank.codecs import bounds_product, tuple_unrank
 from planarrank.embedding import canonical_cycle, is_planar_rotation
@@ -103,3 +104,22 @@ class TestChi:
         rot = chi_inverse([1], [], tree)
         reshuffled = {v: rot[v][1:] + rot[v][:1] for v in rot}
         assert chi(rot, tree) == chi(reshuffled, tree)
+
+    def test_first_r_embedding_computed_once_per_r_node(self, monkeypatch):
+        # K4 plus a vertex on the pair {1, 2}: one P-node, one R-node.
+        g = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)])
+        calls = []
+        original = spqr.first_embedding_R
+
+        def counted(tree, node):
+            calls.append(node.index)
+            return original(tree, node)
+
+        monkeypatch.setattr(spqr, "first_embedding_R", counted)
+        tree = build_spqr(g)
+        assert len(tree.p_nodes()) == 1 and len(tree.r_nodes()) == 1
+        for _ in range(3):
+            for p_vals, r_vals in itertools.product([[0], [1]], [[0], [1]]):
+                rot = chi_inverse(p_vals, r_vals, tree)
+                assert chi(rot, tree) == (p_vals, r_vals)
+        assert sorted(calls) == sorted(nd.index for nd in tree.r_nodes())

@@ -8,14 +8,12 @@ from planarrank.cutvertex import (
     BlocksAtV,
     OpCounter,
     arrangement_count,
-    connected_rank,
-    connected_unrank,
     phi_v,
     phi_v_inverse,
 )
 from planarrank.embedding import canonical_cycle, is_planar_rotation
 from planarrank.errors import BoundViolation, EmbeddingMismatch
-from planarrank.graph import Graph, block_cut_tree
+from planarrank.graph import Graph
 from planarrank.oracle import enumerate_arrangements
 
 
@@ -164,73 +162,3 @@ class TestPhiV:
                 phi_v(ctx, merged, counter)
                 worst = max(worst, counter.ops)
         assert worst <= 12 * ctx.delta_v + 16
-
-
-class TestConnected:
-    def test_biconnected_graph_has_empty_sequence(self):
-        g = Graph(3, [(1, 2), (1, 3), (2, 3)])
-        bct = block_cut_tree(g)
-        rot = {1: [2, 3], 2: [3, 1], 3: [1, 2]}
-        assert connected_rank(bct, [rot], rot) == []
-
-    def test_path_single_cutvertex_trivial(self):
-        g = Graph(3, [(1, 2), (2, 3)])
-        bct = block_cut_tree(g)
-        blocks = [{1: [2], 2: [1]}, {2: [3], 3: [2]}]
-        tuples = connected_rank(bct, blocks, {1: [2], 2: [1, 3], 3: [2]})
-        assert tuples == [([0, 0], [])]
-        rot = connected_unrank(bct, blocks, tuples)
-        assert rot == {1: [2], 2: [1, 3], 3: [2]}
-
-    @pytest.mark.parametrize(
-        "edges",
-        [
-            [(1, 2), (2, 3), (3, 4)],                                  # path
-            [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)],          # bowtie
-            [(1, 2), (1, 3), (2, 3), (3, 4)],                          # triangle+pendant
-            [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)],                  # triangle+2 pendants
-            [(1, 2), (2, 3), (2, 4), (2, 5)],                          # star via 2
-            [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)],  # tri-bridge-tri
-        ],
-    )
-    def test_roundtrip_all_tuples(self, edges):
-        g = Graph(max(x for e in edges for x in e), edges)
-        bct = block_cut_tree(g)
-        # Fix one embedding per block (blocks here are edges or triangles,
-        # so the embedding is unique).
-        blocks = []
-        for blk in bct.blocks:
-            sub, remap = blk.to_graph()
-            back = {i: v for v, i in remap.items()}
-            rot = {}
-            for x in sub.vertices:
-                rot[back[x]] = [back[w] for w in sub.adj[x]]
-            blocks.append(rot)
-        cut_bounds = []
-        for v in bct.cut_vertices:
-            ctx = BlocksAtV.make(v, [blocks[i][v] for i in bct.blocks_at[v]])
-            cb, db = ctx.bounds()
-            cut_bounds.append((cb, db))
-        spaces = []
-        for cb, db in cut_bounds:
-            per_cut = [
-                (list(c), list(d))
-                for c in itertools.product(*[range(x) for x in cb])
-                for d in itertools.product(*[range(x) for x in db])
-            ]
-            spaces.append(per_cut)
-        seen = set()
-        count = 0
-        for combo in itertools.product(*spaces):
-            rot = connected_unrank(bct, blocks, list(combo))
-            assert is_planar_rotation(g, rot)
-            key = tuple(sorted((v, canonical_cycle(r)) for v, r in rot.items()))
-            assert key not in seen
-            seen.add(key)
-            count += 1
-            assert connected_rank(bct, blocks, rot) == list(combo)
-        expected = 1
-        for v in bct.cut_vertices:
-            ctx = BlocksAtV.make(v, [blocks[i][v] for i in bct.blocks_at[v]])
-            expected *= arrangement_count(ctx.deltas)
-        assert count == expected
