@@ -8,6 +8,7 @@ graphs routinely need hundreds of bits.
 from __future__ import annotations
 
 import heapq
+import math
 
 from .errors import BoundViolation, LabelOutOfRange, MalformedTree, NotAPermutation, RankOutOfRange
 
@@ -26,6 +27,25 @@ def check_bounds(values: list[int], bounds: list[int]) -> None:
             raise BoundViolation(f"value b_{i + 1}={b} outside 0..{limit - 1}")
 
 
+# Digits are combined and split by halves, so the work is a few big-number
+# products and divisions instead of one full-width step per digit, which
+# is quadratic in the number of digits.
+_LEAF = 32
+
+
+def _rank_span(values: list[int], bounds: list[int]) -> tuple[int, int]:
+    """(rank, bound product) of a digit tuple."""
+    if len(bounds) <= _LEAF:
+        r = 0
+        for b, limit in zip(values, bounds):
+            r = r * limit + b
+        return r, math.prod(bounds)
+    mid = len(bounds) // 2
+    r_hi, p_hi = _rank_span(values[:mid], bounds[:mid])
+    r_lo, p_lo = _rank_span(values[mid:], bounds[mid:])
+    return r_hi * p_lo + r_lo, p_hi * p_lo
+
+
 def tuple_rank(values: list[int], bounds: list[int]) -> int:
     """Rank of a bounded tuple: p_i = p_{i-1} * B_i + b_i, p_0 = 0.
 
@@ -33,32 +53,42 @@ def tuple_rank(values: list[int], bounds: list[int]) -> int:
     with the lexicographic order of tuples.
     """
     check_bounds(values, bounds)
-    r = 0
-    for b, limit in zip(values, bounds):
-        r = r * limit + b
-    return r
+    return _rank_span(values, bounds)[0]
+
+
+def _unrank_span(rank: int, bounds: list[int], out: list[int]) -> None:
+    if len(bounds) <= _LEAF:
+        digits = []
+        for limit in reversed(bounds):
+            rank, b = divmod(rank, limit)
+            digits.append(b)
+        out.extend(reversed(digits))
+        return
+    mid = len(bounds) // 2
+    r_hi, r_lo = divmod(rank, bounds_product(bounds[mid:]))
+    _unrank_span(r_hi, bounds[:mid], out)
+    _unrank_span(r_lo, bounds[mid:], out)
 
 
 def tuple_unrank(rank: int, bounds: list[int]) -> list[int]:
-    """Inverse of tuple_rank: peel digits with mod/div from the right."""
-    total = 1
+    """Inverse of tuple_rank: split off the low half of the digits with one
+    division by its bound product, then recurse on both halves."""
     for limit in bounds:
         if limit < 1:
             raise BoundViolation(f"bound {limit} must be positive")
-        total *= limit
+    total = bounds_product(bounds)
     if not 0 <= rank < total:
         raise RankOutOfRange(f"rank {rank} outside 0..{total - 1}")
-    out = [0] * len(bounds)
-    for i in range(len(bounds) - 1, -1, -1):
-        rank, out[i] = divmod(rank, bounds[i])
+    out: list[int] = []
+    _unrank_span(rank, bounds, out)
     return out
 
 
 def bounds_product(bounds: list[int]) -> int:
-    total = 1
-    for limit in bounds:
-        total *= limit
-    return total
+    if len(bounds) <= _LEAF:
+        return math.prod(bounds)
+    mid = len(bounds) // 2
+    return bounds_product(bounds[:mid]) * bounds_product(bounds[mid:])
 
 
 # ---------------------------------------------------------------------------

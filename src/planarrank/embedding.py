@@ -76,7 +76,20 @@ def trace_faces(rot: Rotation) -> list[FaceBoundary]:
 
 
 def face_count(rot: Rotation) -> int:
-    return len(trace_faces(rot))
+    """Number of orbits of trace_faces' dart successor, walks not built."""
+    succ: dict[tuple[int, int], tuple[int, int]] = {}
+    for b, nbrs in rot.items():
+        prev = nbrs[-1] if nbrs else None
+        for a in nbrs:
+            succ[(a, b)] = (b, prev)  # a's ccw predecessor at b
+            prev = a
+    count = 0
+    while succ:
+        start, dart = succ.popitem()
+        count += 1
+        while dart != start:
+            dart = succ.pop(dart)
+    return count
 
 
 def is_planar_rotation(g: Graph, rot: Rotation) -> bool:

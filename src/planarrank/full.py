@@ -216,12 +216,20 @@ class EmbeddingRanker:
             cache = self._block_rot_cache[b]
             cached = cache.get(key)
             if cached is None:
-                local = chi_inverse(list(key[0]), list(key[1]), self.blocks[b].tree)
                 info = self.blocks[b]
-                cached = {
-                    info.to_global[x]: [info.to_global[w] for w in nbrs]
-                    for x, nbrs in local.items()
-                }
+                if y == z == 0:
+                    # A bridge or a cycle: with at most two neighbours per
+                    # vertex, its adjacency is its only rotation.
+                    cached = {x: [] for x in info.vertices}
+                    for u, v in info.edges:
+                        cached[u].append(v)
+                        cached[v].append(u)
+                else:
+                    local = chi_inverse(list(key[0]), list(key[1]), info.tree)
+                    cached = {
+                        info.to_global[x]: [info.to_global[w] for w in nbrs]
+                        for x, nbrs in local.items()
+                    }
                 if len(cache) < 16:
                     cache[key] = cached
             block_rot[b] = cached
@@ -233,7 +241,7 @@ class EmbeddingRanker:
             for x, nbrs in r.items():
                 if x in rot:
                     continue  # cut vertex, handled below
-                rot[x] = list(nbrs)
+                rot[x] = nbrs  # PlanarEmbedding copies every list
         ci = di = 0
         for cut, (nc, ndv) in zip(self.cuts, self._cut_shapes):
             ctx = BlocksAtV.make(

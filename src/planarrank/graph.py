@@ -27,7 +27,7 @@ class Graph:
     deterministic.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "_components")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
@@ -56,6 +56,7 @@ class Graph:
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
         self.adj = adj
+        self._components: list[tuple[int, frozenset[int]]] | None = None
 
     @property
     def m(self) -> int:
@@ -140,7 +141,10 @@ def connected_components(g: Graph) -> list[tuple[int, frozenset[int]]]:
 
     Component 1 always contains vertex 1 because ids are dense, so the
     order is simply the order of discovery from ascending start vertices.
+    The graph is immutable, so the search runs once per graph.
     """
+    if g._components is not None:
+        return list(g._components)
     seen: set[int] = set()
     comps: list[frozenset[int]] = []
     for start in g.vertices:
@@ -157,7 +161,8 @@ def connected_components(g: Graph) -> list[tuple[int, frozenset[int]]]:
                     comp.add(w)
                     stack.append(w)
         comps.append(frozenset(comp))
-    return [(i + 1, comp) for i, comp in enumerate(comps)]
+    g._components = [(i + 1, comp) for i, comp in enumerate(comps)]
+    return list(g._components)
 
 
 @dataclass(frozen=True)

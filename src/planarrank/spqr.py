@@ -16,7 +16,8 @@ children, depth, minimum pertinent edge, preorder interval), the root, the
 two nodes of every twin pair and the Q-node of every real edge.  It also
 owns the data derived from that fixed structure, each computed on first
 use and kept for the life of the tree: the conventional order, the first
-embedding of every P- and R-skeleton, and the uid -> skeleton edge map.
+embedding of every P- and R-skeleton, and the twin and real-edge maps
+that compose_embedding expands virtual edges through.
 """
 
 from __future__ import annotations
@@ -124,9 +125,22 @@ class SpqrTree:
         return {nd.index: first_embedding_R(self, nd) for nd in self.r_nodes()}
 
     @cached_property
-    def uid_edge(self) -> dict[int, SkelEdge]:
-        """Every skeleton edge, virtual ones included, by uid."""
-        return {e.uid: e for nd in self.nodes for e in nd.edges}
+    def twins(self) -> dict[int, tuple[int, int]]:
+        """Parent-side virtual edge uid -> (child index, child-side twin uid)."""
+        uid_at = {(nd.index, e.pair): e.uid
+                  for nd in self.nodes for e in nd.edges if e.pair is not None}
+        return {uid_at[(nd.parent, nd.ref_pair)]: (nd.index, uid_at[(nd.index, nd.ref_pair)])
+                for nd in self.nodes if nd.parent is not None}
+
+    @cached_property
+    def real_edge(self) -> dict[int, SkelEdge]:
+        """The real edge a skeleton edge uid stands for: the edge itself, or
+        for a virtual edge toward a Q-node, that Q-node's real edge."""
+        of_q = {nd.index: e for nd in self.nodes if nd.kind == "Q"
+                for e in nd.edges if e.real is not None}
+        out = {e.uid: e for e in of_q.values()}
+        out.update((uid, of_q[c]) for uid, (c, _) in self.twins.items() if c in of_q)
+        return out
 
     def child_via(self, node: SpqrNode, pair: int) -> int:
         a, b = self.pair_nodes[pair]
@@ -570,47 +584,38 @@ def compose_embedding(
 ) -> dict[int, list[int]]:
     """Rotation system of the block from per-skeleton choices.
 
-    Twin virtual edges are substituted bottom-up: the slot of the parent's
-    virtual edge is replaced, at both poles, by the child's rotation read
-    counter-clockwise from just after its own twin.
+    Twin virtual edges are substituted top-down: a vertex takes the
+    rotation of the highest skeleton holding it, and each virtual edge
+    toward a child is replaced by the child's rotation at that vertex,
+    read counter-clockwise from just after the child's own twin.
     """
-    order: list[int] = []
-    stack = [tree.root]
-    while stack:
-        idx = stack.pop()
-        order.append(idx)
-        stack.extend(tree.nodes[idx].children)
+    # Q-nodes below the root are reached through real_edge instead.
+    rots = {nd.index: skeleton_rotation(tree, nd, choices.get(nd.index))
+            for nd in tree.nodes if nd.kind != "Q" or nd.parent is None}
+    real_edge = tree.real_edge
+    twins = tree.twins
 
-    expanded: dict[int, dict[int, list[int]]] = {}
-    uid_edge = tree.uid_edge
-    for idx in reversed(order):
-        nd = tree.nodes[idx]
-        rot = skeleton_rotation(tree, nd, choices.get(idx))
-        for c in nd.children:
-            child = tree.nodes[c]
-            pair = child.ref_pair
-            parent_uid = nd.edge_of_pair(pair).uid
-            child_uid = child.edge_of_pair(pair).uid
-            crot = expanded.pop(c)
-            e = uid_edge[parent_uid]
-            for x in (e.u, e.v):
-                plist = rot[x]
-                clist = crot.pop(x)
-                i = plist.index(parent_uid)
-                j = clist.index(child_uid)
-                run = clist[j + 1:] + clist[:j]
-                rot[x] = plist[:i] + run + plist[i + 1:]
-            rot.update(crot)
-        expanded[idx] = rot
-
-    final = expanded[tree.root]
     out: dict[int, list[int]] = {}
-    for x, uids in final.items():
-        nbrs = []
-        for uid in uids:
-            e = uid_edge[uid]
-            if e.real is None:
-                raise PlanarRankError("virtual edge survived composition")
-            nbrs.append(e.other(x))
-        out[x] = nbrs
+    for idx, rot in rots.items():
+        nd = tree.nodes[idx]
+        poles = nd.poles if nd.parent is not None else ()
+        for x, seq in rot.items():
+            if x in poles:
+                continue  # x lives higher up, in the parent's skeleton
+            nbrs: list[int] = []
+            stack = [iter(seq)]
+            while stack:
+                for uid in stack[-1]:
+                    e = real_edge.get(uid)
+                    if e is not None:
+                        nbrs.append(e.other(x))
+                        continue
+                    c, cu = twins[uid]
+                    clist = rots[c][x]
+                    j = clist.index(cu)
+                    stack.append(iter(clist[j + 1:] + clist[:j]))
+                    break
+                else:
+                    stack.pop()
+            out[x] = nbrs
     return out

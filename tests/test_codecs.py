@@ -80,6 +80,22 @@ class TestTupleCodec:
             for r in range(total):
                 assert tuple_rank(tuple_unrank(r, bounds), bounds) == r
 
+    def test_long_tuple_matches_digit_recurrence(self):
+        # Long enough that the codec splits the digits into halves.
+        rng = random.Random(11)
+        bounds = [rng.randint(1, 50) for _ in range(1000)]
+        values = [rng.randrange(limit) for limit in bounds]
+        expected = 0
+        total = 1
+        for b, limit in zip(values, bounds):
+            expected = expected * limit + b
+            total *= limit
+        assert tuple_rank(values, bounds) == expected
+        assert tuple_unrank(expected, bounds) == values
+        assert bounds_product(bounds) == total
+        with pytest.raises(RankOutOfRange):
+            tuple_unrank(total, bounds)
+
 
 class TestPermCodec:
     @pytest.mark.parametrize("k", range(1, 11))
