@@ -33,17 +33,26 @@ def check_bounds(values: list[int], bounds: list[int]) -> None:
 _LEAF = 32
 
 
-def _rank_span(values: list[int], bounds: list[int]) -> tuple[int, int]:
-    """(rank, bound product) of a digit tuple."""
+def _product_tree(bounds: list[int]) -> tuple:
+    """(bound product, digit count, high half, low half) of a digit span;
+    both halves are None for a span of at most _LEAF digits."""
     if len(bounds) <= _LEAF:
+        return math.prod(bounds), len(bounds), None, None
+    mid = len(bounds) // 2
+    hi, lo = _product_tree(bounds[:mid]), _product_tree(bounds[mid:])
+    return hi[0] * lo[0], len(bounds), hi, lo
+
+
+def _rank_span(values: list[int], bounds: list[int], node: tuple) -> int:
+    _, _, hi, lo = node
+    if hi is None:
         r = 0
         for b, limit in zip(values, bounds):
             r = r * limit + b
-        return r, math.prod(bounds)
-    mid = len(bounds) // 2
-    r_hi, p_hi = _rank_span(values[:mid], bounds[:mid])
-    r_lo, p_lo = _rank_span(values[mid:], bounds[mid:])
-    return r_hi * p_lo + r_lo, p_hi * p_lo
+        return r
+    mid = hi[1]
+    return (_rank_span(values[:mid], bounds[:mid], hi) * lo[0]
+            + _rank_span(values[mid:], bounds[mid:], lo))
 
 
 def tuple_rank(values: list[int], bounds: list[int]) -> int:
@@ -53,42 +62,34 @@ def tuple_rank(values: list[int], bounds: list[int]) -> int:
     with the lexicographic order of tuples.
     """
     check_bounds(values, bounds)
-    return _rank_span(values, bounds)[0]
+    return _rank_span(values, bounds, _product_tree(bounds))
 
 
-def _unrank_span(rank: int, bounds: list[int], out: list[int]) -> None:
-    if len(bounds) <= _LEAF:
-        digits = []
-        for limit in reversed(bounds):
-            rank, b = divmod(rank, limit)
-            digits.append(b)
-        out.extend(reversed(digits))
-        return
-    mid = len(bounds) // 2
-    r_hi, r_lo = divmod(rank, bounds_product(bounds[mid:]))
-    _unrank_span(r_hi, bounds[:mid], out)
-    _unrank_span(r_lo, bounds[mid:], out)
+def _unrank_span(rank: int, bounds: list[int], node: tuple) -> list[int]:
+    _, _, hi, lo = node
+    if hi is None:
+        out = [0] * len(bounds)
+        for i in range(len(bounds) - 1, -1, -1):
+            rank, out[i] = divmod(rank, bounds[i])
+        return out
+    mid = hi[1]
+    r_hi, r_lo = divmod(rank, lo[0])
+    return _unrank_span(r_hi, bounds[:mid], hi) + _unrank_span(r_lo, bounds[mid:], lo)
 
 
 def tuple_unrank(rank: int, bounds: list[int]) -> list[int]:
-    """Inverse of tuple_rank: split off the low half of the digits with one
-    division by its bound product, then recurse on both halves."""
+    """Inverse of tuple_rank: split by halves, then peel digits with mod/div."""
     for limit in bounds:
         if limit < 1:
             raise BoundViolation(f"bound {limit} must be positive")
-    total = bounds_product(bounds)
-    if not 0 <= rank < total:
-        raise RankOutOfRange(f"rank {rank} outside 0..{total - 1}")
-    out: list[int] = []
-    _unrank_span(rank, bounds, out)
-    return out
+    tree = _product_tree(bounds)
+    if not 0 <= rank < tree[0]:
+        raise RankOutOfRange(f"rank {rank} outside 0..{tree[0] - 1}")
+    return _unrank_span(rank, bounds, tree)
 
 
 def bounds_product(bounds: list[int]) -> int:
-    if len(bounds) <= _LEAF:
-        return math.prod(bounds)
-    mid = len(bounds) // 2
-    return bounds_product(bounds[:mid]) * bounds_product(bounds[mid:])
+    return _product_tree(bounds)[0]
 
 
 # ---------------------------------------------------------------------------

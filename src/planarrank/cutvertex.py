@@ -129,8 +129,6 @@ def phi_v_inverse(ctx: BlocksAtV, c_vals: list[int], d_vals: list[int]) -> list[
             raise BoundViolation(f"d={d} outside 0..{limit - 1}")
 
     orders = _linear_orders(ctx, c_vals)
-    if b == 2:
-        return orders[0] + orders[1]  # the first merge below, and no other
     cells = [[_Cell(w, j + 1) for w in order] for j, order in enumerate(orders)]
     for row in cells:
         for a, x in zip(row, row[1:]):
@@ -284,7 +282,7 @@ def _find_first1(ctx: BlocksAtV, rotation: list[int], block_of: dict[int, int],
     start = min(ctx.rotations[0], key=lambda w: edge_id(ctx.v, w))
     n = len(rotation)
     i0 = rotation.index(start)
-    need = len(ctx.rotations[1])
+    need = ctx.deltas[1]
     seen2: set[int] = set()
     for k in range(1, 2 * n + 1):
         counter.tick()
@@ -327,7 +325,7 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
     # Block runs from first_j; each must appear as a cyclic subsequence.
     orders = _linear_orders(ctx, c_vals)
     for j in range(1, b + 1):
-        counter.tick(len(ctx.rotations[j - 1]))
+        counter.tick(ctx.deltas[j - 1])
         run = [w for w in walk if block_of[w] == j]
         if run != orders[j - 1]:
             raise EmbeddingMismatch(f"block {j} does not keep its own rotation")

@@ -46,6 +46,18 @@ def rotations_equal(a: Rotation, b: Rotation) -> bool:
     return all(canonical_cycle(a[v]) == canonical_cycle(b[v]) for v in a)
 
 
+def _dart_successor(rot: Rotation) -> dict[tuple[int, int], tuple[int, int]]:
+    """Next dart of every directed edge (a, b) along its face boundary:
+    (b, c) with c the counter-clockwise predecessor of a at b."""
+    succ: dict[tuple[int, int], tuple[int, int]] = {}
+    for b, nbrs in rot.items():
+        prev = nbrs[-1] if nbrs else None
+        for a in nbrs:
+            succ[(a, b)] = (b, prev)
+            prev = a
+    return succ
+
+
 def trace_faces(rot: Rotation) -> list[FaceBoundary]:
     """All face boundary walks of a rotation system.
 
@@ -53,36 +65,26 @@ def trace_faces(rot: Rotation) -> list[FaceBoundary]:
     returned walk.  Output is sorted, so identical rotations give
     identical face lists.
     """
-    pos: dict[tuple[int, int], int] = {}
-    for v, nbrs in rot.items():
-        for i, w in enumerate(nbrs):
-            pos[(v, w)] = i
+    succ = _dart_successor(rot)
     faces: list[FaceBoundary] = []
     visited: set[tuple[int, int]] = set()
     for v in sorted(rot):
         for w in rot[v]:
-            if (v, w) in visited:
+            dart = (v, w)
+            if dart in visited:
                 continue
             walk: list[tuple[int, int]] = []
-            a, b = v, w
-            while (a, b) not in visited:
-                visited.add((a, b))
-                walk.append((a, b))
-                i = pos[(b, a)]
-                nbrs = rot[b]
-                a, b = b, nbrs[(i - 1) % len(nbrs)]
+            while dart not in visited:
+                visited.add(dart)
+                walk.append(dart)
+                dart = succ[dart]
             faces.append(canonical_cycle(walk))
     return sorted(faces)
 
 
 def face_count(rot: Rotation) -> int:
-    """Number of orbits of trace_faces' dart successor, walks not built."""
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for b, nbrs in rot.items():
-        prev = nbrs[-1] if nbrs else None
-        for a in nbrs:
-            succ[(a, b)] = (b, prev)  # a's ccw predecessor at b
-            prev = a
+    """Number of faces: orbits of the dart successor, walks not built."""
+    succ = _dart_successor(rot)
     count = 0
     while succ:
         start, dart = succ.popitem()

@@ -217,19 +217,11 @@ class EmbeddingRanker:
             cached = cache.get(key)
             if cached is None:
                 info = self.blocks[b]
-                if y == z == 0:
-                    # A bridge or a cycle: with at most two neighbours per
-                    # vertex, its adjacency is its only rotation.
-                    cached = {x: [] for x in info.vertices}
-                    for u, v in info.edges:
-                        cached[u].append(v)
-                        cached[v].append(u)
-                else:
-                    local = chi_inverse(list(key[0]), list(key[1]), info.tree)
-                    cached = {
-                        info.to_global[x]: [info.to_global[w] for w in nbrs]
-                        for x, nbrs in local.items()
-                    }
+                local = chi_inverse(list(key[0]), list(key[1]), info.tree)
+                cached = {
+                    info.to_global[x]: [info.to_global[w] for w in nbrs]
+                    for x, nbrs in local.items()
+                }
                 if len(cache) < 16:
                     cache[key] = cached
             block_rot[b] = cached
