@@ -34,6 +34,18 @@ def _load_embedding(graph: Graph, path: str) -> PlanarEmbedding:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 
+def _parse_rank(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise MalformedInput(f"rank must be a decimal integer: {text!r}") from exc
+
+
+def _check_count(name: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise MalformedInput(f"{name} must be non-negative, got {value}")
+
+
 def cmd_rank(args) -> int:
     g = _load_graph(args.graph)
     emb = _load_embedding(g, args.embedding)
@@ -49,10 +61,7 @@ def cmd_rank(args) -> int:
 
 def cmd_unrank(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        r = int(args.rank)
-    except ValueError as exc:
-        raise MalformedInput(f"rank must be a decimal integer: {args.rank!r}") from exc
+    r = _parse_rank(args.rank)
     emb = EmbeddingRanker(g).unrank(r)
     payload = emb.to_json()
     if args.output:
@@ -71,6 +80,7 @@ def cmd_count(args) -> int:
 
 def cmd_sample(args) -> int:
     g = _load_graph(args.graph)
+    _check_count("-k", args.k)
     ranker = EmbeddingRanker(g)
     for emb in ranker.sample(seed=args.seed, k=args.k):
         print(emb.to_json())
@@ -79,8 +89,9 @@ def cmd_sample(args) -> int:
 
 def cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
+    start = _parse_rank(args.start)
+    _check_count("--limit", args.limit)
     ranker = EmbeddingRanker(g)
-    start = int(args.start)
     for r, emb in ranker.enumerate(start, args.limit):
         print(json.dumps({"rank": str(r), "embedding": emb.canonical_data()},
                          sort_keys=True))

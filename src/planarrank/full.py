@@ -62,11 +62,16 @@ class EmbeddingRanker:
         self.blocks: list[_BlockInfo] = []
         cut_infos: list[_CutInfo] = []
 
+        comp_of = {v: ci for ci, (_, comp) in enumerate(self.comps) for v in comp}
+        comp_edges: list[list[tuple[int, int]]] = [[] for _ in self.comps]
+        for u, v in graph.edges:
+            comp_edges[comp_of[u]].append((u, v))
+
         for ci, (_, comp) in enumerate(self.comps):
             order = sorted(comp)
             to_local = {v: i + 1 for i, v in enumerate(order)}
             to_global = {i + 1: v for i, v in enumerate(order)}
-            edges = [(to_local[u], to_local[v]) for u, v in graph.edges if u in comp]
+            edges = [(to_local[u], to_local[v]) for u, v in comp_edges[ci]]
             sub = Graph(len(order), edges)
             self.face_counts.append(sub.m - sub.n + 2)
             bct = block_cut_tree(sub)

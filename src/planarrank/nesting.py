@@ -83,9 +83,13 @@ def nesting_encode(nesting: list[NestingEdge], c: int) -> list[int]:
 def nesting_decode(tau: list[int], face_counts: list[int]) -> list[NestingEdge]:
     """Nesting tree from a (c-1)-tuple of labels (inverse of encode).
 
-    The preprocessing tuple tau' maps each label to its parent component;
-    then c-1 rounds attach the smallest component of remaining degree one,
-    and the survivor hangs under rho with label 0.
+    The preprocessing tuple tau' maps each label to its parent component.
+    Round i attaches the smallest component of remaining degree one under
+    tau'_i.  A pointer scans the components upwards once: when the parent
+    just attached to drops to degree one below the pointer, it is the next
+    leaf; otherwise the pointer moves to the next component of degree one.
+    So the decode is O(c) after preprocessing.  The last leaf hangs under
+    rho with label 0.
     """
     c = len(face_counts)
     if len(tau) != c - 1:
@@ -93,16 +97,21 @@ def nesting_decode(tau: list[int], face_counts: list[int]) -> list[NestingEdge]:
     intervals = face_intervals(face_counts)
     tau_prime, deltas = nesting_tuple_preprocess(tau, intervals)
     edges: list[NestingEdge] = []
-    attached: set[int] = set()
-    for i in range(c - 1):
-        h = min(x for x in range(1, c + 1) if deltas[x] == 1 and x not in attached)
-        k = tau_prime[i]
-        edges.append((k, h, tau[i]))
-        attached.add(h)
-        deltas[h] -= 1
+    ptr = 1
+    while deltas[ptr] != 1:
+        ptr += 1
+    h = ptr
+    for k, label in zip(tau_prime, tau):
+        edges.append((k, h, label))
         deltas[k] -= 1
-    survivor = next(x for x in range(1, c + 1) if x not in attached)
-    edges.append((0, survivor, 0))
+        if 1 <= k < ptr and deltas[k] == 1:
+            h = k
+        else:
+            ptr += 1
+            while deltas[ptr] != 1:
+                ptr += 1
+            h = ptr
+    edges.append((0, h, 0))
     return sorted(edges)
 
 

@@ -92,3 +92,19 @@ class TestCli:
         a = capsys.readouterr().out
         half = len(a) // 2
         assert a[:half] == a[half:]
+
+    def test_enumerate_non_integer_start_exit_1(self, triangle_file, capsys):
+        assert main(["enumerate", "-g", triangle_file, "--from", "abc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rank must be a decimal integer: 'abc'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--seed", "7", "-k", "-1"],
+        ["enumerate", "--limit", "-1"],
+    ])
+    def test_negative_count_exit_1(self, triangle_file, capsys, argv):
+        assert main(argv[:1] + ["-g", triangle_file] + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

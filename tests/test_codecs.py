@@ -180,3 +180,27 @@ class TestNestingPreprocess:
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             nesting_tuple_preprocess([16], self.INTERVALS)
+
+    # Face counts 3, 1, 1, 4, 1: components 2, 3 and 5 have one face, so
+    # their intervals are empty; I_2 and I_3 share lo = 3 with I_4.
+    GAPPED = [(1, 2), (3, 2), (3, 2), (3, 5), (6, 5)]
+
+    def test_shared_lo_maps_to_the_non_empty_interval(self):
+        tau_prime, deltas = nesting_tuple_preprocess([3, 2], self.GAPPED)
+        assert tau_prime == [4, 1]
+        assert deltas == {0: 2, 1: 2, 2: 1, 3: 1, 4: 2, 5: 1}
+
+    def test_top_label_maps_to_last_non_empty_component(self):
+        assert nesting_tuple_preprocess([5], self.GAPPED)[0] == [4]
+        assert nesting_tuple_preprocess([15], self.INTERVALS)[0] == [5]
+
+    @pytest.mark.parametrize("intervals, label, message", [
+        (INTERVALS, 16, "label 16 outside 0..15"),
+        (INTERVALS, -1, "label -1 outside 0..15"),
+        (GAPPED, 6, "label 6 outside 0..5"),
+        (GAPPED, -3, "label -3 outside 0..5"),
+    ])
+    def test_out_of_range_messages(self, intervals, label, message):
+        with pytest.raises(LabelOutOfRange) as info:
+            nesting_tuple_preprocess([0, label], intervals)
+        assert str(info.value) == message

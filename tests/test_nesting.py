@@ -1,6 +1,7 @@
 """Nesting trees, the Pruefer-variant codec, and digamma."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,47 @@ from planarrank.nesting import (
     nesting_encode,
 )
 from planarrank.oracle import all_nesting_trees
+
+def reference_preprocess(tau, intervals):
+    """The interval scan nesting_tuple_preprocess used to do: O(c) per label."""
+    top = intervals[-1][1] if intervals else 0
+    tau_prime = []
+    for x in tau:
+        if x == 0:
+            tau_prime.append(0)
+            continue
+        if not 1 <= x <= top:
+            raise LabelOutOfRange(f"label {x} outside 0..{top}")
+        for h, (lo, hi) in enumerate(intervals, start=1):
+            if lo <= x <= hi:
+                tau_prime.append(h)
+                break
+        else:
+            raise LabelOutOfRange(f"label {x} falls in no interval")
+    deltas = {h: 1 for h in range(1, len(intervals) + 1)}
+    deltas[0] = 2
+    for h in tau_prime:
+        deltas[h] += 1
+    return tau_prime, deltas
+
+
+def reference_decode(tau, face_counts):
+    """Quadratic decode: each round takes the smallest leaf over all components."""
+    c = len(face_counts)
+    tau_prime, deltas = reference_preprocess(tau, face_intervals(face_counts))
+    edges = []
+    attached = set()
+    for i in range(c - 1):
+        h = min(x for x in range(1, c + 1) if deltas[x] == 1 and x not in attached)
+        k = tau_prime[i]
+        edges.append((k, h, tau[i]))
+        attached.add(h)
+        deltas[h] -= 1
+        deltas[k] -= 1
+    survivor = next(x for x in range(1, c + 1) if x not in attached)
+    edges.append((0, survivor, 0))
+    return sorted(edges)
+
 
 # Five components with face counts 4, 3, 5, 5, 3 give the label intervals
 # I_1=[1..3], I_2=[4..5], I_3=[6..9], I_4=[10..13], I_5=[14..15].
@@ -71,6 +113,34 @@ class TestCodec:
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             nesting_decode([16], [2, 2])
+
+    def test_matches_reference_decode_on_random_cases(self):
+        # Single-face components give empty intervals, in the middle and at
+        # the end; a third of the labels are 0 (parent rho).
+        rng = random.Random(20240)
+        for _ in range(2500):
+            c = rng.randint(1, 60)
+            fc = [rng.choice([1, 1, 2, 3, 4, 7]) for _ in range(c)]
+            if rng.random() < 0.3:
+                fc[-1] = 1
+            label_bound = sum(f - 1 for f in fc) + 1
+            tau = [0 if rng.random() < 0.3 else rng.randrange(label_bound)
+                   for _ in range(c - 1)]
+            assert nesting_decode(tau, fc) == reference_decode(tau, fc), (tau, fc)
+
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    def test_roundtrip_5000_components(self, shape):
+        c = 5000
+        fc = [2] * c
+        if shape == "path":
+            # Component h sits in the inner face of component h + 1.
+            tree = [(h + 1, h, h + 1) for h in range(1, c)] + [(0, c, 0)]
+        else:
+            # Every other component sits in the inner face of component 1.
+            tree = [(0, 1, 0)] + [(1, h, 1) for h in range(2, c + 1)]
+        tau = nesting_encode(tree, c)
+        assert nesting_decode(tau, fc) == sorted(tree)
+        assert nesting_encode(nesting_decode(tau, fc), c) == tau
 
 
 TWO_TRIANGLES = Graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
