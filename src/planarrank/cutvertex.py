@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BoundViolation, EmbeddingMismatch
-from .graph import UnionFind, edge_id
+from .graph import UnionFind
 
 
 def arrangement_bounds(deltas: list[int]) -> tuple[list[int], list[int]]:
@@ -47,44 +47,46 @@ def arrangement_count(deltas: list[int]) -> int:
 
 @dataclass(frozen=True)
 class BlocksAtV:
-    """The fixed data of one cut-vertex: per-block rotations at v.
+    """The fixed data of one cut-vertex v, built once from the graph.
 
-    Block rotations are counter-clockwise neighbor cycles at v, indexed
-    1..b(v) by ascending minimum edge id at v.
+    Blocks are indexed 1..b(v) by ascending minimum edge id at v.
+    ``edges[j-1]`` lists block j's edges at v by far endpoint in edge-id
+    order (at a fixed v, edge-id order is far-endpoint order), and
+    ``block_of`` maps each far endpoint to its block.  ``deltas``,
+    ``delta_v`` and the c/d bounds follow from these.  Per-call data (the
+    block rotations, the merged rotation) is passed to phi_v_inverse and
+    phi_v instead.
     """
 
     v: int
-    rotations: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, ...], ...]
+    block_of: dict[int, int]
+    deltas: tuple[int, ...]
+    delta_v: int
+    c_bounds: tuple[int, ...]
+    d_bounds: tuple[int, ...]
 
     @classmethod
-    def make(cls, v: int, rotations) -> "BlocksAtV":
-        rots = sorted(
-            (tuple(r) for r in rotations),
-            key=lambda r: min(edge_id(v, w) for w in r),
-        )
-        if len(rots) < 2:
+    def make(cls, v: int, blocks) -> "BlocksAtV":
+        """From each block's far endpoints at v, in any order."""
+        edges = tuple(sorted(tuple(sorted(ws)) for ws in blocks))
+        if len(edges) < 2:
             raise EmbeddingMismatch(f"vertex {v} is incident to fewer than 2 blocks")
-        return cls(v, tuple(rots))
+        deltas = tuple(len(ws) for ws in edges)
+        c_bounds, d_bounds = arrangement_bounds(list(deltas))
+        return cls(
+            v, edges,
+            {w: j for j, ws in enumerate(edges, start=1) for w in ws},
+            deltas, sum(deltas), tuple(c_bounds), tuple(d_bounds),
+        )
 
     @property
     def b(self) -> int:
-        return len(self.rotations)
+        return len(self.edges)
 
-    @property
-    def deltas(self) -> list[int]:
-        return [len(r) for r in self.rotations]
-
-    @property
-    def delta_v(self) -> int:
-        return sum(self.deltas)
-
-    def bounds(self) -> tuple[list[int], list[int]]:
+    def bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per-element bounds of (c values, d values)."""
-        return arrangement_bounds(self.deltas)
-
-    def id_order(self, j: int) -> list[int]:
-        """Edges of block j at v sorted by edge id (far endpoints)."""
-        return sorted(self.rotations[j - 1], key=lambda w: edge_id(self.v, w))
+        return self.c_bounds, self.d_bounds
 
 
 @dataclass
@@ -100,24 +102,20 @@ class _Cell:
         return f"_Cell({self.w}, b{self.block})"
 
 
-def _linear_orders(ctx: BlocksAtV, c_vals: list[int]) -> list[list[int]]:
-    """Block runs first_j..last_j: rotation rotated to start at first_j."""
-    orders = []
-    for j in range(1, ctx.b + 1):
-        rot = list(ctx.rotations[j - 1])
-        first = ctx.id_order(j)[c_vals[j - 1]]
-        i = rot.index(first)
-        orders.append(rot[i:] + rot[:i])
-    return orders
-
-
-def phi_v_inverse(ctx: BlocksAtV, c_vals: list[int], d_vals: list[int]) -> list[int]:
+def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
+                  d_vals: list[int]) -> list[int]:
     """Merge the block embeddings as dictated by the tuple.
 
-    Returns the rotation at v (counter-clockwise neighbor list starting at
-    first_1).  Runs in O(delta_v * alpha) via a union-find over blocks.
+    ``rotations[j-1]`` is block j's counter-clockwise rotation at v (far
+    endpoints), in ctx's block order.  Returns the rotation at v
+    (counter-clockwise neighbor list starting at first_1).  Runs in
+    O(delta_v * alpha) via a union-find over blocks.
     """
     b = ctx.b
+    if len(rotations) != b or any(
+        len(rot) != delta for rot, delta in zip(rotations, ctx.deltas)
+    ):
+        raise EmbeddingMismatch("block rotations do not match the blocks at v")
     c_bounds, d_bounds = ctx.bounds()
     if len(c_vals) != len(c_bounds) or len(d_vals) != len(d_bounds):
         raise BoundViolation("tuple layout does not match b(v)")
@@ -128,7 +126,11 @@ def phi_v_inverse(ctx: BlocksAtV, c_vals: list[int], d_vals: list[int]) -> list[
         if not 0 <= d < limit:
             raise BoundViolation(f"d={d} outside 0..{limit - 1}")
 
-    orders = _linear_orders(ctx, c_vals)
+    # Block runs first_j..last_j: each rotation turned to start at first_j.
+    orders = []
+    for rot, edges, c in zip(rotations, ctx.edges, c_vals):
+        i = rot.index(edges[c])
+        orders.append(rot[i:] + rot[:i])
     cells = [[_Cell(w, j + 1) for w in order] for j, order in enumerate(orders)]
     for row in cells:
         for a, x in zip(row, row[1:]):
@@ -276,12 +278,11 @@ class OpCounter:
         self.ops += k
 
 
-def _find_first1(ctx: BlocksAtV, rotation: list[int], block_of: dict[int, int],
-                 counter: OpCounter) -> int:
+def _find_first1(ctx: BlocksAtV, rotation: list[int], counter: OpCounter) -> int:
     """First edge of block 1 after a full pass over block 2's edges."""
-    start = min(ctx.rotations[0], key=lambda w: edge_id(ctx.v, w))
+    block_of = ctx.block_of
     n = len(rotation)
-    i0 = rotation.index(start)
+    i0 = rotation.index(ctx.edges[0][0])
     need = ctx.deltas[1]
     seen2: set[int] = set()
     for k in range(1, 2 * n + 1):
@@ -297,38 +298,29 @@ def _find_first1(ctx: BlocksAtV, rotation: list[int], block_of: dict[int, int],
 
 def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
           ) -> tuple[list[int], list[int]]:
-    """Tuple <c_1..c_b, d_1..d_{b-2}> of a merged rotation at v."""
+    """Tuple <c_1..c_b, d_1..d_{b-2}> of a merged rotation at v.
+
+    Each block's rotation at v is read off the merged rotation itself, so
+    it is the restriction of ``rotation`` to the block's edges.
+    """
     if counter is None:
         counter = OpCounter()
     b = ctx.b
-    n = ctx.delta_v
-    if sorted(rotation) != sorted(w for r in ctx.rotations for w in r):
+    block_of = ctx.block_of
+    if len(rotation) != ctx.delta_v or block_of.keys() != set(rotation):
         raise EmbeddingMismatch("rotation does not cover the incident edges")
 
-    block_of = {w: j + 1 for j, r in enumerate(ctx.rotations) for w in r}
-
-    first1 = _find_first1(ctx, rotation, block_of, counter)
+    first1 = _find_first1(ctx, rotation, counter)
     i0 = rotation.index(first1)
     walk = rotation[i0:] + rotation[:i0]
 
-    # Second visit: first edge of every block, then the c values.
-    firsts: dict[int, int] = {}
+    # One pass splits the walk into block runs first_j..last_j.
+    orders: list[list[int]] = [[] for _ in range(b)]
     for w in walk:
         counter.tick()
-        j = block_of[w]
-        if j not in firsts:
-            firsts[j] = w
-    if len(firsts) != b:
-        raise EmbeddingMismatch("some block is missing from the rotation")
-    c_vals = [ctx.id_order(j).index(firsts[j]) for j in range(1, b + 1)]
-
-    # Block runs from first_j; each must appear as a cyclic subsequence.
-    orders = _linear_orders(ctx, c_vals)
-    for j in range(1, b + 1):
-        counter.tick(ctx.deltas[j - 1])
-        run = [w for w in walk if block_of[w] == j]
-        if run != orders[j - 1]:
-            raise EmbeddingMismatch(f"block {j} does not keep its own rotation")
+        orders[block_of[w] - 1].append(w)
+    firsts = {j: orders[j - 1][0] for j in range(1, b + 1)}
+    c_vals = [edges.index(order[0]) for edges, order in zip(ctx.edges, orders)]
     if b == 2:
         return c_vals, []
     lasts = {j: orders[j - 1][-1] for j in range(1, b + 1)}
@@ -473,8 +465,7 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
         del gap_owner[anchor]
         gap_owner[resolve(firsts[j])] = firsts[j]
 
-    _, d_bounds = ctx.bounds()
-    for d, limit in zip(d_vals, d_bounds):
+    for d, limit in zip(d_vals, ctx.d_bounds):
         if not 0 <= d < limit:
             raise EmbeddingMismatch(f"derived d={d} outside 0..{limit - 1}")
     return c_vals, d_vals

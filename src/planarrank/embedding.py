@@ -235,11 +235,19 @@ class PlanarEmbedding:
             raise MalformedInput('embedding JSON needs a "rotations" key')
         try:
             rot = {int(v): [int(w) for w in nbrs] for v, nbrs in data["rotations"].items()}
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad rotation table: {exc}") from exc
-        nesting = [tuple(e) for e in data.get("nesting", [])] or None
-        ft = data.get("face_tuple") or None
-        emb = cls(graph, rot, nesting, ft)
+        # An absent or null "nesting"/"face_tuple" means the default.  JSON
+        # true/false would pass an isinstance(x, int) test as 1/0.
+        nesting, ft = data.get("nesting"), data.get("face_tuple")
+        if not (nesting is None or isinstance(nesting, list) and all(
+            isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)
+            for e in nesting
+        )):
+            raise MalformedInput('"nesting" must be a list of integer triples')
+        if not (ft is None or isinstance(ft, list) and all(type(x) is int for x in ft)):
+            raise MalformedInput('"face_tuple" must be a list of integers')
+        emb = cls(graph, rot, [tuple(e) for e in nesting or []] or None, ft or None)
         problems = validate(emb)
         if problems:
             raise MalformedInput("; ".join(problems))

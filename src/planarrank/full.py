@@ -22,7 +22,7 @@ import networkx as nx
 
 from .biconnected import biconn_bounds, chi, chi_inverse
 from .codecs import bounds_product, tuple_rank, tuple_unrank
-from .cutvertex import BlocksAtV, arrangement_bounds, phi_v, phi_v_inverse
+from .cutvertex import BlocksAtV, phi_v, phi_v_inverse
 from .embedding import PlanarEmbedding, Rotation, validate
 from .errors import EmbeddingMismatch, NotPlanar
 from .graph import Graph, block_cut_tree, connected_components, edge_id
@@ -45,7 +45,8 @@ class _BlockInfo:
 class _CutInfo:
     v: int                     # global vertex id
     comp: int
-    block_ids: list[int]       # indices into ranker.blocks, at-v order
+    block_ids: list[int]       # indices into ranker.blocks, in ctx's order
+    ctx: BlocksAtV
 
 
 class EmbeddingRanker:
@@ -60,7 +61,7 @@ class EmbeddingRanker:
 
         self.face_counts: list[int] = []
         self.blocks: list[_BlockInfo] = []
-        cut_infos: list[_CutInfo] = []
+        cut_vertices: list[int] = []  # global ids
 
         comp_of = {v: ci for ci, (_, comp) in enumerate(self.comps) for v in comp}
         comp_edges: list[list[tuple[int, int]]] = [[] for _ in self.comps]
@@ -76,8 +77,7 @@ class EmbeddingRanker:
             self.face_counts.append(sub.m - sub.n + 2)
             bct = block_cut_tree(sub)
 
-            local_block_ids: dict[int, int] = {}
-            for bi, blk in enumerate(bct.blocks):
+            for blk in bct.blocks:
                 bg, remap = blk.to_graph()
                 # Compose remaps so block-local ids translate straight to
                 # global ids; both remaps are monotone, so every ordering
@@ -91,20 +91,19 @@ class EmbeddingRanker:
                     _BlockInfo(ci, sorted(inv.values()), g_edges, fwd, inv,
                                build_spqr(bg, pretested=True), g_edges[0])
                 )
-                local_block_ids[bi] = len(self.blocks) - 1
+            cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
 
-            for v in bct.cut_vertices:
-                ids = [local_block_ids[bi] for bi in bct.blocks_at[v]]
-                ids.sort(key=lambda b: min(
-                    e for e in self.blocks[b].edges if to_global[v] in e
-                ))
-                cut_infos.append(_CutInfo(to_global[v], ci, ids))
-
-        cut_infos.sort(key=lambda c: c.v)
-        self.cuts = cut_infos
         self._block_of_edge = {
             e: b for b, info in enumerate(self.blocks) for e in info.edges
         }
+        self.cuts: list[_CutInfo] = []
+        for v in sorted(cut_vertices):
+            at_v: dict[int, list[int]] = {}
+            for w in graph.adj[v]:
+                at_v.setdefault(self._block_of_edge[edge_id(v, w)], []).append(w)
+            ctx = BlocksAtV.make(v, at_v.values())
+            ids = [self._block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
+            self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
         self.block_order = sorted(range(len(self.blocks)),
                                   key=lambda b: self.blocks[b].min_edge)
         self.nesting_codec = NestingCodec(self.face_counts)
@@ -112,18 +111,8 @@ class EmbeddingRanker:
         # Per-segment bounds, in tuple order.
         self.a_bounds = self.nesting_codec.bounds[: self.t - 1]
         self.b_bounds = list(self.face_counts)
-        self.c_bounds: list[int] = []
-        self.d_bounds: list[int] = []
-        self._cut_shapes: list[tuple[int, int]] = []  # (#c, #d) per cut
-        for cut in self.cuts:
-            deltas = [
-                sum(1 for e in self.blocks[b].edges if cut.v in e)
-                for b in cut.block_ids
-            ]
-            cs, ds = arrangement_bounds(deltas)
-            self.c_bounds.extend(cs)
-            self.d_bounds.extend(ds)
-            self._cut_shapes.append((len(cs), len(ds)))
+        self.c_bounds = [c for cut in self.cuts for c in cut.ctx.c_bounds]
+        self.d_bounds = [d for cut in self.cuts for d in cut.ctx.d_bounds]
         self.p_bounds: list[int] = []
         self.r_bounds: list[int] = []
         self._block_shapes: list[tuple[int, int]] = []  # (#p, #r) per block
@@ -169,11 +158,7 @@ class EmbeddingRanker:
         c_vals: list[int] = []
         d_vals: list[int] = []
         for cut in self.cuts:
-            block_cycles: dict[int, list[int]] = {b: [] for b in cut.block_ids}
-            for w in emb.rot[cut.v]:
-                block_cycles[self._block_of_edge[edge_id(cut.v, w)]].append(w)
-            ctx = BlocksAtV.make(cut.v, block_cycles.values())
-            cs, ds = phi_v(ctx, list(emb.rot[cut.v]))
+            cs, ds = phi_v(cut.ctx, emb.rot[cut.v])
             c_vals.extend(cs)
             d_vals.extend(ds)
 
@@ -240,15 +225,14 @@ class EmbeddingRanker:
                     continue  # cut vertex, handled below
                 rot[x] = nbrs  # PlanarEmbedding copies every list
         ci = di = 0
-        for cut, (nc, ndv) in zip(self.cuts, self._cut_shapes):
-            ctx = BlocksAtV.make(
-                cut.v, [block_rot[b][cut.v] for b in cut.block_ids]
-            )
+        for cut in self.cuts:
+            nc, nd = len(cut.ctx.c_bounds), len(cut.ctx.d_bounds)
             rot[cut.v] = phi_v_inverse(
-                ctx, c_vals[ci:ci + nc], d_vals[di:di + ndv]
+                cut.ctx, [block_rot[b][cut.v] for b in cut.block_ids],
+                c_vals[ci:ci + nc], d_vals[di:di + nd],
             )
             ci += nc
-            di += ndv
+            di += nd
 
         # The decoded tree and tuple are valid by construction and the
         # composed rotation planar by the skeleton/merge invariants, so

@@ -88,15 +88,20 @@ class Graph:
             raise MalformedInput(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
             raise MalformedInput('graph JSON needs "vertices" and "edges" keys')
-        vertices = data["vertices"]
-        if sorted(vertices) != list(range(1, len(vertices) + 1)):
+        vertices, edges = data["vertices"], data["edges"]
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise MalformedInput('"vertices" and "edges" must be lists')
+        # JSON true/false would pass an isinstance(x, int) test as 1/0.
+        if (not all(type(x) is int for x in vertices)
+                or sorted(vertices) != list(range(1, len(vertices) + 1))):
             raise MalformedInput("vertices must be exactly 1..n")
-        for e in data["edges"]:
-            if not (isinstance(e, list) and len(e) == 2):
-                raise MalformedInput(f"edge entries must be [u, v] pairs: {e!r}")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(type(x) is int for x in e)):
+                raise MalformedInput(f"edge entries must be [u, v] integer pairs: {e!r}")
             if not e[0] < e[1]:
                 raise MalformedInput(f"edge {e} must be listed with u < v")
-        return cls(len(vertices), [tuple(e) for e in data["edges"]])
+        return cls(len(vertices), [tuple(e) for e in edges])
 
     def to_json(self) -> str:
         return json.dumps(

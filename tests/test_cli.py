@@ -108,3 +108,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("graph", [
+        {"vertices": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
+        {"vertices": [1, 2, 3], "edges": 5},
+        {"vertices": [1, 2], "edges": [[True, 2]]},
+    ], ids=["vertices-not-list", "edges-not-list", "bool-endpoint"])
+    def test_malformed_graph_json_exit_1(self, tmp_path, capsys, graph):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(graph))
+        assert main(["count", "-g", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("override", [
+        {"nesting": 5},
+        {"nesting": [[0, 1]]},
+        {"nesting": [[0, 1, "0"]]},
+        {"face_tuple": 5},
+        {"face_tuple": ["a"]},
+        {"rotations": [[2, 3]]},
+    ], ids=["nesting-not-list", "nesting-pair", "nesting-string-label",
+            "face-tuple-not-list", "face-tuple-string", "rotations-not-object"])
+    def test_malformed_embedding_json_exit_1(self, triangle_file, tmp_path, capsys,
+                                             override):
+        emb = tmp_path / "emb.json"
+        assert main(["unrank", "-g", triangle_file, "-r", "0", "-o", str(emb)]) == 0
+        data = json.loads(emb.read_text())
+        data.update(override)
+        emb.write_text(json.dumps(data))
+        assert main(["rank", "-g", triangle_file, "-e", str(emb)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

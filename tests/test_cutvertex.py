@@ -34,6 +34,12 @@ def k4_block(v, a, b, c):
     return {v: [a, c, b], a: [v, b, c], b: [v, c, a], c: [v, a, b]}
 
 
+def at_v(v, blocks):
+    """Fixed data of v and the blocks' rotations at v, in its block order."""
+    rotations = sorted((r[v] for r in blocks), key=min)
+    return BlocksAtV.make(v, rotations), rotations
+
+
 # (name, v, list of block rotations)
 CONFIGS = [
     ("three-bridges", 1, [bridge(1, 2), bridge(1, 3), bridge(1, 4)]),
@@ -79,14 +85,14 @@ class TestArrangementCount:
 class TestPhiV:
     @pytest.mark.parametrize("name,v,blocks", CONFIGS, ids=[c[0] for c in CONFIGS])
     def test_bijection_against_oracle(self, name, v, blocks):
-        ctx = BlocksAtV.make(v, [r[v] for r in blocks])
+        ctx, rotations = at_v(v, blocks)
         c_bounds, d_bounds = ctx.bounds()
         expected = arrangement_count(ctx.deltas)
 
         produced = {}
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
             for d_vals in itertools.product(*[range(x) for x in d_bounds]):
-                merged = phi_v_inverse(ctx, list(c_vals), list(d_vals))
+                merged = phi_v_inverse(ctx, rotations, list(c_vals), list(d_vals))
                 key = canonical_cycle(merged)
                 assert key not in produced, (
                     f"{name}: tuples {produced[key]} and {(c_vals, d_vals)} collide"
@@ -110,11 +116,11 @@ class TestPhiV:
              for r in blocks for a in r for b in r[a]}
         )
         g = Graph(len(vertices), edges)
-        ctx = BlocksAtV.make(v, [r[v] for r in blocks])
+        ctx, rotations = at_v(v, blocks)
         c_bounds, d_bounds = ctx.bounds()
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
             for d_vals in itertools.product(*[range(x) for x in d_bounds]):
-                merged = phi_v_inverse(ctx, list(c_vals), list(d_vals))
+                merged = phi_v_inverse(ctx, rotations, list(c_vals), list(d_vals))
                 rot = {}
                 for r in blocks:
                     for x, nbrs in r.items():
@@ -127,21 +133,27 @@ class TestPhiV:
         # The restriction of the output to each block is the block's own
         # cyclic order (rotation-list subsequence equality).
         v, blocks = 1, [triangle(1, 2, 3), triangle(1, 4, 5), bridge(1, 6)]
-        ctx = BlocksAtV.make(v, [r[v] for r in blocks])
+        ctx, rotations = at_v(v, blocks)
         c_bounds, d_bounds = ctx.bounds()
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
             for d_vals in itertools.product(*[range(x) for x in d_bounds]):
-                merged = phi_v_inverse(ctx, list(c_vals), list(d_vals))
-                for j, r in enumerate(ctx.rotations, start=1):
+                merged = phi_v_inverse(ctx, rotations, list(c_vals), list(d_vals))
+                for r in rotations:
                     run = [w for w in merged if w in set(r)]
                     assert canonical_cycle(run) == canonical_cycle(list(r))
 
     def test_bound_violation(self):
         ctx = BlocksAtV.make(1, [[2], [3], [4]])
         with pytest.raises(BoundViolation):
-            phi_v_inverse(ctx, [0, 0, 0], [2])
+            phi_v_inverse(ctx, [[2], [3], [4]], [0, 0, 0], [2])
         with pytest.raises(BoundViolation):
-            phi_v_inverse(ctx, [1, 0, 0], [0])
+            phi_v_inverse(ctx, [[2], [3], [4]], [1, 0, 0], [0])
+
+    @pytest.mark.parametrize("rotations", [[[2], [3]], [[2], [3, 5], [4]]])
+    def test_rejects_rotations_not_matching_blocks(self, rotations):
+        ctx = BlocksAtV.make(1, [[2], [3], [4]])
+        with pytest.raises(EmbeddingMismatch):
+            phi_v_inverse(ctx, rotations, [0, 0, 0], [0])
 
     def test_rejects_foreign_rotation(self):
         ctx = BlocksAtV.make(1, [[2], [3], [4]])
@@ -152,12 +164,12 @@ class TestPhiV:
         # Operation-count ceiling: phi_v does O(delta_v) elementary steps.
         v, blocks = 1, [triangle(1, 2, 3), triangle(1, 4, 5), bridge(1, 6),
                        square(1, 7, 8, 9), bridge(1, 10)]
-        ctx = BlocksAtV.make(v, [r[v] for r in blocks])
+        ctx, rotations = at_v(v, blocks)
         c_bounds, d_bounds = ctx.bounds()
         worst = 0
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
             for d_vals in itertools.product(*[range(x) for x in d_bounds]):
-                merged = phi_v_inverse(ctx, list(c_vals), list(d_vals))
+                merged = phi_v_inverse(ctx, rotations, list(c_vals), list(d_vals))
                 counter = OpCounter()
                 phi_v(ctx, merged, counter)
                 worst = max(worst, counter.ops)

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from _graphgen import random_planar
+from planarrank import cutvertex
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
 from planarrank.errors import EmbeddingMismatch, NotPlanar, RankOutOfRange
 from planarrank.full import EmbeddingRanker, count_embeddings, sample_uniform
@@ -44,6 +45,10 @@ CATALOG = [
     ("star-4-at-2", Graph(5, [(1, 2), (2, 3), (2, 4), (2, 5)])),
     ("triangle-bridge-triangle", Graph(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5),
                                            (4, 6), (5, 6)])),
+    # At v=4 the bridge (3, 4) comes first, but the cycle through (1, 2)
+    # has the smallest edge overall: at-v order differs from block order.
+    ("c5-bridge-triangle", Graph(8, [(1, 2), (2, 5), (4, 5), (4, 6), (1, 6), (3, 4),
+                                     (4, 7), (4, 8), (7, 8)])),
 ]
 
 
@@ -151,6 +156,51 @@ class TestBijection:
         assert ranker.count() == 20
         for r in range(20):
             assert ranker.rank(ranker.unrank(r)) == r
+
+    def test_at_v_order_differs_from_block_order(self):
+        g = dict(CATALOG)["c5-bridge-triangle"]
+        ranker = EmbeddingRanker(g)
+        (cut,) = ranker.cuts
+        assert cut.v == 4 and cut.block_ids == [1, 0, 2]
+        assert ranker.block_order == [0, 1, 2]
+        # (c, d digits, rotation at 4) for r mod 16; r // 16 is the
+        # outer-face digit, which leaves the rotation alone.
+        pinned = [
+            ([0, 0, 0, 0], [3, 7, 8, 5, 6]), ([0, 0, 0, 1], [3, 5, 7, 8, 6]),
+            ([0, 0, 0, 2], [3, 5, 6, 7, 8]), ([0, 0, 0, 3], [3, 7, 5, 6, 8]),
+            ([0, 0, 1, 0], [3, 8, 7, 5, 6]), ([0, 0, 1, 1], [3, 5, 8, 7, 6]),
+            ([0, 0, 1, 2], [3, 5, 6, 8, 7]), ([0, 0, 1, 3], [3, 8, 5, 6, 7]),
+            ([0, 1, 0, 0], [3, 7, 8, 6, 5]), ([0, 1, 0, 1], [3, 6, 7, 8, 5]),
+            ([0, 1, 0, 2], [3, 6, 5, 7, 8]), ([0, 1, 0, 3], [3, 7, 6, 5, 8]),
+            ([0, 1, 1, 0], [3, 8, 7, 6, 5]), ([0, 1, 1, 1], [3, 6, 8, 7, 5]),
+            ([0, 1, 1, 2], [3, 6, 5, 8, 7]), ([0, 1, 1, 3], [3, 8, 6, 5, 7]),
+        ]
+        assert ranker.count() == 48
+        for r in range(48):
+            digits, rot4 = pinned[r % 16]
+            emb = ranker.unrank(r)
+            assert ranker.phi(emb) == [r // 16] + digits
+            assert emb.rot[4] == rot4
+
+    def test_cut_vertex_data_built_once(self, monkeypatch):
+        calls = []
+        original = cutvertex.BlocksAtV.make.__func__
+
+        def counted(cls, v, blocks):
+            calls.append(v)
+            return original(cls, v, blocks)
+
+        monkeypatch.setattr(cutvertex.BlocksAtV, "make", classmethod(counted))
+        g = random_planar(30, seed=3)
+        ranker = EmbeddingRanker(g)
+        assert len(ranker.cuts) >= 2
+        assert sorted(calls) == [cut.v for cut in ranker.cuts]
+        calls.clear()
+        for r in range(0, ranker.count(), max(1, ranker.count() // 5)):
+            assert ranker.rank(ranker.unrank(r)) == r
+        list(ranker.sample(seed=5, k=3))
+        list(ranker.enumerate(0, 3))
+        assert calls == []
 
     def test_tuple_length_linear_in_n(self):
         for i in range(10):

@@ -1,0 +1,43 @@
+"""The benchmark's trace hooks still find every function they wrap.
+
+`perfbench/tracing.py` replaces library functions where their callers look
+them up.  A rename in src/ would break `perfbench/run.py --trace 1` without
+failing any other test, so this installs and uninstalls the hooks here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _binding(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_every_traced_function_resolves_and_is_restored():
+    tracing = _load_tracing()
+    for name, owner, attr in tracing.TRACED:
+        assert (attr in owner.__dict__ if isinstance(owner, type)
+                else hasattr(owner, attr)), f"{name}: {owner!r} has no {attr!r}"
+    originals = [_binding(owner, attr) for _, owner, attr in tracing.TRACED]
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (name, owner, attr), raw in zip(tracing.TRACED, originals):
+            assert _binding(owner, attr) is not raw, f"{name} was not wrapped"
+    finally:
+        tracer.uninstall()
+
+    for (name, owner, attr), raw in zip(tracing.TRACED, originals):
+        assert _binding(owner, attr) is raw, f"{name} was not restored"
