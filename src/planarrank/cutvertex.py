@@ -7,10 +7,17 @@ blocks' rotations at v.  This module ranks such merges into the tuple
 
 * c_j picks which edge of block j (in edge-id order) starts the block's
   counter-clockwise run,
-* d_j steers the j-th merge: it addresses a cell of a fixed, mutating
-  edge sequence S; the addressed edge either lies in a foreign partial
+* d_j steers the j-th merge: it addresses a cell of a fixed edge
+  sequence S; the addressed edge either lies in a foreign partial
   embedding (insert right after it) or in the block's own partial
   embedding (wrap the block around block 2's nest).
+
+The inverse direction replays the merges on flat far-endpoint links: the
+growing rotation is a doubly linked list held in two dicts (next and
+previous far endpoint), the partial embeddings are a union-find over block
+indices in a parent list whose roots keep their partial's first and last
+edge, and S and its fused pairs are far endpoints too.  A call allocates
+no object per edge and merges in O(degree of v * alpha) steps.
 
 The forward direction never replays merges: it rebuilds the merge history
 from the nesting structure of block runs (an ordered tree), following
@@ -89,32 +96,26 @@ class BlocksAtV:
         return self.c_bounds, self.d_bounds
 
 
-@dataclass
-class _Cell:
-    """Doubly linked node: one edge of the growing rotation at v."""
-
-    w: int
-    block: int
-    prev: "_Cell | None" = None
-    next: "_Cell | None" = None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"_Cell({self.w}, b{self.block})"
-
-
 def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
                   d_vals: list[int]) -> list[int]:
     """Merge the block embeddings as dictated by the tuple.
 
     ``rotations[j-1]`` is block j's counter-clockwise rotation at v (far
-    endpoints), in ctx's block order.  Returns the rotation at v
-    (counter-clockwise neighbor list starting at first_1).  Runs in
-    O(delta_v * alpha) via a union-find over blocks.
+    endpoints), in ctx's block order; each must hold exactly block j's
+    edges.  Returns the rotation at v (counter-clockwise neighbor list
+    starting at first_1).
+
+    The growing rotation is a doubly linked list over far endpoints (the
+    ``nxt``/``prv`` dicts), and S and the fused pairs are far endpoints
+    too, so a call allocates no object per edge.  The partial embeddings
+    form a union-find over block indices (a parent list with union by
+    rank); ``head``/``tail`` hold each root's first and last edge.  The
+    merge runs in O(delta_v * alpha); checking that each rotation holds
+    its block's edges sorts it once.
     """
     b = ctx.b
-    if len(rotations) != b or any(
-        len(rot) != delta for rot, delta in zip(rotations, ctx.deltas)
-    ):
+    # Block count, degrees and far endpoints in one comparison.
+    if tuple(map(tuple, map(sorted, rotations))) != ctx.edges:
         raise EmbeddingMismatch("block rotations do not match the blocks at v")
     c_bounds, d_bounds = ctx.bounds()
     if len(c_vals) != len(c_bounds) or len(d_vals) != len(d_bounds):
@@ -126,111 +127,116 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
         if not 0 <= d < limit:
             raise BoundViolation(f"d={d} outside 0..{limit - 1}")
 
-    # Block runs first_j..last_j: each rotation turned to start at first_j.
-    orders = []
+    # Block runs first_j..last_j: each rotation turned to start at first_j
+    # and linked in order; a missing nxt/prv entry ends the list.
+    runs = []
+    nxt: dict[int, int | None] = {}
+    prv: dict[int, int | None] = {}
+    head = [0]
+    tail = [0]
     for rot, edges, c in zip(rotations, ctx.edges, c_vals):
         i = rot.index(edges[c])
-        orders.append(rot[i:] + rot[:i])
-    cells = [[_Cell(w, j + 1) for w in order] for j, order in enumerate(orders)]
-    for row in cells:
-        for a, x in zip(row, row[1:]):
-            a.next = x
-            x.prev = a
-    cell_of = {c.w: c for row in cells for c in row}
+        run = rot[i:] + rot[:i]
+        runs.append(run)
+        nxt.update(zip(run, run[1:]))
+        prv.update(zip(run[1:], run))
+        head.append(run[0])
+        tail.append(run[-1])
+    parent = list(range(b + 1))
+    rank = [0] * (b + 1)
+    block_of = ctx.block_of
 
-    head = {j: cells[j - 1][0] for j in range(1, b + 1)}
-    tail = {j: cells[j - 1][-1] for j in range(1, b + 1)}
-    uf = UnionFind(b + 1)
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
+
+    # First merge: block 2 appended after last_1, no interleaving.
+    first2 = head[2]
+    last2 = tail[2]
+    nxt[tail[1]] = first2
+    prv[first2] = tail[1]
+    tail[1] = last2
+    parent[2] = 1
+    rank[1] = 1
+
+    # S: block 1, block 2, each block 3.. without its first edge, then the
+    # first edges in decreasing block order.  Labels are positions in S.
+    # Each merge hands one cell to first_j (cell d on an insert, e*'s cell
+    # on a wrap).  S is kept as built all the same: the edge that held the
+    # cell is in first_j's partial and resolves through the fused pair
+    # (edge, first_j), so the partial and the anchor read from the cell do
+    # not change, and a wrap reads the cell's original edge.
+    s = runs[0] + runs[1]
+    for run in runs[2:]:
+        s += run[1:]
+    s += [run[0] for run in reversed(runs[2:])]
 
     # "Fused" pairs (anchor, first_j): nothing may ever be inserted
     # between them, so an anchor resolves through them before splicing.
     fused: dict[int, int] = {}
 
-    def resolve(w: int) -> int:
-        while w in fused:
-            w = fused[w]
-        return w
-
-    def splice_after(anchor: _Cell, seg_head: _Cell, seg_tail: _Cell, root: int) -> None:
-        nxt = anchor.next
-        anchor.next = seg_head
-        seg_head.prev = anchor
-        seg_tail.next = nxt
-        if nxt is not None:
-            nxt.prev = seg_tail
-        elif tail[root] is anchor:
-            tail[root] = seg_tail
-
-    def merge_roots(target_block: int, source_block: int) -> int:
-        rt, rs = uf.find(target_block), uf.find(source_block)
-        h, t = head[rt], tail[rt]
-        root = uf.union(rt, rs)
-        head[root], tail[root] = h, t
-        return root
-
-    # First merge: block 2 appended after last_1, no interleaving.
-    splice_after(tail[1], head[2], tail[2], uf.find(1))
-    merge_roots(1, 2)
-
-    # S: block 1, block 2, each block 3.. without its first edge, then the
-    # first edges in decreasing block order.  Labels are cell positions.
-    s: list[_Cell] = []
-    s.extend(cells[0])
-    s.extend(cells[1])
-    for j in range(3, b + 1):
-        s.extend(cells[j - 1][1:])
-    for j in range(b, 2, -1):
-        s.append(cells[j - 1][0])
-    s_orig = list(s)
-
-    first2 = cells[1][0]
-    last2_live = cells[1][-1]
-    pos: dict[int, int] = {id(c): i for i, c in enumerate(s)}
-
     for j in range(3, b + 1):
         d = d_vals[j - 3]
-        target = s[d]
-        if uf.find(target.block) != uf.find(j):
+        root_j = find(j)
+        seg_h, seg_t = head[root_j], tail[root_j]
+        root = find(block_of[s[d]])
+        if root != root_j:
             # Case 1: insert block j's partial right after the addressed
             # edge, resolved through fused pairs.
-            anchor = cell_of[resolve(target.w)]
-            root_t = uf.find(anchor.block)
-            seg_h, seg_t = head[uf.find(j)], tail[uf.find(j)]
-            splice_after(anchor, seg_h, seg_t, root_t)
-            if anchor is last2_live:
-                last2_live = seg_t
-            merge_roots(anchor.block, j)
-            fused[anchor.w] = seg_h.w
-            s[d] = seg_h  # first_j takes the cell; the old edge is retired
-            pos[id(seg_h)] = d
+            anchor = s[d]
+            while anchor in fused:
+                anchor = fused[anchor]
+            after = nxt.get(anchor)
+            nxt[anchor] = seg_h
+            prv[seg_h] = anchor
+            nxt[seg_t] = after
+            if after is None:
+                tail[root] = seg_t
+            else:
+                prv[after] = seg_t
+            if anchor == last2:
+                last2 = seg_t
         else:
             # Case 2: wrap block j around block 2's nest.  The original
             # edge at cell d splits the block's run: the tail part goes
             # right after last_2, the head part right before first_2.
-            ed = s_orig[d]
-            root_j = uf.find(j)
-            seg_h, seg_t = head[root_j], tail[root_j]
-            if ed is seg_h:
+            ed = s[d]
+            if ed == seg_h:
                 raise EmbeddingMismatch("wrap split lands on first_j")
-            head_h, head_t = seg_h, ed.prev
-            head_t.next = None
-            ed.prev = None
-            root1 = uf.find(1)
-            splice_after(last2_live, ed, seg_t, root1)
-            estar = first2.prev
-            splice_after(estar, head_h, head_t, root1)
-            merge_roots(1, j)
-            fused[estar.w] = seg_h.w
-            i = pos[id(estar)]
-            s[i] = seg_h  # first_j replaces e*
-            pos[id(seg_h)] = i
+            head_t = prv[ed]
+            root = find(1)
+            after = nxt.get(last2)
+            nxt[last2] = ed
+            prv[ed] = last2
+            nxt[seg_t] = after
+            if after is None:
+                tail[root] = seg_t
+            else:
+                prv[after] = seg_t
+            anchor = prv[first2]  # e*
+            nxt[anchor] = seg_h
+            prv[seg_h] = anchor
+            nxt[head_t] = first2
+            prv[first2] = head_t
+        # j's partial joins the anchor's, which keeps its head and tail.
+        h, t = head[root], tail[root]
+        if rank[root] < rank[root_j]:
+            root, root_j = root_j, root
+        elif rank[root] == rank[root_j]:
+            rank[root] += 1
+        parent[root_j] = root
+        head[root], tail[root] = h, t
+        fused[anchor] = seg_h
 
-    root = uf.find(1)
     out = []
-    cell = head[root]
-    while cell is not None:
-        out.append(cell.w)
-        cell = cell.next
+    w = head[find(1)]
+    while w is not None:
+        out.append(w)
+        w = nxt.get(w)
     if len(out) != ctx.delta_v:
         raise EmbeddingMismatch("merge lost or duplicated edges")
     return out
@@ -286,13 +292,14 @@ def _find_first1(ctx: BlocksAtV, rotation: list[int], counter: OpCounter) -> int
     need = ctx.deltas[1]
     seen2: set[int] = set()
     for k in range(1, 2 * n + 1):
-        counter.tick()
         w = rotation[(i0 + k) % n]
         blk = block_of[w]
         if blk == 2:
             seen2.add(w)
         elif blk == 1 and len(seen2) == need:
+            counter.tick(k)
             return w
+    counter.tick(2 * n)
     raise EmbeddingMismatch("could not locate first_1; rotation is not a valid merge")
 
 
@@ -317,8 +324,8 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
     # One pass splits the walk into block runs first_j..last_j.
     orders: list[list[int]] = [[] for _ in range(b)]
     for w in walk:
-        counter.tick()
         orders[block_of[w] - 1].append(w)
+    counter.tick(len(walk))
     firsts = {j: orders[j - 1][0] for j in range(1, b + 1)}
     c_vals = [edges.index(order[0]) for edges, order in zip(ctx.edges, orders)]
     if b == 2:
@@ -345,8 +352,8 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
     root = _TNode(block=0)
     gamma = root
     comp_node: dict[int, _TNode] = {}
+    counter.tick(len(walk))
     for w in walk:
-        counter.tick()
         j = block_of[w]
         is_first = w == firsts[j]
         is_last = w == lasts[j]
@@ -383,14 +390,15 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
 
     # Per path node, the edge its block's run resumes with right of the
     # nest: the first edge-node child to the right of the path child.
+    ops = 0  # elementary steps from here on, ticked once at the end
     jump: dict[int, int] = {}
     for t, nd in enumerate(path):
-        counter.tick()
+        ops += 1
         if nd.block == 2:
             break
         pi_child = path[t + 1]
         for child in nd.children[pi_child.slot + 1:]:
-            counter.tick()
+            ops += 1
             if child.is_edge:
                 jump[nd.block] = child.w
                 break
@@ -414,7 +422,7 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
 
     d_vals = []
     for j in range(3, b + 1):
-        counter.tick()
+        ops += 1
         nd = comp_node[j]
         sib = nd.left_sibling()
         if sib is None:
@@ -432,7 +440,7 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
             else:
                 cur = nd
                 while True:
-                    counter.tick()
+                    ops += 1
                     nxt = (cur.parent.children[cur.slot + 1]
                            if cur.slot + 1 < len(cur.parent.children) else None)
                     if nxt is None or nxt.is_edge:
@@ -450,7 +458,7 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
             t = path_index[top]
             while (t + 1 < len(path) and path[t + 1].block != 2
                    and uf.find(path[t + 1].block) == uf.find(j)):
-                counter.tick()
+                ops += 1
                 t += 1
             d_vals.append(ell[jump[path[t].block]])
             uf.union(1, j)
@@ -464,6 +472,7 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
         fused[anchor] = firsts[j]
         del gap_owner[anchor]
         gap_owner[resolve(firsts[j])] = firsts[j]
+    counter.tick(ops)
 
     for d, limit in zip(d_vals, ctx.d_bounds):
         if not 0 <= d < limit:

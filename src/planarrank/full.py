@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
+from . import codecs
 from .biconnected import biconn_bounds, chi, chi_inverse
 from .codecs import bounds_product, tuple_rank, tuple_unrank
 from .cutvertex import BlocksAtV, phi_v, phi_v_inverse
@@ -188,9 +189,9 @@ class EmbeddingRanker:
 
     def phi_inverse(self, values: list[int]) -> PlanarEmbedding:
         """Embedding from a full digit tuple."""
-        from .codecs import check_bounds
-
-        check_bounds(values, self.bounds)
+        # Looked up on the module per call, as tuple_rank does, so a
+        # wrapper installed on codecs.check_bounds sees every call.
+        codecs.check_bounds(values, self.bounds)
         a_vals, b_vals, c_vals, d_vals, p_vals, r_vals = self._split(values)
 
         # Blocks first: decode every skeleton choice into a rotation.

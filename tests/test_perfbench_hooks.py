@@ -8,6 +8,9 @@ failing any other test, so this installs and uninstalls the hooks here.
 import importlib.util
 from pathlib import Path
 
+from planarrank.full import EmbeddingRanker
+from planarrank.graph import Graph
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -41,3 +44,20 @@ def test_every_traced_function_resolves_and_is_restored():
 
     for (name, owner, attr), raw in zip(tracing.TRACED, originals):
         assert _binding(owner, attr) is raw, f"{name} was not restored"
+
+
+def test_unrank_records_its_bounds_check():
+    # phi_inverse must look check_bounds up on the codecs module, where
+    # the tracer wraps it; a name bound at import would escape the trace.
+    tracing = _load_tracing()
+    ranker = EmbeddingRanker(Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3)]))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.op_span("unrank", 0):
+            ranker.unrank(1)
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[k] for k in tracer.name_id]
+    assert spans.count("full.phi_inverse") == 1
+    assert spans.count("codecs.check_bounds") == 1
