@@ -13,7 +13,6 @@ from bisect import bisect_right
 from .codecs import factorial, perm_rank, perm_unrank
 from .embedding import Rotation
 from .errors import BoundViolation, EmbeddingMismatch
-from .graph import edge_id
 from .spqr import (
     SkeletonEmbedding,
     SpqrNode,
@@ -29,78 +28,67 @@ def biconn_bounds(tree: SpqrTree) -> list[int]:
     return [factorial(len(nd.edges) - 1) for nd in p_nodes] + [2] * len(r_nodes)
 
 
-def _token_at(tree: SpqrTree, node: SpqrNode, x: int, w: int,
-              child_bounds: list[tuple[int, int, int]]) -> int:
-    """Skeleton edge uid of node that the real edge (x, w) expands from."""
-    q = tree.qnode_of_edge[edge_id(x, w)]
-    t = tree.nodes[q].tin
-    if not (node.tin <= t <= node.tout):
-        return node.edge_of_pair(node.ref_pair).uid
-    i = bisect_right(child_bounds, (t, float("inf"), 0)) - 1
-    if i >= 0:
-        tin, tout, uid = child_bounds[i]
-        if tin <= t <= tout:
-            return uid
-    raise EmbeddingMismatch(f"edge ({x},{w}) maps to no skeleton edge of node {node.index}")
+def _induced_cycle(tree: SpqrTree, nd: SpqrNode, rot: Rotation) -> list[int]:
+    """Cyclic order of the node's skeleton edges around its pole induced by
+    rot, each named as in SpqrTree.chi_nodes.
 
-
-def _induced_cycle(tree: SpqrTree, node: SpqrNode, x: int, rot: Rotation) -> list[int]:
-    """Cyclic order of node's skeleton edges around x induced by rot.
-
-    The real edges expanding from one skeleton edge must form a contiguous
-    run in x's rotation; the run order is the induced order.
+    A real edge expands from the edge toward the child whose interval holds
+    its Q-node (the children's intervals split the node's own past its
+    tin), or from the reference edge if the node's interval does not.  The
+    real edges of one skeleton edge must form a contiguous run; the run
+    order is the induced order.
     """
-    child_bounds = sorted(
-        (tree.nodes[c].tin, tree.nodes[c].tout,
-         node.edge_of_pair(tree.nodes[c].ref_pair).uid)
-        for c in node.children
-    )
+    u, lo, hi, child_tin = nd.pole, nd.tin, nd.tout, nd.child_tin
+    q_tin = tree.q_tin
     tokens = []
-    for w in rot[x]:
-        t = _token_at(tree, node, x, w, child_bounds)
-        if not tokens or tokens[-1] != t:
-            tokens.append(t)
+    last = None
+    for w in rot[u]:
+        t = q_tin.get((u, w) if u < w else (w, u))
+        if t is None:
+            raise EmbeddingMismatch(f"({u},{w}) is not an edge of the block")
+        if lo <= t <= hi:
+            tok = bisect_right(child_tin, t) - 1
+            if tok < 0:
+                raise EmbeddingMismatch(
+                    f"edge ({u},{w}) maps to no skeleton edge of node {nd.index}")
+        else:
+            tok = -1
+        if tok != last:
+            tokens.append(tok)
+            last = tok
     if len(tokens) > 1 and tokens[0] == tokens[-1]:
         tokens.pop()
-    expected = sum(1 for e in node.edges if x in (e.u, e.v))
-    if len(tokens) != expected or len(set(tokens)) != len(tokens):
+    if len(tokens) != nd.degree or len(set(tokens)) != len(tokens):
         raise EmbeddingMismatch(
-            f"skeleton runs at vertex {x} of node {node.index} are not contiguous"
+            f"skeleton runs at vertex {u} of node {nd.index} are not contiguous"
         )
     return tokens
 
 
-def _rotate_to(seq: list[int], first: int) -> list[int]:
-    i = seq.index(first)
+def _rotate_to(seq: list[int], first: int, nd: SpqrNode) -> list[int]:
+    try:
+        i = seq.index(first)
+    except ValueError:
+        raise EmbeddingMismatch(
+            f"a skeleton edge is not at the pole of node {nd.index}") from None
     return seq[i:] + seq[:i]
 
 
 def chi(rot: Rotation, tree: SpqrTree) -> tuple[list[int], list[int]]:
     """Tuple <p_1..p_y, r_1..r_z> of a block embedding."""
-    p_nodes, r_nodes = conventional_order(tree)
-    if not p_nodes and not r_nodes:
-        return [], []
-
+    p_nodes, r_nodes = tree.chi_nodes
     p_vals = []
     for nd in p_nodes:
-        u = min(nd.poles)
-        induced = _rotate_to(_induced_cycle(tree, nd, u, rot),
-                             nd.edge_of_pair(nd.ref_pair).uid)
-        base = tree.first_p[nd.index].order[1:]
-        try:
-            sigma = [base.index(t) for t in induced[1:]]
-        except ValueError as exc:
-            raise EmbeddingMismatch("P-node branches do not match the tree") from exc
-        p_vals.append(perm_rank(sigma))
+        induced = _rotate_to(_induced_cycle(tree, nd, rot), -1, nd)  # reference first
+        p_vals.append(perm_rank([nd.first[i] for i in induced[1:]]))
 
     r_vals = []
     for nd in r_nodes:
-        u = min(nd.poles)
-        want = tree.first_r[nd.index][u]
-        induced = _rotate_to(_induced_cycle(tree, nd, u, rot), want[0])
+        want = list(nd.first)
+        induced = _rotate_to(_induced_cycle(tree, nd, rot), want[0], nd)
         if induced == want:
             r_vals.append(0)
-        elif induced == _rotate_to(list(reversed(want)), want[0]):
+        elif induced == [want[0], *reversed(want[1:])]:
             r_vals.append(1)
         else:
             raise EmbeddingMismatch(

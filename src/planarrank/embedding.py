@@ -37,7 +37,11 @@ def canonical_cycle(seq: list) -> tuple:
 
 def canonical_rotation(rot: Rotation) -> Rotation:
     """Rotate every neighbor list to start at the smallest neighbor."""
-    return {v: list(canonical_cycle(list(nbrs))) for v, nbrs in rot.items()}
+    out: Rotation = {}
+    for v, nbrs in rot.items():
+        k = nbrs.index(min(nbrs)) if nbrs else 0
+        out[v] = nbrs[k:] + nbrs[:k]
+    return out
 
 
 def rotations_equal(a: Rotation, b: Rotation) -> bool:

@@ -34,7 +34,6 @@ from .spqr import SpqrTree, build_spqr
 @dataclass
 class _BlockInfo:
     comp: int                  # component index (0-based)
-    vertices: list[int]        # global vertex ids
     edges: list[tuple[int, int]]
     to_local: dict[int, int]
     to_global: dict[int, int]
@@ -89,21 +88,21 @@ class EmbeddingRanker:
                     (min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in bg.edges
                 )
                 self.blocks.append(
-                    _BlockInfo(ci, sorted(inv.values()), g_edges, fwd, inv,
+                    _BlockInfo(ci, g_edges, fwd, inv,
                                build_spqr(bg, pretested=True), g_edges[0])
                 )
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
 
-        self._block_of_edge = {
+        block_of_edge = {
             e: b for b, info in enumerate(self.blocks) for e in info.edges
         }
         self.cuts: list[_CutInfo] = []
         for v in sorted(cut_vertices):
             at_v: dict[int, list[int]] = {}
             for w in graph.adj[v]:
-                at_v.setdefault(self._block_of_edge[edge_id(v, w)], []).append(w)
+                at_v.setdefault(block_of_edge[edge_id(v, w)], []).append(w)
             ctx = BlocksAtV.make(v, at_v.values())
-            ids = [self._block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
+            ids = [block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
             self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
         self.block_order = sorted(range(len(self.blocks)),
                                   key=lambda b: self.blocks[b].min_edge)
@@ -135,14 +134,11 @@ class EmbeddingRanker:
     # -- forward: embedding -> tuple/rank ------------------------------------
 
     def _block_rotation(self, emb: PlanarEmbedding, b: int) -> Rotation:
-        info = self.blocks[b]
-        rot = {}
-        for x in info.vertices:
-            rot[info.to_local[x]] = [
-                info.to_local[w] for w in emb.rot[x]
-                if self._block_of_edge[edge_id(x, w)] == b
-            ]
-        return rot
+        # An edge at x lies in x's block exactly when its far end does:
+        # two blocks share at most one vertex.
+        to_local = self.blocks[b].to_local
+        return {i: [to_local[w] for w in emb.rot[x] if w in to_local]
+                for x, i in to_local.items()}
 
     def phi(self, emb: PlanarEmbedding) -> list[int]:
         """The full digit tuple of an embedding."""

@@ -11,13 +11,14 @@ The tree is rooted at the Q-node of the graph's minimum edge.  Node
 identifiers are (depth, minimum pertinent edge); "conventional order"
 sorts P- and R-nodes by that identifier.
 
-An SpqrTree stores its graph, its nodes (kind, skeleton edges, parent,
-children, depth, minimum pertinent edge, preorder interval), the root, the
-two nodes of every twin pair and the Q-node of every real edge.  It also
-owns the data derived from that fixed structure, each computed on first
-use and kept for the life of the tree: the conventional order, the first
-embedding of every P- and R-skeleton, and the twin and real-edge maps
-that compose_embedding expands virtual edges through.
+The builders hand over the nodes (kind, skeleton edges, parent, children
+sorted by minimum edge, depth, minimum pertinent edge), the root and the
+two nodes of every twin pair.  The SpqrTree alone numbers the preorder
+intervals and maps every real edge to its Q-node's tin.  It owns the data
+derived from that fixed structure, each computed on first use and kept
+for the life of the tree: the conventional order, the first embedding of
+every P- and R-skeleton, the twin and real-edge maps of compose_embedding
+and what chi reads of each P- and R-node (chi_nodes).
 """
 
 from __future__ import annotations
@@ -74,13 +75,16 @@ class SpqrNode:
     min_edge: Edge | None = None  # e(mu): minimum real edge in the subtree
     tin: int = 0
     tout: int = 0
+    # What chi reads of a P- or R-node, filled by SpqrTree.chi_nodes.
+    pole: int = 0
+    degree: int = 0
+    child_tin: tuple[int, ...] = ()
+    first: tuple[int, ...] = ()
 
     @property
     def poles(self) -> tuple[int, int]:
-        if self.ref_pair is None:  # root Q-node
-            e = self.edges[0]
-            return (min(e.u, e.v), max(e.u, e.v))
-        e = next(x for x in self.edges if x.pair == self.ref_pair)
+        # The root Q-node has no reference edge; its real edge gives the poles.
+        e = self.edges[0] if self.ref_pair is None else self.edge_of_pair(self.ref_pair)
         return (min(e.u, e.v), max(e.u, e.v))
 
     def edge_of_pair(self, pair: int) -> SkelEdge:
@@ -96,11 +100,22 @@ class SpqrTree:
         self.nodes = nodes
         self.root = root
         self.pair_nodes = pair_nodes  # pair id -> (node, node)
-        self.qnode_of_edge: dict[Edge, int] = {}
-        for nd in nodes:
-            for e in nd.edges:
-                if e.real is not None:
-                    self.qnode_of_edge[e.real] = nd.index
+        # The only numbering of the preorder intervals: tin..tout are the
+        # preorder indices of the node's subtree, both inclusive.
+        timer = 0
+        stack = [(root, False)]
+        while stack:
+            idx, done = stack.pop()
+            if done:
+                nodes[idx].tout = timer - 1
+                continue
+            nodes[idx].tin = timer
+            timer += 1
+            stack.append((idx, True))
+            stack.extend((c, False) for c in reversed(nodes[idx].children))
+        # Real edge -> tin of its Q-node.
+        self.q_tin: dict[Edge, int] = {
+            e.real: nd.tin for nd in nodes for e in nd.edges if e.real is not None}
 
     def p_nodes(self) -> list[SpqrNode]:
         return [n for n in self.nodes if n.kind == "P"]
@@ -125,6 +140,37 @@ class SpqrTree:
         return {nd.index: first_embedding_R(self, nd) for nd in self.r_nodes()}
 
     @cached_property
+    def chi_nodes(self) -> tuple[list[SpqrNode], list[SpqrNode]]:
+        """The P- and R-nodes in conventional order, with what chi reads.
+
+        chi reads the lower pole; degree counts the skeleton edges there.
+        A skeleton edge is named by the preorder rank of the child it leads
+        to, -1 for the reference edge, and child_tin lists the children's
+        tins in that order.  first is the first embedding in those names:
+        an R-node's order at the pole, and for a P-node each child's
+        position in first_p's order[1:].  Ints and tuples of ints only, so
+        the garbage collector stops tracking them right away: a large
+        ranker holds them for every P- and R-node.
+        """
+        p_nodes, r_nodes = self.conventional
+        for nd in p_nodes + r_nodes:
+            uid_of_pair = {e.pair: e.uid for e in nd.edges}
+            name = {uid_of_pair[self.nodes[c].ref_pair]: i
+                    for i, c in enumerate(nd.children)}
+            name[uid_of_pair[nd.ref_pair]] = -1
+            nd.pole = u = min(nd.poles)
+            nd.degree = sum(1 for e in nd.edges if u in (e.u, e.v))
+            nd.child_tin = tuple(self.nodes[c].tin for c in nd.children)
+            if nd.kind == "P":
+                first = [0] * len(nd.children)
+                for pos, uid in enumerate(self.first_p[nd.index].order[1:]):
+                    first[name[uid]] = pos
+                nd.first = tuple(first)
+            else:
+                nd.first = tuple(name[uid] for uid in self.first_r[nd.index][u])
+        return self.conventional
+
+    @cached_property
     def twins(self) -> dict[int, tuple[int, int]]:
         """Parent-side virtual edge uid -> (child index, child-side twin uid)."""
         uid_at = {(nd.index, e.pair): e.uid
@@ -141,10 +187,6 @@ class SpqrTree:
         out = {e.uid: e for e in of_q.values()}
         out.update((uid, of_q[c]) for uid, (c, _) in self.twins.items() if c in of_q)
         return out
-
-    def child_via(self, node: SpqrNode, pair: int) -> int:
-        a, b = self.pair_nodes[pair]
-        return b if a == node.index else a
 
     def dump(self, relabel: dict[int, int] | None = None) -> str:
         """Debug text: one node per line, "kind depth min-edge [edges]"."""
@@ -266,7 +308,6 @@ def build_spqr(g: Graph, pretested: bool = False) -> SpqrTree:
         (u, v), = g.edges
         nd = SpqrNode(0, "Q", [u, v], [new_edge(u, v, (u, v), None)])
         nd.min_edge = (u, v)
-        nd.tin, nd.tout = 0, 0
         return SpqrTree(g, [nd], 0, {})
 
     if not pretested:
@@ -396,22 +437,9 @@ def build_spqr(g: Graph, pretested: bool = False) -> SpqrTree:
                 best = ce
         nd.min_edge = best
 
-    # Deterministic child order, then pertinent-subtree intervals.
+    # Deterministic child order, which SpqrTree's preorder follows.
     for nd in nodes:
         nd.children.sort(key=lambda c: nodes[c].min_edge)
-    timer = 0
-    stack = [(root, False)]
-    while stack:
-        idx, done = stack.pop()
-        if done:
-            nodes[idx].tout = timer
-            continue
-        nodes[idx].tin = timer
-        timer += 1
-        stack.append((idx, True))
-        for c in reversed(nodes[idx].children):
-            stack.append((c, False))
-
     return SpqrTree(g, nodes, root, pair_nodes)
 
 
@@ -438,22 +466,12 @@ def _cycle_tree(g: Graph, new_edge) -> SpqrTree:
     s_node.depth = 1
     s_node.min_edge = g.edges[0]
     nodes[root].children = [s_index]
-    for qi in range(1, len(g.edges)):
+    for qi in range(1, len(g.edges)):  # ascending edges, so children sorted
         nodes[qi].parent = s_index
         nodes[qi].ref_pair = qi + 1
         nodes[qi].depth = 2
         nodes[qi].min_edge = g.edges[qi]
         s_node.children.append(qi)
-    s_node.children.sort(key=lambda c: nodes[c].min_edge)
-
-    nodes[root].tin = 0
-    s_node.tin = 1
-    t = 2
-    for c in s_node.children:
-        nodes[c].tin = nodes[c].tout = t
-        t += 1
-    s_node.tout = t
-    nodes[root].tout = t + 1
     return SpqrTree(g, nodes, root, pair_nodes)
 
 
@@ -480,28 +498,17 @@ class SkeletonEmbedding:
     flip: int | None = None
 
 
-def _p_children_sorted(tree: SpqrTree, node: SpqrNode) -> list[SkelEdge]:
-    """Non-reference P edges sorted by their subtree identifier (d, e)."""
-    out = []
-    for e in node.edges:
-        if e.pair == node.ref_pair:
-            continue
-        child = tree.child_via(node, e.pair)
-        out.append((tree.nodes[child].depth, tree.nodes[child].min_edge, e))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [e for _, _, e in out]
-
-
 def first_embedding_P(tree: SpqrTree, node: SpqrNode) -> SkeletonEmbedding:
     """Clockwise: reference edge then children by ascending identifier.
 
-    Stored counter-clockwise, i.e. reference first, children reversed.
+    The children share one depth, so the tree's minimum-edge order is
+    their identifier order.  Stored counter-clockwise, i.e. reference
+    first, children reversed.
     """
-    ref = node.edge_of_pair(node.ref_pair)
-    ordered = _p_children_sorted(tree, node)
-    return SkeletonEmbedding(
-        node.index, order=(ref.uid, *[e.uid for e in reversed(ordered)])
-    )
+    uid_of_pair = {e.pair: e.uid for e in node.edges}
+    return SkeletonEmbedding(node.index, order=(
+        uid_of_pair[node.ref_pair],
+        *[uid_of_pair[tree.nodes[c].ref_pair] for c in reversed(node.children)]))
 
 
 _R_ROTATION_CACHE: dict[tuple, dict[int, tuple[int, ...]]] = {}

@@ -1,11 +1,16 @@
-"""Random planar graph builder shared by tests.
+"""Graph corpora shared by tests.
 
-Graphs are grown by gluing small biconnected blocks at existing vertices,
-so they are planar by construction and exercise every layer: multiple
-components, cut vertices with mixed block degrees, P- and R-nodes.
+random_planar grows graphs by gluing small biconnected blocks at existing
+vertices, so they are planar by construction and exercise every layer:
+multiple components, cut vertices with mixed block degrees, P- and
+R-nodes.  atlas_planar lists every small planar graph.
 """
 
 import random
+from functools import cache
+
+import networkx as nx
+from networkx.generators.atlas import graph_atlas_g
 
 from planarrank.graph import Graph
 
@@ -66,3 +71,16 @@ def random_planar(n_target: int, seed: int, max_degree: int = 8,
             template = rng.choice(TEMPLATES)
             comp_vertices.extend(place(template, glue)[1:])
     return Graph(next_id - 1, edges)
+
+
+@cache
+def atlas_planar() -> tuple[Graph, ...]:
+    """The planar graphs of networkx's atlas (every graph of at most 7
+    vertices) without isolated vertices, relabeled to 1..n."""
+    out = []
+    for g in graph_atlas_g():
+        if g.number_of_nodes() == 0 or min(d for _, d in g.degree()) == 0:
+            continue
+        if nx.check_planarity(g)[0]:
+            out.append(Graph(g.number_of_nodes(), [(u + 1, v + 1) for u, v in g.edges]))
+    return tuple(out)

@@ -1,21 +1,32 @@
 """chi / chi_inverse: the biconnected-layer bijection."""
 
 import itertools
+import random
+from bisect import bisect_right
 
 import pytest
 
+from _graphgen import atlas_planar, random_planar
 from planarrank import spqr
-from planarrank.biconnected import biconn_bounds, chi, chi_inverse
+from planarrank.biconnected import (
+    _induced_cycle,
+    _rotate_to,
+    biconn_bounds,
+    chi,
+    chi_inverse,
+)
 from planarrank.codecs import bounds_product, tuple_unrank
 from planarrank.embedding import canonical_cycle, is_planar_rotation
-from planarrank.errors import BoundViolation
-from planarrank.graph import Graph
+from planarrank.errors import BoundViolation, EmbeddingMismatch
+from planarrank.full import EmbeddingRanker
+from planarrank.graph import Graph, edge_id
 from planarrank.oracle import enumerate_connected
 from planarrank.spqr import build_spqr
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 THETA = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+W4 = Graph(5, [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)])
 
 SMALL_BICONNECTED = [
     TRIANGLE,
@@ -23,7 +34,7 @@ SMALL_BICONNECTED = [
     K4,
     THETA,
     Graph(5, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]),  # K23
-    Graph(5, [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]),  # W4
+    W4,
     Graph(6, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6)]),  # prism
     Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]),  # theta relabeled
     Graph(6, [(1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)]),  # C6 + chord
@@ -123,3 +134,110 @@ class TestChi:
                 rot = chi_inverse(p_vals, r_vals, tree)
                 assert chi(rot, tree) == (p_vals, r_vals)
         assert sorted(calls) == sorted(nd.index for nd in tree.r_nodes())
+
+
+class TestChiRejects:
+    @pytest.mark.parametrize("g,stranger", [(W4, 3), (THETA, 5)], ids=["r-node", "p-node"])
+    def test_non_edge_at_the_pole(self, g, stranger):
+        # The stranger is not adjacent to vertex 1, the pole of the only
+        # P- or R-node: in W4 it lies in the block, in THETA outside it.
+        tree = build_spqr(g)
+        p_nodes, r_nodes = tree.conventional
+        assert [min(nd.poles) for nd in p_nodes + r_nodes] == [1]
+        rot = chi_inverse([0] * len(p_nodes), [0] * len(r_nodes), tree)
+        rot[1] = [stranger, *rot[1][1:]]
+        with pytest.raises(EmbeddingMismatch):
+            chi(rot, tree)
+
+    def test_rotating_to_a_missing_edge(self):
+        nd = build_spqr(K4).r_nodes()[0]
+        assert _rotate_to([4, 5, 6], 5, nd) == [5, 6, 4]
+        with pytest.raises(EmbeddingMismatch):
+            _rotate_to([4, 5, 6], 7, nd)
+
+
+# Reference copy of the run reader before the tree owned chi's tables: it
+# maps real edges to Q-nodes, sorts the child intervals and scans the
+# node's edges on every call.  It reads the same tree's intervals.
+def reference_induced_cycle(tree, node, x, rot):
+    qnode_of_edge = {e.real: nd.index for nd in tree.nodes
+                     for e in nd.edges if e.real is not None}
+    child_bounds = sorted(
+        (tree.nodes[c].tin, tree.nodes[c].tout,
+         node.edge_of_pair(tree.nodes[c].ref_pair).uid)
+        for c in node.children
+    )
+
+    def token_at(w):
+        t = tree.nodes[qnode_of_edge[edge_id(x, w)]].tin
+        if not (node.tin <= t <= node.tout):
+            return node.edge_of_pair(node.ref_pair).uid
+        i = bisect_right(child_bounds, (t, float("inf"), 0)) - 1
+        if i >= 0:
+            tin, tout, uid = child_bounds[i]
+            if tin <= t <= tout:
+                return uid
+        raise EmbeddingMismatch(f"edge ({x},{w}) maps to no skeleton edge")
+
+    tokens = []
+    for w in rot[x]:
+        t = token_at(w)
+        if not tokens or tokens[-1] != t:
+            tokens.append(t)
+    if len(tokens) > 1 and tokens[0] == tokens[-1]:
+        tokens.pop()
+    expected = sum(1 for e in node.edges if x in (e.u, e.v))
+    if len(tokens) != expected or len(set(tokens)) != len(tokens):
+        raise EmbeddingMismatch("skeleton runs are not contiguous")
+    return tokens
+
+
+def induced_or_error(read, *args):
+    try:
+        return read(*args)
+    except EmbeddingMismatch:
+        return "mismatch"
+
+
+def compare_run_readers(tree, rng, rounds):
+    """Both readers on chi_inverse's rotations and on shuffled ones; the
+    number of node/rotation pairs compared."""
+    p_nodes, r_nodes = tree.chi_nodes
+    bounds = biconn_bounds(tree)
+    compared = 0
+    for _ in range(rounds):
+        vals = [rng.randrange(b) for b in bounds]
+        rot = chi_inverse(vals[:len(p_nodes)], vals[len(p_nodes):], tree)
+        for nd in p_nodes + r_nodes:
+            u = nd.pole
+            # chi_nodes names a skeleton edge by its child's rank, -1 the
+            # reference edge; the reference reader names it by its uid.
+            uid = [nd.edge_of_pair(tree.nodes[ch].ref_pair).uid for ch in nd.children]
+            uid.append(nd.edge_of_pair(nd.ref_pair).uid)
+            for cand in (rot, {**rot, u: rng.sample(rot[u], len(rot[u]))}):
+                got = induced_or_error(_induced_cycle, tree, nd, cand)
+                if got != "mismatch":
+                    got = [uid[i] for i in got]
+                assert got == induced_or_error(reference_induced_cycle, tree, nd, u, cand)
+                compared += 1
+    return compared
+
+
+class TestRunReaderAgainstReference:
+    def test_random_graphs_with_cut_vertices(self):
+        rng = random.Random(6)
+        compared = cut_graphs = 0
+        for seed in range(40):
+            ranker = EmbeddingRanker(random_planar(rng.randint(8, 30), seed=600 + seed))
+            cut_graphs += bool(ranker.cuts)
+            for info in ranker.blocks:
+                compared += compare_run_readers(info.tree, rng, 4)
+        assert cut_graphs >= 30 and compared >= 1000
+
+    def test_atlas(self):
+        rng = random.Random(7)
+        compared = 0
+        for g in atlas_planar():
+            for info in EmbeddingRanker(g).blocks:
+                compared += compare_run_readers(info.tree, rng, 2)
+        assert compared >= 1000

@@ -1,15 +1,16 @@
 """End-to-end rank/unrank, counting, sampling and enumeration."""
 
 import itertools
+import random
 
 import pytest
 
-from _graphgen import random_planar
+from _graphgen import atlas_planar, random_planar
 from planarrank import cutvertex
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
-from planarrank.errors import EmbeddingMismatch, NotPlanar, RankOutOfRange
+from planarrank.errors import NotPlanar, RankOutOfRange
 from planarrank.full import EmbeddingRanker, count_embeddings, sample_uniform
-from planarrank.graph import Graph
+from planarrank.graph import Graph, edge_id
 from planarrank.oracle import enumerate_disconnected
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -141,14 +142,6 @@ class TestBijection:
                 assert validate(emb) == []
                 assert ranker.rank(emb) == r
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=EmbeddingMismatch,
-        reason="build_spqr sets tout = timer, one past the last preorder index "
-               "of the node's subtree, while biconnected._token_at tests "
-               "tin <= t <= tout inclusively, so the Q-node that follows a "
-               "subtree in preorder is read as part of it",
-    )
     def test_roundtrip_with_p_node_below_r_node(self):
         # K4 plus a vertex on the pair {2, 3}: the P-node sits under the R-node.
         g = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
@@ -207,6 +200,39 @@ class TestBijection:
             g = random_planar(40, seed=i)
             ranker = EmbeddingRanker(g)
             assert len(ranker.bounds) <= 4 * g.n
+
+
+# Reference copy of the block rotation before it filtered by membership:
+# it keeps the darts whose edge the edge -> block map assigns to block b.
+def reference_block_rotation(ranker, emb, b):
+    block_of_edge = {e: i for i, info in enumerate(ranker.blocks) for e in info.edges}
+    info = ranker.blocks[b]
+    return {info.to_local[x]: [info.to_local[w] for w in emb.rot[x]
+                               if block_of_edge[edge_id(x, w)] == b]
+            for x in info.to_local}
+
+
+def compare_block_rotations(ranker, rng, rounds):
+    for _ in range(rounds):
+        emb = ranker.unrank(rng.randrange(ranker.count()))
+        for b in range(len(ranker.blocks)):
+            assert ranker._block_rotation(emb, b) == reference_block_rotation(ranker, emb, b)
+
+
+class TestBlockRotationAgainstReference:
+    def test_random_graphs_with_cut_vertices(self):
+        rng = random.Random(8)
+        cut_graphs = 0
+        for seed in range(40):
+            ranker = EmbeddingRanker(random_planar(rng.randint(8, 30), seed=800 + seed))
+            cut_graphs += bool(ranker.cuts)
+            compare_block_rotations(ranker, rng, 3)
+        assert cut_graphs >= 30
+
+    def test_atlas(self):
+        rng = random.Random(9)
+        for g in atlas_planar():
+            compare_block_rotations(EmbeddingRanker(g), rng, 2)
 
 
 class TestSampleEnumerate:
