@@ -40,9 +40,12 @@ def _induced_cycle(tree: SpqrTree, nd: SpqrNode, rot: Rotation) -> list[int]:
     """
     u, lo, hi, child_tin = nd.pole, nd.tin, nd.tout, nd.child_tin
     q_tin = tree.q_tin
+    nbrs = rot.get(u)
+    if nbrs is None:
+        raise EmbeddingMismatch(f"pole {u} of node {nd.index} is not in the rotation")
     tokens = []
     last = None
-    for w in rot[u]:
+    for w in nbrs:
         t = q_tin.get((u, w) if u < w else (w, u))
         if t is None:
             raise EmbeddingMismatch(f"({u},{w}) is not an edge of the block")

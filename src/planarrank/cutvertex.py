@@ -20,9 +20,13 @@ edge, and S and its fused pairs are far endpoints too.  A call allocates
 no object per edge and merges in O(degree of v * alpha) steps.
 
 The forward direction never replays merges: it rebuilds the merge history
-from the nesting structure of block runs (an ordered tree), following
-left siblings for ordinary inserts and precomputed jump pointers for
-wraps, in O(degree of v) operations.
+from how the block runs nest in the rotation.  Each run is held as its
+first and last position in the rotation and the run enclosing it, so the
+edge just before a run is its anchor for an ordinary insert, the run just
+after it is its right neighbor, and precomputed jump pointers resolve
+wraps; membership in the partial embeddings is a union-find over block
+indices in a parent list.  A call allocates no object per run or edge and
+takes O(degree of v) operations.
 
 Edges at v are named by their far endpoint.
 """
@@ -30,10 +34,9 @@ Edges at v are named by their far endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BoundViolation, EmbeddingMismatch
-from .graph import UnionFind
 
 
 def arrangement_bounds(deltas: list[int]) -> tuple[list[int], list[int]]:
@@ -96,6 +99,29 @@ class BlocksAtV:
         return self.c_bounds, self.d_bounds
 
 
+# Union-find over block indices, held as a parent list and a rank list.
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x's set; compresses the path."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _union(parent: list[int], rank: list[int], x: int, y: int) -> int:
+    """Join the sets with roots x and y by rank; returns the new root.
+    Equal roots leave the sets as they are."""
+    if rank[x] < rank[y]:
+        x, y = y, x
+    elif rank[x] == rank[y]:
+        rank[x] += 1
+    parent[y] = x
+    return x
+
+
 def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
                   d_vals: list[int]) -> list[int]:
     """Merge the block embeddings as dictated by the tuple.
@@ -146,14 +172,6 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     rank = [0] * (b + 1)
     block_of = ctx.block_of
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
     # First merge: block 2 appended after last_1, no interleaving.
     first2 = head[2]
     last2 = tail[2]
@@ -181,9 +199,9 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
 
     for j in range(3, b + 1):
         d = d_vals[j - 3]
-        root_j = find(j)
+        root_j = _find(parent, j)
         seg_h, seg_t = head[root_j], tail[root_j]
-        root = find(block_of[s[d]])
+        root = _find(parent, block_of[s[d]])
         if root != root_j:
             # Case 1: insert block j's partial right after the addressed
             # edge, resolved through fused pairs.
@@ -208,7 +226,7 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
             if ed == seg_h:
                 raise EmbeddingMismatch("wrap split lands on first_j")
             head_t = prv[ed]
-            root = find(1)
+            root = _find(parent, 1)
             after = nxt.get(last2)
             nxt[last2] = ed
             prv[ed] = last2
@@ -224,16 +242,12 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
             prv[first2] = head_t
         # j's partial joins the anchor's, which keeps its head and tail.
         h, t = head[root], tail[root]
-        if rank[root] < rank[root_j]:
-            root, root_j = root_j, root
-        elif rank[root] == rank[root_j]:
-            rank[root] += 1
-        parent[root_j] = root
+        root = _union(parent, rank, root, root_j)
         head[root], tail[root] = h, t
         fused[anchor] = seg_h
 
     out = []
-    w = head[find(1)]
+    w = head[_find(parent, 1)]
     while w is not None:
         out.append(w)
         w = nxt.get(w)
@@ -245,31 +259,6 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
 # ---------------------------------------------------------------------------
 # Forward direction
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _TNode:
-    """Ordered-tree node: a block's run (component) or one edge."""
-
-    block: int | None = None  # None for edge nodes
-    w: int | None = None
-    parent: "_TNode | None" = None
-    children: list["_TNode"] = field(default_factory=list)
-    slot: int = 0  # index within parent's children
-
-    @property
-    def is_edge(self) -> bool:
-        return self.block is None
-
-    def add(self, child: "_TNode") -> None:
-        child.parent = self
-        child.slot = len(self.children)
-        self.children.append(child)
-
-    def left_sibling(self) -> "_TNode | None":
-        if self.parent is None or self.slot == 0:
-            return None
-        return self.parent.children[self.slot - 1]
 
 
 class OpCounter:
@@ -284,31 +273,18 @@ class OpCounter:
         self.ops += k
 
 
-def _find_first1(ctx: BlocksAtV, rotation: list[int], counter: OpCounter) -> int:
-    """First edge of block 1 after a full pass over block 2's edges."""
-    block_of = ctx.block_of
-    n = len(rotation)
-    i0 = rotation.index(ctx.edges[0][0])
-    need = ctx.deltas[1]
-    seen2: set[int] = set()
-    for k in range(1, 2 * n + 1):
-        w = rotation[(i0 + k) % n]
-        blk = block_of[w]
-        if blk == 2:
-            seen2.add(w)
-        elif blk == 1 and len(seen2) == need:
-            counter.tick(k)
-            return w
-    counter.tick(2 * n)
-    raise EmbeddingMismatch("could not locate first_1; rotation is not a valid merge")
-
-
 def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
           ) -> tuple[list[int], list[int]]:
     """Tuple <c_1..c_b, d_1..d_{b-2}> of a merged rotation at v.
 
     Each block's rotation at v is read off the merged rotation itself, so
     it is the restriction of ``rotation`` to the block's edges.
+
+    Edges are addressed by their position in the walk (the rotation turned
+    to start at first_1).  Block j's run spans positions fpos[j]..lpos[j]
+    and par[j] is the run that encloses it (0 for none).  Block j's anchor
+    is the edge at fpos[j] - 1, and the run right of run j in the same
+    enclosing run is the one starting at lpos[j] + 1, if one starts there.
     """
     if counter is None:
         counter = OpCounter()
@@ -317,161 +293,149 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
     if len(rotation) != ctx.delta_v or block_of.keys() != set(rotation):
         raise EmbeddingMismatch("rotation does not cover the incident edges")
 
-    first1 = _find_first1(ctx, rotation, counter)
-    i0 = rotation.index(first1)
+    # first_1: the first edge of block 1 that a scan from past block 1's
+    # minimum edge meets after all of block 2's edges.  The rotation holds
+    # every edge once, so the scan stops within one lap, at step k.
+    n = len(rotation)
+    i0 = rotation.index(ctx.edges[0][0])
+    blk = list(map(block_of.__getitem__, rotation))
+    steps = blk[i0 + 1:] + blk[:i0 + 1]  # blocks at steps 1..n
+    k = steps.index(1, n - steps[::-1].index(2)) + 1
+    counter.tick(k)
+    i0 = (i0 + k) % n
     walk = rotation[i0:] + rotation[:i0]
+    blk = blk[i0:] + blk[:i0]
 
-    # One pass splits the walk into block runs first_j..last_j.
-    orders: list[list[int]] = [[] for _ in range(b)]
-    for w in walk:
-        orders[block_of[w] - 1].append(w)
-    counter.tick(len(walk))
-    firsts = {j: orders[j - 1][0] for j in range(1, b + 1)}
-    c_vals = [edges.index(order[0]) for edges, order in zip(ctx.edges, orders)]
+    # Block runs first_j..last_j: the first and last position of each block.
+    fpos = [-1] * (b + 1)
+    lpos = [0] * (b + 1)
+    for p, j in enumerate(blk):
+        if fpos[j] < 0:
+            fpos[j] = p
+        lpos[j] = p
+    counter.tick(n)
+    c_vals = [edges.index(walk[f]) for edges, f in zip(ctx.edges, fpos[1:])]
     if b == 2:
         return c_vals, []
-    lasts = {j: orders[j - 1][-1] for j in range(1, b + 1)}
 
     # Labels: positions in S (block 1, block 2, blocks 3.. minus firsts,
-    # then firsts in decreasing block order).
-    ell: dict[int, int] = {}
+    # then firsts in decreasing block order).  The same pass checks that
+    # the runs nest and records each run's enclosing run.
+    label = [0] * (b + 1)  # next label of each block's non-first edges
     k = 0
-    for j in (1, 2):
-        for w in orders[j - 1]:
-            ell[w] = k
-            k += 1
-    for j in range(3, b + 1):
-        for w in orders[j - 1][1:]:
-            ell[w] = k
-            k += 1
-    for j in range(b, 2, -1):
-        ell[firsts[j]] = k
-        k += 1
-
-    # Ordered tree of nested block runs.
-    root = _TNode(block=0)
-    gamma = root
-    comp_node: dict[int, _TNode] = {}
-    counter.tick(len(walk))
-    for w in walk:
-        j = block_of[w]
-        is_first = w == firsts[j]
-        is_last = w == lasts[j]
-        if is_first:
-            node = _TNode(block=j)
-            comp_node[j] = node
-            gamma.add(node)
-            node.add(_TNode(w=w))
-            if not is_last:
-                gamma = node
-        elif is_last:
-            if gamma.block != j:
-                raise EmbeddingMismatch("block runs are not properly nested")
-            gamma.add(_TNode(w=w))
-            gamma = gamma.parent
-        else:
-            if gamma.block != j:
-                raise EmbeddingMismatch("block runs are not properly nested")
-            gamma.add(_TNode(w=w))
-    if gamma is not root:
+    for j, delta in enumerate(ctx.deltas, start=1):
+        label[j] = k
+        k += delta if j < 3 else delta - 1
+    ell = [0] * n
+    par = [0] * (b + 1)
+    gamma = 0  # the innermost open run
+    counter.tick(n)
+    for p, j in enumerate(blk):
+        if p == fpos[j]:
+            par[j] = gamma
+            if p != lpos[j]:
+                gamma = j
+            if j > 2:
+                ell[p] = n + 2 - j
+                continue
+        elif gamma != j:
+            raise EmbeddingMismatch("block runs are not properly nested")
+        elif p == lpos[j]:
+            gamma = par[j]
+        ell[p] = label[j]
+        label[j] += 1
+    if gamma != 0:
         raise EmbeddingMismatch("block runs are not properly nested")
 
-    # The nest path: tree nodes whose span contains block 2's run.  A
+    # The nest path: the runs that contain block 2's run, top-down.  A
     # block that wrapped around the nest either sits on this path itself
     # or reaches it through the chain of earlier blocks that rode on it.
-    path: list[_TNode] = []
-    node = comp_node[2]
-    while node is not root:
-        path.append(node)
-        node = node.parent
-    path.reverse()  # top-down, ending at comp_node[2]
-    on_path = {nd.block for nd in path}
-    path_index = {nd.block: t for t, nd in enumerate(path)}
+    path: list[int] = []
+    j = 2
+    while j:
+        path.append(j)
+        j = par[j]
+    path.reverse()
+    path_index = {j: t for t, j in enumerate(path)}
 
-    # Per path node, the edge its block's run resumes with right of the
-    # nest: the first edge-node child to the right of the path child.
+    # Per path run, the edge it resumes with right of the nest: its first
+    # own edge right of the path run it encloses.
     ops = 0  # elementary steps from here on, ticked once at the end
     jump: dict[int, int] = {}
-    for t, nd in enumerate(path):
+    for t, j in enumerate(path):
         ops += 1
-        if nd.block == 2:
+        if j == 2:
             break
-        pi_child = path[t + 1]
-        for child in nd.children[pi_child.slot + 1:]:
+        p = lpos[path[t + 1]] + 1
+        while True:
             ops += 1
-            if child.is_edge:
-                jump[nd.block] = child.w
+            if blk[p] == j:
+                jump[j] = p
                 break
+            p = lpos[blk[p]] + 1
 
     # Replay the merges in placement order (block index order), tracking
-    # partial-embedding membership with a union-find keyed by block index.
-    # Block j wrapped (case 2) exactly when its structural anchor already
-    # belongs to block 1's partial embedding and its ride chain (its own
-    # earlier riders, consecutive right siblings in its class) absorbs a
-    # nest-path node; otherwise it was inserted after its anchor (case 1)
-    # and d is the cell addressing the anchor's gap.
-    uf = UnionFind(b + 1)
-    uf.union(1, 2)
-    fused: dict[int, int] = {}
-    gap_owner: dict[int, int] = {w: w for w in walk}
-
-    def resolve(w: int) -> int:
-        while w in fused:
-            w = fused[w]
-        return w
-
+    # partial-embedding membership with a union-find over block indices (a
+    # parent list with union by rank).  Block j wrapped (case 2) exactly
+    # when its anchor already belongs to block 1's partial embedding and
+    # its ride chain (its own earlier riders, consecutive right siblings in
+    # its class) absorbs a nest-path run; otherwise it was inserted after
+    # its anchor (case 1) and d is the cell addressing the anchor's gap.
+    parent = list(range(b + 1))
+    parent[2] = 1
+    rank = [0] * (b + 1)
+    rank[1] = 1
+    # The cell owning the gap after each position, -1 once the position is
+    # fused to the next: a merge fuses its anchor to first_j right after it.
+    gap = list(range(n))
     d_vals = []
     for j in range(3, b + 1):
         ops += 1
-        nd = comp_node[j]
-        sib = nd.left_sibling()
-        if sib is None:
-            raise EmbeddingMismatch(f"block {j} has no anchor")
-        anchor = sib.w if sib.is_edge else lasts[sib.block]
-        anchor_block = block_of[anchor]
-        owner = gap_owner.get(anchor)
-        if owner is None:
+        f = fpos[j]
+        owner = gap[f - 1]
+        if owner < 0:
             raise EmbeddingMismatch(f"block {j} anchors a fused gap")
 
         wrapped = False
-        if uf.find(anchor_block) == uf.find(1):
-            if j in on_path:
+        root_j = _find(parent, j)
+        root = _find(parent, blk[f - 1])  # the anchor's partial
+        if root == _find(parent, 1):
+            cur = j
+            if j in path_index:
                 wrapped = True
             else:
-                cur = nd
                 while True:
                     ops += 1
-                    nxt = (cur.parent.children[cur.slot + 1]
-                           if cur.slot + 1 < len(cur.parent.children) else None)
-                    if nxt is None or nxt.is_edge:
-                        break
-                    cur = nxt
-                    if uf.find(cur.block) != uf.find(j):
+                    p = lpos[cur] + 1
+                    if p == n or fpos[blk[p]] != p:
+                        break  # no right sibling, or an edge
+                    cur = blk[p]
+                    if _find(parent, cur) != root_j:
                         continue  # foreign insertion, step over it
-                    if cur.block in on_path:
+                    if cur in path_index:
                         wrapped = True
                         break
         if wrapped:
-            # The wrap's resumption edge belongs to the deepest path node
+            # The wrap's resumption edge belongs to the deepest path run
             # among j and the straddling riders of its class.
-            top = j if j in on_path else cur.block
-            t = path_index[top]
-            while (t + 1 < len(path) and path[t + 1].block != 2
-                   and uf.find(path[t + 1].block) == uf.find(j)):
+            t = path_index[cur]
+            while (t + 1 < len(path) and path[t + 1] != 2
+                   and _find(parent, path[t + 1]) == root_j):
                 ops += 1
                 t += 1
-            d_vals.append(ell[jump[path[t].block]])
-            uf.union(1, j)
+            d_vals.append(ell[jump[path[t]]])
         else:
             d_vals.append(ell[owner])
-            uf.union(anchor_block, j)
+        _union(parent, rank, root, root_j)  # block 1's partial, if j wrapped
         # The merge retires the owning cell in favor of first_j, fuses the
-        # (anchor, first_j) pair, and re-addresses the gap the cell now
-        # reaches through the fusion chain.
-        ell[firsts[j]] = ell[owner]
-        fused[anchor] = firsts[j]
-        del gap_owner[anchor]
-        gap_owner[resolve(firsts[j])] = firsts[j]
+        # anchor to first_j, and re-addresses the gap the cell now reaches
+        # past the fused positions.
+        ell[f] = ell[owner]
+        gap[f - 1] = -1
+        p = f
+        while gap[p] < 0:
+            p += 1
+        gap[p] = f
     counter.tick(ops)
 
     for d, limit in zip(d_vals, ctx.d_bounds):

@@ -87,8 +87,20 @@ def trace_faces(rot: Rotation) -> list[FaceBoundary]:
 
 
 def face_count(rot: Rotation) -> int:
-    """Number of faces: orbits of the dart successor, walks not built."""
-    succ = _dart_successor(rot)
+    """Number of faces: orbits of the dart successor, walks not built.
+
+    Every neighbor must itself be a vertex of rot (a whole rotation, or one
+    component's).  A dart (a, b) is keyed by the integer a * base + b.
+    """
+    base = max(rot, default=0) + 1
+    succ: dict[int, int] = {}
+    for b, nbrs in rot.items():
+        if nbrs:
+            bb = b * base
+            prev = bb + nbrs[-1]
+            for a in nbrs:
+                succ[a * base + b] = prev
+                prev = bb + a
     count = 0
     while succ:
         start, dart = succ.popitem()
@@ -287,17 +299,16 @@ def validate(emb: PlanarEmbedding) -> list[str]:
     comps = emb.components()
     c = len(comps)
 
-    # Per-component Euler formula (sphere check).
+    # Per-component Euler formula (sphere check); face_counts holds the
+    # count Euler's formula gives each component.
+    face_counts = []
     for cid, comp in comps:
         comp_rot = emb.component_rotation(comp)
-        m_c = sum(len(emb.rot[v]) for v in comp) // 2
+        m_c = sum(map(len, comp_rot.values())) // 2
         f = face_count(comp_rot)
         if len(comp) - m_c + f != 2:
             problems.append(f"component {cid} violates Euler's formula (f={f})")
-
-    face_counts = [
-        sum(len(emb.rot[v]) for v in comp) // 2 - len(comp) + 2 for _, comp in comps
-    ]
+        face_counts.append(m_c - len(comp) + 2)
 
     # Face tuple ranges.
     if len(emb.face_tuple) != c:
@@ -331,13 +342,19 @@ def validate(emb: PlanarEmbedding) -> list[str]:
                     f"edge G{p}-G{ch} label {lb} outside interval [{lo}..{hi}]"
                 )
     # Rootedness: following parents from every component must reach rho.
+    # A walk stops at rho, at a component settled before or back on itself
+    # (a cycle); every component on it takes that answer, so each is
+    # walked once.
+    rooted: dict[int, bool] = {0: True}
     for ch in range(1, c + 1):
-        seen = set()
+        walk = []
         cur = ch
-        while cur != 0:
-            if cur in seen:
-                problems.append(f"nesting tree has a cycle through G{ch}")
-                break
-            seen.add(cur)
+        while cur not in rooted:
+            rooted[cur] = False  # on the walk: meeting it again is a cycle
+            walk.append(cur)
             cur = parent[cur][0]
+        for x in walk:
+            rooted[x] = rooted[cur]
+    problems.extend(f"nesting tree has a cycle through G{ch}"
+                    for ch in range(1, c + 1) if not rooted[ch])
     return problems

@@ -39,6 +39,7 @@ class _BlockInfo:
     to_global: dict[int, int]
     tree: SpqrTree
     min_edge: tuple[int, int]
+    poles: tuple[tuple[int, int], ...]  # (global, local) pole of each P-/R-node
 
 
 @dataclass
@@ -87,9 +88,11 @@ class EmbeddingRanker:
                 g_edges = sorted(
                     (min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in bg.edges
                 )
+                tree = build_spqr(bg, pretested=True)
+                poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
                 self.blocks.append(
-                    _BlockInfo(ci, g_edges, fwd, inv,
-                               build_spqr(bg, pretested=True), g_edges[0])
+                    _BlockInfo(ci, g_edges, fwd, inv, tree, g_edges[0],
+                               tuple((inv[u], u) for u in poles))
                 )
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
 
@@ -134,11 +137,13 @@ class EmbeddingRanker:
     # -- forward: embedding -> tuple/rank ------------------------------------
 
     def _block_rotation(self, emb: PlanarEmbedding, b: int) -> Rotation:
-        # An edge at x lies in x's block exactly when its far end does:
-        # two blocks share at most one vertex.
-        to_local = self.blocks[b].to_local
+        # chi reads the block's rotation only at the poles of its P- and
+        # R-nodes.  An edge at x lies in x's block exactly when its far end
+        # does: two blocks share at most one vertex.
+        info = self.blocks[b]
+        to_local = info.to_local
         return {i: [to_local[w] for w in emb.rot[x] if w in to_local]
-                for x, i in to_local.items()}
+                for x, i in info.poles}
 
     def phi(self, emb: PlanarEmbedding) -> list[int]:
         """The full digit tuple of an embedding."""

@@ -14,7 +14,8 @@ sorts P- and R-nodes by that identifier.
 The builders hand over the nodes (kind, skeleton edges, parent, children
 sorted by minimum edge, depth, minimum pertinent edge), the root and the
 two nodes of every twin pair.  The SpqrTree alone numbers the preorder
-intervals and maps every real edge to its Q-node's tin.  It owns the data
+intervals, maps every real edge to its Q-node's tin and fixes the lower
+pole of every P- and R-node.  It owns the data
 derived from that fixed structure, each computed on first use and kept
 for the life of the tree: the conventional order, the first embedding of
 every P- and R-skeleton, the twin and real-edge maps of compose_embedding
@@ -75,7 +76,8 @@ class SpqrNode:
     min_edge: Edge | None = None  # e(mu): minimum real edge in the subtree
     tin: int = 0
     tout: int = 0
-    # What chi reads of a P- or R-node, filled by SpqrTree.chi_nodes.
+    # What chi reads of a P- or R-node: the pole is set by SpqrTree,
+    # the rest filled by SpqrTree.chi_nodes.
     pole: int = 0
     degree: int = 0
     child_tin: tuple[int, ...] = ()
@@ -116,6 +118,10 @@ class SpqrTree:
         # Real edge -> tin of its Q-node.
         self.q_tin: dict[Edge, int] = {
             e.real: nd.tin for nd in nodes for e in nd.edges if e.real is not None}
+        # The lower pole, the one vertex where chi reads a P- or R-node.
+        for nd in nodes:
+            if nd.kind in ("P", "R"):
+                nd.pole = min(nd.poles)
 
     def p_nodes(self) -> list[SpqrNode]:
         return [n for n in self.nodes if n.kind == "P"]
@@ -158,7 +164,7 @@ class SpqrTree:
             name = {uid_of_pair[self.nodes[c].ref_pair]: i
                     for i, c in enumerate(nd.children)}
             name[uid_of_pair[nd.ref_pair]] = -1
-            nd.pole = u = min(nd.poles)
+            u = nd.pole
             nd.degree = sum(1 for e in nd.edges if u in (e.u, e.v))
             nd.child_tin = tuple(self.nodes[c].tin for c in nd.children)
             if nd.kind == "P":

@@ -149,6 +149,17 @@ class TestChiRejects:
         with pytest.raises(EmbeddingMismatch):
             chi(rot, tree)
 
+    def test_pole_missing_from_the_rotation(self):
+        # Vertex 1 is the lower pole of the only P-node; a rotation without
+        # it is rejected by name, not with a raw KeyError.
+        g = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
+        tree = build_spqr(g)
+        (nd,), () = tree.chi_nodes
+        rot = chi_inverse([0], [], tree)
+        del rot[1]
+        with pytest.raises(EmbeddingMismatch, match=f"pole 1 of node {nd.index} "):
+            chi(rot, tree)
+
     def test_rotating_to_a_missing_edge(self):
         nd = build_spqr(K4).r_nodes()[0]
         assert _rotate_to([4, 5, 6], 5, nd) == [5, 6, 4]

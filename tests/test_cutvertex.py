@@ -3,7 +3,7 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -309,21 +309,28 @@ def reference_phi_v_inverse(ctx, rotations, c_vals, d_vals, cases):
     return out
 
 
+def random_blocks(rng):
+    """Far endpoints of 2..8 blocks of 1..4 edges each, shuffled within
+    each block and sorted by minimum, as BlocksAtV.make takes them."""
+    b = rng.randint(2, 8)
+    deltas = [rng.randint(1, 4) for _ in range(b)]
+    far = rng.sample(range(2, 2 + 3 * sum(deltas)), sum(deltas))
+    blocks, k = [], 0
+    for delta in deltas:
+        rot = far[k:k + delta]
+        rng.shuffle(rot)
+        blocks.append(rot)
+        k += delta
+    blocks.sort(key=min)
+    return blocks
+
+
 class TestAgainstReferenceMerge:
     def test_random_cut_vertices_match_reference(self):
         rng = random.Random(20261018)
         cases = Counter()
         for _ in range(2000):
-            b = rng.randint(2, 8)
-            deltas = [rng.randint(1, 4) for _ in range(b)]
-            far = rng.sample(range(2, 2 + 3 * sum(deltas)), sum(deltas))
-            blocks, k = [], 0
-            for delta in deltas:
-                rot = far[k:k + delta]
-                rng.shuffle(rot)
-                blocks.append(rot)
-                k += delta
-            blocks.sort(key=min)
+            blocks = random_blocks(rng)
             ctx = BlocksAtV.make(1, blocks)
             c_vals = [rng.randrange(x) for x in ctx.c_bounds]
             d_vals = [rng.randrange(x) for x in ctx.d_bounds]
@@ -350,3 +357,264 @@ class TestWideCutVertex:
         for _ in range(5):
             r = rng.randrange(ranker.count())
             assert ranker.rank(ranker.unrank(r)) == r
+
+
+# ---------------------------------------------------------------------------
+# Reference: the forward direction over an ordered tree of run objects
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _TNode:
+    """Ordered-tree node: a block's run (component) or one edge."""
+
+    block: int | None = None  # None for edge nodes
+    w: int | None = None
+    parent: "_TNode | None" = None
+    children: list["_TNode"] = field(default_factory=list)
+    slot: int = 0  # index within parent's children
+
+    @property
+    def is_edge(self) -> bool:
+        return self.block is None
+
+    def add(self, child: "_TNode") -> None:
+        child.parent = self
+        child.slot = len(self.children)
+        self.children.append(child)
+
+    def left_sibling(self) -> "_TNode | None":
+        if self.parent is None or self.slot == 0:
+            return None
+        return self.parent.children[self.slot - 1]
+
+
+
+def _find_first1(ctx, rotation, counter):
+    """First edge of block 1 after a full pass over block 2's edges."""
+    block_of = ctx.block_of
+    n = len(rotation)
+    i0 = rotation.index(ctx.edges[0][0])
+    need = ctx.deltas[1]
+    seen2: set[int] = set()
+    for k in range(1, 2 * n + 1):
+        w = rotation[(i0 + k) % n]
+        blk = block_of[w]
+        if blk == 2:
+            seen2.add(w)
+        elif blk == 1 and len(seen2) == need:
+            counter.tick(k)
+            return w
+    counter.tick(2 * n)
+    raise EmbeddingMismatch("could not locate first_1; rotation is not a valid merge")
+
+
+def reference_phi_v(ctx, rotation, counter=None):
+    """phi_v over an ordered tree of _TNode objects and a UnionFind of
+    blocks, with the same checks and the same OpCounter ticks."""
+    if counter is None:
+        counter = OpCounter()
+    b = ctx.b
+    block_of = ctx.block_of
+    if len(rotation) != ctx.delta_v or block_of.keys() != set(rotation):
+        raise EmbeddingMismatch("rotation does not cover the incident edges")
+
+    first1 = _find_first1(ctx, rotation, counter)
+    i0 = rotation.index(first1)
+    walk = rotation[i0:] + rotation[:i0]
+
+    # One pass splits the walk into block runs first_j..last_j.
+    orders: list[list[int]] = [[] for _ in range(b)]
+    for w in walk:
+        orders[block_of[w] - 1].append(w)
+    counter.tick(len(walk))
+    firsts = {j: orders[j - 1][0] for j in range(1, b + 1)}
+    c_vals = [edges.index(order[0]) for edges, order in zip(ctx.edges, orders)]
+    if b == 2:
+        return c_vals, []
+    lasts = {j: orders[j - 1][-1] for j in range(1, b + 1)}
+
+    # Labels: positions in S (block 1, block 2, blocks 3.. minus firsts,
+    # then firsts in decreasing block order).
+    ell: dict[int, int] = {}
+    k = 0
+    for j in (1, 2):
+        for w in orders[j - 1]:
+            ell[w] = k
+            k += 1
+    for j in range(3, b + 1):
+        for w in orders[j - 1][1:]:
+            ell[w] = k
+            k += 1
+    for j in range(b, 2, -1):
+        ell[firsts[j]] = k
+        k += 1
+
+    # Ordered tree of nested block runs.
+    root = _TNode(block=0)
+    gamma = root
+    comp_node: dict[int, _TNode] = {}
+    counter.tick(len(walk))
+    for w in walk:
+        j = block_of[w]
+        is_first = w == firsts[j]
+        is_last = w == lasts[j]
+        if is_first:
+            node = _TNode(block=j)
+            comp_node[j] = node
+            gamma.add(node)
+            node.add(_TNode(w=w))
+            if not is_last:
+                gamma = node
+        elif is_last:
+            if gamma.block != j:
+                raise EmbeddingMismatch("block runs are not properly nested")
+            gamma.add(_TNode(w=w))
+            gamma = gamma.parent
+        else:
+            if gamma.block != j:
+                raise EmbeddingMismatch("block runs are not properly nested")
+            gamma.add(_TNode(w=w))
+    if gamma is not root:
+        raise EmbeddingMismatch("block runs are not properly nested")
+
+    # The nest path: tree nodes whose span contains block 2's run.  A
+    # block that wrapped around the nest either sits on this path itself
+    # or reaches it through the chain of earlier blocks that rode on it.
+    path: list[_TNode] = []
+    node = comp_node[2]
+    while node is not root:
+        path.append(node)
+        node = node.parent
+    path.reverse()  # top-down, ending at comp_node[2]
+    on_path = {nd.block for nd in path}
+    path_index = {nd.block: t for t, nd in enumerate(path)}
+
+    # Per path node, the edge its block's run resumes with right of the
+    # nest: the first edge-node child to the right of the path child.
+    ops = 0  # elementary steps from here on, ticked once at the end
+    jump: dict[int, int] = {}
+    for t, nd in enumerate(path):
+        ops += 1
+        if nd.block == 2:
+            break
+        pi_child = path[t + 1]
+        for child in nd.children[pi_child.slot + 1:]:
+            ops += 1
+            if child.is_edge:
+                jump[nd.block] = child.w
+                break
+
+    # Replay the merges in placement order (block index order), tracking
+    # partial-embedding membership with a union-find keyed by block index.
+    # Block j wrapped (case 2) exactly when its structural anchor already
+    # belongs to block 1's partial embedding and its ride chain (its own
+    # earlier riders, consecutive right siblings in its class) absorbs a
+    # nest-path node; otherwise it was inserted after its anchor (case 1)
+    # and d is the cell addressing the anchor's gap.
+    uf = UnionFind(b + 1)
+    uf.union(1, 2)
+    fused: dict[int, int] = {}
+    gap_owner: dict[int, int] = {w: w for w in walk}
+
+    def resolve(w: int) -> int:
+        while w in fused:
+            w = fused[w]
+        return w
+
+    d_vals = []
+    for j in range(3, b + 1):
+        ops += 1
+        nd = comp_node[j]
+        sib = nd.left_sibling()
+        if sib is None:
+            raise EmbeddingMismatch(f"block {j} has no anchor")
+        anchor = sib.w if sib.is_edge else lasts[sib.block]
+        anchor_block = block_of[anchor]
+        owner = gap_owner.get(anchor)
+        if owner is None:
+            raise EmbeddingMismatch(f"block {j} anchors a fused gap")
+
+        wrapped = False
+        if uf.find(anchor_block) == uf.find(1):
+            if j in on_path:
+                wrapped = True
+            else:
+                cur = nd
+                while True:
+                    ops += 1
+                    nxt = (cur.parent.children[cur.slot + 1]
+                           if cur.slot + 1 < len(cur.parent.children) else None)
+                    if nxt is None or nxt.is_edge:
+                        break
+                    cur = nxt
+                    if uf.find(cur.block) != uf.find(j):
+                        continue  # foreign insertion, step over it
+                    if cur.block in on_path:
+                        wrapped = True
+                        break
+        if wrapped:
+            # The wrap's resumption edge belongs to the deepest path node
+            # among j and the straddling riders of its class.
+            top = j if j in on_path else cur.block
+            t = path_index[top]
+            while (t + 1 < len(path) and path[t + 1].block != 2
+                   and uf.find(path[t + 1].block) == uf.find(j)):
+                ops += 1
+                t += 1
+            d_vals.append(ell[jump[path[t].block]])
+            uf.union(1, j)
+        else:
+            d_vals.append(ell[owner])
+            uf.union(anchor_block, j)
+        # The merge retires the owning cell in favor of first_j, fuses the
+        # (anchor, first_j) pair, and re-addresses the gap the cell now
+        # reaches through the fusion chain.
+        ell[firsts[j]] = ell[owner]
+        fused[anchor] = firsts[j]
+        del gap_owner[anchor]
+        gap_owner[resolve(firsts[j])] = firsts[j]
+    counter.tick(ops)
+
+    for d, limit in zip(d_vals, ctx.d_bounds):
+        if not 0 <= d < limit:
+            raise EmbeddingMismatch(f"derived d={d} outside 0..{limit - 1}")
+    return c_vals, d_vals
+
+
+def outcome(forward, ctx, rotation):
+    """(result or exception class, OpCounter total) of one forward call."""
+    counter = OpCounter()
+    try:
+        got = forward(ctx, rotation, counter)
+    except Exception as exc:  # the class is compared, whatever it is
+        got = type(exc)
+    return got, counter.ops
+
+
+class TestAgainstReferenceForward:
+    def test_random_cut_vertices_match_reference(self):
+        rng = random.Random(20261019)
+        cases = Counter()
+        rejected = accepted_shuffles = 0
+        for _ in range(2500):
+            blocks = random_blocks(rng)
+            ctx = BlocksAtV.make(1, blocks)
+            c_vals = [rng.randrange(x) for x in ctx.c_bounds]
+            d_vals = [rng.randrange(x) for x in ctx.d_bounds]
+            merged = reference_phi_v_inverse(ctx, blocks, c_vals, d_vals, cases)
+            expected = outcome(reference_phi_v, ctx, merged)
+            assert expected[0] == (c_vals, d_vals)
+            assert outcome(phi_v, ctx, merged) == expected, (blocks, merged)
+
+            shuffled = rng.sample(merged, len(merged))
+            expected = outcome(reference_phi_v, ctx, shuffled)
+            assert outcome(phi_v, ctx, shuffled) == expected, (blocks, shuffled)
+            if isinstance(expected[0], type):
+                rejected += 1
+            elif ctx.b > 2:
+                accepted_shuffles += 1
+        # Both merge cases occur, and both kinds of shuffled input: rejected
+        # ones and ones that happen to be valid merges of three or more blocks.
+        assert cases["insert"] > 0 and cases["wrap"] > 0, cases
+        assert rejected > 500 and accepted_shuffles > 50, (rejected, accepted_shuffles)

@@ -142,6 +142,21 @@ class TestValidate:
         bad = PlanarEmbedding(g, rot, [(2, 1, 2), (1, 2, 1)], [0, 0])
         assert validate(bad)
 
+    @pytest.mark.parametrize("nesting,problems", [
+        ([(2, 1, 2), (1, 2, 1), (0, 3, 0)],
+         ["nesting tree has a cycle through G1", "nesting tree has a cycle through G2"]),
+        ([(2, 1, 2), (1, 2, 1), (1, 3, 1)],
+         ["nesting tree has a cycle through G1", "nesting tree has a cycle through G2",
+          "nesting tree has a cycle through G3"]),
+        ([(0, 1, 0), (1, 2, 1), (2, 3, 2)], []),
+    ], ids=["two-cycle", "below-a-cycle", "chain"])
+    def test_nesting_cycle_messages(self, nesting, problems):
+        # Three triangles: each has two faces and one label of its own.
+        g = Graph(9, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6),
+                      (7, 8), (7, 9), (8, 9)])
+        rot = {v: list(g.adj[v]) for v in g.vertices}
+        assert validate(PlanarEmbedding(g, rot, nesting, [0, 0, 0])) == problems
+
 
 class TestEquality:
     def test_reflexive(self):
