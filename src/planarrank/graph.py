@@ -209,42 +209,38 @@ class BlockCutTree:
         return sorted(out)
 
 
-def block_cut_tree(g: Graph) -> BlockCutTree:
-    """Blocks and cut-vertices via iterative DFS with lowpoints.
+def lowpoint_dfs(adj: dict[int, list[int]], root: int
+                 ) -> tuple[dict[int, int], set[int], list[list[Edge]]]:
+    """Iterative DFS with lowpoints from root over a simple graph's
+    adjacency lists.
 
-    DFS starts at vertex 1 and scans neighbors in ascending order, so the
-    result is deterministic.  Linear in n + m.
+    Returns the discovery index of every vertex reached, the cut-vertices
+    of the part reached and its blocks as edge lists.  Linear in the size
+    of that part.
     """
-    comps = connected_components(g)
-    if len(comps) > 1:
-        raise NotConnected(f"graph has {len(comps)} components")
-
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {1: None}
+    disc: dict[int, int] = {root: 0}
+    low: dict[int, int] = {root: 0}
+    parent: dict[int, int | None] = {root: None}
     edge_stack: list[Edge] = []
     raw_blocks: list[list[Edge]] = []
     cut: set[int] = set()
-    timer = 0
+    timer = 1
 
-    # Frame: (vertex, neighbor index); tree-edge pops update lowpoints.
-    disc[1] = low[1] = timer
-    timer += 1
-    stack: list[list[int]] = [[1, 0]]
+    # Frame: (vertex, iterator over its neighbors); tree-edge pops update
+    # lowpoints.
+    stack = [(root, iter(adj[root]))]
     root_children = 0
     while stack:
-        frame = stack[-1]
-        v = frame[0]
-        if frame[1] < len(g.adj[v]):
-            w = g.adj[v][frame[1]]
-            frame[1] += 1
+        v, nbrs = stack[-1]
+        for w in nbrs:
             if w not in disc:
                 parent[w] = v
                 disc[w] = low[w] = timer
                 timer += 1
                 edge_stack.append(edge_id(v, w))
-                stack.append([w, 0])
-            elif w != parent[v] and disc[w] < disc[v]:
+                stack.append((w, iter(adj[w])))
+                break
+            if w != parent[v] and disc[w] < disc[v]:
                 edge_stack.append(edge_id(v, w))
                 low[v] = min(low[v], disc[w])
         else:
@@ -263,12 +259,25 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                     if top == e:
                         break
                 raw_blocks.append(block)
-                if u == 1:
+                if u == root:
                     root_children += 1
                     if root_children > 1:
                         cut.add(u)
                 else:
                     cut.add(u)
+    return disc, cut, raw_blocks
+
+
+def block_cut_tree(g: Graph) -> BlockCutTree:
+    """Blocks and cut-vertices via lowpoint_dfs.
+
+    DFS starts at vertex 1 and scans neighbors in ascending order, so the
+    result is deterministic.  Linear in n + m.
+    """
+    comps = connected_components(g)
+    if len(comps) > 1:
+        raise NotConnected(f"graph has {len(comps)} components")
+    _, cut, raw_blocks = lowpoint_dfs(g.adj, 1)
 
     blocks = []
     for edges in raw_blocks:

@@ -5,7 +5,11 @@ until every skeleton is a parallel bundle (P), a cycle (S), a
 real-plus-virtual edge pair (Q) or a triconnected graph (R), then merging
 adjacent S-nodes (and, defensively, adjacent P-nodes) into the canonical
 form.  Every real edge ends up in exactly one Q-node; every virtual edge
-has exactly one twin in the adjacent skeleton.
+has exactly one twin in the adjacent skeleton.  Each split is the first
+valid one in ascending pair order; the search tries only the pairs
+{u, v} where v is a cut-vertex of the skeleton minus u or an edge joins
+them, one lowpoint DFS per u, so each search is O(n*m).  The linear-time
+decomposition of Hopcroft and Tarjan is not used.
 
 The tree is rooted at the Q-node of the graph's minimum edge.  Node
 identifiers are (depth, minimum pertinent edge); "conventional order"
@@ -14,8 +18,8 @@ sorts P- and R-nodes by that identifier.
 The builders hand over the nodes (kind, skeleton edges, parent, children
 sorted by minimum edge, depth, minimum pertinent edge), the root and the
 two nodes of every twin pair.  The SpqrTree alone numbers the preorder
-intervals, maps every real edge to its Q-node's tin and fixes the lower
-pole of every P- and R-node.  It owns the data
+intervals, maps every real edge to its Q-node's tin and fixes the poles
+of every node.  It owns the data
 derived from that fixed structure, each computed on first use and kept
 for the life of the tree: the conventional order, the first embedding of
 every P- and R-skeleton, the twin and real-edge maps of compose_embedding
@@ -30,7 +34,7 @@ from functools import cached_property
 import networkx as nx
 
 from .errors import IncompleteChoices, NotBiconnected, NotPlanar, PlanarRankError
-from .graph import Edge, Graph, edge_id, is_biconnected
+from .graph import Edge, Graph, edge_id, is_biconnected, lowpoint_dfs
 
 
 @dataclass(frozen=True)
@@ -76,18 +80,13 @@ class SpqrNode:
     min_edge: Edge | None = None  # e(mu): minimum real edge in the subtree
     tin: int = 0
     tout: int = 0
-    # What chi reads of a P- or R-node: the pole is set by SpqrTree,
+    poles: tuple[int, int] = (0, 0)  # reference edge's ends, lower first; set by SpqrTree
+    # What chi reads of a P- or R-node: the lower pole is set by SpqrTree,
     # the rest filled by SpqrTree.chi_nodes.
     pole: int = 0
     degree: int = 0
     child_tin: tuple[int, ...] = ()
     first: tuple[int, ...] = ()
-
-    @property
-    def poles(self) -> tuple[int, int]:
-        # The root Q-node has no reference edge; its real edge gives the poles.
-        e = self.edges[0] if self.ref_pair is None else self.edge_of_pair(self.ref_pair)
-        return (min(e.u, e.v), max(e.u, e.v))
 
     def edge_of_pair(self, pair: int) -> SkelEdge:
         return next(x for x in self.edges if x.pair == pair)
@@ -118,10 +117,15 @@ class SpqrTree:
         # Real edge -> tin of its Q-node.
         self.q_tin: dict[Edge, int] = {
             e.real: nd.tin for nd in nodes for e in nd.edges if e.real is not None}
-        # The lower pole, the one vertex where chi reads a P- or R-node.
+        # The poles, and the lower one, where chi reads a P- or R-node.
+        # The root Q-node has no reference edge; its real edge gives them.
+        # Nodes with the same poles share one tuple, the graph's own edge
+        # where the poles are adjacent, so a large tree holds few of them.
+        shared = {e: e for e in graph.edges}
         for nd in nodes:
-            if nd.kind in ("P", "R"):
-                nd.pole = min(nd.poles)
+            e = nd.edges[0] if nd.ref_pair is None else nd.edge_of_pair(nd.ref_pair)
+            nd.poles = shared.setdefault(e.eid, e.eid)
+            nd.pole = nd.poles[0]
 
     def p_nodes(self) -> list[SpqrNode]:
         return [n for n in self.nodes if n.kind == "P"]
@@ -260,20 +264,43 @@ def _is_single_virtual(comp) -> bool:
 
 
 def _find_split(node: _RawNode):
-    """First valid split (u, v, component) in deterministic order, or None."""
-    for u, v in sorted(
-        (a, b) for a in node.vertices for b in node.vertices if a < b
-    ):
-        comps = _split_components(node.vertices, node.edges, u, v)
-        if len(comps) < 2:
-            continue
-        comps.sort(key=lambda c: min(e.uid for e in c[1]))
-        for i, comp in enumerate(comps):
-            if _is_single_virtual(comp):
+    """First valid split (u, v, component) in ascending pair order, or None.
+
+    A pair {u, v} has two or more split components only if v is a
+    cut-vertex of the skeleton minus u or an edge joins u and v.  If the
+    only such edge is one virtual edge and v is no cut-vertex, one of the
+    two components is that edge alone, which no valid split takes.  So
+    for each u the pairs tried are those whose v is a cut-vertex of the
+    skeleton minus u (every v if that is disconnected) or is joined to u
+    by two or more edges or by a real edge.  One lowpoint DFS per u makes
+    the search O(n*m), plus O(m) per pair tried.
+    """
+    # A real edge weighs 2 so that weight >= 2 marks the pairs tried
+    # whatever the cut-vertices.
+    weight: dict[Edge, int] = {}
+    for e in node.edges:
+        weight[e.eid] = weight.get(e.eid, 0) + (2 if e.real else 1)
+    adj: dict[int, list[int]] = {x: [] for x in node.vertices}
+    for a, b in weight:
+        adj[a].append(b)
+        adj[b].append(a)
+    order = sorted(node.vertices)
+    for u in order[:-1]:
+        rest = {x: [w for w in ws if w != u] for x, ws in adj.items() if x != u}
+        reached, cut, _ = lowpoint_dfs(rest, order[-1])
+        tried = {v for v in (cut if len(reached) == len(rest) else rest) if v > u}
+        tried.update(w for w in adj[u] if w > u and weight[edge_id(u, w)] >= 2)
+        for v in sorted(tried):
+            comps = _split_components(node.vertices, node.edges, u, v)
+            if len(comps) < 2:
                 continue
-            if len(comps) == 2 and _is_single_virtual(comps[1 - i]):
-                continue
-            return u, v, comp
+            comps.sort(key=lambda c: min(e.uid for e in c[1]))
+            for i, comp in enumerate(comps):
+                if _is_single_virtual(comp):
+                    continue
+                if len(comps) == 2 and _is_single_virtual(comps[1 - i]):
+                    continue
+                return u, v, comp
     return None
 
 

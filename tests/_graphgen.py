@@ -84,3 +84,41 @@ def atlas_planar() -> tuple[Graph, ...]:
         if nx.check_planarity(g)[0]:
             out.append(Graph(g.number_of_nodes(), [(u + 1, v + 1) for u, v in g.edges]))
     return tuple(out)
+
+
+def triangulated_grid(k: int, diagonal: str) -> Graph:
+    """k x k grid, every cell cut by a "down" (i,j)-(i+1,j+1) or "up"
+    (i,j+1)-(i+1,j) diagonal.  For k >= 3 its SPQR-tree has one R-node,
+    plus an S- and a P-node at each of the two corners of degree 2."""
+    vid = lambda i, j: i * k + j + 1
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            if j + 1 < k:
+                edges.append((vid(i, j), vid(i, j + 1)))
+            if i + 1 < k:
+                edges.append((vid(i, j), vid(i + 1, j)))
+            if i + 1 < k and j + 1 < k:
+                if diagonal == "down":
+                    edges.append((vid(i, j), vid(i + 1, j + 1)))
+                else:
+                    edges.append((vid(i, j + 1), vid(i + 1, j)))
+    return Graph(k * k, edges)
+
+
+def series_parallel(n: int, seed: int) -> Graph:
+    """Random simple series-parallel block of n vertices: from a triangle,
+    each step subdivides a random edge or adds a path of length two
+    beside it."""
+    rng = random.Random(seed)
+    edges = [(1, 2), (2, 3), (1, 3)]
+    for w in range(4, n + 1):
+        i = rng.randrange(len(edges))
+        u, v = edges[i]
+        if rng.random() < 0.5:
+            edges[i] = (u, w)
+            edges.append((v, w))
+        else:
+            edges.append((u, w))
+            edges.append((v, w))
+    return Graph(n, edges)

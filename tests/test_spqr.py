@@ -1,15 +1,23 @@
 """SPQR construction, conventional order, first embeddings, composition."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
+from planarrank import spqr
 from planarrank.embedding import canonical_cycle, is_planar_rotation
 from planarrank.errors import NotBiconnected, NotPlanar
-from planarrank.graph import Graph
+from planarrank.graph import Graph, block_cut_tree, connected_components
 from planarrank.oracle import enumerate_connected
 from planarrank.spqr import (
     SkeletonEmbedding,
+    SkelEdge,
+    _find_split,
+    _is_single_virtual,
+    _RawNode,
+    _split_components,
     build_spqr,
     compose_embedding,
     conventional_order,
@@ -254,3 +262,108 @@ class TestCompose:
             for rot in enumerate_connected(g)
         }
         assert rots == oracle
+
+
+def reference_find_split(node):
+    """The search _find_split replaced: every vertex pair in ascending
+    order, with the split components recomputed for each pair."""
+    for u, v in sorted(
+        (a, b) for a in node.vertices for b in node.vertices if a < b
+    ):
+        comps = _split_components(node.vertices, node.edges, u, v)
+        if len(comps) < 2:
+            continue
+        comps.sort(key=lambda c: min(e.uid for e in c[1]))
+        for i, comp in enumerate(comps):
+            if _is_single_virtual(comp):
+                continue
+            if len(comps) == 2 and _is_single_virtual(comps[1 - i]):
+                continue
+            return u, v, comp
+    return None
+
+
+def blocks_of(g):
+    """Every block of g as a standalone graph on 1..k."""
+    out = []
+    for _, comp in connected_components(g):
+        order = sorted(comp)
+        remap = {v: i + 1 for i, v in enumerate(order)}
+        sub = Graph(len(order), [(remap[u], remap[v]) for u, v in g.edges if u in comp])
+        out.extend(b.to_graph()[0] for b in block_cut_tree(sub).blocks)
+    return out
+
+
+def tree_record(tree):
+    return tree.dump(), [
+        (nd.kind, nd.parent, nd.children, nd.tin, nd.tout,
+         [(e.uid, e.u, e.v, e.real, e.pair) for e in nd.edges])
+        for nd in tree.nodes]
+
+
+class TestSplitSearchAgainstReference:
+    """The split-pair search tries only cut-vertices of the skeleton minus
+    u and joined pairs; the trees must equal the all-pairs search's."""
+
+    @staticmethod
+    def check(blocks, monkeypatch):
+        for g in blocks:
+            new = tree_record(build_spqr(g))
+            with monkeypatch.context() as m:
+                m.setattr(spqr, "_find_split", reference_find_split)
+                old = tree_record(build_spqr(g))
+            assert new == old, g.edges
+
+    @pytest.mark.parametrize("real", ["all", "none", "alternate"])
+    def test_first_split_of_atlas_skeletons(self, real):
+        # Skeletons the builder never searches: real edges not yet peeled,
+        # and graphs that are not biconnected (the skeleton minus u may be
+        # disconnected).
+        for g in atlas_planar():
+            reals = {"all": [True] * g.m, "none": [False] * g.m,
+                     "alternate": [i % 2 == 0 for i in range(g.m)]}[real]
+            edges = [SkelEdge(i, u, v, (u, v) if r else None)
+                     for i, ((u, v), r) in enumerate(zip(g.edges, reals))]
+            node = _RawNode(set(g.vertices), edges)
+            assert _find_split(node) == reference_find_split(node), g.edges
+
+    def test_atlas_blocks(self, monkeypatch):
+        blocks = [b for g in atlas_planar() for b in blocks_of(g)]
+        assert len(blocks) == 1684
+        self.check(blocks, monkeypatch)
+
+    @pytest.mark.parametrize("diagonal", ["down", "up"])
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_triangulated_grids(self, k, diagonal, monkeypatch):
+        self.check([triangulated_grid(k, diagonal)], monkeypatch)
+
+    def test_series_parallel_blocks(self, monkeypatch):
+        self.check([series_parallel(10 + 7 * seed, seed) for seed in range(20)],
+                   monkeypatch)
+
+    def test_random_planar_blocks(self, monkeypatch):
+        self.check([b for seed in range(40) for b in blocks_of(random_planar(40, seed))],
+                   monkeypatch)
+
+
+@pytest.mark.parametrize("diagonal", ["down", "up"])
+def test_split_search_stays_bounded_on_a_16x16_grid(diagonal, monkeypatch):
+    """Set-up of a 256-vertex triangulated grid tries at most one split
+    pair per tree node; the all-pairs search tried thousands on 8x8."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _split_components(*args)
+
+    monkeypatch.setattr(spqr, "_split_components", counted)
+    g = triangulated_grid(16, diagonal)
+    tree = build_spqr(g)
+    assert calls <= len(tree.nodes)
+    assert Counter(nd.kind for nd in tree.nodes) == {"Q": 705, "R": 1, "P": 2, "S": 2}
+    assert [len(nd.vertices) for nd in tree.r_nodes()] == [254]
+    corners = {v for v in g.vertices if g.degree(v) == 2}
+    s_nodes = [nd for nd in tree.nodes if nd.kind == "S"]
+    assert [len(nd.vertices) for nd in s_nodes] == [3, 3]
+    assert {v for nd in s_nodes for v in nd.vertices} & corners == corners
