@@ -8,7 +8,7 @@ choice lives in the P-nodes: each contributes (3-1)! = 2 orders.
 
 from planarrank import Graph
 from planarrank.biconnected import biconn_bounds
-from planarrank.spqr import build_spqr, conventional_order
+from planarrank.spqr import build_spqr
 
 g = Graph(6, [(1, 2), (1, 4), (2, 3), (2, 5), (3, 5), (3, 4), (3, 6), (4, 6)])
 tree = build_spqr(g)
@@ -17,7 +17,7 @@ print("SPQR-tree dump (kind depth min-edge [skeleton edges, * = virtual]):")
 print(tree.dump())
 print()
 
-p_nodes, r_nodes = conventional_order(tree)
+p_nodes, r_nodes = tree.conventional
 print(f"P-nodes in conventional order: {[n.min_edge for n in p_nodes]}")
 print(f"R-nodes in conventional order: {[n.min_edge for n in r_nodes]}")
 print(f"tuple bounds for this block: {biconn_bounds(tree)}")

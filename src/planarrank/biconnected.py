@@ -9,22 +9,17 @@ is all P values first, then all R bits, each group in conventional order.
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import factorial
 
-from .codecs import factorial, perm_rank, perm_unrank
+from .codecs import perm_rank, perm_unrank
 from .embedding import Rotation
 from .errors import BoundViolation, EmbeddingMismatch
-from .spqr import (
-    SkeletonEmbedding,
-    SpqrNode,
-    SpqrTree,
-    compose_embedding,
-    conventional_order,
-)
+from .spqr import SkeletonEmbedding, SpqrNode, SpqrTree, compose_embedding
 
 
 def biconn_bounds(tree: SpqrTree) -> list[int]:
     """Bounds of the chi tuple: (delta-1)! per P-node, then 2 per R-node."""
-    p_nodes, r_nodes = conventional_order(tree)
+    p_nodes, r_nodes = tree.conventional
     return [factorial(len(nd.edges) - 1) for nd in p_nodes] + [2] * len(r_nodes)
 
 
@@ -102,7 +97,7 @@ def chi(rot: Rotation, tree: SpqrTree) -> tuple[list[int], list[int]]:
 
 def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree) -> Rotation:
     """Embedding of the block from a P/R tuple (inverse of chi)."""
-    p_nodes, r_nodes = conventional_order(tree)
+    p_nodes, r_nodes = tree.conventional
     if len(p_vals) != len(p_nodes) or len(r_vals) != len(r_nodes):
         raise BoundViolation("tuple layout does not match the tree")
 

@@ -161,21 +161,12 @@ def perm_rank(perm: list[int]) -> int:
 
 
 def perm_unrank(rank: int, k: int) -> list[int]:
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
+    fact = math.factorial(k)
     if not 0 <= rank < fact:
         raise RankOutOfRange(f"rank {rank} outside 0..{fact - 1}")
     if k == 0:
         return []
     return _compose(_raw_unrank(rank, k), _invert(_sigma0(k)))
-
-
-def factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

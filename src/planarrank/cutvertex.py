@@ -94,10 +94,6 @@ class BlocksAtV:
     def b(self) -> int:
         return len(self.edges)
 
-    def bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per-element bounds of (c values, d values)."""
-        return self.c_bounds, self.d_bounds
-
 
 # Union-find over block indices, held as a parent list and a rank list.
 
@@ -143,13 +139,12 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     # Block count, degrees and far endpoints in one comparison.
     if tuple(map(tuple, map(sorted, rotations))) != ctx.edges:
         raise EmbeddingMismatch("block rotations do not match the blocks at v")
-    c_bounds, d_bounds = ctx.bounds()
-    if len(c_vals) != len(c_bounds) or len(d_vals) != len(d_bounds):
+    if len(c_vals) != len(ctx.c_bounds) or len(d_vals) != len(ctx.d_bounds):
         raise BoundViolation("tuple layout does not match b(v)")
-    for c, limit in zip(c_vals, c_bounds):
+    for c, limit in zip(c_vals, ctx.c_bounds):
         if not 0 <= c < limit:
             raise BoundViolation(f"c={c} outside 0..{limit - 1}")
-    for d, limit in zip(d_vals, d_bounds):
+    for d, limit in zip(d_vals, ctx.d_bounds):
         if not 0 <= d < limit:
             raise BoundViolation(f"d={d} outside 0..{limit - 1}")
 

@@ -4,19 +4,22 @@ The rank tuple concatenates, in this order:
 
 * a: c-1 nesting-tree labels (bound: sum of inner-face counts plus one),
 * b: one outer-face choice per component (bound: its face count),
-* c, d: per cut-vertex (ascending vertex id) the arrangement values,
+* c: per cut-vertex (ascending vertex id) its c arrangement values,
+* d: per cut-vertex, same order, its d arrangement values,
 * p: per P-node, permutation ranks; blocks ascending by minimum edge id,
   nodes in conventional order,
 * r: per R-node, reflection bits, same ordering.
 
-The mixed-radix codec turns the tuple into a single natural number; the
-product of all bounds is the number of embeddings.
+EmbeddingRanker lays this out once: the ranker keeps the a and b slices
+of the tuple, each cut-vertex its c and d slices, each block its p and r
+slices.  The mixed-radix codec turns the tuple into a single natural
+number; the product of all bounds is the number of embeddings.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx as nx
 
@@ -31,7 +34,7 @@ from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
 
 
-@dataclass
+@dataclass(slots=True)
 class _BlockInfo:
     comp: int                  # component index (0-based)
     edges: list[tuple[int, int]]
@@ -40,14 +43,20 @@ class _BlockInfo:
     tree: SpqrTree
     min_edge: tuple[int, int]
     poles: tuple[tuple[int, int], ...]  # (global, local) pole of each P-/R-node
+    # Decoded global rotations by (p digits, r digits), at most 16.
+    rotations: dict[tuple, Rotation] = field(default_factory=dict)
+    p: slice = field(init=False)  # its P-node digits in the rank tuple
+    r: slice = field(init=False)  # its R-node bits
 
 
-@dataclass
+@dataclass(slots=True)
 class _CutInfo:
     v: int                     # global vertex id
     comp: int
     block_ids: list[int]       # indices into ranker.blocks, in ctx's order
     ctx: BlocksAtV
+    c: slice = field(init=False)  # its c values in the rank tuple
+    d: slice = field(init=False)  # its d values
 
 
 class EmbeddingRanker:
@@ -95,6 +104,7 @@ class EmbeddingRanker:
                                tuple((inv[u], u) for u in poles))
                 )
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
+        self.blocks.sort(key=lambda info: info.min_edge)  # the p/r order
 
         block_of_edge = {
             e: b for b, info in enumerate(self.blocks) for e in info.edges
@@ -107,27 +117,30 @@ class EmbeddingRanker:
             ctx = BlocksAtV.make(v, at_v.values())
             ids = [block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
             self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
-        self.block_order = sorted(range(len(self.blocks)),
-                                  key=lambda b: self.blocks[b].min_edge)
         self.nesting_codec = NestingCodec(self.face_counts)
 
-        # Per-segment bounds, in tuple order.
-        self.a_bounds = self.nesting_codec.bounds[: self.t - 1]
-        self.b_bounds = list(self.face_counts)
-        self.c_bounds = [c for cut in self.cuts for c in cut.ctx.c_bounds]
-        self.d_bounds = [d for cut in self.cuts for d in cut.ctx.d_bounds]
-        self.p_bounds: list[int] = []
-        self.r_bounds: list[int] = []
-        self._block_shapes: list[tuple[int, int]] = []  # (#p, #r) per block
-        for b in self.block_order:
-            bb = biconn_bounds(self.blocks[b].tree)
-            y = len(self.blocks[b].tree.p_nodes())
-            self.p_bounds.extend(bb[:y])
-            self.r_bounds.extend(bb[y:])
-            self._block_shapes.append((y, len(bb) - y))
-        self.bounds = (self.a_bounds + self.b_bounds + self.c_bounds
-                       + self.d_bounds + self.p_bounds + self.r_bounds)
-        self._block_rot_cache: dict[int, dict] = {b: {} for b in self.block_order}
+        # The digit layout, in tuple order: each segment's bounds go onto
+        # self.bounds, and the element the digits describe keeps the slice.
+        self.bounds: list[int] = []
+
+        def segment(bounds) -> slice:
+            start = len(self.bounds)
+            self.bounds.extend(bounds)
+            return slice(start, len(self.bounds))
+
+        self.a = segment(self.nesting_codec.bounds[: self.t - 1])
+        self.b = segment(self.face_counts)
+        for cut in self.cuts:
+            cut.c = segment(cut.ctx.c_bounds)
+        for cut in self.cuts:
+            cut.d = segment(cut.ctx.d_bounds)
+        # biconn_bounds lists a block's P-node bounds, then its R-node bits.
+        chi_bounds = [(biconn_bounds(info.tree), len(info.tree.conventional[0]))
+                      for info in self.blocks]
+        for info, (bb, y) in zip(self.blocks, chi_bounds):
+            info.p = segment(bb[:y])
+        for info, (bb, y) in zip(self.blocks, chi_bounds):
+            info.r = segment(bb[y:])
 
     # -- counting -----------------------------------------------------------
 
@@ -136,11 +149,11 @@ class EmbeddingRanker:
 
     # -- forward: embedding -> tuple/rank ------------------------------------
 
-    def _block_rotation(self, emb: PlanarEmbedding, b: int) -> Rotation:
+    @staticmethod
+    def _block_rotation(emb: PlanarEmbedding, info: _BlockInfo) -> Rotation:
         # chi reads the block's rotation only at the poles of its P- and
         # R-nodes.  An edge at x lies in x's block exactly when its far end
         # does: two blocks share at most one vertex.
-        info = self.blocks[b]
         to_local = info.to_local
         return {i: [to_local[w] for w in emb.rot[x] if w in to_local]
                 for x, i in info.poles}
@@ -153,93 +166,67 @@ class EmbeddingRanker:
         if problems:
             raise EmbeddingMismatch("; ".join(problems))
 
-        a_vals, b_vals = self.nesting_codec.forward(
+        values = [0] * len(self.bounds)
+        values[self.a], values[self.b] = self.nesting_codec.forward(
             list(emb.nesting), list(emb.face_tuple)
         )
-
-        c_vals: list[int] = []
-        d_vals: list[int] = []
         for cut in self.cuts:
-            cs, ds = phi_v(cut.ctx, emb.rot[cut.v])
-            c_vals.extend(cs)
-            d_vals.extend(ds)
-
-        p_vals: list[int] = []
-        r_vals: list[int] = []
-        for bi, b in enumerate(self.block_order):
-            if self._block_shapes[bi] == (0, 0):
-                continue  # choice-free block (bridge, cycle)
-            ps, rs = chi(self._block_rotation(emb, b), self.blocks[b].tree)
-            p_vals.extend(ps)
-            r_vals.extend(rs)
-        return a_vals + b_vals + c_vals + d_vals + p_vals + r_vals
+            values[cut.c], values[cut.d] = phi_v(cut.ctx, emb.rot[cut.v])
+        for info in self.blocks:
+            if info.poles:  # else choice-free (bridge, cycle): no digits
+                values[info.p], values[info.r] = chi(
+                    self._block_rotation(emb, info), info.tree)
+        return values
 
     def rank(self, emb: PlanarEmbedding) -> int:
         return tuple_rank(self.phi(emb), self.bounds)
 
     # -- inverse: tuple/rank -> embedding ------------------------------------
 
-    def _split(self, values: list[int]) -> tuple[list[int], ...]:
-        out = []
-        i = 0
-        for seg in (self.a_bounds, self.b_bounds, self.c_bounds,
-                    self.d_bounds, self.p_bounds, self.r_bounds):
-            out.append(values[i:i + len(seg)])
-            i += len(seg)
-        return tuple(out)
-
     def phi_inverse(self, values: list[int]) -> PlanarEmbedding:
         """Embedding from a full digit tuple."""
         # Looked up on the module per call, as tuple_rank does, so a
         # wrapper installed on codecs.check_bounds sees every call.
         codecs.check_bounds(values, self.bounds)
-        a_vals, b_vals, c_vals, d_vals, p_vals, r_vals = self._split(values)
 
         # Blocks first: decode every skeleton choice into a rotation.
-        # Results are cached per block and choice tuple; choice-free blocks
-        # (bridges, cycles) hit the cache on every call.
-        block_rot: dict[int, Rotation] = {}
-        pi = ri = 0
-        for bi, b in enumerate(self.block_order):
-            y, z = self._block_shapes[bi]
-            key = (tuple(p_vals[pi:pi + y]), tuple(r_vals[ri:ri + z]))
-            pi += y
-            ri += z
-            cache = self._block_rot_cache[b]
-            cached = cache.get(key)
+        # Each block keeps its first 16 decoded choice tuples.  That covers
+        # every choice of a block with at most 16 embeddings, not only the
+        # one rotation of a choice-free block (bridge, cycle); on forest
+        # graphs the blocks with choices account for most of the time the
+        # cache saves.
+        block_rot: list[Rotation] = []
+        for info in self.blocks:
+            key = (tuple(values[info.p]), tuple(values[info.r]))
+            cached = info.rotations.get(key)
             if cached is None:
-                info = self.blocks[b]
                 local = chi_inverse(list(key[0]), list(key[1]), info.tree)
                 cached = {
                     info.to_global[x]: [info.to_global[w] for w in nbrs]
                     for x, nbrs in local.items()
                 }
-                if len(cache) < 16:
-                    cache[key] = cached
-            block_rot[b] = cached
+                if len(info.rotations) < 16:
+                    info.rotations[key] = cached
+            block_rot.append(cached)
 
         # Global rotation: every vertex takes its block's rotation; cut
         # vertices get the merged arrangement instead.
         rot: Rotation = {}
-        for b, r in block_rot.items():
+        for r in block_rot:
             for x, nbrs in r.items():
                 if x in rot:
                     continue  # cut vertex, handled below
                 rot[x] = nbrs  # PlanarEmbedding copies every list
-        ci = di = 0
         for cut in self.cuts:
-            nc, nd = len(cut.ctx.c_bounds), len(cut.ctx.d_bounds)
             rot[cut.v] = phi_v_inverse(
                 cut.ctx, [block_rot[b][cut.v] for b in cut.block_ids],
-                c_vals[ci:ci + nc], d_vals[di:di + nd],
+                values[cut.c], values[cut.d],
             )
-            ci += nc
-            di += nd
 
         # The decoded tree and tuple are valid by construction and the
         # composed rotation planar by the skeleton/merge invariants, so
         # the full re-validation of digamma_inverse is skipped here.
-        tree, ft = self.nesting_codec.inverse(a_vals, b_vals)
+        tree, ft = self.nesting_codec.inverse(values[self.a], values[self.b])
         return PlanarEmbedding(self.graph, rot, tree, ft)
 
     def unrank(self, r: int) -> PlanarEmbedding:

@@ -508,11 +508,6 @@ def _cycle_tree(g: Graph, new_edge) -> SpqrTree:
     return SpqrTree(g, nodes, root, pair_nodes)
 
 
-def conventional_order(tree: SpqrTree) -> tuple[list[SpqrNode], list[SpqrNode]]:
-    """P-nodes and R-nodes sorted by identifier (depth, min pertinent edge)."""
-    return tree.conventional
-
-
 # ---------------------------------------------------------------------------
 # Skeleton embeddings
 # ---------------------------------------------------------------------------

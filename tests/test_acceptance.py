@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 import itertools
 import random
 import time
+from math import factorial
 
 import pytest
 
@@ -13,7 +14,6 @@ from _graphgen import random_planar
 from planarrank.biconnected import biconn_bounds
 from planarrank.codecs import (
     bounds_product,
-    factorial,
     nesting_tuple_preprocess,
     perm_rank,
     perm_unrank,

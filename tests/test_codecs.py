@@ -2,12 +2,12 @@
 
 import itertools
 import random
+from math import factorial
 
 import pytest
 
 from planarrank.codecs import (
     bounds_product,
-    factorial,
     nesting_tuple_preprocess,
     perm_rank,
     perm_unrank,

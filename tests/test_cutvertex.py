@@ -90,7 +90,7 @@ class TestPhiV:
     @pytest.mark.parametrize("name,v,blocks", CONFIGS, ids=[c[0] for c in CONFIGS])
     def test_bijection_against_oracle(self, name, v, blocks):
         ctx, rotations = at_v(v, blocks)
-        c_bounds, d_bounds = ctx.bounds()
+        c_bounds, d_bounds = ctx.c_bounds, ctx.d_bounds
         expected = arrangement_count(ctx.deltas)
 
         produced = {}
@@ -121,7 +121,7 @@ class TestPhiV:
         )
         g = Graph(len(vertices), edges)
         ctx, rotations = at_v(v, blocks)
-        c_bounds, d_bounds = ctx.bounds()
+        c_bounds, d_bounds = ctx.c_bounds, ctx.d_bounds
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
             for d_vals in itertools.product(*[range(x) for x in d_bounds]):
                 merged = phi_v_inverse(ctx, rotations, list(c_vals), list(d_vals))
@@ -138,7 +138,7 @@ class TestPhiV:
         # cyclic order (rotation-list subsequence equality).
         v, blocks = 1, [triangle(1, 2, 3), triangle(1, 4, 5), bridge(1, 6)]
         ctx, rotations = at_v(v, blocks)
-        c_bounds, d_bounds = ctx.bounds()
+        c_bounds, d_bounds = ctx.c_bounds, ctx.d_bounds
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
             for d_vals in itertools.product(*[range(x) for x in d_bounds]):
                 merged = phi_v_inverse(ctx, rotations, list(c_vals), list(d_vals))
@@ -184,7 +184,7 @@ class TestPhiV:
         v, blocks = 1, [triangle(1, 2, 3), triangle(1, 4, 5), bridge(1, 6),
                        square(1, 7, 8, 9), bridge(1, 10)]
         ctx, rotations = at_v(v, blocks)
-        c_bounds, d_bounds = ctx.bounds()
+        c_bounds, d_bounds = ctx.c_bounds, ctx.d_bounds
         worst = 0
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
             for d_vals in itertools.product(*[range(x) for x in d_bounds]):

@@ -7,8 +7,11 @@ import pytest
 
 from _graphgen import atlas_planar, random_planar
 from planarrank import cutvertex
+from planarrank.biconnected import biconn_bounds, chi, chi_inverse
+from planarrank.codecs import check_bounds, tuple_rank, tuple_unrank
+from planarrank.cutvertex import phi_v, phi_v_inverse
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
-from planarrank.errors import NotPlanar, RankOutOfRange
+from planarrank.errors import EmbeddingMismatch, NotPlanar, RankOutOfRange
 from planarrank.full import EmbeddingRanker, count_embeddings, sample_uniform
 from planarrank.graph import Graph, edge_id
 from planarrank.oracle import enumerate_disconnected
@@ -155,7 +158,7 @@ class TestBijection:
         ranker = EmbeddingRanker(g)
         (cut,) = ranker.cuts
         assert cut.v == 4 and cut.block_ids == [1, 0, 2]
-        assert ranker.block_order == [0, 1, 2]
+        assert [info.min_edge for info in ranker.blocks] == [(1, 2), (3, 4), (4, 7)]
         # (c, d digits, rotation at 4) for r mod 16; r // 16 is the
         # outer-face digit, which leaves the rotation alone.
         pinned = [
@@ -221,7 +224,7 @@ def compare_block_rotations(ranker, rng, rounds):
         emb = ranker.unrank(rng.randrange(ranker.count()))
         for b, info in enumerate(ranker.blocks):
             expected = reference_block_rotation(ranker, emb, b)
-            assert ranker._block_rotation(emb, b) == {i: expected[i] for _, i in info.poles}
+            assert ranker._block_rotation(emb, info) == {i: expected[i] for _, i in info.poles}
             filtered += sum(len(expected[i]) < len(emb.rot[x]) for x, i in info.poles)
     return filtered
 
@@ -242,6 +245,177 @@ class TestBlockRotationAgainstReference:
         for g in atlas_planar():
             filtered += compare_block_rotations(EmbeddingRanker(g), rng, 2)
         assert filtered > 0
+
+
+class ReferenceLayout:
+    """Reference copy of the tuple layout before each cut-vertex and block
+    kept its own slices: six bound lists concatenated, phi joining six
+    value lists, _split cutting the tuple, and phi_inverse walking it with
+    running counters, blocks in block_order.  It reads the ranker's
+    decomposition only; the block rotation cache is left out, because it
+    does not change what phi_inverse returns."""
+
+    def __init__(self, ranker):
+        self.ranker = ranker
+        self.block_order = sorted(range(len(ranker.blocks)),
+                                  key=lambda b: ranker.blocks[b].min_edge)
+        self.a_bounds = ranker.nesting_codec.bounds[: ranker.t - 1]
+        self.b_bounds = list(ranker.face_counts)
+        self.c_bounds = [c for cut in ranker.cuts for c in cut.ctx.c_bounds]
+        self.d_bounds = [d for cut in ranker.cuts for d in cut.ctx.d_bounds]
+        self.p_bounds = []
+        self.r_bounds = []
+        self._block_shapes = []  # (#p, #r) per block
+        for b in self.block_order:
+            bb = biconn_bounds(ranker.blocks[b].tree)
+            y = len(ranker.blocks[b].tree.p_nodes())
+            self.p_bounds.extend(bb[:y])
+            self.r_bounds.extend(bb[y:])
+            self._block_shapes.append((y, len(bb) - y))
+        self.bounds = (self.a_bounds + self.b_bounds + self.c_bounds
+                       + self.d_bounds + self.p_bounds + self.r_bounds)
+
+    def _block_rotation(self, emb, b):
+        info = self.ranker.blocks[b]
+        to_local = info.to_local
+        return {i: [to_local[w] for w in emb.rot[x] if w in to_local]
+                for x, i in info.poles}
+
+    def phi(self, emb):
+        ranker = self.ranker
+        if emb.graph != ranker.graph:
+            raise EmbeddingMismatch("embedding belongs to a different graph")
+        problems = validate(emb)
+        if problems:
+            raise EmbeddingMismatch("; ".join(problems))
+
+        a_vals, b_vals = ranker.nesting_codec.forward(
+            list(emb.nesting), list(emb.face_tuple)
+        )
+
+        c_vals = []
+        d_vals = []
+        for cut in ranker.cuts:
+            cs, ds = phi_v(cut.ctx, emb.rot[cut.v])
+            c_vals.extend(cs)
+            d_vals.extend(ds)
+
+        p_vals = []
+        r_vals = []
+        for bi, b in enumerate(self.block_order):
+            if self._block_shapes[bi] == (0, 0):
+                continue  # choice-free block (bridge, cycle)
+            ps, rs = chi(self._block_rotation(emb, b), ranker.blocks[b].tree)
+            p_vals.extend(ps)
+            r_vals.extend(rs)
+        return a_vals + b_vals + c_vals + d_vals + p_vals + r_vals
+
+    def _split(self, values):
+        out = []
+        i = 0
+        for seg in (self.a_bounds, self.b_bounds, self.c_bounds,
+                    self.d_bounds, self.p_bounds, self.r_bounds):
+            out.append(values[i:i + len(seg)])
+            i += len(seg)
+        return tuple(out)
+
+    def phi_inverse(self, values):
+        ranker = self.ranker
+        check_bounds(values, self.bounds)
+        a_vals, b_vals, c_vals, d_vals, p_vals, r_vals = self._split(values)
+
+        block_rot = {}
+        pi = ri = 0
+        for bi, b in enumerate(self.block_order):
+            y, z = self._block_shapes[bi]
+            info = ranker.blocks[b]
+            local = chi_inverse(p_vals[pi:pi + y], r_vals[ri:ri + z], info.tree)
+            pi += y
+            ri += z
+            block_rot[b] = {
+                info.to_global[x]: [info.to_global[w] for w in nbrs]
+                for x, nbrs in local.items()
+            }
+
+        rot = {}
+        for b, r in block_rot.items():
+            for x, nbrs in r.items():
+                if x in rot:
+                    continue  # cut vertex, handled below
+                rot[x] = nbrs
+        ci = di = 0
+        for cut in ranker.cuts:
+            nc, nd = len(cut.ctx.c_bounds), len(cut.ctx.d_bounds)
+            rot[cut.v] = phi_v_inverse(
+                cut.ctx, [block_rot[b][cut.v] for b in cut.block_ids],
+                c_vals[ci:ci + nc], d_vals[di:di + nd],
+            )
+            ci += nc
+            di += nd
+
+        tree, ft = ranker.nesting_codec.inverse(a_vals, b_vals)
+        return PlanarEmbedding(ranker.graph, rot, tree, ft)
+
+
+def compare_layouts(ranker, ranks):
+    """Tuples and embeddings of the ranker against the reference layout."""
+    ref = ReferenceLayout(ranker)
+    assert ranker.bounds == ref.bounds
+    for r in ranks:
+        values = tuple_unrank(r, ranker.bounds)
+        emb = ranker.phi_inverse(values)
+        assert emb.to_json() == ref.phi_inverse(values).to_json()
+        assert ranker.phi(emb) == ref.phi(emb) == values
+
+
+# Every segment: three components (a and b), cut-vertices 1 and 8 in three
+# blocks each (c and d), a theta and a P-node below an R-node (p), and K4
+# twice (r).  The bounds, the tuple and the embedding were captured before
+# the layout moved onto the cut-vertices and blocks.
+PINNED_GRAPH = Graph(18, [
+    (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+    (1, 5), (1, 6), (1, 7), (5, 6), (5, 7),
+    (1, 8), (8, 9), (8, 10), (9, 10), (8, 11),
+    (12, 13), (12, 14), (12, 15), (13, 14), (13, 15), (13, 16), (14, 15), (14, 16),
+    (17, 18),
+])
+PINNED_BOUNDS = [11, 11, 7, 5, 1, 3, 3, 1, 1, 2, 1, 6, 3, 2, 2, 2, 2]
+PINNED_RANK = 3197493
+PINNED_TUPLE = [1, 6, 4, 1, 0, 2, 1, 0, 0, 0, 0, 2, 1, 0, 1, 0, 1]
+PINNED_JSON = (
+    '{"face_tuple": [4, 1, 0], "nesting": [[0, 1, 0], [1, 2, 1], [1, 3, 6]], '
+    '"rotations": {"1": [2, 8, 6, 5, 7, 4, 3], "10": [8, 9], "11": [8], '
+    '"12": [13, 14, 15], "13": [12, 15, 14, 16], "14": [12, 16, 13, 15], '
+    '"15": [12, 14, 13], "16": [13, 14], "17": [18], "18": [17], '
+    '"2": [1, 3, 4], "3": [1, 4, 2], "4": [1, 2, 3], "5": [1, 6, 7], '
+    '"6": [1, 5], "7": [1, 5], "8": [1, 9, 11, 10], "9": [8, 10]}}'
+)
+
+
+class TestLayoutAgainstReference:
+    def test_pinned_tuple(self):
+        ranker = EmbeddingRanker(PINNED_GRAPH)
+        assert ranker.t == 3 and [len(cut.ctx.edges) for cut in ranker.cuts] == [3, 3]
+        assert ranker.bounds == PINNED_BOUNDS
+        emb = ranker.unrank(PINNED_RANK)
+        assert emb.to_json() == PINNED_JSON
+        assert ranker.phi(emb) == PINNED_TUPLE
+        assert tuple_rank(PINNED_TUPLE, PINNED_BOUNDS) == PINNED_RANK
+        compare_layouts(ranker, [0, PINNED_RANK, ranker.count() - 1])
+
+    def test_atlas(self):
+        ranks = 0
+        for g in atlas_planar():
+            ranker = EmbeddingRanker(g)
+            compare_layouts(ranker, range(ranker.count()))
+            ranks += ranker.count()
+        assert ranks == 46172
+
+    def test_random_graphs(self):
+        rng = random.Random(10)
+        for seed in range(30):
+            ranker = EmbeddingRanker(random_planar(rng.randint(8, 40), seed=900 + seed))
+            compare_layouts(ranker, [rng.randrange(ranker.count()) for _ in range(10)])
 
 
 class TestSampleEnumerate:

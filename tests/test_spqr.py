@@ -20,7 +20,6 @@ from planarrank.spqr import (
     _split_components,
     build_spqr,
     compose_embedding,
-    conventional_order,
     first_embedding_P,
     first_embedding_R,
 )
@@ -41,7 +40,7 @@ BICONNECTED = [TRIANGLE, C4, K4, THETA, PRISM, W4, K23,
 
 def all_skeleton_choices(tree):
     """Every choice vector over the tree's P- and R-nodes."""
-    p_nodes, r_nodes = conventional_order(tree)
+    p_nodes, r_nodes = tree.conventional
     p_spaces = []
     for nd in p_nodes:
         first = first_embedding_P(tree, nd)
@@ -149,7 +148,7 @@ class TestBuildSpqr:
 
 class TestConventionalOrder:
     def test_single_r_node(self):
-        p, r = conventional_order(build_spqr(K4))
+        p, r = build_spqr(K4).conventional
         assert len(p) == 0 and len(r) == 1
 
     def test_depth_is_primary_key(self):
@@ -157,7 +156,7 @@ class TestConventionalOrder:
         # depths 1 and 3.
         g = Graph(6, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (4, 6), (5, 6), (2, 5)])
         tree = build_spqr(g)
-        p, _ = conventional_order(tree)
+        p, _ = tree.conventional
         depths = [n.depth for n in p]
         assert depths == sorted(depths)
 
@@ -165,7 +164,7 @@ class TestConventionalOrder:
         # Cycle 1-2-3-4 with two theta expansions hanging at equal depth.
         g = Graph(6, [(1, 2), (1, 4), (2, 3), (2, 5), (3, 5), (3, 4), (3, 6), (4, 6)])
         tree = build_spqr(g)
-        p, _ = conventional_order(tree)
+        p, _ = tree.conventional
         assert [n.min_edge for n in p] == [(2, 3), (3, 4)]
         assert p[0].depth == p[1].depth
 
@@ -245,7 +244,7 @@ class TestCompose:
     @pytest.mark.parametrize("g", BICONNECTED)
     def test_compose_matches_oracle_counts(self, g):
         tree = build_spqr(g)
-        p_nodes, r_nodes = conventional_order(tree)
+        p_nodes, r_nodes = tree.conventional
         expected = 2 ** len(r_nodes)
         for nd in p_nodes:
             k = len(nd.edges) - 1
