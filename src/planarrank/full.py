@@ -14,6 +14,15 @@ EmbeddingRanker lays this out once: the ranker keeps the a and b slices
 of the tuple, each cut-vertex its c and d slices, each block its p and r
 slices.  The mixed-radix codec turns the tuple into a single natural
 number; the product of all bounds is the number of embeddings.
+
+A block's SPQR-tree, in block-local ids, depends only on the block-local
+graph, so blocks with the same local graph share one tree: it is built,
+and its lazy data filled, once per distinct shape, and read-only after
+that.  Everything that differs between such blocks (the id maps, the
+poles in global ids, the slices and the rotation cache) stays on the
+block's record.  A graph is planar exactly when each of its blocks is,
+and build_spqr tests each distinct block, so no whole-graph planarity
+test runs.
 """
 
 from __future__ import annotations
@@ -21,14 +30,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from . import codecs
 from .biconnected import biconn_bounds, chi, chi_inverse
 from .codecs import bounds_product, tuple_rank, tuple_unrank
 from .cutvertex import BlocksAtV, phi_v, phi_v_inverse
 from .embedding import PlanarEmbedding, Rotation, validate
-from .errors import EmbeddingMismatch, NotPlanar
+from .errors import EmbeddingMismatch
 from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
@@ -40,7 +47,7 @@ class _BlockInfo:
     edges: list[tuple[int, int]]
     to_local: dict[int, int]
     to_global: dict[int, int]
-    tree: SpqrTree
+    tree: SpqrTree             # shared by every block with this local graph
     min_edge: tuple[int, int]
     poles: tuple[tuple[int, int], ...]  # (global, local) pole of each P-/R-node
     # Decoded global rotations by (p digits, r digits), at most 16.
@@ -63,8 +70,6 @@ class EmbeddingRanker:
     """Precomputed decomposition and bounds for one planar graph."""
 
     def __init__(self, graph: Graph) -> None:
-        if not nx.check_planarity(nx.Graph(graph.edges))[0]:
-            raise NotPlanar("graph admits no planar embedding")
         self.graph = graph
         self.comps = connected_components(graph)
         self.t = len(self.comps)
@@ -72,6 +77,7 @@ class EmbeddingRanker:
         self.face_counts: list[int] = []
         self.blocks: list[_BlockInfo] = []
         cut_vertices: list[int] = []  # global ids
+        trees: dict[Graph, SpqrTree] = {}  # block-local graph -> its tree
 
         comp_of = {v: ci for ci, (_, comp) in enumerate(self.comps) for v in comp}
         comp_edges: list[list[tuple[int, int]]] = [[] for _ in self.comps]
@@ -97,7 +103,9 @@ class EmbeddingRanker:
                 g_edges = sorted(
                     (min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in bg.edges
                 )
-                tree = build_spqr(bg, pretested=True)
+                tree = trees.get(bg)
+                if tree is None:  # raises NotPlanar for a non-planar block
+                    tree = trees[bg] = build_spqr(bg)
                 poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
                 self.blocks.append(
                     _BlockInfo(ci, g_edges, fwd, inv, tree, g_edges[0],

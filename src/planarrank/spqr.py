@@ -24,6 +24,11 @@ derived from that fixed structure, each computed on first use and kept
 for the life of the tree: the conventional order, the first embedding of
 every P- and R-skeleton, the twin and real-edge maps of compose_embedding
 and what chi reads of each P- and R-node (chi_nodes).
+
+A tree depends only on its graph, so EmbeddingRanker shares one tree
+among all blocks with the same block-local graph.  Apart from those lazy
+fills, which depend on the tree alone, a tree is read-only once built;
+nothing that belongs to one block is stored on it.
 """
 
 from __future__ import annotations
@@ -323,11 +328,12 @@ def _classify(node: _RawNode) -> str:
     return "R"
 
 
-def build_spqr(g: Graph, pretested: bool = False) -> SpqrTree:
+def build_spqr(g: Graph) -> SpqrTree:
     """Decompose a biconnected planar graph into its SPQR-tree.
 
-    With pretested=True the caller vouches for biconnectivity and
-    planarity (blocks of a planarity-checked graph qualify).
+    Raises NotBiconnected or NotPlanar for any other graph.  The ranker
+    calls it once per distinct block graph, and a graph is planar exactly
+    when its blocks are, so this is where the ranker tests planarity.
     """
     uid_counter = 0
     pair_counter = 0
@@ -343,11 +349,10 @@ def build_spqr(g: Graph, pretested: bool = False) -> SpqrTree:
         nd.min_edge = (u, v)
         return SpqrTree(g, [nd], 0, {})
 
-    if not pretested:
-        if not is_biconnected(g):
-            raise NotBiconnected("SPQR-trees require a biconnected graph")
-        if not nx.check_planarity(nx.Graph(g.edges))[0]:
-            raise NotPlanar("graph is not planar")
+    if not is_biconnected(g):
+        raise NotBiconnected("SPQR-trees require a biconnected graph")
+    if not nx.check_planarity(nx.Graph(g.edges))[0]:
+        raise NotPlanar("graph admits no planar embedding")
 
     if all(g.degree(v) == 2 for v in g.vertices):
         return _cycle_tree(g, new_edge)
@@ -539,26 +544,13 @@ def first_embedding_P(tree: SpqrTree, node: SpqrNode) -> SkeletonEmbedding:
         *[uid_of_pair[tree.nodes[c].ref_pair] for c in reversed(node.children)]))
 
 
-_R_ROTATION_CACHE: dict[tuple, dict[int, tuple[int, ...]]] = {}
-
-
 def _r_skeleton_rotation(node: SpqrNode) -> dict[int, list[int]]:
-    """One planar rotation of the (simple, triconnected) R-skeleton.
-
-    Identical skeletons (same vertex-pair edge set) recur constantly in
-    block-local coordinates, so the result is cached by shape.
-    """
-    key = tuple(sorted(e.eid for e in node.edges))
-    hit = _R_ROTATION_CACHE.get(key)
-    if hit is None:
-        ok, emb = nx.check_planarity(nx.Graph([(e.u, e.v) for e in node.edges]))
-        if not ok:
-            raise NotPlanar(f"R-skeleton of node {node.index} is not planar")
-        data = emb.get_data()
-        hit = {v: tuple(data[v]) for v in sorted(node.vertices)}
-        if len(_R_ROTATION_CACHE) < 4096:
-            _R_ROTATION_CACHE[key] = hit
-    return {v: list(nbrs) for v, nbrs in hit.items()}
+    """One planar rotation of the (simple, triconnected) R-skeleton."""
+    ok, emb = nx.check_planarity(nx.Graph([(e.u, e.v) for e in node.edges]))
+    if not ok:
+        raise NotPlanar(f"R-skeleton of node {node.index} is not planar")
+    data = emb.get_data()
+    return {v: list(data[v]) for v in sorted(node.vertices)}
 
 
 def first_embedding_R(tree: SpqrTree, node: SpqrNode) -> dict[int, list[int]]:

@@ -47,6 +47,9 @@ class TestCli:
         p = tmp_path / "k5.json"
         p.write_text(K5_JSON)
         assert main(["count", "-g", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph admits no planar embedding\n"
 
     def test_rank_out_of_range_exit_3(self, triangle_file, capsys):
         assert main(["unrank", "-g", triangle_file, "-r", "2"]) == 3

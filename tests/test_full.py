@@ -3,18 +3,23 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
-from _graphgen import atlas_planar, random_planar
+from _graphgen import TEMPLATES, atlas_planar, random_planar
 from planarrank import cutvertex
 from planarrank.biconnected import biconn_bounds, chi, chi_inverse
 from planarrank.codecs import check_bounds, tuple_rank, tuple_unrank
-from planarrank.cutvertex import phi_v, phi_v_inverse
+from planarrank.cutvertex import BlocksAtV, phi_v, phi_v_inverse
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
 from planarrank.errors import EmbeddingMismatch, NotPlanar, RankOutOfRange
-from planarrank.full import EmbeddingRanker, count_embeddings, sample_uniform
-from planarrank.graph import Graph, edge_id
+from planarrank.full import (EmbeddingRanker, _BlockInfo, _CutInfo,
+                             count_embeddings, sample_uniform)
+from planarrank.graph import Graph, block_cut_tree, connected_components, edge_id
+from planarrank.nesting import NestingCodec
 from planarrank.oracle import enumerate_disconnected
+from planarrank.spqr import build_spqr
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 
@@ -416,6 +421,220 @@ class TestLayoutAgainstReference:
         for seed in range(30):
             ranker = EmbeddingRanker(random_planar(rng.randint(8, 40), seed=900 + seed))
             compare_layouts(ranker, [rng.randrange(ranker.count()) for _ in range(10)])
+
+
+class ReferenceConstruction(EmbeddingRanker):
+    """Reference copy of the ranker's set-up before blocks with the same
+    local graph shared one SPQR-tree: a whole-graph networkx planarity
+    test, then one build_spqr call per block.  That call skipped its own
+    tests then (pretested=True, now removed); testing the block again
+    does not change the tree.  rank and unrank are the ranker's own."""
+
+    def __init__(self, graph: Graph) -> None:
+        if not nx.check_planarity(nx.Graph(graph.edges))[0]:
+            raise NotPlanar("graph admits no planar embedding")
+        self.graph = graph
+        self.comps = connected_components(graph)
+        self.t = len(self.comps)
+
+        self.face_counts = []
+        self.blocks = []
+        cut_vertices = []
+
+        comp_of = {v: ci for ci, (_, comp) in enumerate(self.comps) for v in comp}
+        comp_edges = [[] for _ in self.comps]
+        for u, v in graph.edges:
+            comp_edges[comp_of[u]].append((u, v))
+
+        for ci, (_, comp) in enumerate(self.comps):
+            order = sorted(comp)
+            to_local = {v: i + 1 for i, v in enumerate(order)}
+            to_global = {i + 1: v for i, v in enumerate(order)}
+            edges = [(to_local[u], to_local[v]) for u, v in comp_edges[ci]]
+            sub = Graph(len(order), edges)
+            self.face_counts.append(sub.m - sub.n + 2)
+            bct = block_cut_tree(sub)
+
+            for blk in bct.blocks:
+                bg, remap = blk.to_graph()
+                inv = {i: to_global[v] for v, i in remap.items()}
+                fwd = {to_global[v]: i for v, i in remap.items()}
+                g_edges = sorted(
+                    (min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in bg.edges
+                )
+                tree = build_spqr(bg)
+                poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
+                self.blocks.append(
+                    _BlockInfo(ci, g_edges, fwd, inv, tree, g_edges[0],
+                               tuple((inv[u], u) for u in poles))
+                )
+            cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
+        self.blocks.sort(key=lambda info: info.min_edge)
+
+        block_of_edge = {
+            e: b for b, info in enumerate(self.blocks) for e in info.edges
+        }
+        self.cuts = []
+        for v in sorted(cut_vertices):
+            at_v = {}
+            for w in graph.adj[v]:
+                at_v.setdefault(block_of_edge[edge_id(v, w)], []).append(w)
+            ctx = BlocksAtV.make(v, at_v.values())
+            ids = [block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
+            self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
+        self.nesting_codec = NestingCodec(self.face_counts)
+
+        self.bounds = []
+
+        def segment(bounds) -> slice:
+            start = len(self.bounds)
+            self.bounds.extend(bounds)
+            return slice(start, len(self.bounds))
+
+        self.a = segment(self.nesting_codec.bounds[: self.t - 1])
+        self.b = segment(self.face_counts)
+        for cut in self.cuts:
+            cut.c = segment(cut.ctx.c_bounds)
+        for cut in self.cuts:
+            cut.d = segment(cut.ctx.d_bounds)
+        chi_bounds = [(biconn_bounds(info.tree), len(info.tree.conventional[0]))
+                      for info in self.blocks]
+        for info, (bb, y) in zip(self.blocks, chi_bounds):
+            info.p = segment(bb[:y])
+        for info, (bb, y) in zip(self.blocks, chi_bounds):
+            info.r = segment(bb[y:])
+
+
+def local_graph(info) -> Graph:
+    """A block's graph in its block-local ids."""
+    to_local = info.to_local
+    return Graph(len(to_local), [(to_local[u], to_local[v]) for u, v in info.edges])
+
+
+def compare_construction(g: Graph, rng: random.Random, k: int = 24) -> int:
+    """The ranker against the reference set-up: decomposition dump,
+    bounds, and the tuples and embeddings of every rank (at most k, else
+    k seeded ones) agree, and every distinct block-local graph has
+    exactly one tree.  Returns how many blocks reuse a tree."""
+    new, ref = EmbeddingRanker(g), ReferenceConstruction(g)
+    assert new.bounds == ref.bounds
+    assert len(new.blocks) == len(ref.blocks)
+    for a, b in zip(new.blocks, ref.blocks):
+        assert (a.edges, a.poles) == (b.edges, b.poles)
+        assert a.tree.dump(relabel=a.to_global) == b.tree.dump(relabel=b.to_global)
+    count = new.count()
+    ranks = range(count) if count <= k else [0, count - 1] + [
+        rng.randrange(count) for _ in range(k - 2)]
+    for r in ranks:
+        values = tuple_unrank(r, new.bounds)
+        emb = new.unrank(r)
+        assert emb.to_json() == ref.unrank(r).to_json()
+        assert new.phi(emb) == ref.phi(emb) == values
+
+    tree_of: dict[Graph, object] = {}
+    for info in new.blocks:
+        local = local_graph(info)
+        assert info.tree.graph == local
+        assert tree_of.setdefault(local, info.tree) is info.tree
+    assert len({id(tree) for tree in tree_of.values()}) == len(tree_of)
+    return len(new.blocks) - len(tree_of)
+
+
+class TestConstructionAgainstReference:
+    def test_atlas(self):
+        rng = random.Random(12)
+        for g in atlas_planar():
+            compare_construction(g, rng)
+
+    def test_random_graphs(self):
+        rng = random.Random(13)
+        reused = 0
+        for seed in range(30):
+            g = random_planar(10 + 2 * seed, seed=1300 + seed)
+            reused += compare_construction(g, rng)
+        assert reused == 240  # of 421 blocks
+
+    def test_tree_is_built_once_per_shape(self, monkeypatch):
+        from planarrank import full
+
+        built = []
+
+        def counted(bg):
+            built.append(bg)
+            return build_spqr(bg)
+
+        monkeypatch.setattr(full, "build_spqr", counted)
+        g = block_chain([TEMPLATES[i % len(TEMPLATES)] for i in range(70)])
+        ranker = EmbeddingRanker(g)
+        assert len(ranker.blocks) == 70
+        assert len(built) == len(set(built)) == len({local_graph(b) for b in ranker.blocks})
+        assert len(built) < 20
+
+
+def block_chain(templates) -> Graph:
+    """One connected graph of blocks glued in a path: each template's
+    vertex 0 is the previous block's highest vertex."""
+    edges = []
+    last, next_id = 1, 2
+    for t in templates:
+        k = max(max(e) for e in t)
+        ids = [last, *range(next_id, next_id + k)]
+        next_id += k
+        edges.extend((ids[a], ids[b]) for a, b in t)
+        last = ids[-1]
+    return Graph(next_id - 1, edges)
+
+
+def without_isolated(g: nx.Graph) -> Graph | None:
+    """g relabeled to 1..n without its isolated vertices; None if edgeless."""
+    keep = sorted(v for v in g if g.degree(v))
+    label = {v: i + 1 for i, v in enumerate(keep)}
+    return Graph(len(keep), [(label[u], label[v]) for u, v in g.edges]) if keep else None
+
+
+def ranker_accepts(g: Graph) -> bool:
+    try:
+        EmbeddingRanker(g)
+    except NotPlanar as exc:
+        assert str(exc) == "graph admits no planar embedding"
+        return False
+    return True
+
+
+K33 = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
+K23 = [(a, b) for a in (0, 1) for b in (2, 3, 4)]
+
+
+class TestPlanarityPerBlock:
+    """The ranker tests planarity per distinct block only; it must reject
+    exactly the graphs networkx finds non-planar."""
+
+    def test_atlas(self):
+        seen = {True: 0, False: 0}
+        for nx_g in graph_atlas_g():
+            g = without_isolated(nx_g)
+            if g is None:
+                continue
+            planar = nx.check_planarity(nx_g)[0]
+            assert ranker_accepts(g) == planar, g.edges
+            seen[planar] += 1
+        assert seen == {True: 1008, False: 237}
+
+    def test_random_gnm(self):
+        rng = random.Random(14)
+        seen = {True: 0, False: 0}
+        for seed in range(300):
+            n = rng.randint(6, 40)
+            nx_g = nx.gnm_random_graph(n, rng.randint(n, 2 * n), seed=seed)
+            planar = nx.check_planarity(nx_g)[0]
+            assert ranker_accepts(without_isolated(nx_g)) == planar, seed
+            seen[planar] += 1
+        assert seen == {True: 127, False: 173}
+
+    def test_repeated_k33_block_after_planar_blocks(self):
+        planar = [TEMPLATES[i % len(TEMPLATES)] for i in range(60)]
+        assert ranker_accepts(block_chain(planar + [K23] + planar + [K23]))
+        assert not ranker_accepts(block_chain(planar + [K33] + planar + [K33]))
 
 
 class TestSampleEnumerate:
