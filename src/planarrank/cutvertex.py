@@ -148,17 +148,20 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
         if not 0 <= d < limit:
             raise BoundViolation(f"d={d} outside 0..{limit - 1}")
 
-    # Block runs first_j..last_j: each rotation turned to start at first_j
-    # and linked in order; a missing nxt/prv entry ends the list.
+    # Block runs first_j..last_j: each rotation turned to start at first_j.
     runs = []
+    for rot, edges, c in zip(rotations, ctx.edges, c_vals):
+        i = rot.index(edges[c])
+        runs.append(rot[i:] + rot[:i])
+    if b == 2:
+        return runs[0] + runs[1]  # the first merge only: block 2 after last_1
+
+    # The runs linked in order; a missing nxt/prv entry ends the list.
     nxt: dict[int, int | None] = {}
     prv: dict[int, int | None] = {}
     head = [0]
     tail = [0]
-    for rot, edges, c in zip(rotations, ctx.edges, c_vals):
-        i = rot.index(edges[c])
-        run = rot[i:] + rot[:i]
-        runs.append(run)
+    for run in runs:
         nxt.update(zip(run, run[1:]))
         prv.update(zip(run[1:], run))
         head.append(run[0])

@@ -16,13 +16,13 @@ slices.  The mixed-radix codec turns the tuple into a single natural
 number; the product of all bounds is the number of embeddings.
 
 A block's SPQR-tree, in block-local ids, depends only on the block-local
-graph, so blocks with the same local graph share one tree: it is built,
-and its lazy data filled, once per distinct shape, and read-only after
-that.  Everything that differs between such blocks (the id maps, the
-poles in global ids, the slices and the rotation cache) stays on the
-block's record.  A graph is planar exactly when each of its blocks is,
-and build_spqr tests each distinct block, so no whole-graph planarity
-test runs.
+graph, so blocks with the same local graph share one tree, built once per
+distinct shape and read-only once its lazy data is filled.  So do the
+block-local rotations decoded from p and r digits: the ranker keeps at
+most DECODED_PER_SHAPE per shape and translates them to global ids per
+call.  The id maps, global poles and slices stay on the block's record.
+A graph is planar exactly when each of its blocks is, and build_spqr
+tests each distinct block, so no whole-graph planarity test runs.
 """
 
 from __future__ import annotations
@@ -40,18 +40,18 @@ from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
 
+DECODED_PER_SHAPE = 16  # per tree: every rotation of a shape with at most 16 embeddings
+
 
 @dataclass(slots=True)
 class _BlockInfo:
     comp: int                  # component index (0-based)
     edges: list[tuple[int, int]]
     to_local: dict[int, int]
-    to_global: dict[int, int]
+    to_global: tuple[int, ...]  # global id of each local id (index 0 unused)
     tree: SpqrTree             # shared by every block with this local graph
     min_edge: tuple[int, int]
     poles: tuple[tuple[int, int], ...]  # (global, local) pole of each P-/R-node
-    # Decoded global rotations by (p digits, r digits), at most 16.
-    rotations: dict[tuple, Rotation] = field(default_factory=dict)
     p: slice = field(init=False)  # its P-node digits in the rank tuple
     r: slice = field(init=False)  # its R-node bits
 
@@ -77,7 +77,8 @@ class EmbeddingRanker:
         self.face_counts: list[int] = []
         self.blocks: list[_BlockInfo] = []
         cut_vertices: list[int] = []  # global ids
-        trees: dict[Graph, SpqrTree] = {}  # block-local graph -> its tree
+        # Block-local (n, edges) -> its tree; a Graph is built on a miss only.
+        trees: dict[tuple, SpqrTree] = {}
 
         comp_of = {v: ci for ci, (_, comp) in enumerate(self.comps) for v in comp}
         comp_edges: list[list[tuple[int, int]]] = [[] for _ in self.comps]
@@ -85,34 +86,37 @@ class EmbeddingRanker:
             comp_edges[comp_of[u]].append((u, v))
 
         for ci, (_, comp) in enumerate(self.comps):
-            order = sorted(comp)
+            order = sorted(comp)  # component-local id i is order[i - 1]
             to_local = {v: i + 1 for i, v in enumerate(order)}
-            to_global = {i + 1: v for i, v in enumerate(order)}
             edges = [(to_local[u], to_local[v]) for u, v in comp_edges[ci]]
             sub = Graph(len(order), edges)
             self.face_counts.append(sub.m - sub.n + 2)
             bct = block_cut_tree(sub)
 
             for blk in bct.blocks:
-                bg, remap = blk.to_graph()
-                # Compose remaps so block-local ids translate straight to
-                # global ids; both remaps are monotone, so every ordering
-                # convention agrees across coordinate systems.
-                inv = {i: to_global[v] for v, i in remap.items()}
-                fwd = {to_global[v]: i for v, i in remap.items()}
-                g_edges = sorted(
-                    (min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in bg.edges
-                )
-                tree = trees.get(bg)
+                # Block-local ids number the block's vertices in increasing
+                # order.  Both id maps are monotone, so every ordering
+                # convention agrees across coordinate systems, and the
+                # block's sorted edges stay sorted in each.
+                verts = sorted(blk.vertices)
+                remap = {v: i for i, v in enumerate(verts, start=1)}
+                key = (len(verts), tuple((remap[u], remap[v]) for u, v in blk.edges))
+                tree = trees.get(key)
                 if tree is None:  # raises NotPlanar for a non-planar block
-                    tree = trees[bg] = build_spqr(bg)
+                    tree = trees[key] = build_spqr(Graph(*key))
+                inv = (0, *(order[v - 1] for v in verts))  # ints: the collector untracks it
+                g_edges = [(inv[a], inv[b]) for a, b in key[1]]
                 poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
                 self.blocks.append(
-                    _BlockInfo(ci, g_edges, fwd, inv, tree, g_edges[0],
+                    _BlockInfo(ci, g_edges, {x: i for i, x in enumerate(inv) if i},
+                               inv, tree, g_edges[0],
                                tuple((inv[u], u) for u in poles))
                 )
-            cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
+            cut_vertices.extend(order[v - 1] for v in bct.cut_vertices)
         self.blocks.sort(key=lambda info: info.min_edge)  # the p/r order
+        # Per tree, decoded block-local rotations by (p digits, r digits).
+        self.decoded: dict[SpqrTree, dict[tuple, Rotation]] = {
+            tree: {} for tree in trees.values()}
 
         block_of_edge = {
             e: b for b, info in enumerate(self.blocks) for e in info.edges
@@ -197,39 +201,31 @@ class EmbeddingRanker:
         # wrapper installed on codecs.check_bounds sees every call.
         codecs.check_bounds(values, self.bounds)
 
-        # Blocks first: decode every skeleton choice into a rotation.
-        # Each block keeps its first 16 decoded choice tuples.  That covers
-        # every choice of a block with at most 16 embeddings, not only the
-        # one rotation of a choice-free block (bridge, cycle); on forest
-        # graphs the blocks with choices account for most of the time the
-        # cache saves.
-        block_rot: list[Rotation] = []
-        for info in self.blocks:
-            key = (tuple(values[info.p]), tuple(values[info.r]))
-            cached = info.rotations.get(key)
-            if cached is None:
-                local = chi_inverse(list(key[0]), list(key[1]), info.tree)
-                cached = {
-                    info.to_global[x]: [info.to_global[w] for w in nbrs]
-                    for x, nbrs in local.items()
-                }
-                if len(info.rotations) < 16:
-                    info.rotations[key] = cached
-            block_rot.append(cached)
-
-        # Global rotation: every vertex takes its block's rotation; cut
-        # vertices get the merged arrangement instead.
+        # Blocks first: each skeleton choice decodes once per shape into
+        # a block-local rotation (the one rotation of a choice-free block,
+        # bridge or cycle, too).  Every vertex takes its block's rotation
+        # in global ids; cut vertices get the merged arrangement instead.
+        blocks = self.blocks
+        block_rot: list[Rotation] = []  # block-local, shared with the cache
         rot: Rotation = {}
-        for r in block_rot:
-            for x, nbrs in r.items():
-                if x in rot:
-                    continue  # cut vertex, handled below
-                rot[x] = nbrs  # PlanarEmbedding copies every list
+        for info in blocks:
+            shape = self.decoded[info.tree]
+            key = (tuple(values[info.p]), tuple(values[info.r]))
+            local = shape.get(key)
+            if local is None:
+                local = chi_inverse(list(key[0]), list(key[1]), info.tree)
+                if len(shape) < DECODED_PER_SHAPE:
+                    shape[key] = local
+            block_rot.append(local)
+            to_global = info.to_global
+            for x, nbrs in local.items():
+                rot[to_global[x]] = [to_global[w] for w in nbrs]
         for cut in self.cuts:
-            rot[cut.v] = phi_v_inverse(
-                cut.ctx, [block_rot[b][cut.v] for b in cut.block_ids],
-                values[cut.c], values[cut.d],
-            )
+            at_v = []
+            for b in cut.block_ids:
+                info = blocks[b]
+                at_v.append([info.to_global[w] for w in block_rot[b][info.to_local[cut.v]]])
+            rot[cut.v] = phi_v_inverse(cut.ctx, at_v, values[cut.c], values[cut.d])
 
         # The decoded tree and tuple are valid by construction and the
         # composed rotation planar by the skeleton/merge invariants, so

@@ -203,7 +203,7 @@ class SpqrTree:
         out.update((uid, of_q[c]) for uid, (c, _) in self.twins.items() if c in of_q)
         return out
 
-    def dump(self, relabel: dict[int, int] | None = None) -> str:
+    def dump(self, relabel: tuple[int, ...] | dict[int, int] | None = None) -> str:
         """Debug text: one node per line, "kind depth min-edge [edges]"."""
         name = (lambda x: relabel[x]) if relabel else (lambda x: x)
         lines = []

@@ -340,6 +340,50 @@ class TestAgainstReferenceMerge:
         assert cases["insert"] > 0 and cases["wrap"] > 0, cases
 
 
+TWO_BLOCK_CONFIGS = [c for c in CONFIGS if len(c[2]) == 2]
+
+
+class TestTwoBlockExit:
+    """At b(v) = 2 phi_v_inverse returns the two runs without building the
+    merge structures; its input checks still run first."""
+
+    @pytest.mark.parametrize("name,v,blocks", TWO_BLOCK_CONFIGS,
+                             ids=[c[0] for c in TWO_BLOCK_CONFIGS])
+    def test_every_c_matches_reference_merge(self, name, v, blocks):
+        ctx, rotations = at_v(v, blocks)
+        assert ctx.b == 2 and ctx.d_bounds == ()
+        cases = Counter()
+        for c_vals in itertools.product(*[range(x) for x in ctx.c_bounds]):
+            expected = reference_phi_v_inverse(ctx, rotations, list(c_vals), [], cases)
+            assert phi_v_inverse(ctx, rotations, list(c_vals), []) == expected
+        assert not cases  # no merge past the first one at b = 2
+
+    def test_configs_cover_two_blocks(self):
+        assert len(TWO_BLOCK_CONFIGS) == 5
+
+    @pytest.mark.parametrize("rotations", [
+        [[2, 3]],                   # one block missing
+        [[2, 3], [4], [5]],         # one block too many
+        [[2, 5], [4]],              # a foreign far endpoint
+        [[2, 2], [4]],              # a repeated far endpoint
+        [[2], [3, 4]],              # right edges, wrong split
+        [[4], [2, 3]],              # blocks out of order
+    ], ids=["missing", "extra", "foreign", "repeated", "split", "order"])
+    def test_rejects_rotations_not_matching_blocks(self, rotations):
+        ctx = BlocksAtV.make(1, [[2, 3], [4]])
+        with pytest.raises(EmbeddingMismatch):
+            phi_v_inverse(ctx, rotations, [0, 0], [])
+
+    @pytest.mark.parametrize("c_vals,d_vals", [
+        ([2, 0], []), ([0, 1], []), ([-1, 0], []),   # c out of range
+        ([0], []), ([0, 0, 0], []), ([0, 0], [0]),   # layout of b = 3
+    ])
+    def test_bound_violation(self, c_vals, d_vals):
+        ctx = BlocksAtV.make(1, [[2, 3], [4]])
+        with pytest.raises(BoundViolation):
+            phi_v_inverse(ctx, [[3, 2], [4]], c_vals, d_vals)
+
+
 class TestWideCutVertex:
     """One cut-vertex with thousands of blocks: long union-find chains."""
 

@@ -1,5 +1,6 @@
 """End-to-end rank/unrank, counting, sampling and enumeration."""
 
+import dataclasses
 import itertools
 import random
 
@@ -14,8 +15,8 @@ from planarrank.codecs import check_bounds, tuple_rank, tuple_unrank
 from planarrank.cutvertex import BlocksAtV, phi_v, phi_v_inverse
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
 from planarrank.errors import EmbeddingMismatch, NotPlanar, RankOutOfRange
-from planarrank.full import (EmbeddingRanker, _BlockInfo, _CutInfo,
-                             count_embeddings, sample_uniform)
+from planarrank.full import (DECODED_PER_SHAPE, EmbeddingRanker, _BlockInfo,
+                             _CutInfo, count_embeddings, sample_uniform)
 from planarrank.graph import Graph, block_cut_tree, connected_components, edge_id
 from planarrank.nesting import NestingCodec
 from planarrank.oracle import enumerate_disconnected
@@ -470,6 +471,7 @@ class ReferenceConstruction(EmbeddingRanker):
                 )
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
         self.blocks.sort(key=lambda info: info.min_edge)
+        self.decoded = {info.tree: {} for info in self.blocks}  # unrank's cache
 
         block_of_edge = {
             e: b for b, info in enumerate(self.blocks) for e in info.edges
@@ -563,12 +565,22 @@ class TestConstructionAgainstReference:
             built.append(bg)
             return build_spqr(bg)
 
+        class CountedGraph(Graph):
+            made = 0
+
+            def __init__(self, n, edges):
+                CountedGraph.made += 1
+                super().__init__(n, edges)
+
         monkeypatch.setattr(full, "build_spqr", counted)
+        monkeypatch.setattr(full, "Graph", CountedGraph)
         g = block_chain([TEMPLATES[i % len(TEMPLATES)] for i in range(70)])
         ranker = EmbeddingRanker(g)
         assert len(ranker.blocks) == 70
         assert len(built) == len(set(built)) == len({local_graph(b) for b in ranker.blocks})
         assert len(built) < 20
+        # One Graph for the component, then one per distinct block graph.
+        assert CountedGraph.made == 1 + len(built)
 
 
 def block_chain(templates) -> Graph:
@@ -635,6 +647,116 @@ class TestPlanarityPerBlock:
         planar = [TEMPLATES[i % len(TEMPLATES)] for i in range(60)]
         assert ranker_accepts(block_chain(planar + [K23] + planar + [K23]))
         assert not ranker_accepts(block_chain(planar + [K33] + planar + [K33]))
+
+
+class ReferenceBlockCache:
+    """Reference copy of phi_inverse before the decode cache moved from the
+    blocks to the ranker: each block kept its first 16 decoded rotations,
+    in global ids, by its (p digits, r digits).  It reads the ranker's
+    decomposition only."""
+
+    def __init__(self, ranker):
+        self.ranker = ranker
+        self.rotations = [{} for _ in ranker.blocks]
+
+    def phi_inverse(self, values):
+        ranker = self.ranker
+        check_bounds(values, ranker.bounds)
+        block_rot = []
+        for info, cache in zip(ranker.blocks, self.rotations):
+            key = (tuple(values[info.p]), tuple(values[info.r]))
+            cached = cache.get(key)
+            if cached is None:
+                local = chi_inverse(list(key[0]), list(key[1]), info.tree)
+                cached = {
+                    info.to_global[x]: [info.to_global[w] for w in nbrs]
+                    for x, nbrs in local.items()
+                }
+                if len(cache) < 16:
+                    cache[key] = cached
+            block_rot.append(cached)
+
+        rot = {}
+        for r in block_rot:
+            for x, nbrs in r.items():
+                if x in rot:
+                    continue  # cut vertex, handled below
+                rot[x] = nbrs
+        for cut in ranker.cuts:
+            rot[cut.v] = phi_v_inverse(
+                cut.ctx, [block_rot[b][cut.v] for b in cut.block_ids],
+                values[cut.c], values[cut.d],
+            )
+        tree, ft = ranker.nesting_codec.inverse(values[ranker.a], values[ranker.b])
+        return PlanarEmbedding(ranker.graph, rot, tree, ft)
+
+
+def compare_decoders(ranker, ranks):
+    """The ranker's phi_inverse against the per-block-cache reference on
+    these ranks, in this order, both caches carried across ranks."""
+    ref = ReferenceBlockCache(ranker)
+    for r in ranks:
+        values = tuple_unrank(r, ranker.bounds)
+        new, old = ranker.phi_inverse(values), ref.phi_inverse(values)
+        assert list(new.rot) == list(old.rot)
+        assert new.to_json() == old.to_json()
+
+
+# One P-node with five branches: 4! = 24 embeddings, more than a shape keeps.
+K25 = [(a, b) for a in (0, 1) for b in range(2, 7)]
+
+
+def repeated_shapes_chain(copies: int) -> Graph:
+    """A block chain of every template and K2,5, each repeated."""
+    return block_chain([*TEMPLATES, K25] * copies)
+
+
+class TestDecodeCacheAgainstReference:
+    def test_atlas(self):
+        ranks = 0
+        for g in atlas_planar():
+            ranker = EmbeddingRanker(g)
+            compare_decoders(ranker, range(ranker.count()))
+            ranks += ranker.count()
+        assert ranks == 46172
+
+    def test_repeated_block_shapes(self):
+        rng = random.Random(15)
+        graphs = [repeated_shapes_chain(k) for k in (1, 3, 6)]
+        graphs += [random_planar(rng.randint(20, 60), seed=1500 + seed)
+                   for seed in range(20)]
+        blocks = shapes = 0
+        for g in graphs:
+            ranker = EmbeddingRanker(g)
+            count = ranker.count()
+            ranks = [0, count - 1] + [rng.randrange(count) for _ in range(40)]
+            compare_decoders(ranker, ranks + ranks[::-1])  # repeats hit both caches
+            blocks += len(ranker.blocks)
+            shapes += len(ranker.decoded)
+        assert 2 * shapes < blocks  # most blocks decode through a shared shape
+
+
+class TestDecodeCacheBound:
+    def test_at_most_16_keys_per_shape_after_2000_ranks(self):
+        assert DECODED_PER_SHAPE == 16
+        assert {f.name for f in dataclasses.fields(_BlockInfo)} == {
+            "comp", "edges", "to_local", "to_global", "tree", "min_edge",
+            "poles", "p", "r"}
+        ranker = EmbeddingRanker(repeated_shapes_chain(12))  # 96 blocks
+        trees = {id(info.tree): info.tree for info in ranker.blocks}
+        rng = random.Random(16)
+        ranks = set()
+        while len(ranks) < 2000:
+            ranks.add(rng.randrange(ranker.count()))
+        for r in sorted(ranks):
+            ranker.unrank(r)
+        sizes = {id(tree): len(shape) for tree, shape in ranker.decoded.items()}
+        assert sizes.keys() <= trees.keys()
+        assert max(sizes.values()) == DECODED_PER_SHAPE  # K2,5 fills its cap
+        assert sum(sizes.values()) <= DECODED_PER_SHAPE * len(trees)
+        for r in sorted(ranks, reverse=True)[:200]:
+            ranker.unrank(r)
+        assert {id(tree): len(shape) for tree, shape in ranker.decoded.items()} == sizes
 
 
 class TestSampleEnumerate:
