@@ -4,6 +4,9 @@ chi reads, for every P-node, the circular order its branches take around
 the lower pole, and for every R-node, which reflection the skeleton shows;
 chi_inverse rebuilds the rotation system from those numbers.  Tuple layout
 is all P values first, then all R bits, each group in conventional order.
+Value 0 is the first embedding that SpqrTree.chi_nodes states for each
+node: a P value ranks the permutation of the node's children away from
+their first order, an R bit flips the first reflection.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import factorial
 from .codecs import perm_rank, perm_unrank
 from .embedding import Rotation
 from .errors import BoundViolation, EmbeddingMismatch
-from .spqr import SkeletonEmbedding, SpqrNode, SpqrTree, compose_embedding
+from .spqr import SpqrNode, SpqrTree, compose_embedding
 
 
 def biconn_bounds(tree: SpqrTree) -> list[int]:
@@ -96,24 +99,30 @@ def chi(rot: Rotation, tree: SpqrTree) -> tuple[list[int], list[int]]:
 
 
 def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree) -> Rotation:
-    """Embedding of the block from a P/R tuple (inverse of chi)."""
-    p_nodes, r_nodes = tree.conventional
+    """Embedding of the block from a P/R tuple (inverse of chi).
+
+    A P value becomes the node's edge uids counter-clockwise around the
+    lower pole: the reference edge, then the children permuted from their
+    first order.  An R value is the node's flip bit.
+    """
+    p_nodes, r_nodes = tree.chi_nodes
     if len(p_vals) != len(p_nodes) or len(r_vals) != len(r_nodes):
         raise BoundViolation("tuple layout does not match the tree")
 
-    choices: dict[int, SkeletonEmbedding] = {}
+    orders: dict[int, tuple[int, ...]] = {}
     for nd, p in zip(p_nodes, p_vals):
-        k = len(nd.edges) - 1
+        k = len(nd.children)
         if not 0 <= p < factorial(k):
             raise BoundViolation(f"p={p} outside 0..{factorial(k) - 1}")
-        first = tree.first_p[nd.index].order
-        base = first[1:]
-        sigma = perm_unrank(p, k)
-        choices[nd.index] = SkeletonEmbedding(
-            nd.index, order=(first[0], *[base[s] for s in sigma])
-        )
+        uid_of_pair = {e.pair: e.uid for e in nd.edges}
+        first = [0] * k
+        for c, pos in zip(nd.children, nd.first):
+            first[pos] = uid_of_pair[tree.nodes[c].ref_pair]
+        orders[nd.index] = (uid_of_pair[nd.ref_pair],
+                            *[first[s] for s in perm_unrank(p, k)])
+    flips: dict[int, int] = {}
     for nd, r in zip(r_nodes, r_vals):
         if r not in (0, 1):
             raise BoundViolation(f"r={r} is not a bit")
-        choices[nd.index] = SkeletonEmbedding(nd.index, flip=r)
-    return compose_embedding(tree, choices)
+        flips[nd.index] = r
+    return compose_embedding(tree, orders, flips)

@@ -53,10 +53,6 @@ class UnknownFace(PlanarRankError):
     """A face identifier does not address a face of the embedding."""
 
 
-class IncompleteChoices(PlanarRankError):
-    """A skeleton embedding choice is missing for some P- or R-node."""
-
-
 class EmbeddingMismatch(PlanarRankError):
     """An embedding is inconsistent with the structure it is ranked against."""
 

@@ -94,13 +94,10 @@ class EmbeddingRanker:
             bct = block_cut_tree(sub)
 
             for blk in bct.blocks:
-                # Block-local ids number the block's vertices in increasing
-                # order.  Both id maps are monotone, so every ordering
-                # convention agrees across coordinate systems, and the
-                # block's sorted edges stay sorted in each.
-                verts = sorted(blk.vertices)
-                remap = {v: i for i, v in enumerate(verts, start=1)}
-                key = (len(verts), tuple((remap[u], remap[v]) for u, v in blk.edges))
+                # Both id maps are monotone, so every ordering convention
+                # agrees across coordinate systems, and the block's sorted
+                # edges stay sorted in each.
+                verts, key = blk.local()
                 tree = trees.get(key)
                 if tree is None:  # raises NotPlanar for a non-planar block
                     tree = trees[key] = build_spqr(Graph(*key))

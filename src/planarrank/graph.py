@@ -181,11 +181,15 @@ class Block:
     def min_edge(self) -> Edge:
         return self.edges[0]
 
-    def to_graph(self) -> tuple[Graph, dict[int, int]]:
-        """Block as a dense standalone graph plus old->new vertex map."""
-        order = sorted(self.vertices)
-        remap = {v: i + 1 for i, v in enumerate(order)}
-        return Graph(len(order), [(remap[u], remap[v]) for u, v in self.edges]), remap
+    def local(self) -> tuple[list[int], tuple[int, tuple[Edge, ...]]]:
+        """The sorted vertices, and the block-local graph as (n, edges).
+
+        Block-local id i is the i-th smallest vertex (from 1).  The map is
+        monotone, so the edges stay sorted and Graph(*key) builds the graph.
+        """
+        verts = sorted(self.vertices)
+        remap = {v: i for i, v in enumerate(verts, start=1)}
+        return verts, (len(verts), tuple((remap[u], remap[v]) for u, v in self.edges))
 
 
 @dataclass
@@ -199,14 +203,6 @@ class BlockCutTree:
     blocks: list[Block]
     cut_vertices: list[int]
     blocks_at: dict[int, list[int]] = field(default_factory=dict)
-
-    def arcs(self) -> list[tuple[int, int]]:
-        """(block index, cut vertex) incidence arcs."""
-        out = []
-        for v in self.cut_vertices:
-            for b in self.blocks_at[v]:
-                out.append((b, v))
-        return sorted(out)
 
 
 def lowpoint_dfs(adj: dict[int, list[int]], root: int
@@ -291,12 +287,3 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
             if v in cut:
                 blocks_at[v].append(i)
     return BlockCutTree(blocks, sorted(cut), blocks_at)
-
-
-def is_biconnected(g: Graph) -> bool:
-    """True for a connected graph with no cut-vertex (single edge counts)."""
-    try:
-        t = block_cut_tree(g)
-    except NotConnected:
-        return False
-    return len(t.blocks) == 1

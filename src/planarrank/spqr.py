@@ -22,8 +22,9 @@ intervals, maps every real edge to its Q-node's tin and fixes the poles
 of every node.  It owns the data
 derived from that fixed structure, each computed on first use and kept
 for the life of the tree: the conventional order, the first embedding of
-every P- and R-skeleton, the twin and real-edge maps of compose_embedding
-and what chi reads of each P- and R-node (chi_nodes).
+every R-skeleton, the twin and real-edge maps of compose_embedding and
+what chi and chi_inverse read of each P- and R-node (chi_nodes), where
+the first embedding of every P-skeleton is stated.
 
 A tree depends only on its graph, so EmbeddingRanker shares one tree
 among all blocks with the same block-local graph.  Apart from those lazy
@@ -38,8 +39,8 @@ from functools import cached_property
 
 import networkx as nx
 
-from .errors import IncompleteChoices, NotBiconnected, NotPlanar, PlanarRankError
-from .graph import Edge, Graph, edge_id, is_biconnected, lowpoint_dfs
+from .errors import NotBiconnected, NotPlanar, PlanarRankError
+from .graph import Edge, Graph, edge_id, lowpoint_dfs
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,8 @@ class SpqrNode:
     tin: int = 0
     tout: int = 0
     poles: tuple[int, int] = (0, 0)  # reference edge's ends, lower first; set by SpqrTree
-    # What chi reads of a P- or R-node: the lower pole is set by SpqrTree,
-    # the rest filled by SpqrTree.chi_nodes.
+    # What chi and chi_inverse read of a P- or R-node: the lower pole is
+    # set by SpqrTree, the rest filled by SpqrTree.chi_nodes.
     pole: int = 0
     degree: int = 0
     child_tin: tuple[int, ...] = ()
@@ -145,11 +146,6 @@ class SpqrTree:
         return sorted(self.p_nodes(), key=key), sorted(self.r_nodes(), key=key)
 
     @cached_property
-    def first_p(self) -> dict[int, SkeletonEmbedding]:
-        """First embedding of every P-node, by node index."""
-        return {nd.index: first_embedding_P(self, nd) for nd in self.p_nodes()}
-
-    @cached_property
     def first_r(self) -> dict[int, dict[int, list[int]]]:
         """First embedding (uid rotation lists) of every R-node, by node index."""
         return {nd.index: first_embedding_R(self, nd) for nd in self.r_nodes()}
@@ -163,26 +159,26 @@ class SpqrTree:
         to, -1 for the reference edge, and child_tin lists the children's
         tins in that order.  first is the first embedding in those names:
         an R-node's order at the pole, and for a P-node each child's
-        position in first_p's order[1:].  Ints and tuples of ints only, so
-        the garbage collector stops tracking them right away: a large
-        ranker holds them for every P- and R-node.
+        position after the reference edge.  A P-node's first embedding is
+        the reference edge, then the children by descending identifier,
+        counter-clockwise around the lower pole; the children share one
+        depth, so that is descending preorder rank.  Ints and tuples of
+        ints only, so the garbage collector stops tracking them right
+        away: a large ranker holds them for every P- and R-node.
         """
         p_nodes, r_nodes = self.conventional
         for nd in p_nodes + r_nodes:
-            uid_of_pair = {e.pair: e.uid for e in nd.edges}
-            name = {uid_of_pair[self.nodes[c].ref_pair]: i
-                    for i, c in enumerate(nd.children)}
-            name[uid_of_pair[nd.ref_pair]] = -1
             u = nd.pole
             nd.degree = sum(1 for e in nd.edges if u in (e.u, e.v))
             nd.child_tin = tuple(self.nodes[c].tin for c in nd.children)
             if nd.kind == "P":
-                first = [0] * len(nd.children)
-                for pos, uid in enumerate(self.first_p[nd.index].order[1:]):
-                    first[name[uid]] = pos
-                nd.first = tuple(first)
-            else:
-                nd.first = tuple(name[uid] for uid in self.first_r[nd.index][u])
+                nd.first = tuple(range(len(nd.children) - 1, -1, -1))
+                continue
+            uid_of_pair = {e.pair: e.uid for e in nd.edges}
+            name = {uid_of_pair[self.nodes[c].ref_pair]: i
+                    for i, c in enumerate(nd.children)}
+            name[uid_of_pair[nd.ref_pair]] = -1
+            nd.first = tuple(name[uid] for uid in self.first_r[nd.index][u])
         return self.conventional
 
     @cached_property
@@ -349,7 +345,8 @@ def build_spqr(g: Graph) -> SpqrTree:
         nd.min_edge = (u, v)
         return SpqrTree(g, [nd], 0, {})
 
-    if not is_biconnected(g):
+    reached, cut, _ = lowpoint_dfs(g.adj, 1)
+    if len(reached) < g.n or cut:
         raise NotBiconnected("SPQR-trees require a biconnected graph")
     if not nx.check_planarity(nx.Graph(g.edges))[0]:
         raise NotPlanar("graph admits no planar embedding")
@@ -482,15 +479,19 @@ def build_spqr(g: Graph) -> SpqrTree:
 
 
 def _cycle_tree(g: Graph, new_edge) -> SpqrTree:
-    """Direct construction for a cycle: one S-node plus a Q per edge."""
+    """Direct construction for a cycle: one S-node plus a Q per edge.
+
+    The tree equals the general builder's, whose split-pair search is
+    quadratic on a cycle (about 2.4 s at 800 vertices against 0.06 s on
+    a 2-core x86-64 host).
+    """
     nodes: list[SpqrNode] = []
     pair_nodes: dict[int, tuple[int, int]] = {}
     s_edges = []
     s_index = len(g.edges)  # Q-nodes come first, then the S-node
     for pid, (u, v) in enumerate(g.edges, start=1):
-        virt_q = new_edge(u, v, None, pid)
         nodes.append(SpqrNode(len(nodes), "Q", [u, v],
-                              [new_edge(u, v, (u, v), None), virt_q]))
+                              [new_edge(u, v, (u, v), None), new_edge(u, v, None, pid)]))
         s_edges.append(new_edge(u, v, None, pid))
         pair_nodes[pid] = (len(nodes) - 1, s_index)
     s_node = SpqrNode(s_index, "S", list(g.vertices), s_edges)
@@ -502,7 +503,7 @@ def _cycle_tree(g: Graph, new_edge) -> SpqrTree:
     s_node.parent = root
     s_node.ref_pair = 1
     s_node.depth = 1
-    s_node.min_edge = g.edges[0]
+    s_node.min_edge = g.edges[1]  # every edge but the root's is below it
     nodes[root].children = [s_index]
     for qi in range(1, len(g.edges)):  # ascending edges, so children sorted
         nodes[qi].parent = s_index
@@ -516,32 +517,6 @@ def _cycle_tree(g: Graph, new_edge) -> SpqrTree:
 # ---------------------------------------------------------------------------
 # Skeleton embeddings
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SkeletonEmbedding:
-    """Choice for one node: P carries an edge order, R carries a flip bit.
-
-    A P order lists skeleton edge uids counter-clockwise around the lower
-    pole, starting with the reference edge.
-    """
-
-    node: int
-    order: tuple[int, ...] | None = None
-    flip: int | None = None
-
-
-def first_embedding_P(tree: SpqrTree, node: SpqrNode) -> SkeletonEmbedding:
-    """Clockwise: reference edge then children by ascending identifier.
-
-    The children share one depth, so the tree's minimum-edge order is
-    their identifier order.  Stored counter-clockwise, i.e. reference
-    first, children reversed.
-    """
-    uid_of_pair = {e.pair: e.uid for e in node.edges}
-    return SkeletonEmbedding(node.index, order=(
-        uid_of_pair[node.ref_pair],
-        *[uid_of_pair[tree.nodes[c].ref_pair] for c in reversed(node.children)]))
 
 
 def _r_skeleton_rotation(node: SpqrNode) -> dict[int, list[int]]:
@@ -578,9 +553,15 @@ def first_embedding_R(tree: SpqrTree, node: SpqrNode) -> dict[int, list[int]]:
 
 
 def skeleton_rotation(
-    tree: SpqrTree, node: SpqrNode, choice: SkeletonEmbedding | None,
+    tree: SpqrTree, node: SpqrNode,
+    orders: dict[int, tuple[int, ...]], flips: dict[int, int],
 ) -> dict[int, list[int]]:
-    """Token (uid) rotation lists realizing the chosen skeleton embedding."""
+    """Token (uid) rotation lists realizing the chosen skeleton embedding.
+
+    A P-node takes its edge uids from orders, counter-clockwise around the
+    lower pole, reference edge first; an R-node takes its flip bit from
+    flips.
+    """
     if node.kind == "Q":
         uids = [e.uid for e in node.edges]
         u, v = node.poles
@@ -592,24 +573,20 @@ def skeleton_rotation(
             at[e.v].append(e.uid)
         return at
     if node.kind == "P":
-        if choice is None or choice.order is None:
-            raise IncompleteChoices(f"P-node {node.index} has no edge order")
         u, v = node.poles
-        order = list(choice.order)
+        order = list(orders[node.index])
         return {u: order, v: [order[0], *reversed(order[1:])]}
-    # R-node
-    if choice is None or choice.flip is None:
-        raise IncompleteChoices(f"R-node {node.index} has no flip bit")
     rot = tree.first_r[node.index]
-    if choice.flip:
+    if flips[node.index]:
         return {x: list(reversed(lst)) for x, lst in rot.items()}
     return {x: list(lst) for x, lst in rot.items()}
 
 
 def compose_embedding(
-    tree: SpqrTree, choices: dict[int, SkeletonEmbedding],
+    tree: SpqrTree, orders: dict[int, tuple[int, ...]], flips: dict[int, int],
 ) -> dict[int, list[int]]:
-    """Rotation system of the block from per-skeleton choices.
+    """Rotation system of the block from every P-node's edge order and
+    every R-node's flip bit, by node index.
 
     Twin virtual edges are substituted top-down: a vertex takes the
     rotation of the highest skeleton holding it, and each virtual edge
@@ -617,7 +594,7 @@ def compose_embedding(
     read counter-clockwise from just after the child's own twin.
     """
     # Q-nodes below the root are reached through real_edge instead.
-    rots = {nd.index: skeleton_rotation(tree, nd, choices.get(nd.index))
+    rots = {nd.index: skeleton_rotation(tree, nd, orders, flips)
             for nd in tree.nodes if nd.kind != "Q" or nd.parent is None}
     real_edge = tree.real_edge
     twins = tree.twins

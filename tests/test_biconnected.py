@@ -3,10 +3,11 @@
 import itertools
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 
 import pytest
 
-from _graphgen import atlas_planar, random_planar
+from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
 from planarrank import spqr
 from planarrank.biconnected import (
     _induced_cycle,
@@ -15,13 +16,13 @@ from planarrank.biconnected import (
     chi,
     chi_inverse,
 )
-from planarrank.codecs import bounds_product, tuple_unrank
+from planarrank.codecs import bounds_product, perm_unrank, tuple_unrank
 from planarrank.embedding import canonical_cycle, is_planar_rotation
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, edge_id
 from planarrank.oracle import enumerate_connected
-from planarrank.spqr import build_spqr
+from planarrank.spqr import build_spqr, compose_embedding
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
@@ -251,4 +252,89 @@ class TestRunReaderAgainstReference:
         for g in atlas_planar():
             for info in EmbeddingRanker(g).blocks:
                 compared += compare_run_readers(info.tree, rng, 2)
+        assert compared >= 1000
+
+
+# Reference copy of the decode before chi_inverse built each P-node's
+# edge order itself: one SkeletonEmbedding per P- and R-node, the P order
+# permuted from first_embedding_P's.  compose_embedding, unchanged but for
+# taking the orders and bits as plain values, turns the choices into the
+# rotation.
+@dataclass(frozen=True)
+class SkeletonEmbedding:
+    node: int
+    order: tuple[int, ...] | None = None
+    flip: int | None = None
+
+
+def first_embedding_P(tree, node):
+    """Clockwise: reference edge then children by ascending identifier,
+    stored counter-clockwise: reference first, children reversed."""
+    uid_of_pair = {e.pair: e.uid for e in node.edges}
+    return SkeletonEmbedding(node.index, order=(
+        uid_of_pair[node.ref_pair],
+        *[uid_of_pair[tree.nodes[c].ref_pair] for c in reversed(node.children)]))
+
+
+def reference_chi_inverse(p_vals, r_vals, tree):
+    p_nodes, r_nodes = tree.conventional
+    choices = {}
+    for nd, p in zip(p_nodes, p_vals):
+        first = first_embedding_P(tree, nd).order
+        base = first[1:]
+        sigma = perm_unrank(p, len(nd.edges) - 1)
+        choices[nd.index] = SkeletonEmbedding(
+            nd.index, order=(first[0], *[base[s] for s in sigma]))
+    for nd, r in zip(r_nodes, r_vals):
+        choices[nd.index] = SkeletonEmbedding(nd.index, flip=r)
+    return compose_embedding(
+        tree, {i: c.order for i, c in choices.items() if c.order is not None},
+        {i: c.flip for i, c in choices.items() if c.flip is not None})
+
+
+def compare_decoders(tree, tuples):
+    """Both decoders on each (p values, r values); the number compared."""
+    compared = 0
+    for p_vals, r_vals in tuples:
+        assert chi_inverse(p_vals, r_vals, tree) == \
+            reference_chi_inverse(p_vals, r_vals, tree)
+        compared += 1
+    return compared
+
+
+def every_tuple(tree):
+    p_count = len(tree.conventional[0])
+    for vals in itertools.product(*map(range, biconn_bounds(tree))):
+        yield list(vals[:p_count]), list(vals[p_count:])
+
+
+def random_tuples(tree, rng, count):
+    p_count = len(tree.conventional[0])
+    for _ in range(count):
+        vals = [rng.randrange(b) for b in biconn_bounds(tree)]
+        yield vals[:p_count], vals[p_count:]
+
+
+class TestChiInverseAgainstReference:
+    def test_every_tuple_of_every_atlas_block(self):
+        trees = {id(info.tree): info.tree
+                 for g in atlas_planar() for info in EmbeddingRanker(g).blocks}
+        compared = sum(compare_decoders(t, every_tuple(t)) for t in trees.values())
+        assert compared >= 4000
+        assert sum(bool(t.conventional[0]) for t in trees.values()) >= 400
+
+    def test_bigblock_and_series_parallel(self):
+        rng = random.Random(12)
+        blocks = [triangulated_grid(8, "down"), triangulated_grid(8, "up")]
+        blocks += [series_parallel(20 + 13 * seed, seed) for seed in range(10)]
+        for g in blocks:
+            tree = build_spqr(g)
+            assert compare_decoders(tree, random_tuples(tree, rng, 20)) == 20
+
+    def test_random_planar_blocks(self):
+        rng = random.Random(13)
+        compared = 0
+        for seed in range(30):
+            for info in EmbeddingRanker(random_planar(rng.randint(8, 40), seed=700 + seed)).blocks:
+                compared += compare_decoders(info.tree, random_tuples(info.tree, rng, 4))
         assert compared >= 1000

@@ -89,6 +89,25 @@ class TestCli:
         assert "component 1" in out
         assert "S " in out and "Q " in out
 
+    def test_decompose_cycle_block(self, tmp_path, capsys):
+        # The S-node's identifier is its minimum pertinent edge, 2-5, not
+        # the root's edge; each Q-node lists its real edge first.
+        p = tmp_path / "c4-pendant.json"
+        p.write_text(Graph(5, [(1, 2), (2, 3), (2, 5), (3, 4), (4, 5)]).to_json())
+        assert main(["decompose", "-g", str(p)]) == 0
+        assert capsys.readouterr().out == (
+            "component 1: vertices [1, 2, 3, 4, 5]\n"
+            "  cut-vertices: [2]\n"
+            "  block [(1, 2)]\n"
+            "    Q 0 1-2 [1-2]\n"
+            "  block [(2, 3), (2, 5), (3, 4), (4, 5)]\n"
+            "    Q 0 2-3 [2-3 2-3*]\n"
+            "    S 1 2-5 [2-3* 2-5* 3-4* 4-5*]\n"
+            "    Q 2 2-5 [2-5 2-5*]\n"
+            "    Q 2 3-4 [3-4 3-4*]\n"
+            "    Q 2 4-5 [4-5 4-5*]\n"
+        )
+
     def test_byte_identical_output(self, triangle_file, capsys):
         for _ in range(2):
             main(["enumerate", "-g", triangle_file, "--limit", "2"])

@@ -457,9 +457,10 @@ class ReferenceConstruction(EmbeddingRanker):
             bct = block_cut_tree(sub)
 
             for blk in bct.blocks:
-                bg, remap = blk.to_graph()
-                inv = {i: to_global[v] for v, i in remap.items()}
-                fwd = {to_global[v]: i for v, i in remap.items()}
+                verts, key = blk.local()
+                bg = Graph(*key)
+                inv = {i: to_global[v] for i, v in enumerate(verts, start=1)}
+                fwd = {to_global[v]: i for i, v in enumerate(verts, start=1)}
                 g_edges = sorted(
                     (min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in bg.edges
                 )

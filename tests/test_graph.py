@@ -142,11 +142,12 @@ class TestBlockCutTree:
             assert set(t.cut_vertices) == brute_cut_vertices(g)
             assert sorted(e for b in t.blocks for e in b.edges) == list(g.edges)
 
-    def test_block_to_graph_remaps_densely(self):
-        b = Block(frozenset({3, 4, 5}), ((3, 4), (3, 5), (4, 5)))
-        g, remap = b.to_graph()
-        assert g.n == 3 and g.m == 3
-        assert remap == {3: 1, 4: 2, 5: 3}
+    def test_block_local_remaps_densely(self):
+        b = Block(frozenset({3, 5, 8}), ((3, 5), (3, 8), (5, 8)))
+        verts, key = b.local()
+        assert verts == [3, 5, 8]
+        assert key == (3, ((1, 2), (1, 3), (2, 3)))
+        assert Graph(*key).edges == key[1]
 
 
 class TestUnionFind:

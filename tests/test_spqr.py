@@ -1,18 +1,19 @@
 """SPQR construction, conventional order, first embeddings, composition."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
 from planarrank import spqr
+from planarrank.biconnected import _induced_cycle, _rotate_to, chi_inverse
 from planarrank.embedding import canonical_cycle, is_planar_rotation
 from planarrank.errors import NotBiconnected, NotPlanar
 from planarrank.graph import Graph, block_cut_tree, connected_components
 from planarrank.oracle import enumerate_connected
 from planarrank.spqr import (
-    SkeletonEmbedding,
     SkelEdge,
     _find_split,
     _is_single_virtual,
@@ -20,7 +21,6 @@ from planarrank.spqr import (
     _split_components,
     build_spqr,
     compose_embedding,
-    first_embedding_P,
     first_embedding_R,
 )
 
@@ -39,22 +39,18 @@ BICONNECTED = [TRIANGLE, C4, K4, THETA, PRISM, W4, K23,
 
 
 def all_skeleton_choices(tree):
-    """Every choice vector over the tree's P- and R-nodes."""
+    """Every (P edge orders, R flip bits) pair over the tree's P- and
+    R-nodes: each P order is the reference edge, then any order of the
+    other edges."""
     p_nodes, r_nodes = tree.conventional
     p_spaces = []
     for nd in p_nodes:
-        first = first_embedding_P(tree, nd)
-        ref, rest = first.order[0], list(first.order[1:])
-        p_spaces.append(
-            [SkeletonEmbedding(nd.index, order=(ref, *perm))
-             for perm in itertools.permutations(rest)]
-        )
-    r_spaces = [
-        [SkeletonEmbedding(nd.index, flip=0), SkeletonEmbedding(nd.index, flip=1)]
-        for nd in r_nodes
-    ]
-    for combo in itertools.product(*p_spaces, *r_spaces):
-        yield {c.node: c for c in combo}
+        ref = nd.edge_of_pair(nd.ref_pair).uid
+        rest = [e.uid for e in nd.edges if e.uid != ref]
+        p_spaces.append([(ref, *perm) for perm in itertools.permutations(rest)])
+    for combo in itertools.product(*p_spaces, *[(0, 1)] * len(r_nodes)):
+        yield ({nd.index: order for nd, order in zip(p_nodes, combo)},
+               {nd.index: flip for nd, flip in zip(r_nodes, combo[len(p_nodes):])})
 
 
 class TestBuildSpqr:
@@ -94,8 +90,13 @@ class TestBuildSpqr:
         assert len(p_nodes[0].edges) == 3
 
     def test_rejects_non_biconnected(self):
-        with pytest.raises(NotBiconnected):
-            build_spqr(Graph(3, [(1, 2), (2, 3)]))
+        for g in [
+            Graph(3, [(1, 2), (2, 3)]),  # the cut-vertex 2 is not the DFS root
+            Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]),  # root 1 is
+            Graph(4, [(1, 2), (3, 4)]),  # the DFS from 1 leaves 3 and 4 unreached
+        ]:
+            with pytest.raises(NotBiconnected):
+                build_spqr(g)
 
     def test_rejects_non_planar(self):
         k5 = Graph(5, list(itertools.combinations(range(1, 6), 2)))
@@ -171,12 +172,20 @@ class TestConventionalOrder:
 
 class TestFirstEmbeddings:
     def test_p_first_embedding_ref_then_children(self):
-        tree = build_spqr(THETA)
-        nd = tree.p_nodes()[0]
-        emb = first_embedding_P(tree, nd)
-        ref = nd.edge_of_pair(nd.ref_pair)
-        assert emb.order[0] == ref.uid
-        assert len(emb.order) == 3
+        # P value 0: counter-clockwise around the lower pole, the reference
+        # edge, then the children by descending identifier.
+        nested_theta = Graph(
+            6, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (4, 6), (5, 6), (2, 5)])
+        for g in [THETA, K23, nested_theta]:
+            tree = build_spqr(g)
+            p_nodes, r_nodes = tree.chi_nodes
+            rot = chi_inverse([0] * len(p_nodes), [0] * len(r_nodes), tree)
+            assert p_nodes
+            for nd in p_nodes:
+                k = len(nd.children)
+                assert k == len(nd.edges) - 1 >= 2
+                assert _rotate_to(_induced_cycle(tree, nd, rot), -1, nd) == [
+                    -1, *range(k - 1, -1, -1)]
 
     def test_r_first_embedding_pole_rule(self):
         tree = build_spqr(K4)
@@ -219,23 +228,23 @@ class TestFirstEmbeddings:
 class TestCompose:
     def test_cycle_compose_unique(self):
         tree = build_spqr(C4)
-        rot = compose_embedding(tree, {})
+        rot = compose_embedding(tree, {}, {})
         assert is_planar_rotation(C4, rot)
         assert sorted(rot) == list(C4.vertices)
 
     def test_k4_flips_are_mirrors(self):
         tree = build_spqr(K4)
         nd = tree.r_nodes()[0]
-        r0 = compose_embedding(tree, {nd.index: SkeletonEmbedding(nd.index, flip=0)})
-        r1 = compose_embedding(tree, {nd.index: SkeletonEmbedding(nd.index, flip=1)})
+        r0 = compose_embedding(tree, {}, {nd.index: 0})
+        r1 = compose_embedding(tree, {}, {nd.index: 1})
         for v in K4.vertices:
             assert canonical_cycle(r1[v]) == canonical_cycle(list(reversed(r0[v])))
 
     def test_theta_two_orders_two_embeddings(self):
         tree = build_spqr(THETA)
         rots = set()
-        for choices in all_skeleton_choices(tree):
-            rot = compose_embedding(tree, choices)
+        for orders, flips in all_skeleton_choices(tree):
+            rot = compose_embedding(tree, orders, flips)
             assert is_planar_rotation(THETA, rot)
             rots.add(tuple(sorted((v, canonical_cycle(r)) for v, r in rot.items())))
         oracle = enumerate_connected(THETA)
@@ -251,8 +260,8 @@ class TestCompose:
             for i in range(2, k + 1):
                 expected *= i
         rots = set()
-        for choices in all_skeleton_choices(tree):
-            rot = compose_embedding(tree, choices)
+        for orders, flips in all_skeleton_choices(tree):
+            rot = compose_embedding(tree, orders, flips)
             assert is_planar_rotation(g, rot)
             rots.add(tuple(sorted((v, canonical_cycle(r)) for v, r in rot.items())))
         assert len(rots) == expected
@@ -289,7 +298,7 @@ def blocks_of(g):
         order = sorted(comp)
         remap = {v: i + 1 for i, v in enumerate(order)}
         sub = Graph(len(order), [(remap[u], remap[v]) for u, v in g.edges if u in comp])
-        out.extend(b.to_graph()[0] for b in block_cut_tree(sub).blocks)
+        out.extend(Graph(*b.local()[1]) for b in block_cut_tree(sub).blocks)
     return out
 
 
@@ -366,3 +375,48 @@ def test_split_search_stays_bounded_on_a_16x16_grid(diagonal, monkeypatch):
     s_nodes = [nd for nd in tree.nodes if nd.kind == "S"]
     assert [len(nd.vertices) for nd in s_nodes] == [3, 3]
     assert {v for nd in s_nodes for v in nd.vertices} & corners == corners
+
+
+def cycle(n, labels=None):
+    """The cycle 1-2-...-n-1, with vertex i renamed labels[i - 1]."""
+    name = labels or list(range(1, n + 1))
+    return Graph(n, [(name[i], name[(i + 1) % n]) for i in range(n)])
+
+
+def tree_by_identifier(tree):
+    """The dump, and every node by identifier (depth, min pertinent edge)
+    with its kind, parent's identifier, interval, poles and skeleton."""
+    ident = {nd.index: (nd.depth, nd.min_edge) for nd in tree.nodes}
+    return tree.dump(), {
+        ident[nd.index]: (nd.kind, ident.get(nd.parent), nd.tin, nd.tout, nd.poles,
+                          sorted((e.u, e.v, e.real is not None) for e in nd.edges))
+        for nd in tree.nodes}
+
+
+class TestCycleFastPath:
+    def test_equals_the_general_builder(self, monkeypatch):
+        # build_spqr takes the fast path when every degree is 2; reporting
+        # degree 0 sends the same cycle through the split-pair search.
+        rng = random.Random(12)
+        cycles = [cycle(n) for n in range(3, 41)]
+        cycles += [cycle(n, rng.sample(range(1, n + 1), n)) for n in range(3, 41)]
+        for g in cycles:
+            fast = build_spqr(g)
+            with monkeypatch.context() as m:
+                m.setattr(Graph, "degree", lambda self, v: 0)
+                general = build_spqr(g)
+            assert [nd.kind for nd in fast.nodes].count("S") == 1
+            assert tree_by_identifier(fast) == tree_by_identifier(general), g.edges
+
+    def test_splits_nothing_on_a_2000_cycle(self, monkeypatch):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _split_components(*args)
+
+        monkeypatch.setattr(spqr, "_split_components", counted)
+        tree = build_spqr(cycle(2000))
+        assert calls == 0
+        assert Counter(nd.kind for nd in tree.nodes) == {"Q": 2000, "S": 1}
