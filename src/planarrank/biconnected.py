@@ -114,12 +114,8 @@ def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree) -> Rotatio
         k = len(nd.children)
         if not 0 <= p < factorial(k):
             raise BoundViolation(f"p={p} outside 0..{factorial(k) - 1}")
-        uid_of_pair = {e.pair: e.uid for e in nd.edges}
-        first = [0] * k
-        for c, pos in zip(nd.children, nd.first):
-            first[pos] = uid_of_pair[tree.nodes[c].ref_pair]
-        orders[nd.index] = (uid_of_pair[nd.ref_pair],
-                            *[first[s] for s in perm_unrank(p, k)])
+        uids = nd.uids
+        orders[nd.index] = (uids[0], *[uids[s + 1] for s in perm_unrank(p, k)])
     flips: dict[int, int] = {}
     for nd, r in zip(r_nodes, r_vals):
         if r not in (0, 1):

@@ -28,7 +28,9 @@ tests each distinct block, so no whole-graph planarity test runs.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import codecs
 from .biconnected import biconn_bounds, chi, chi_inverse
@@ -192,38 +194,51 @@ class EmbeddingRanker:
 
     # -- inverse: tuple/rank -> embedding ------------------------------------
 
-    def phi_inverse(self, values: list[int]) -> PlanarEmbedding:
-        """Embedding from a full digit tuple."""
-        # Looked up on the module per call, as tuple_rank does, so a
-        # wrapper installed on codecs.check_bounds sees every call.
-        codecs.check_bounds(values, self.bounds)
+    def _decode_blocks(self, values: list[int], block_ids, block_rot: list[Rotation | None],
+                       rot: Rotation) -> None:
+        """Decode the given blocks into block_rot and write their vertices'
+        rotations into rot, in global ids.
 
-        # Blocks first: each skeleton choice decodes once per shape into
-        # a block-local rotation (the one rotation of a choice-free block,
-        # bridge or cycle, too).  Every vertex takes its block's rotation
-        # in global ids; cut vertices get the merged arrangement instead.
-        blocks = self.blocks
-        block_rot: list[Rotation] = []  # block-local, shared with the cache
-        rot: Rotation = {}
-        for info in blocks:
-            shape = self.decoded[info.tree]
+        Each skeleton choice decodes once per shape into a block-local
+        rotation (the one rotation of a choice-free block, bridge or cycle,
+        too); block_rot shares it with the cache.  A cut-vertex takes its
+        block's rotation here and the merged arrangement in _merge_cuts.
+        """
+        blocks, decoded = self.blocks, self.decoded
+        for b in block_ids:
+            info = blocks[b]
+            shape = decoded[info.tree]
             key = (tuple(values[info.p]), tuple(values[info.r]))
             local = shape.get(key)
             if local is None:
                 local = chi_inverse(list(key[0]), list(key[1]), info.tree)
                 if len(shape) < DECODED_PER_SHAPE:
                     shape[key] = local
-            block_rot.append(local)
+            block_rot[b] = local
             to_global = info.to_global
             for x, nbrs in local.items():
                 rot[to_global[x]] = [to_global[w] for w in nbrs]
-        for cut in self.cuts:
+
+    def _merge_cuts(self, values: list[int], cuts, block_rot: list[Rotation | None],
+                    rot: Rotation) -> None:
+        """Write each given cut-vertex's merged rotation into rot."""
+        blocks = self.blocks
+        for cut in cuts:
             at_v = []
             for b in cut.block_ids:
                 info = blocks[b]
                 at_v.append([info.to_global[w] for w in block_rot[b][info.to_local[cut.v]]])
             rot[cut.v] = phi_v_inverse(cut.ctx, at_v, values[cut.c], values[cut.d])
 
+    def phi_inverse(self, values: list[int]) -> PlanarEmbedding:
+        """Embedding from a full digit tuple."""
+        # Looked up on the module per call, as tuple_rank does, so a
+        # wrapper installed on codecs.check_bounds sees every call.
+        codecs.check_bounds(values, self.bounds)
+        block_rot: list[Rotation | None] = [None] * len(self.blocks)
+        rot: Rotation = {}
+        self._decode_blocks(values, range(len(self.blocks)), block_rot, rot)
+        self._merge_cuts(values, self.cuts, block_rot, rot)
         # The decoded tree and tuple are valid by construction and the
         # composed rotation planar by the skeleton/merge invariants, so
         # the full re-validation of digamma_inverse is skipped here.
@@ -242,29 +257,72 @@ class EmbeddingRanker:
             values = [rng.randrange(limit) for limit in self.bounds]
             yield self.phi_inverse(values)
 
+    @cached_property
+    def _owners_by_reach(self) -> tuple[int, list[int], list[int], list[int], list[_CutInfo]]:
+        """What an enumeration step reads to find the owners it redoes.
+
+        A block's reach is one past the last of its digits whose bound
+        exceeds 1, 0 if it has none: after a step whose carry stops at
+        digit i, exactly the blocks with reach > i own a changed digit.
+        A cut-vertex's reach also covers the blocks at it, because
+        re-decoding a block rewrites the rotation at each of its vertices.
+        Returns the last digit whose bound exceeds 1 (-1 if none), then
+        the reaches of the blocks in ascending order with their indices,
+        and the same for the cut-vertices.
+        """
+        bounds = self.bounds
+
+        def reach(*slices: slice) -> int:
+            return max((j + 1 for s in slices for j in range(s.start, s.stop)
+                        if bounds[j] > 1), default=0)
+
+        block_reach = [reach(info.p, info.r) for info in self.blocks]
+        cut_reach = [max(reach(cut.c, cut.d), *(block_reach[b] for b in cut.block_ids))
+                     for cut in self.cuts]
+        blocks = sorted(range(len(self.blocks)), key=block_reach.__getitem__)
+        cuts = sorted(range(len(self.cuts)), key=cut_reach.__getitem__)
+        top = max((j for j, x in enumerate(bounds) if x > 1), default=-1)
+        return (top, [block_reach[b] for b in blocks], blocks,
+                [cut_reach[k] for k in cuts], [self.cuts[k] for k in cuts])
+
     def enumerate(self, start: int = 0, limit: int | None = None):
         """Consecutive (rank, embedding) pairs from a starting rank.
 
-        A mixed-radix odometer steps the tuple; each step re-decodes, so
-        the delay is per-item polynomial rather than amortized constant.
+        A mixed-radix odometer steps the tuple, and the previous item's
+        block and global rotations are kept.  The first item decodes
+        everything.  A step whose carry stops at digit i changed digit i
+        and every digit after it, so it re-decodes only the blocks and
+        re-merges only the cut-vertices that own one of those digits,
+        plus the cut-vertices on a re-decoded block, and decodes the
+        nesting only when an a or b digit changed.  The delay is
+        amortized constant in digits; a step still costs the size of the
+        re-decoded blocks and cut-vertices, and every item is a fresh
+        PlanarEmbedding, O(n) to build.
         """
         total = self.count()
         if not 0 <= start < total:
             from .errors import RankOutOfRange
 
             raise RankOutOfRange(f"rank {start} outside 0..{total - 1}")
-        values = tuple_unrank(start, self.bounds)
-        r = start
-        emitted = 0
-        while r < total and (limit is None or emitted < limit):
-            yield r, self.phi_inverse(values)
-            emitted += 1
-            r += 1
-            for i in range(len(values) - 1, -1, -1):
+        top, block_reach, blocks, cut_reach, cuts = self._owners_by_reach
+        bounds = self.bounds
+        values = tuple_unrank(start, bounds)
+        block_rot: list[Rotation | None] = [None] * len(self.blocks)
+        rot: Rotation = {}
+        i = -1  # the first item decodes every owner
+        for r in range(start, total if limit is None else min(total, start + limit)):
+            if r > start:
+                # r < total, so some digit up to top is below its maximum.
+                i = top
+                while values[i] == bounds[i] - 1:
+                    values[i] = 0
+                    i -= 1
                 values[i] += 1
-                if values[i] < self.bounds[i]:
-                    break
-                values[i] = 0
+            self._decode_blocks(values, blocks[bisect_right(block_reach, i):], block_rot, rot)
+            self._merge_cuts(values, cuts[bisect_right(cut_reach, i):], block_rot, rot)
+            if i < self.b.stop:
+                tree, ft = self.nesting_codec.inverse(values[self.a], values[self.b])
+            yield r, PlanarEmbedding(self.graph, rot, tree, ft)
 
 
 def count_embeddings(g: Graph) -> int:

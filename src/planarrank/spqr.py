@@ -93,6 +93,7 @@ class SpqrNode:
     degree: int = 0
     child_tin: tuple[int, ...] = ()
     first: tuple[int, ...] = ()
+    uids: tuple[int, ...] = ()  # a P-node's reference uid, then its children's in first order
 
     def edge_of_pair(self, pair: int) -> SkelEdge:
         return next(x for x in self.edges if x.pair == pair)
@@ -162,19 +163,24 @@ class SpqrTree:
         position after the reference edge.  A P-node's first embedding is
         the reference edge, then the children by descending identifier,
         counter-clockwise around the lower pole; the children share one
-        depth, so that is descending preorder rank.  Ints and tuples of
-        ints only, so the garbage collector stops tracking them right
-        away: a large ranker holds them for every P- and R-node.
+        depth, so that is descending preorder rank.  uids is that first
+        embedding as the P-node's skeleton edge uids, which chi_inverse
+        permutes.  Ints and tuples of ints only, so the garbage collector
+        stops tracking them right away: a large ranker holds them for
+        every P- and R-node.
         """
         p_nodes, r_nodes = self.conventional
         for nd in p_nodes + r_nodes:
             u = nd.pole
             nd.degree = sum(1 for e in nd.edges if u in (e.u, e.v))
             nd.child_tin = tuple(self.nodes[c].tin for c in nd.children)
+            uid_of_pair = {e.pair: e.uid for e in nd.edges}
             if nd.kind == "P":
                 nd.first = tuple(range(len(nd.children) - 1, -1, -1))
+                nd.uids = (uid_of_pair[nd.ref_pair],
+                           *(uid_of_pair[self.nodes[c].ref_pair]
+                             for c in reversed(nd.children)))
                 continue
-            uid_of_pair = {e.pair: e.uid for e in nd.edges}
             name = {uid_of_pair[self.nodes[c].ref_pair]: i
                     for i, c in enumerate(nd.children)}
             name[uid_of_pair[nd.ref_pair]] = -1
