@@ -15,7 +15,6 @@ rho-G1 and a one-entry face tuple.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import GraphMismatch, MalformedInput, UnknownFace
 from .graph import Edge, Graph, connected_components, edge_id
@@ -168,22 +167,6 @@ def face_intervals(face_counts: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class PlaneEmbedding:
-    """A component embedding with a designated outer face (projection marker)."""
-
-    rotation_items: tuple
-    outer_face: int
-
-
-def project_to_plane(rot: Rotation, outer_face: int, component: int = 1) -> PlaneEmbedding:
-    """Mark one face of a connected embedding as the outer face."""
-    n_faces = len(trace_faces(rot))
-    if not 0 <= outer_face < n_faces:
-        raise UnknownFace(f"face {outer_face} not in 0..{n_faces - 1}")
-    return PlaneEmbedding(tuple(sorted(canonical_rotation(rot).items())), outer_face)
-
-
 NestingEdge = tuple[int, int, int]  # (parent component, child component, label); parent 0 is rho
 
 
@@ -220,14 +203,6 @@ class PlanarEmbedding:
 
     def component_rotation(self, comp_vertices: frozenset[int]) -> Rotation:
         return {v: self.rot[v] for v in comp_vertices}
-
-    def face_counts(self) -> list[int]:
-        # Euler: a connected planar component has m - n + 2 faces.
-        out = []
-        for _, comp in self.components():
-            m_c = sum(len(self.rot[v]) for v in comp) // 2
-            out.append(m_c - len(comp) + 2)
-        return out
 
     # -- equality and serialization ---------------------------------------
 

@@ -8,7 +8,7 @@ tie-break used by the ranking layers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EdgelessComponent, MalformedInput, NotConnected
 
@@ -194,15 +194,14 @@ class Block:
 
 @dataclass
 class BlockCutTree:
-    """Blocks, cut-vertices and their incidence for one connected graph.
+    """Blocks and cut-vertices of one connected graph.
 
-    blocks are sorted by minimum edge id; ``blocks_at[v]`` lists block
-    indices in that same order, so b(v) orderings are reproducible.
+    blocks are sorted by minimum edge id, so b(v) orderings are
+    reproducible.
     """
 
     blocks: list[Block]
     cut_vertices: list[int]
-    blocks_at: dict[int, list[int]] = field(default_factory=dict)
 
 
 def lowpoint_dfs(adj: dict[int, list[int]], root: int
@@ -280,10 +279,4 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         vs = frozenset(x for e in edges for x in e)
         blocks.append(Block(vs, tuple(sorted(edges))))
     blocks.sort(key=lambda b: b.min_edge)
-
-    blocks_at: dict[int, list[int]] = {v: [] for v in cut}
-    for i, b in enumerate(blocks):
-        for v in b.vertices:
-            if v in cut:
-                blocks_at[v].append(i)
-    return BlockCutTree(blocks, sorted(cut), blocks_at)
+    return BlockCutTree(blocks, sorted(cut))

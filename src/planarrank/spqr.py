@@ -3,23 +3,25 @@
 The tree is produced by repeatedly splitting skeletons along split pairs
 until every skeleton is a parallel bundle (P), a cycle (S), a
 real-plus-virtual edge pair (Q) or a triconnected graph (R), then merging
-adjacent S-nodes (and, defensively, adjacent P-nodes) into the canonical
-form.  Every real edge ends up in exactly one Q-node; every virtual edge
-has exactly one twin in the adjacent skeleton.  Each split is the first
-valid one in ascending pair order; the search tries only the pairs
-{u, v} where v is a cut-vertex of the skeleton minus u or an edge joins
-them, one lowpoint DFS per u, so each search is O(n*m).  The linear-time
-decomposition of Hopcroft and Tarjan is not used.
+adjacent S-nodes into the canonical form.  A cycle skeleton is never
+split: it already is an S-node.  Adjacent P-nodes cannot occur, because
+each split takes one connected component of the skeleton minus {u, v},
+so the child side of a twin pair never gains a second u-v edge.  Every
+real edge ends up in exactly one Q-node; every virtual edge has exactly
+one twin in the adjacent skeleton.  Each split is the first valid one in
+ascending pair order; the search tries only the pairs {u, v} where v is
+a cut-vertex of the skeleton minus u or an edge joins them, one lowpoint
+DFS per u, so each search is O(n*m).  The linear-time decomposition of
+Hopcroft and Tarjan is not used.
 
 The tree is rooted at the Q-node of the graph's minimum edge.  Node
 identifiers are (depth, minimum pertinent edge); "conventional order"
 sorts P- and R-nodes by that identifier.
 
-The builders hand over the nodes (kind, skeleton edges, parent, children
-sorted by minimum edge, depth, minimum pertinent edge), the root and the
-two nodes of every twin pair.  The SpqrTree alone numbers the preorder
-intervals, maps every real edge to its Q-node's tin and fixes the poles
-of every node.  It owns the data
+The builder hands over the nodes (kind, skeleton edges, parent, children
+sorted by minimum edge, depth, minimum pertinent edge) and the root.
+The SpqrTree alone numbers the preorder intervals, maps every real edge
+to its Q-node's tin and fixes the poles of every node.  It owns the data
 derived from that fixed structure, each computed on first use and kept
 for the life of the tree: the conventional order, the first embedding of
 every R-skeleton, the twin and real-edge maps of compose_embedding and
@@ -102,12 +104,10 @@ class SpqrNode:
 class SpqrTree:
     """Rooted SPQR-tree of one biconnected planar graph."""
 
-    def __init__(self, graph: Graph, nodes: list[SpqrNode], root: int,
-                 pair_nodes: dict[int, tuple[int, int]]) -> None:
+    def __init__(self, graph: Graph, nodes: list[SpqrNode], root: int) -> None:
         self.graph = graph
         self.nodes = nodes
         self.root = root
-        self.pair_nodes = pair_nodes  # pair id -> (node, node)
         # The only numbering of the preorder intervals: tin..tout are the
         # preorder indices of the node's subtree, both inclusive.
         timer = 0
@@ -316,8 +316,6 @@ def _classify(node: _RawNode) -> str:
         reals = [e for e in node.edges if e.real is not None]
         if len(node.edges) == 2 and len(reals) == 1:
             return "Q"
-        if len(node.edges) == 1 and len(reals) == 1:
-            return "Q"  # degenerate single-edge graph
         if len(node.edges) >= 3 and not reals:
             return "P"
         raise PlanarRankError("unclassifiable 2-vertex skeleton")
@@ -349,16 +347,13 @@ def build_spqr(g: Graph) -> SpqrTree:
         (u, v), = g.edges
         nd = SpqrNode(0, "Q", [u, v], [new_edge(u, v, (u, v), None)])
         nd.min_edge = (u, v)
-        return SpqrTree(g, [nd], 0, {})
+        return SpqrTree(g, [nd], 0)
 
     reached, cut, _ = lowpoint_dfs(g.adj, 1)
     if len(reached) < g.n or cut:
         raise NotBiconnected("SPQR-trees require a biconnected graph")
     if not nx.check_planarity(nx.Graph(g.edges))[0]:
         raise NotPlanar("graph admits no planar embedding")
-
-    if all(g.degree(v) == 2 for v in g.vertices):
-        return _cycle_tree(g, new_edge)
 
     raw: list[_RawNode] = [
         _RawNode(set(g.vertices), [new_edge(u, v, (u, v), None) for u, v in g.edges])
@@ -380,7 +375,10 @@ def build_spqr(g: Graph) -> SpqrTree:
             raw.append(_RawNode({e.u, e.v},
                                 [e, new_edge(e.u, e.v, None, pair_counter)]))
             adjacency[pair_counter] = [idx, len(raw) - 1]
-        while True:
+        # A cycle is an S-node already; splitting it further would only
+        # cut it into triangles for the S-S merge to glue back, at one
+        # split-pair search per triangle.
+        while _classify(node) != "S":
             found = _find_split(node)
             if found is None:
                 break
@@ -400,38 +398,31 @@ def build_spqr(g: Graph) -> SpqrTree:
             adjacency[nonlocal_pair] = [idx, cidx]
             work.append(cidx)
 
-    kinds = {i: _classify(n) for i, n in enumerate(raw) if n.edges}
+    kinds = [_classify(n) for n in raw]
 
-    # Merge adjacent S-S (and defensively P-P) pairs into canonical form.
-    changed = True
-    while changed:
-        changed = False
-        for pair, (a, b) in list(adjacency.items()):
-            if a == b or a not in kinds or b not in kinds:
-                continue
-            ka, kb = kinds[a], kinds[b]
-            if not (ka == kb == "S" or ka == kb == "P"):
-                continue
-            na, nb = raw[a], raw[b]
-            na.edges = [e for e in na.edges if e.pair != pair] + [
-                e for e in nb.edges if e.pair != pair
-            ]
-            na.vertices = {x for e in na.edges for x in (e.u, e.v)}
-            for e in nb.edges:
-                if e.pair is not None and e.pair != pair:
-                    members = adjacency[e.pair]
-                    members[members.index(b)] = a
-            del adjacency[pair]
-            del kinds[b]
-            raw[b].edges = []
-            kinds[a] = _classify(na)
-            changed = True
+    # Merge adjacent S-nodes into canonical form.  Two cycles glued along
+    # a twin pair make a cycle, so a merge changes no node's kind and one
+    # pass over the pairs finds them all.
+    for pair, (a, b) in list(adjacency.items()):
+        if not kinds[a] == kinds[b] == "S":
+            continue
+        na, nb = raw[a], raw[b]
+        na.edges = [e for e in na.edges if e.pair != pair] + [
+            e for e in nb.edges if e.pair != pair
+        ]
+        na.vertices = {x for e in na.edges for x in (e.u, e.v)}
+        for e in nb.edges:
+            if e.pair is not None and e.pair != pair:
+                members = adjacency[e.pair]
+                members[members.index(b)] = a
+        del adjacency[pair]
+        nb.edges = []
 
     # Freeze surviving raw nodes.
     remap: dict[int, int] = {}
     nodes: list[SpqrNode] = []
     for i, n in enumerate(raw):
-        if i in kinds:
+        if n.edges:
             remap[i] = len(nodes)
             nodes.append(SpqrNode(len(nodes), kinds[i], sorted(n.vertices), n.edges))
     pair_nodes = {p: (remap[a], remap[b]) for p, (a, b) in adjacency.items()}
@@ -481,43 +472,7 @@ def build_spqr(g: Graph) -> SpqrTree:
     # Deterministic child order, which SpqrTree's preorder follows.
     for nd in nodes:
         nd.children.sort(key=lambda c: nodes[c].min_edge)
-    return SpqrTree(g, nodes, root, pair_nodes)
-
-
-def _cycle_tree(g: Graph, new_edge) -> SpqrTree:
-    """Direct construction for a cycle: one S-node plus a Q per edge.
-
-    The tree equals the general builder's, whose split-pair search is
-    quadratic on a cycle (about 2.4 s at 800 vertices against 0.06 s on
-    a 2-core x86-64 host).
-    """
-    nodes: list[SpqrNode] = []
-    pair_nodes: dict[int, tuple[int, int]] = {}
-    s_edges = []
-    s_index = len(g.edges)  # Q-nodes come first, then the S-node
-    for pid, (u, v) in enumerate(g.edges, start=1):
-        nodes.append(SpqrNode(len(nodes), "Q", [u, v],
-                              [new_edge(u, v, (u, v), None), new_edge(u, v, None, pid)]))
-        s_edges.append(new_edge(u, v, None, pid))
-        pair_nodes[pid] = (len(nodes) - 1, s_index)
-    s_node = SpqrNode(s_index, "S", list(g.vertices), s_edges)
-    nodes.append(s_node)
-
-    root = 0  # Q-node of the minimum edge (edges are sorted)
-    nodes[root].depth = 0
-    nodes[root].min_edge = g.edges[0]
-    s_node.parent = root
-    s_node.ref_pair = 1
-    s_node.depth = 1
-    s_node.min_edge = g.edges[1]  # every edge but the root's is below it
-    nodes[root].children = [s_index]
-    for qi in range(1, len(g.edges)):  # ascending edges, so children sorted
-        nodes[qi].parent = s_index
-        nodes[qi].ref_pair = qi + 1
-        nodes[qi].depth = 2
-        nodes[qi].min_edge = g.edges[qi]
-        s_node.children.append(qi)
-    return SpqrTree(g, nodes, root, pair_nodes)
+    return SpqrTree(g, nodes, root)
 
 
 # ---------------------------------------------------------------------------

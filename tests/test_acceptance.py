@@ -225,8 +225,9 @@ def cut_configs(g: Graph):
         bct = block_cut_tree(sub)
         for v in bct.cut_vertices:
             blocks = []
-            for bi in bct.blocks_at[v]:
-                blk = bct.blocks[bi]
+            for blk in bct.blocks:
+                if v not in blk.vertices:
+                    continue
                 edge_set = {(back[a], back[b]) for a, b in blk.edges}
                 rot = {}
                 for x in blk.vertices:

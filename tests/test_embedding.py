@@ -13,7 +13,6 @@ from planarrank.embedding import (
     face_intervals,
     face_label,
     is_planar_rotation,
-    project_to_plane,
     sorted_faces,
     trace_faces,
     validate,
@@ -93,18 +92,6 @@ class TestFaceLabels:
         assert len(face_identifiers(emb, 2)) == 1
         with pytest.raises(UnknownFace):
             face_identifiers(emb, 3)
-
-
-class TestProjectToPlane:
-    def test_marks_outer_face(self):
-        p0 = project_to_plane(TRI_ROT, 0)
-        p1 = project_to_plane(TRI_ROT, 1)
-        assert p0.outer_face == 0 and p1.outer_face == 1
-        assert p0 != p1
-
-    def test_unknown_face(self):
-        with pytest.raises(UnknownFace):
-            project_to_plane(TRI_ROT, 2)
 
 
 class TestValidate:

@@ -94,7 +94,7 @@ class TestBlockCutTree:
         t = block_cut_tree(Graph(3, [(1, 2), (2, 3)]))
         assert [b.edges for b in t.blocks] == [((1, 2),), ((2, 3),)]
         assert t.cut_vertices == [2]
-        assert t.blocks_at[2] == [0, 1]
+        assert [i for i, b in enumerate(t.blocks) if 2 in b.vertices] == [0, 1]
 
     def test_two_triangles_sharing_vertex(self):
         # Bowtie: triangles 1-2-3 and 3-4-5 share vertex 3; b(3) = 2.
@@ -102,7 +102,7 @@ class TestBlockCutTree:
         t = block_cut_tree(g)
         assert len(t.blocks) == 2
         assert t.cut_vertices == [3]
-        assert len(t.blocks_at[3]) == 2
+        assert sum(3 in b.vertices for b in t.blocks) == 2
         assert set(t.cut_vertices) == brute_cut_vertices(g)
 
     def test_rejects_disconnected(self):

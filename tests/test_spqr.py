@@ -15,6 +15,8 @@ from planarrank.graph import Graph, block_cut_tree, connected_components
 from planarrank.oracle import enumerate_connected
 from planarrank.spqr import (
     SkelEdge,
+    SpqrNode,
+    SpqrTree,
     _find_split,
     _is_single_virtual,
     _RawNode,
@@ -51,6 +53,43 @@ def all_skeleton_choices(tree):
     for combo in itertools.product(*p_spaces, *[(0, 1)] * len(r_nodes)):
         yield ({nd.index: order for nd, order in zip(p_nodes, combo)},
                {nd.index: flip for nd, flip in zip(r_nodes, combo[len(p_nodes):])})
+
+
+def check_structure(g, tree):
+    # Every real edge in exactly one Q-node.
+    reals = sorted(e.real for n in tree.nodes for e in n.edges if e.real)
+    assert reals == list(g.edges)
+    assert all(n.kind == "Q" for n in tree.nodes
+               for e in n.edges if e.real) or g.m == 1
+    # Twin pairing is a perfect matching over virtual edges: each tree
+    # edge holds the two twins, and no other virtual edge exists.
+    virtual = [e for n in tree.nodes for e in n.edges if e.real is None]
+    assert len(virtual) == 2 * (len(tree.nodes) - 1)
+    assert Counter(e.pair for e in virtual) == Counter(
+        {n.ref_pair: 2 for n in tree.nodes if n.parent is not None})
+    for n in tree.nodes:
+        if n.parent is None:
+            continue
+        up = tree.nodes[n.parent]
+        assert up.edge_of_pair(n.ref_pair).eid == n.edge_of_pair(n.ref_pair).eid
+        # No two adjacent S-nodes, no two adjacent P-nodes.
+        assert not (up.kind == n.kind == "S")
+        assert not (up.kind == n.kind == "P")
+    # S skeletons are cycles, P parallels of >= 3, Q one real + one virtual.
+    for n in tree.nodes:
+        if n.kind == "S":
+            deg = {}
+            for e in n.edges:
+                deg[e.u] = deg.get(e.u, 0) + 1
+                deg[e.v] = deg.get(e.v, 0) + 1
+            assert all(d == 2 for d in deg.values()) and len(n.edges) >= 3
+        elif n.kind == "P":
+            assert len({e.eid for e in n.edges}) == 1 and len(n.edges) >= 3
+        elif n.kind == "Q":
+            assert len(n.edges) in (1, 2)
+    # Root is the Q-node of the minimum edge.
+    assert tree.nodes[tree.root].kind == "Q"
+    assert any(e.real == g.edges[0] for e in tree.nodes[tree.root].edges)
 
 
 class TestBuildSpqr:
@@ -105,37 +144,12 @@ class TestBuildSpqr:
 
     @pytest.mark.parametrize("g", BICONNECTED)
     def test_structural_invariants(self, g):
-        tree = build_spqr(g)
-        # Every real edge in exactly one Q-node.
-        reals = sorted(e.real for n in tree.nodes for e in n.edges if e.real)
-        assert reals == list(g.edges)
-        assert all(n.kind == "Q" for n in tree.nodes
-                   for e in n.edges if e.real) or g.m == 1
-        # Twin pairing is a perfect matching over virtual edges.
-        for p, (a, b) in tree.pair_nodes.items():
-            ea = tree.nodes[a].edge_of_pair(p)
-            eb = tree.nodes[b].edge_of_pair(p)
-            assert ea.eid == eb.eid
-        # No two adjacent S-nodes, no two adjacent P-nodes.
-        for p, (a, b) in tree.pair_nodes.items():
-            ka, kb = tree.nodes[a].kind, tree.nodes[b].kind
-            assert not (ka == kb == "S")
-            assert not (ka == kb == "P")
-        # S skeletons are cycles, P parallels of >= 3, Q one real + one virtual.
-        for n in tree.nodes:
-            if n.kind == "S":
-                deg = {}
-                for e in n.edges:
-                    deg[e.u] = deg.get(e.u, 0) + 1
-                    deg[e.v] = deg.get(e.v, 0) + 1
-                assert all(d == 2 for d in deg.values()) and len(n.edges) >= 3
-            elif n.kind == "P":
-                assert len({e.eid for e in n.edges}) == 1 and len(n.edges) >= 3
-            elif n.kind == "Q":
-                assert len(n.edges) in (1, 2)
-        # Root is the Q-node of the minimum edge.
-        assert tree.nodes[tree.root].kind == "Q"
-        assert any(e.real == g.edges[0] for e in tree.nodes[tree.root].edges)
+        check_structure(g, build_spqr(g))
+
+    def test_structural_invariants_on_atlas_blocks(self):
+        blocks = {(b.n, b.edges): b for g in atlas_planar() for b in blocks_of(g)}
+        for b in blocks.values():
+            check_structure(b, build_spqr(b))
 
     @pytest.mark.parametrize("g", BICONNECTED)
     def test_skeleton_size_linear(self, g):
@@ -393,20 +407,54 @@ def tree_by_identifier(tree):
         for nd in tree.nodes}
 
 
+def reference_cycle_tree(g):
+    """A cycle's tree built directly, without any split-pair search: one
+    S-node plus a Q-node per edge, rooted at the minimum edge's Q-node."""
+    uids = itertools.count(1)
+
+    def new_edge(u, v, real, pair):
+        return SkelEdge(next(uids), u, v, real, pair)
+
+    nodes = []
+    s_edges = []
+    s_index = len(g.edges)  # Q-nodes come first, then the S-node
+    for pid, (u, v) in enumerate(g.edges, start=1):
+        nodes.append(SpqrNode(len(nodes), "Q", [u, v],
+                              [new_edge(u, v, (u, v), None), new_edge(u, v, None, pid)]))
+        s_edges.append(new_edge(u, v, None, pid))
+    s_node = SpqrNode(s_index, "S", list(g.vertices), s_edges)
+    nodes.append(s_node)
+
+    root = 0  # Q-node of the minimum edge (edges are sorted)
+    nodes[root].depth = 0
+    nodes[root].min_edge = g.edges[0]
+    s_node.parent = root
+    s_node.ref_pair = 1
+    s_node.depth = 1
+    s_node.min_edge = g.edges[1]  # every edge but the root's is below it
+    nodes[root].children = [s_index]
+    for qi in range(1, len(g.edges)):  # ascending edges, so children sorted
+        nodes[qi].parent = s_index
+        nodes[qi].ref_pair = qi + 1
+        nodes[qi].depth = 2
+        nodes[qi].min_edge = g.edges[qi]
+        s_node.children.append(qi)
+    return SpqrTree(g, nodes, root)
+
+
 class TestCycleFastPath:
-    def test_equals_the_general_builder(self, monkeypatch):
-        # build_spqr takes the fast path when every degree is 2; reporting
-        # degree 0 sends the same cycle through the split-pair search.
+    """The split-pair search leaves a cycle skeleton whole, so a cycle
+    block costs no search at all."""
+
+    def test_equals_the_general_builder(self):
         rng = random.Random(12)
         cycles = [cycle(n) for n in range(3, 41)]
         cycles += [cycle(n, rng.sample(range(1, n + 1), n)) for n in range(3, 41)]
         for g in cycles:
-            fast = build_spqr(g)
-            with monkeypatch.context() as m:
-                m.setattr(Graph, "degree", lambda self, v: 0)
-                general = build_spqr(g)
-            assert [nd.kind for nd in fast.nodes].count("S") == 1
-            assert tree_by_identifier(fast) == tree_by_identifier(general), g.edges
+            tree = build_spqr(g)
+            assert [nd.kind for nd in tree.nodes].count("S") == 1
+            assert tree_by_identifier(tree) == tree_by_identifier(
+                reference_cycle_tree(g)), g.edges
 
     def test_splits_nothing_on_a_2000_cycle(self, monkeypatch):
         calls = 0
