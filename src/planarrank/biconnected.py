@@ -23,7 +23,7 @@ from .spqr import SpqrNode, SpqrTree, compose_embedding
 def biconn_bounds(tree: SpqrTree) -> list[int]:
     """Bounds of the chi tuple: (delta-1)! per P-node, then 2 per R-node."""
     p_nodes, r_nodes = tree.conventional
-    return [factorial(len(nd.edges) - 1) for nd in p_nodes] + [2] * len(r_nodes)
+    return [factorial(len(nd.children)) for nd in p_nodes] + [2] * len(r_nodes)
 
 
 def _induced_cycle(tree: SpqrTree, nd: SpqrNode, rot: Rotation) -> list[int]:
@@ -101,9 +101,9 @@ def chi(rot: Rotation, tree: SpqrTree) -> tuple[list[int], list[int]]:
 def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree) -> Rotation:
     """Embedding of the block from a P/R tuple (inverse of chi).
 
-    A P value becomes the node's edge uids counter-clockwise around the
-    lower pole: the reference edge, then the children permuted from their
-    first order.  An R value is the node's flip bit.
+    A P value becomes the node's skeleton edge names counter-clockwise
+    around the lower pole: the reference edge, then the children permuted
+    from their first order.  An R value is the node's flip bit.
     """
     p_nodes, r_nodes = tree.chi_nodes
     if len(p_vals) != len(p_nodes) or len(r_vals) != len(r_nodes):
@@ -114,8 +114,7 @@ def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree) -> Rotatio
         k = len(nd.children)
         if not 0 <= p < factorial(k):
             raise BoundViolation(f"p={p} outside 0..{factorial(k) - 1}")
-        uids = nd.uids
-        orders[nd.index] = (uids[0], *[uids[s + 1] for s in perm_unrank(p, k)])
+        orders[nd.index] = (-1, *[nd.first[s] for s in perm_unrank(p, k)])
     flips: dict[int, int] = {}
     for nd, r in zip(r_nodes, r_vals):
         if r not in (0, 1):

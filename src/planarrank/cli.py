@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .codecs import tuple_rank
 from .embedding import PlanarEmbedding
 from .errors import MalformedInput, NotPlanar, PlanarRankError, RankOutOfRange, TooLarge
 from .full import EmbeddingRanker
@@ -51,8 +52,6 @@ def cmd_rank(args) -> int:
     emb = _load_embedding(g, args.embedding)
     ranker = EmbeddingRanker(g)
     values = ranker.phi(emb)
-    from .codecs import tuple_rank
-
     print(tuple_rank(values, ranker.bounds))
     if args.tuple:
         print(json.dumps({"values": values, "bounds": ranker.bounds}, sort_keys=True))

@@ -43,12 +43,6 @@ def canonical_rotation(rot: Rotation) -> Rotation:
     return out
 
 
-def rotations_equal(a: Rotation, b: Rotation) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(canonical_cycle(a[v]) == canonical_cycle(b[v]) for v in a)
-
-
 def _dart_successor(rot: Rotation) -> dict[tuple[int, int], tuple[int, int]]:
     """Next dart of every directed edge (a, b) along its face boundary:
     (b, c) with c the counter-clockwise predecessor of a at b."""
@@ -246,11 +240,15 @@ class PlanarEmbedding:
 
 
 def embeddings_equal(e1: PlanarEmbedding, e2: PlanarEmbedding) -> bool:
-    """Same rotation system, same nesting tree, same face tuple."""
+    """Same rotation system, same nesting tree, same face tuple.
+
+    PlanarEmbedding canonicalises every neighbor list, so equal rotation
+    systems compare equal as dicts.
+    """
     if e1.graph != e2.graph:
         raise GraphMismatch("embeddings live on different graphs")
     return (
-        rotations_equal(e1.rot, e2.rot)
+        e1.rot == e2.rot
         and e1.nesting == e2.nesting
         and e1.face_tuple == e2.face_tuple
     )

@@ -37,7 +37,7 @@ from .biconnected import biconn_bounds, chi, chi_inverse
 from .codecs import bounds_product, tuple_rank, tuple_unrank
 from .cutvertex import BlocksAtV, phi_v, phi_v_inverse
 from .embedding import PlanarEmbedding, Rotation, validate
-from .errors import EmbeddingMismatch
+from .errors import EmbeddingMismatch, RankOutOfRange
 from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
@@ -52,7 +52,6 @@ class _BlockInfo:
     to_local: dict[int, int]
     to_global: tuple[int, ...]  # global id of each local id (index 0 unused)
     tree: SpqrTree             # shared by every block with this local graph
-    min_edge: tuple[int, int]
     poles: tuple[tuple[int, int], ...]  # (global, local) pole of each P-/R-node
     p: slice = field(init=False)  # its P-node digits in the rank tuple
     r: slice = field(init=False)  # its R-node bits
@@ -108,11 +107,11 @@ class EmbeddingRanker:
                 poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
                 self.blocks.append(
                     _BlockInfo(ci, g_edges, {x: i for i, x in enumerate(inv) if i},
-                               inv, tree, g_edges[0],
+                               inv, tree,
                                tuple((inv[u], u) for u in poles))
                 )
             cut_vertices.extend(order[v - 1] for v in bct.cut_vertices)
-        self.blocks.sort(key=lambda info: info.min_edge)  # the p/r order
+        self.blocks.sort(key=lambda info: info.edges[0])  # the p/r order
         # Per tree, decoded block-local rotations by (p digits, r digits).
         self.decoded: dict[SpqrTree, dict[tuple, Rotation]] = {
             tree: {} for tree in trees.values()}
@@ -301,8 +300,6 @@ class EmbeddingRanker:
         """
         total = self.count()
         if not 0 <= start < total:
-            from .errors import RankOutOfRange
-
             raise RankOutOfRange(f"rank {start} outside 0..{total - 1}")
         top, block_reach, blocks, cut_reach, cuts = self._owners_by_reach
         bounds = self.bounds

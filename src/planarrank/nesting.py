@@ -11,6 +11,8 @@ of its parent edge.
 
 from __future__ import annotations
 
+import heapq
+
 from .codecs import nesting_tuple_preprocess
 from .embedding import (
     NestingEdge,
@@ -64,8 +66,6 @@ def nesting_encode(nesting: list[NestingEdge], c: int) -> list[int]:
         children[p].add(ch)
     if set(parent) != set(range(1, c + 1)):
         raise MalformedTree("nesting tree must give every component one parent")
-
-    import heapq
 
     leaves = [h for h in range(1, c + 1) if not children[h]]
     heapq.heapify(leaves)

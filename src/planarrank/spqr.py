@@ -18,15 +18,19 @@ The tree is rooted at the Q-node of the graph's minimum edge.  Node
 identifiers are (depth, minimum pertinent edge); "conventional order"
 sorts P- and R-nodes by that identifier.
 
-The builder hands over the nodes (kind, skeleton edges, parent, children
-sorted by minimum edge, depth, minimum pertinent edge) and the root.
-The SpqrTree alone numbers the preorder intervals, maps every real edge
-to its Q-node's tin and fixes the poles of every node.  It owns the data
-derived from that fixed structure, each computed on first use and kept
-for the life of the tree: the conventional order, the first embedding of
-every R-skeleton, the twin and real-edge maps of compose_embedding and
-what chi and chi_inverse read of each P- and R-node (chi_nodes), where
-the first embedding of every P-skeleton is stated.
+The builder hands over the nodes (kind, parent, children sorted by
+minimum edge, depth, minimum pertinent edge, poles) and the root.  A node
+keeps no skeleton.  Every real edge sits in a two-edge Q-node, so each
+skeleton edge of a P-, S- or R-node is virtual and leads to the parent or
+to one child, and its ends are that neighbour's poles: SpqrTree.skeleton
+lists them, child i's edge as name i and the reference edge as name -1.
+The SpqrTree alone numbers the preorder intervals and maps every real
+edge to its Q-node's tin.  It owns the data derived from that fixed
+structure, each computed on first use and kept for the life of the tree:
+the conventional order, the fixed rotation of every S-skeleton and the
+first reflection of every R-skeleton (first_r), and what chi and
+chi_inverse read of each P- and R-node (chi_nodes), where the first
+embedding of every P-skeleton is stated.
 
 A tree depends only on its graph, so EmbeddingRanker shares one tree
 among all blocks with the same block-local graph.  Apart from those lazy
@@ -47,7 +51,7 @@ from .graph import Edge, Graph, edge_id, lowpoint_dfs
 
 @dataclass(frozen=True)
 class SkelEdge:
-    """One edge record in a skeleton; identity is the uid."""
+    """One edge record of a skeleton under construction; identity is the uid."""
 
     uid: int
     u: int
@@ -58,9 +62,6 @@ class SkelEdge:
     @property
     def eid(self) -> Edge:
         return edge_id(self.u, self.v)
-
-    def other(self, x: int) -> int:
-        return self.v if x == self.u else self.u
 
 
 class _RawNode:
@@ -75,30 +76,35 @@ class _RawNode:
 
 @dataclass
 class SpqrNode:
-    """Final tree node: kind, skeleton, tree links and identifiers."""
+    """Final tree node: kind, tree links, identifiers and poles.
+
+    The skeleton is not stored: SpqrTree.skeleton reads it off the poles
+    of the node and of its children.
+    """
 
     index: int
     kind: str  # "S" | "P" | "Q" | "R"
-    vertices: list[int]
-    edges: list[SkelEdge]
     parent: int | None = None
-    ref_pair: int | None = None  # pair id of the virtual edge toward the parent
     children: list[int] = field(default_factory=list)
     depth: int = 0
     min_edge: Edge | None = None  # e(mu): minimum real edge in the subtree
     tin: int = 0
     tout: int = 0
-    poles: tuple[int, int] = (0, 0)  # reference edge's ends, lower first; set by SpqrTree
+    # The reference edge's ends, lower first; the root Q-node has no
+    # reference edge and takes its real edge's.  A Q-node's poles are its
+    # real edge.
+    poles: tuple[int, int] = (0, 0)
     # What chi and chi_inverse read of a P- or R-node: the lower pole is
     # set by SpqrTree, the rest filled by SpqrTree.chi_nodes.
     pole: int = 0
     degree: int = 0
     child_tin: tuple[int, ...] = ()
     first: tuple[int, ...] = ()
-    uids: tuple[int, ...] = ()  # a P-node's reference uid, then its children's in first order
 
-    def edge_of_pair(self, pair: int) -> SkelEdge:
-        return next(x for x in self.edges if x.pair == pair)
+
+def _names(nd: SpqrNode) -> list[int]:
+    """The node's skeleton edge names in SpqrTree.skeleton's order."""
+    return [*range(len(nd.children)), -1]
 
 
 class SpqrTree:
@@ -122,16 +128,8 @@ class SpqrTree:
             stack.append((idx, True))
             stack.extend((c, False) for c in reversed(nodes[idx].children))
         # Real edge -> tin of its Q-node.
-        self.q_tin: dict[Edge, int] = {
-            e.real: nd.tin for nd in nodes for e in nd.edges if e.real is not None}
-        # The poles, and the lower one, where chi reads a P- or R-node.
-        # The root Q-node has no reference edge; its real edge gives them.
-        # Nodes with the same poles share one tuple, the graph's own edge
-        # where the poles are adjacent, so a large tree holds few of them.
-        shared = {e: e for e in graph.edges}
+        self.q_tin: dict[Edge, int] = {nd.poles: nd.tin for nd in nodes if nd.kind == "Q"}
         for nd in nodes:
-            e = nd.edges[0] if nd.ref_pair is None else nd.edge_of_pair(nd.ref_pair)
-            nd.poles = shared.setdefault(e.eid, e.eid)
             nd.pole = nd.poles[0]
 
     def p_nodes(self) -> list[SpqrNode]:
@@ -139,6 +137,15 @@ class SpqrTree:
 
     def r_nodes(self) -> list[SpqrNode]:
         return [n for n in self.nodes if n.kind == "R"]
+
+    def skeleton(self, nd: SpqrNode) -> list[Edge]:
+        """The ends of the node's skeleton edges by name: the edge toward
+        child i at index i, then the reference edge, so that name -1
+        indexes it.  At the root Q-node that last entry is its real edge;
+        any other Q-node's real edge has its reference edge's ends and is
+        not listed."""
+        nodes = self.nodes
+        return [*(nodes[c].poles for c in nd.children), nd.poles]
 
     @cached_property
     def conventional(self) -> tuple[list[SpqrNode], list[SpqrNode]]:
@@ -148,71 +155,61 @@ class SpqrTree:
 
     @cached_property
     def first_r(self) -> dict[int, dict[int, list[int]]]:
-        """First embedding (uid rotation lists) of every R-node, by node index."""
-        return {nd.index: first_embedding_R(self, nd) for nd in self.r_nodes()}
+        """The fixed rotations, as lists of skeleton names, by node index:
+        every S-node's (a cycle has exactly one) and every R-node's first
+        reflection.  Read-only."""
+        out = {}
+        for nd in self.nodes:
+            if nd.kind == "R":
+                out[nd.index] = first_embedding_R(self, nd)
+            elif nd.kind == "S":
+                at: dict[int, list[int]] = {}
+                for name, (a, b) in zip(_names(nd), self.skeleton(nd)):
+                    at.setdefault(a, []).append(name)
+                    at.setdefault(b, []).append(name)
+                out[nd.index] = at
+        return out
 
     @cached_property
     def chi_nodes(self) -> tuple[list[SpqrNode], list[SpqrNode]]:
         """The P- and R-nodes in conventional order, with what chi reads.
 
         chi reads the lower pole; degree counts the skeleton edges there.
-        A skeleton edge is named by the preorder rank of the child it leads
-        to, -1 for the reference edge, and child_tin lists the children's
-        tins in that order.  first is the first embedding in those names:
-        an R-node's order at the pole, and for a P-node each child's
-        position after the reference edge.  A P-node's first embedding is
-        the reference edge, then the children by descending identifier,
-        counter-clockwise around the lower pole; the children share one
-        depth, so that is descending preorder rank.  uids is that first
-        embedding as the P-node's skeleton edge uids, which chi_inverse
-        permutes.  Ints and tuples of ints only, so the garbage collector
-        stops tracking them right away: a large ranker holds them for
-        every P- and R-node.
+        A skeleton edge is named as in skeleton(): by the preorder rank of
+        the child it leads to, -1 for the reference edge, and child_tin
+        lists the children's tins in that order.  first is the first
+        embedding in those names: an R-node's order at the pole, and for
+        a P-node each child's position after the reference edge.  A
+        P-node's first embedding is the reference edge, then the children
+        by descending identifier, counter-clockwise around the lower pole;
+        the children share one depth, so that is descending preorder rank.
+        Ints and tuples of ints only, so the garbage collector stops
+        tracking them right away: a large ranker holds them for every P-
+        and R-node.
         """
         p_nodes, r_nodes = self.conventional
         for nd in p_nodes + r_nodes:
             u = nd.pole
-            nd.degree = sum(1 for e in nd.edges if u in (e.u, e.v))
+            nd.degree = sum(1 for e in self.skeleton(nd) if u in e)
             nd.child_tin = tuple(self.nodes[c].tin for c in nd.children)
-            uid_of_pair = {e.pair: e.uid for e in nd.edges}
             if nd.kind == "P":
                 nd.first = tuple(range(len(nd.children) - 1, -1, -1))
-                nd.uids = (uid_of_pair[nd.ref_pair],
-                           *(uid_of_pair[self.nodes[c].ref_pair]
-                             for c in reversed(nd.children)))
-                continue
-            name = {uid_of_pair[self.nodes[c].ref_pair]: i
-                    for i, c in enumerate(nd.children)}
-            name[uid_of_pair[nd.ref_pair]] = -1
-            nd.first = tuple(name[uid] for uid in self.first_r[nd.index][u])
+            else:
+                nd.first = tuple(self.first_r[nd.index][u])
         return self.conventional
-
-    @cached_property
-    def twins(self) -> dict[int, tuple[int, int]]:
-        """Parent-side virtual edge uid -> (child index, child-side twin uid)."""
-        uid_at = {(nd.index, e.pair): e.uid
-                  for nd in self.nodes for e in nd.edges if e.pair is not None}
-        return {uid_at[(nd.parent, nd.ref_pair)]: (nd.index, uid_at[(nd.index, nd.ref_pair)])
-                for nd in self.nodes if nd.parent is not None}
-
-    @cached_property
-    def real_edge(self) -> dict[int, SkelEdge]:
-        """The real edge a skeleton edge uid stands for: the edge itself, or
-        for a virtual edge toward a Q-node, that Q-node's real edge."""
-        of_q = {nd.index: e for nd in self.nodes if nd.kind == "Q"
-                for e in nd.edges if e.real is not None}
-        out = {e.uid: e for e in of_q.values()}
-        out.update((uid, of_q[c]) for uid, (c, _) in self.twins.items() if c in of_q)
-        return out
 
     def dump(self, relabel: tuple[int, ...] | dict[int, int] | None = None) -> str:
         """Debug text: one node per line, "kind depth min-edge [edges]"."""
         name = (lambda x: relabel[x]) if relabel else (lambda x: x)
         lines = []
         for nd in sorted(self.nodes, key=lambda n: (n.depth, n.min_edge)):
+            virtual = self.skeleton(nd)
+            if nd.parent is None:
+                virtual.pop()  # the root's last skeleton edge is its real edge
+            real = [nd.poles] if nd.kind == "Q" else []
             edges = " ".join(
-                f"{name(e.u)}-{name(e.v)}{'' if e.real else '*'}" for e in
-                sorted(nd.edges, key=lambda e: (e.eid, e.uid))
+                f"{name(u)}-{name(v)}{mark}" for (u, v), mark in
+                sorted([(e, "") for e in real] + [(e, "*") for e in virtual])
             )
             a, b = nd.min_edge
             lines.append(f"{nd.kind} {nd.depth} {name(a)}-{name(b)} [{edges}]")
@@ -335,19 +332,26 @@ def build_spqr(g: Graph) -> SpqrTree:
     calls it once per distinct block graph, and a graph is planar exactly
     when its blocks are, so this is where the ranker tests planarity.
     """
+    if g.m == 1:
+        return SpqrTree(g, [SpqrNode(0, "Q", min_edge=g.edges[0], poles=g.edges[0])], 0)
+
     uid_counter = 0
-    pair_counter = 0
 
     def new_edge(u: int, v: int, real: Edge | None, pair: int | None) -> SkelEdge:
         nonlocal uid_counter
         uid_counter += 1
         return SkelEdge(uid_counter, u, v, real, pair)
 
-    if g.m == 1:
-        (u, v), = g.edges
-        nd = SpqrNode(0, "Q", [u, v], [new_edge(u, v, (u, v), None)])
-        nd.min_edge = (u, v)
-        return SpqrTree(g, [nd], 0)
+    # Twin pair id -> its ends, which become the child's poles.  Pairs
+    # with the same ends share one tuple, the graph's own edge where the
+    # ends are adjacent, so a large tree holds few of them.
+    ends: dict[int, Edge] = {}
+    shared = {e: e for e in g.edges}
+
+    def new_pair(u: int, v: int) -> int:
+        e = edge_id(u, v)
+        ends[len(ends) + 1] = shared.setdefault(e, e)
+        return len(ends)
 
     reached, cut, _ = lowpoint_dfs(g.adj, 1)
     if len(reached) < g.n or cut:
@@ -369,12 +373,11 @@ def build_spqr(g: Graph) -> SpqrTree:
         # bulk keeps the split-pair search off the common fast path.
         while len(node.edges) >= 3 and any(e.real for e in node.edges):
             e = next(x for x in node.edges if x.real)
-            pair_counter += 1
+            pair = new_pair(e.u, e.v)
             node.edges.remove(e)
-            node.edges.append(new_edge(e.u, e.v, None, pair_counter))
-            raw.append(_RawNode({e.u, e.v},
-                                [e, new_edge(e.u, e.v, None, pair_counter)]))
-            adjacency[pair_counter] = [idx, len(raw) - 1]
+            node.edges.append(new_edge(e.u, e.v, None, pair))
+            raw.append(_RawNode({e.u, e.v}, [e, new_edge(e.u, e.v, None, pair)]))
+            adjacency[pair] = [idx, len(raw) - 1]
         # A cycle is an S-node already; splitting it further would only
         # cut it into triangles for the S-S merge to glue back, at one
         # split-pair search per triangle.
@@ -383,19 +386,19 @@ def build_spqr(g: Graph) -> SpqrTree:
             if found is None:
                 break
             u, v, (comp_vs, comp_es) = found
-            nonlocal_pair = pair_counter = pair_counter + 1
+            pair = new_pair(u, v)
             taken = set(e.uid for e in comp_es)
             node.edges = [e for e in node.edges if e.uid not in taken]
-            node.edges.append(new_edge(u, v, None, nonlocal_pair))
+            node.edges.append(new_edge(u, v, None, pair))
             node.vertices = {x for e in node.edges for x in (e.u, e.v)}
-            child = _RawNode(set(comp_vs), comp_es + [new_edge(u, v, None, nonlocal_pair)])
+            child = _RawNode(set(comp_vs), comp_es + [new_edge(u, v, None, pair)])
             raw.append(child)
             cidx = len(raw) - 1
             for e in comp_es:
                 if e.pair is not None:
                     members = adjacency[e.pair]
                     members[members.index(idx)] = cidx
-            adjacency[nonlocal_pair] = [idx, cidx]
+            adjacency[pair] = [idx, cidx]
             work.append(cidx)
 
     kinds = [_classify(n) for n in raw]
@@ -418,30 +421,28 @@ def build_spqr(g: Graph) -> SpqrTree:
         del adjacency[pair]
         nb.edges = []
 
-    # Freeze surviving raw nodes.
+    # Freeze surviving raw nodes; the root is the Q-node of the minimum
+    # edge.
+    min_edge = g.edges[0]
     remap: dict[int, int] = {}
     nodes: list[SpqrNode] = []
     for i, n in enumerate(raw):
         if n.edges:
             remap[i] = len(nodes)
-            nodes.append(SpqrNode(len(nodes), kinds[i], sorted(n.vertices), n.edges))
+            if any(e.real == min_edge for e in n.edges):
+                root = len(nodes)
+            nodes.append(SpqrNode(len(nodes), kinds[i]))
     pair_nodes = {p: (remap[a], remap[b]) for p, (a, b) in adjacency.items()}
 
-    # Root at the Q-node of the minimum edge, then orient.
-    min_edge = g.edges[0]
-    root = next(
-        n.index for n in nodes
-        if n.kind == "Q" and any(e.real == min_edge for e in n.edges)
-    )
+    # Orient from the root, which takes its real edge as poles; every
+    # other node takes the ends of the twin pair toward its parent.
     incident: dict[int, list[int]] = {n.index: [] for n in nodes}
     for p, (a, b) in pair_nodes.items():
         incident[a].append(p)
         incident[b].append(p)
 
     order = [root]
-    nodes[root].parent = None
-    nodes[root].ref_pair = None
-    nodes[root].depth = 0
+    nodes[root].poles = min_edge
     seen = {root}
     qi = 0
     while qi < len(order):
@@ -454,15 +455,16 @@ def build_spqr(g: Graph) -> SpqrTree:
                 continue
             seen.add(nxt)
             nodes[nxt].parent = cur
-            nodes[nxt].ref_pair = p
+            nodes[nxt].poles = ends[p]
             nodes[nxt].depth = nodes[cur].depth + 1
             nodes[cur].children.append(nxt)
             order.append(nxt)
 
-    # e(mu): minimum real edge in the subtree, computed leaves-first.
+    # e(mu): minimum real edge in the subtree, computed leaves-first.  A
+    # Q-node's real edge is its poles.
     for idx in reversed(order):
         nd = nodes[idx]
-        best = min((e.real for e in nd.edges if e.real is not None), default=None)
+        best = nd.poles if nd.kind == "Q" else None
         for c in nd.children:
             ce = nodes[c].min_edge
             if best is None or ce < best:
@@ -480,25 +482,23 @@ def build_spqr(g: Graph) -> SpqrTree:
 # ---------------------------------------------------------------------------
 
 
-def _r_skeleton_rotation(node: SpqrNode) -> dict[int, list[int]]:
-    """One planar rotation of the (simple, triconnected) R-skeleton."""
-    ok, emb = nx.check_planarity(nx.Graph([(e.u, e.v) for e in node.edges]))
-    if not ok:
-        raise NotPlanar(f"R-skeleton of node {node.index} is not planar")
-    data = emb.get_data()
-    return {v: list(data[v]) for v in sorted(node.vertices)}
-
-
 def first_embedding_R(tree: SpqrTree, node: SpqrNode) -> dict[int, list[int]]:
-    """The reflection selected by the pole rule, as uid rotation lists.
+    """The reflection selected by the pole rule, as rotation lists of
+    skeleton names.
 
     At the minimum pole u, let (u,w1) be the minimum-id skeleton edge at u
     and w2 its neighbor in u's circular list with the smaller edge id; the
     first embedding has (u,w1) immediately before (u,w2) clockwise, i.e.
-    w2 is the counter-clockwise predecessor of w1.
+    w2 is the counter-clockwise predecessor of w1.  An R-skeleton is
+    simple, so its ends name each edge.
     """
-    rot = _r_skeleton_rotation(node)
-    u = min(node.poles)
+    skel = tree.skeleton(node)
+    ok, emb = nx.check_planarity(nx.Graph(skel))
+    if not ok:
+        raise NotPlanar(f"R-skeleton of node {node.index} is not planar")
+    data = emb.get_data()
+    rot = {v: list(data[v]) for v in sorted(data)}
+    u = node.pole
     w1 = min(rot[u], key=lambda w: edge_id(u, w))
     i = rot[u].index(w1)
     a = rot[u][(i - 1) % len(rot[u])]  # ccw predecessor
@@ -506,41 +506,32 @@ def first_embedding_R(tree: SpqrTree, node: SpqrNode) -> dict[int, list[int]]:
     w2 = a if edge_id(u, a) < edge_id(u, b) else b
     if w2 != a:
         rot = {v: list(reversed(nbrs)) for v, nbrs in rot.items()}
-    by_pair: dict[tuple[int, int], int] = {}
-    for e in node.edges:
-        by_pair[(e.u, e.v)] = e.uid
-        by_pair[(e.v, e.u)] = e.uid
-    return {v: [by_pair[(v, w)] for w in nbrs] for v, nbrs in rot.items()}
+    name = dict(zip(skel, _names(node)))
+    return {v: [name[edge_id(v, w)] for w in nbrs] for v, nbrs in rot.items()}
 
 
 def skeleton_rotation(
     tree: SpqrTree, node: SpqrNode,
     orders: dict[int, tuple[int, ...]], flips: dict[int, int],
 ) -> dict[int, list[int]]:
-    """Token (uid) rotation lists realizing the chosen skeleton embedding.
+    """Rotation lists of skeleton names realizing the chosen skeleton
+    embedding; read-only, as they may be the tree's own.
 
-    A P-node takes its edge uids from orders, counter-clockwise around the
+    A P-node takes its order from orders, counter-clockwise around the
     lower pole, reference edge first; an R-node takes its flip bit from
-    flips.
+    flips; an S-node has one rotation.
     """
     if node.kind == "Q":
-        uids = [e.uid for e in node.edges]
         u, v = node.poles
-        return {u: list(uids), v: list(uids)}
-    if node.kind == "S":
-        at: dict[int, list[int]] = {x: [] for x in node.vertices}
-        for e in node.edges:
-            at[e.u].append(e.uid)
-            at[e.v].append(e.uid)
-        return at
+        return {u: _names(node), v: _names(node)}
     if node.kind == "P":
         u, v = node.poles
-        order = list(orders[node.index])
+        order = orders[node.index]
         return {u: order, v: [order[0], *reversed(order[1:])]}
     rot = tree.first_r[node.index]
-    if flips[node.index]:
-        return {x: list(reversed(lst)) for x, lst in rot.items()}
-    return {x: list(lst) for x, lst in rot.items()}
+    if node.kind == "R" and flips[node.index]:
+        return {x: lst[::-1] for x, lst in rot.items()}
+    return rot
 
 
 def compose_embedding(
@@ -550,35 +541,36 @@ def compose_embedding(
     every R-node's flip bit, by node index.
 
     Twin virtual edges are substituted top-down: a vertex takes the
-    rotation of the highest skeleton holding it, and each virtual edge
-    toward a child is replaced by the child's rotation at that vertex,
-    read counter-clockwise from just after the child's own twin.
+    rotation of the highest skeleton holding it, and each name i is
+    replaced by child i's rotation at that vertex, read counter-clockwise
+    from just after the child's reference edge.  A Q-child gives the far
+    end of its real edge, and so does name -1 at the root Q-node.
     """
-    # Q-nodes below the root are reached through real_edge instead.
+    nodes = tree.nodes
+    # Q-nodes below the root are read off their poles instead.
     rots = {nd.index: skeleton_rotation(tree, nd, orders, flips)
-            for nd in tree.nodes if nd.kind != "Q" or nd.parent is None}
-    real_edge = tree.real_edge
-    twins = tree.twins
+            for nd in nodes if nd.kind != "Q" or nd.parent is None}
 
     out: dict[int, list[int]] = {}
     for idx, rot in rots.items():
-        nd = tree.nodes[idx]
+        nd = nodes[idx]
         poles = nd.poles if nd.parent is not None else ()
         for x, seq in rot.items():
             if x in poles:
                 continue  # x lives higher up, in the parent's skeleton
             nbrs: list[int] = []
-            stack = [iter(seq)]
+            stack = [(nd, iter(seq))]
             while stack:
-                for uid in stack[-1]:
-                    e = real_edge.get(uid)
-                    if e is not None:
-                        nbrs.append(e.other(x))
+                at, names = stack[-1]
+                for i in names:
+                    c = at if i < 0 else nodes[at.children[i]]
+                    if i < 0 or c.kind == "Q":  # a real edge
+                        a, b = c.poles
+                        nbrs.append(b if x == a else a)
                         continue
-                    c, cu = twins[uid]
-                    clist = rots[c][x]
-                    j = clist.index(cu)
-                    stack.append(iter(clist[j + 1:] + clist[:j]))
+                    clist = rots[c.index][x]
+                    j = clist.index(-1)
+                    stack.append((c, iter(clist[j + 1:] + clist[:j])))
                     break
                 else:
                     stack.pop()

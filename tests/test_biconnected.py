@@ -5,6 +5,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import networkx as nx
 import pytest
 
 from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
@@ -22,7 +23,7 @@ from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, edge_id
 from planarrank.oracle import enumerate_connected
-from planarrank.spqr import build_spqr, compose_embedding
+from planarrank.spqr import SkelEdge, build_spqr
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
@@ -170,25 +171,22 @@ class TestChiRejects:
 
 # Reference copy of the run reader before the tree owned chi's tables: it
 # maps real edges to Q-nodes, sorts the child intervals and scans the
-# node's edges on every call.  It reads the same tree's intervals.
+# node's skeleton on every call.  It reads the same tree's intervals and
+# names a skeleton edge as SpqrTree.skeleton does.
 def reference_induced_cycle(tree, node, x, rot):
-    qnode_of_edge = {e.real: nd.index for nd in tree.nodes
-                     for e in nd.edges if e.real is not None}
+    qnode_of_edge = {nd.poles: nd.index for nd in tree.nodes if nd.kind == "Q"}
     child_bounds = sorted(
-        (tree.nodes[c].tin, tree.nodes[c].tout,
-         node.edge_of_pair(tree.nodes[c].ref_pair).uid)
-        for c in node.children
-    )
+        (tree.nodes[c].tin, tree.nodes[c].tout, i) for i, c in enumerate(node.children))
 
     def token_at(w):
         t = tree.nodes[qnode_of_edge[edge_id(x, w)]].tin
         if not (node.tin <= t <= node.tout):
-            return node.edge_of_pair(node.ref_pair).uid
+            return -1
         i = bisect_right(child_bounds, (t, float("inf"), 0)) - 1
         if i >= 0:
-            tin, tout, uid = child_bounds[i]
+            tin, tout, name = child_bounds[i]
             if tin <= t <= tout:
-                return uid
+                return name
         raise EmbeddingMismatch(f"edge ({x},{w}) maps to no skeleton edge")
 
     tokens = []
@@ -198,7 +196,7 @@ def reference_induced_cycle(tree, node, x, rot):
             tokens.append(t)
     if len(tokens) > 1 and tokens[0] == tokens[-1]:
         tokens.pop()
-    expected = sum(1 for e in node.edges if x in (e.u, e.v))
+    expected = sum(1 for e in tree.skeleton(node) if x in e)
     if len(tokens) != expected or len(set(tokens)) != len(tokens):
         raise EmbeddingMismatch("skeleton runs are not contiguous")
     return tokens
@@ -222,14 +220,8 @@ def compare_run_readers(tree, rng, rounds):
         rot = chi_inverse(vals[:len(p_nodes)], vals[len(p_nodes):], tree)
         for nd in p_nodes + r_nodes:
             u = nd.pole
-            # chi_nodes names a skeleton edge by its child's rank, -1 the
-            # reference edge; the reference reader names it by its uid.
-            uid = [nd.edge_of_pair(tree.nodes[ch].ref_pair).uid for ch in nd.children]
-            uid.append(nd.edge_of_pair(nd.ref_pair).uid)
             for cand in (rot, {**rot, u: rng.sample(rot[u], len(rot[u]))}):
                 got = induced_or_error(_induced_cycle, tree, nd, cand)
-                if got != "mismatch":
-                    got = [uid[i] for i in got]
                 assert got == induced_or_error(reference_induced_cycle, tree, nd, u, cand)
                 compared += 1
     return compared
@@ -255,11 +247,14 @@ class TestRunReaderAgainstReference:
         assert compared >= 1000
 
 
-# Reference copy of the decode before chi_inverse built each P-node's
-# edge order itself: one SkeletonEmbedding per P- and R-node, the P order
-# permuted from first_embedding_P's.  compose_embedding, unchanged but for
-# taking the orders and bits as plain values, turns the choices into the
-# rotation.
+# Reference copy of the decode before the tree dropped its per-edge
+# records: every skeleton edge is a SkelEdge with a uid, twins pairs a
+# parent-side virtual edge with its child-side twin, real_edge maps a uid
+# to the real edge it stands for, and compose_embedding substitutes uids
+# top-down.  The records are rebuilt from the tree's poles, one twin pair
+# per tree edge named by the child's index; the R-skeleton's first
+# reflection is recomputed from them.  One SkeletonEmbedding per P- and
+# R-node holds the choice, the P order permuted from first_embedding_P's.
 @dataclass(frozen=True)
 class SkeletonEmbedding:
     node: int
@@ -267,37 +262,133 @@ class SkeletonEmbedding:
     flip: int | None = None
 
 
-def first_embedding_P(tree, node):
-    """Clockwise: reference edge then children by ascending identifier,
-    stored counter-clockwise: reference first, children reversed."""
-    uid_of_pair = {e.pair: e.uid for e in node.edges}
-    return SkeletonEmbedding(node.index, order=(
-        uid_of_pair[node.ref_pair],
-        *[uid_of_pair[tree.nodes[c].ref_pair] for c in reversed(node.children)]))
+class ReferenceTree:
+    def __init__(self, tree):
+        self.tree = tree
+        uids = itertools.count(1)
+        self.edges = {}  # node index -> its skeleton's SkelEdges
+        for nd in tree.nodes:
+            es = []
+            if nd.kind == "Q":
+                es.append(SkelEdge(next(uids), *nd.poles, real=nd.poles))
+            if nd.parent is not None:
+                es.append(SkelEdge(next(uids), *nd.poles, pair=nd.index))
+            es += [SkelEdge(next(uids), *tree.nodes[c].poles, pair=c) for c in nd.children]
+            self.edges[nd.index] = es
+        # Parent-side virtual edge uid -> (child index, child-side twin uid).
+        uid_at = {(i, e.pair): e.uid
+                  for i, es in self.edges.items() for e in es if e.pair is not None}
+        self.twins = {uid_at[(nd.parent, nd.index)]: (nd.index, uid_at[(nd.index, nd.index)])
+                      for nd in tree.nodes if nd.parent is not None}
+        # The real edge a skeleton edge uid stands for: the edge itself, or
+        # for a virtual edge toward a Q-node, that Q-node's real edge.
+        of_q = {nd.index: e for nd in tree.nodes if nd.kind == "Q"
+                for e in self.edges[nd.index] if e.real is not None}
+        self.real_edge = {e.uid: e for e in of_q.values()}
+        self.real_edge.update((uid, of_q[c]) for uid, (c, _) in self.twins.items() if c in of_q)
+        self.first_r = {nd.index: self.first_embedding_R(nd) for nd in tree.r_nodes()}
 
+    def first_embedding_R(self, node):
+        edges = self.edges[node.index]
+        ok, emb = nx.check_planarity(nx.Graph([(e.u, e.v) for e in edges]))
+        assert ok
+        data = emb.get_data()
+        rot = {v: list(data[v]) for v in sorted(data)}
+        u = min(node.poles)
+        w1 = min(rot[u], key=lambda w: edge_id(u, w))
+        i = rot[u].index(w1)
+        a = rot[u][(i - 1) % len(rot[u])]  # ccw predecessor
+        b = rot[u][(i + 1) % len(rot[u])]
+        w2 = a if edge_id(u, a) < edge_id(u, b) else b
+        if w2 != a:
+            rot = {v: list(reversed(nbrs)) for v, nbrs in rot.items()}
+        by_pair = {}
+        for e in edges:
+            by_pair[(e.u, e.v)] = e.uid
+            by_pair[(e.v, e.u)] = e.uid
+        return {v: [by_pair[(v, w)] for w in nbrs] for v, nbrs in rot.items()}
 
-def reference_chi_inverse(p_vals, r_vals, tree):
-    p_nodes, r_nodes = tree.conventional
-    choices = {}
-    for nd, p in zip(p_nodes, p_vals):
-        first = first_embedding_P(tree, nd).order
-        base = first[1:]
-        sigma = perm_unrank(p, len(nd.edges) - 1)
-        choices[nd.index] = SkeletonEmbedding(
-            nd.index, order=(first[0], *[base[s] for s in sigma]))
-    for nd, r in zip(r_nodes, r_vals):
-        choices[nd.index] = SkeletonEmbedding(nd.index, flip=r)
-    return compose_embedding(
-        tree, {i: c.order for i, c in choices.items() if c.order is not None},
-        {i: c.flip for i, c in choices.items() if c.flip is not None})
+    def first_embedding_P(self, node):
+        """Clockwise: reference edge then children by ascending identifier,
+        stored counter-clockwise: reference first, children reversed."""
+        uid_of_pair = {e.pair: e.uid for e in self.edges[node.index]}
+        return SkeletonEmbedding(node.index, order=(
+            uid_of_pair[node.index], *[uid_of_pair[c] for c in reversed(node.children)]))
+
+    def skeleton_rotation(self, node, orders, flips):
+        edges = self.edges[node.index]
+        if node.kind == "Q":
+            uids = [e.uid for e in edges]
+            u, v = node.poles
+            return {u: list(uids), v: list(uids)}
+        if node.kind == "S":
+            at = {}
+            for e in edges:
+                at.setdefault(e.u, []).append(e.uid)
+                at.setdefault(e.v, []).append(e.uid)
+            return at
+        if node.kind == "P":
+            u, v = node.poles
+            order = list(orders[node.index])
+            return {u: order, v: [order[0], *reversed(order[1:])]}
+        rot = self.first_r[node.index]
+        if flips[node.index]:
+            return {x: list(reversed(lst)) for x, lst in rot.items()}
+        return {x: list(lst) for x, lst in rot.items()}
+
+    def compose_embedding(self, orders, flips):
+        tree = self.tree
+        rots = {nd.index: self.skeleton_rotation(nd, orders, flips)
+                for nd in tree.nodes if nd.kind != "Q" or nd.parent is None}
+        out = {}
+        for idx, rot in rots.items():
+            nd = tree.nodes[idx]
+            poles = nd.poles if nd.parent is not None else ()
+            for x, seq in rot.items():
+                if x in poles:
+                    continue
+                nbrs = []
+                stack = [iter(seq)]
+                while stack:
+                    for uid in stack[-1]:
+                        e = self.real_edge.get(uid)
+                        if e is not None:
+                            nbrs.append(e.v if x == e.u else e.u)
+                            continue
+                        c, cu = self.twins[uid]
+                        clist = rots[c][x]
+                        j = clist.index(cu)
+                        stack.append(iter(clist[j + 1:] + clist[:j]))
+                        break
+                    else:
+                        stack.pop()
+                out[x] = nbrs
+        return out
+
+    def chi_inverse(self, p_vals, r_vals):
+        p_nodes, r_nodes = self.tree.conventional
+        choices = {}
+        for nd, p in zip(p_nodes, p_vals):
+            first = self.first_embedding_P(nd).order
+            base = first[1:]
+            sigma = perm_unrank(p, len(nd.children))
+            choices[nd.index] = SkeletonEmbedding(
+                nd.index, order=(first[0], *[base[s] for s in sigma]))
+        for nd, r in zip(r_nodes, r_vals):
+            choices[nd.index] = SkeletonEmbedding(nd.index, flip=r)
+        return self.compose_embedding(
+            {i: c.order for i, c in choices.items() if c.order is not None},
+            {i: c.flip for i, c in choices.items() if c.flip is not None})
 
 
 def compare_decoders(tree, tuples):
-    """Both decoders on each (p values, r values); the number compared."""
+    """chi_inverse and the per-edge reference on each (p values, r
+    values), as cyclic orders; the number compared."""
+    reference = ReferenceTree(tree)
     compared = 0
     for p_vals, r_vals in tuples:
-        assert chi_inverse(p_vals, r_vals, tree) == \
-            reference_chi_inverse(p_vals, r_vals, tree)
+        assert canon(chi_inverse(p_vals, r_vals, tree)) == \
+            canon(reference.chi_inverse(p_vals, r_vals))
         compared += 1
     return compared
 

@@ -108,6 +108,42 @@ class TestCli:
             "    Q 2 4-5 [4-5 4-5*]\n"
         )
 
+    def test_decompose_every_node_kind(self, tmp_path, capsys):
+        # The demo-02 block (S-, P- and Q-nodes) and a K4 (an R-node)
+        # joined at the cut-vertex 1.  Within a node, edges sort by their
+        # ends, a Q-node's real edge before its virtual one.
+        p = tmp_path / "demo02-k4.json"
+        p.write_text(Graph(9, [
+            (1, 2), (1, 4), (2, 3), (2, 5), (3, 5), (3, 4), (3, 6), (4, 6),
+            (1, 7), (1, 8), (1, 9), (7, 8), (7, 9), (8, 9)]).to_json())
+        assert main(["decompose", "-g", str(p)]) == 0
+        assert capsys.readouterr().out == (
+            "component 1: vertices [1, 2, 3, 4, 5, 6, 7, 8, 9]\n"
+            "  cut-vertices: [1]\n"
+            "  block [(1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (3, 6), (4, 6)]\n"
+            "    Q 0 1-2 [1-2 1-2*]\n"
+            "    S 1 1-4 [1-2* 1-4* 2-3* 3-4*]\n"
+            "    Q 2 1-4 [1-4 1-4*]\n"
+            "    P 2 2-3 [2-3* 2-3* 2-3*]\n"
+            "    P 2 3-4 [3-4* 3-4* 3-4*]\n"
+            "    Q 3 2-3 [2-3 2-3*]\n"
+            "    S 3 2-5 [2-3* 2-5* 3-5*]\n"
+            "    Q 3 3-4 [3-4 3-4*]\n"
+            "    S 3 3-6 [3-4* 3-6* 4-6*]\n"
+            "    Q 4 2-5 [2-5 2-5*]\n"
+            "    Q 4 3-5 [3-5 3-5*]\n"
+            "    Q 4 3-6 [3-6 3-6*]\n"
+            "    Q 4 4-6 [4-6 4-6*]\n"
+            "  block [(1, 7), (1, 8), (1, 9), (7, 8), (7, 9), (8, 9)]\n"
+            "    Q 0 1-7 [1-7 1-7*]\n"
+            "    R 1 1-8 [1-7* 1-8* 1-9* 7-8* 7-9* 8-9*]\n"
+            "    Q 2 1-8 [1-8 1-8*]\n"
+            "    Q 2 1-9 [1-9 1-9*]\n"
+            "    Q 2 7-8 [7-8 7-8*]\n"
+            "    Q 2 7-9 [7-9 7-9*]\n"
+            "    Q 2 8-9 [8-9 8-9*]\n"
+        )
+
     def test_byte_identical_output(self, triangle_file, capsys):
         for _ in range(2):
             main(["enumerate", "-g", triangle_file, "--limit", "2"])

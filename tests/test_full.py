@@ -164,7 +164,7 @@ class TestBijection:
         ranker = EmbeddingRanker(g)
         (cut,) = ranker.cuts
         assert cut.v == 4 and cut.block_ids == [1, 0, 2]
-        assert [info.min_edge for info in ranker.blocks] == [(1, 2), (3, 4), (4, 7)]
+        assert [info.edges[0] for info in ranker.blocks] == [(1, 2), (3, 4), (4, 7)]
         # (c, d digits, rotation at 4) for r mod 16; r // 16 is the
         # outer-face digit, which leaves the rotation alone.
         pinned = [
@@ -264,7 +264,7 @@ class ReferenceLayout:
     def __init__(self, ranker):
         self.ranker = ranker
         self.block_order = sorted(range(len(ranker.blocks)),
-                                  key=lambda b: ranker.blocks[b].min_edge)
+                                  key=lambda b: ranker.blocks[b].edges[0])
         self.a_bounds = ranker.nesting_codec.bounds[: ranker.t - 1]
         self.b_bounds = list(ranker.face_counts)
         self.c_bounds = [c for cut in ranker.cuts for c in cut.ctx.c_bounds]
@@ -467,11 +467,11 @@ class ReferenceConstruction(EmbeddingRanker):
                 tree = build_spqr(bg)
                 poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
                 self.blocks.append(
-                    _BlockInfo(ci, g_edges, fwd, inv, tree, g_edges[0],
+                    _BlockInfo(ci, g_edges, fwd, inv, tree,
                                tuple((inv[u], u) for u in poles))
                 )
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
-        self.blocks.sort(key=lambda info: info.min_edge)
+        self.blocks.sort(key=lambda info: info.edges[0])
         self.decoded = {info.tree: {} for info in self.blocks}  # unrank's cache
 
         block_of_edge = {
@@ -741,8 +741,7 @@ class TestDecodeCacheBound:
     def test_at_most_16_keys_per_shape_after_2000_ranks(self):
         assert DECODED_PER_SHAPE == 16
         assert {f.name for f in dataclasses.fields(_BlockInfo)} == {
-            "comp", "edges", "to_local", "to_global", "tree", "min_edge",
-            "poles", "p", "r"}
+            "comp", "edges", "to_local", "to_global", "tree", "poles", "p", "r"}
         ranker = EmbeddingRanker(repeated_shapes_chain(12))  # 96 blocks
         trees = {id(info.tree): info.tree for info in ranker.blocks}
         rng = random.Random(16)

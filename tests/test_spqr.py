@@ -1,5 +1,6 @@
 """SPQR construction, conventional order, first embeddings, composition."""
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -42,54 +43,83 @@ BICONNECTED = [TRIANGLE, C4, K4, THETA, PRISM, W4, K23,
 
 def all_skeleton_choices(tree):
     """Every (P edge orders, R flip bits) pair over the tree's P- and
-    R-nodes: each P order is the reference edge, then any order of the
-    other edges."""
+    R-nodes: each P order is the reference edge (name -1), then any order
+    of the children's edges."""
     p_nodes, r_nodes = tree.conventional
     p_spaces = []
     for nd in p_nodes:
-        ref = nd.edge_of_pair(nd.ref_pair).uid
-        rest = [e.uid for e in nd.edges if e.uid != ref]
-        p_spaces.append([(ref, *perm) for perm in itertools.permutations(rest)])
+        rest = range(len(nd.children))
+        p_spaces.append([(-1, *perm) for perm in itertools.permutations(rest)])
     for combo in itertools.product(*p_spaces, *[(0, 1)] * len(r_nodes)):
         yield ({nd.index: order for nd, order in zip(p_nodes, combo)},
                {nd.index: flip for nd, flip in zip(r_nodes, combo[len(p_nodes):])})
 
 
+def skeleton_vertices(tree, nd):
+    return {x for e in tree.skeleton(nd) for x in e}
+
+
+def far_end(edge, x):
+    a, b = edge
+    return b if x == a else a
+
+
+def is_connected(vertices, edges):
+    vertices = set(vertices)
+    if not vertices:
+        return True
+    adj = {x: [] for x in vertices}
+    for a, b in edges:
+        if a in vertices and b in vertices:
+            adj[a].append(b)
+            adj[b].append(a)
+    start = next(iter(vertices))
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vertices
+
+
 def check_structure(g, tree):
-    # Every real edge in exactly one Q-node.
-    reals = sorted(e.real for n in tree.nodes for e in n.edges if e.real)
-    assert reals == list(g.edges)
-    assert all(n.kind == "Q" for n in tree.nodes
-               for e in n.edges if e.real) or g.m == 1
-    # Twin pairing is a perfect matching over virtual edges: each tree
-    # edge holds the two twins, and no other virtual edge exists.
-    virtual = [e for n in tree.nodes for e in n.edges if e.real is None]
-    assert len(virtual) == 2 * (len(tree.nodes) - 1)
-    assert Counter(e.pair for e in virtual) == Counter(
-        {n.ref_pair: 2 for n in tree.nodes if n.parent is not None})
+    # Every graph edge is the poles of exactly one Q-node, and the root is
+    # the Q-node of the minimum edge.
+    assert sorted(n.poles for n in tree.nodes if n.kind == "Q") == list(g.edges)
+    root = tree.nodes[tree.root]
+    assert root.kind == "Q" and root.poles == g.edges[0] and root.parent is None
+    assert [n.index for n in tree.nodes if n.parent is None] == [tree.root]
     for n in tree.nodes:
-        if n.parent is None:
-            continue
-        up = tree.nodes[n.parent]
-        assert up.edge_of_pair(n.ref_pair).eid == n.edge_of_pair(n.ref_pair).eid
-        # No two adjacent S-nodes, no two adjacent P-nodes.
-        assert not (up.kind == n.kind == "S")
-        assert not (up.kind == n.kind == "P")
-    # S skeletons are cycles, P parallels of >= 3, Q one real + one virtual.
-    for n in tree.nodes:
-        if n.kind == "S":
-            deg = {}
-            for e in n.edges:
-                deg[e.u] = deg.get(e.u, 0) + 1
-                deg[e.v] = deg.get(e.v, 0) + 1
-            assert all(d == 2 for d in deg.values()) and len(n.edges) >= 3
+        skel = tree.skeleton(n)
+        # Names: child i's edge at index i, the reference edge last.
+        assert skel == [*(tree.nodes[c].poles for c in n.children), n.poles]
+        if n.parent is not None:
+            up = tree.nodes[n.parent]
+            # Twin pairing: the parent lists this node's reference edge
+            # under the node's name there.
+            assert tree.skeleton(up)[up.children.index(n.index)] == skel[-1]
+            assert n.depth == up.depth + 1
+            # No two adjacent S-nodes, no two adjacent P-nodes.
+            assert not (up.kind == n.kind == "S")
+            assert not (up.kind == n.kind == "P")
+        if n.kind == "Q":
+            # One real edge and one virtual: the root's toward its one
+            # child, any other Q-node's toward its parent.
+            assert len(n.children) == (0 if n.parent is not None or g.m == 1 else 1)
         elif n.kind == "P":
-            assert len({e.eid for e in n.edges}) == 1 and len(n.edges) >= 3
-        elif n.kind == "Q":
-            assert len(n.edges) in (1, 2)
-    # Root is the Q-node of the minimum edge.
-    assert tree.nodes[tree.root].kind == "Q"
-    assert any(e.real == g.edges[0] for e in tree.nodes[tree.root].edges)
+            assert len(set(skel)) == 1 and len(skel) >= 3
+        elif n.kind == "S":
+            deg = Counter(x for e in skel for x in e)
+            assert all(d == 2 for d in deg.values()) and len(skel) >= 3
+            assert is_connected(deg, skel)
+        else:
+            # Simple and triconnected: removing any two vertices leaves
+            # the rest connected.
+            verts = skeleton_vertices(tree, n)
+            assert len(set(skel)) == len(skel) and len(verts) >= 4
+            for pair in itertools.combinations(verts, 2):
+                assert is_connected(verts - set(pair), skel)
 
 
 class TestBuildSpqr:
@@ -102,7 +132,10 @@ class TestBuildSpqr:
         kinds = sorted(n.kind for n in tree.nodes)
         assert kinds == ["Q", "Q", "Q", "Q", "S"]
         s = next(n for n in tree.nodes if n.kind == "S")
-        assert len(s.edges) == 4 and all(e.real is None for e in s.edges)
+        # Its four edges are virtual: three lead to Q-children, one to the
+        # root Q-node.
+        assert sorted(tree.skeleton(s)) == list(C4.edges)
+        assert [tree.nodes[c].kind for c in s.children] == ["Q"] * 3
 
     def test_k4_is_r_plus_qs(self):
         # K4 is triconnected: brute force: removing any 2 vertices leaves
@@ -126,7 +159,7 @@ class TestBuildSpqr:
         tree = build_spqr(THETA)
         p_nodes = tree.p_nodes()
         assert len(p_nodes) == 1
-        assert len(p_nodes[0].edges) == 3
+        assert len(tree.skeleton(p_nodes[0])) == 3
 
     def test_rejects_non_biconnected(self):
         for g in [
@@ -153,12 +186,29 @@ class TestBuildSpqr:
 
     @pytest.mark.parametrize("g", BICONNECTED)
     def test_skeleton_size_linear(self, g):
-        # S/P/R skeletons stay within 3m; Q-nodes add two records per edge.
+        # S/P/R skeletons stay within 3m; Q-nodes add two edges per edge.
         tree = build_spqr(g)
-        spr = sum(len(n.edges) for n in tree.nodes if n.kind != "Q")
+        spr = sum(len(tree.skeleton(n)) for n in tree.nodes if n.kind != "Q")
         assert spr <= 3 * g.m + 1
-        total = sum(len(n.edges) for n in tree.nodes)
+        total = spr + 2 * sum(n.kind == "Q" for n in tree.nodes)
         assert total <= 5 * g.m + 1
+
+    @pytest.mark.parametrize("g", BICONNECTED)
+    def test_tree_holds_no_edge_records(self, g):
+        # The frozen tree stores no skeleton: no SkelEdge is reachable from
+        # it, before or after chi and chi_inverse fill its lazy tables.
+        tree = build_spqr(g)
+        p_nodes, r_nodes = tree.chi_nodes
+        chi_inverse([0] * len(p_nodes), [0] * len(r_nodes), tree)
+        seen, stack = set(), [tree]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, SkelEdge)
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > len(tree.nodes)
 
 
 class TestConventionalOrder:
@@ -197,7 +247,7 @@ class TestFirstEmbeddings:
             assert p_nodes
             for nd in p_nodes:
                 k = len(nd.children)
-                assert k == len(nd.edges) - 1 >= 2
+                assert k == len(tree.skeleton(nd)) - 1 >= 2
                 assert _rotate_to(_induced_cycle(tree, nd, rot), -1, nd) == [
                     -1, *range(k - 1, -1, -1)]
 
@@ -206,8 +256,8 @@ class TestFirstEmbeddings:
         nd = tree.r_nodes()[0]
         rot = first_embedding_R(tree, nd)
         u = min(nd.poles)
-        uid_edge = {e.uid: e for e in nd.edges}
-        nbrs = [uid_edge[t].other(u) for t in rot[u]]
+        skel = tree.skeleton(nd)
+        nbrs = [far_end(skel[t], u) for t in rot[u]]
         w1 = min(nbrs)
         i = nbrs.index(w1)
         w2_candidates = sorted([nbrs[(i - 1) % 3], nbrs[(i + 1) % 3]])
@@ -221,10 +271,10 @@ class TestFirstEmbeddings:
         rot = first_embedding_R(tree, nd)
         mirror = {v: list(reversed(l)) for v, l in rot.items()}
         u = min(nd.poles)
-        uid_edge = {e.uid: e for e in nd.edges}
+        skel = tree.skeleton(nd)
 
         def satisfies(r):
-            nbrs = [uid_edge[t].other(u) for t in r[u]]
+            nbrs = [far_end(skel[t], u) for t in r[u]]
             w1 = min(nbrs)
             i = nbrs.index(w1)
             a, b = nbrs[(i - 1) % len(nbrs)], nbrs[(i + 1) % len(nbrs)]
@@ -270,7 +320,7 @@ class TestCompose:
         p_nodes, r_nodes = tree.conventional
         expected = 2 ** len(r_nodes)
         for nd in p_nodes:
-            k = len(nd.edges) - 1
+            k = len(nd.children)
             for i in range(2, k + 1):
                 expected *= i
         rots = set()
@@ -318,8 +368,8 @@ def blocks_of(g):
 
 def tree_record(tree):
     return tree.dump(), [
-        (nd.kind, nd.parent, nd.children, nd.tin, nd.tout,
-         [(e.uid, e.u, e.v, e.real, e.pair) for e in nd.edges])
+        (nd.kind, nd.parent, nd.children, nd.tin, nd.tout, nd.depth, nd.min_edge,
+         tree.skeleton(nd))
         for nd in tree.nodes]
 
 
@@ -384,11 +434,11 @@ def test_split_search_stays_bounded_on_a_16x16_grid(diagonal, monkeypatch):
     tree = build_spqr(g)
     assert calls <= len(tree.nodes)
     assert Counter(nd.kind for nd in tree.nodes) == {"Q": 705, "R": 1, "P": 2, "S": 2}
-    assert [len(nd.vertices) for nd in tree.r_nodes()] == [254]
+    assert [len(skeleton_vertices(tree, nd)) for nd in tree.r_nodes()] == [254]
     corners = {v for v in g.vertices if g.degree(v) == 2}
     s_nodes = [nd for nd in tree.nodes if nd.kind == "S"]
-    assert [len(nd.vertices) for nd in s_nodes] == [3, 3]
-    assert {v for nd in s_nodes for v in nd.vertices} & corners == corners
+    assert [len(skeleton_vertices(tree, nd)) for nd in s_nodes] == [3, 3]
+    assert {v for nd in s_nodes for v in skeleton_vertices(tree, nd)} & corners == corners
 
 
 def cycle(n, labels=None):
@@ -403,43 +453,27 @@ def tree_by_identifier(tree):
     ident = {nd.index: (nd.depth, nd.min_edge) for nd in tree.nodes}
     return tree.dump(), {
         ident[nd.index]: (nd.kind, ident.get(nd.parent), nd.tin, nd.tout, nd.poles,
-                          sorted((e.u, e.v, e.real is not None) for e in nd.edges))
+                          sorted(tree.skeleton(nd)))
         for nd in tree.nodes}
 
 
 def reference_cycle_tree(g):
     """A cycle's tree built directly, without any split-pair search: one
     S-node plus a Q-node per edge, rooted at the minimum edge's Q-node."""
-    uids = itertools.count(1)
-
-    def new_edge(u, v, real, pair):
-        return SkelEdge(next(uids), u, v, real, pair)
-
-    nodes = []
-    s_edges = []
-    s_index = len(g.edges)  # Q-nodes come first, then the S-node
-    for pid, (u, v) in enumerate(g.edges, start=1):
-        nodes.append(SpqrNode(len(nodes), "Q", [u, v],
-                              [new_edge(u, v, (u, v), None), new_edge(u, v, None, pid)]))
-        s_edges.append(new_edge(u, v, None, pid))
-    s_node = SpqrNode(s_index, "S", list(g.vertices), s_edges)
-    nodes.append(s_node)
-
-    root = 0  # Q-node of the minimum edge (edges are sorted)
-    nodes[root].depth = 0
-    nodes[root].min_edge = g.edges[0]
-    s_node.parent = root
-    s_node.ref_pair = 1
-    s_node.depth = 1
-    s_node.min_edge = g.edges[1]  # every edge but the root's is below it
-    nodes[root].children = [s_index]
-    for qi in range(1, len(g.edges)):  # ascending edges, so children sorted
+    # Q-nodes come first, then the S-node; each Q-node's poles are its edge.
+    nodes = [SpqrNode(qi, "Q", depth=2, min_edge=e, poles=e)
+             for qi, e in enumerate(g.edges)]
+    s_index = len(nodes)
+    nodes.append(SpqrNode(
+        s_index, "S", parent=0, depth=1,
+        min_edge=g.edges[1],  # every edge but the root's is below it
+        poles=g.edges[0],
+        children=list(range(1, s_index))))  # ascending edges, so sorted
+    nodes[0].depth = 0
+    nodes[0].children = [s_index]
+    for qi in range(1, s_index):
         nodes[qi].parent = s_index
-        nodes[qi].ref_pair = qi + 1
-        nodes[qi].depth = 2
-        nodes[qi].min_edge = g.edges[qi]
-        s_node.children.append(qi)
-    return SpqrTree(g, nodes, root)
+    return SpqrTree(g, nodes, 0)
 
 
 class TestCycleFastPath:
