@@ -13,20 +13,18 @@ from .errors import (
     GraphMismatch,
     MalformedInput,
     NotBiconnected,
-    NotConnected,
     NotPlanar,
     PlanarRankError,
     RankOutOfRange,
     TooLarge,
 )
 from .full import EmbeddingRanker, count_embeddings, sample_uniform
-from .graph import Graph, UnionFind, block_cut_tree, connected_components
+from .graph import Graph, block_cut_tree, connected_components
 
 __all__ = [
     "EmbeddingRanker",
     "Graph",
     "PlanarEmbedding",
-    "UnionFind",
     "block_cut_tree",
     "connected_components",
     "count_embeddings",
@@ -38,7 +36,6 @@ __all__ = [
     "GraphMismatch",
     "MalformedInput",
     "NotBiconnected",
-    "NotConnected",
     "NotPlanar",
     "PlanarRankError",
     "RankOutOfRange",

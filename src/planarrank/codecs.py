@@ -1,4 +1,4 @@
-"""Numeric bijections: mixed-radix tuples, permutations, rooted trees.
+"""Numeric bijections: mixed-radix tuples, permutations, nesting labels.
 
 These are the arithmetic workhorses behind every ranking layer.  All of
 them are exact over Python's arbitrary-precision integers; ranks of large
@@ -7,11 +7,10 @@ graphs routinely need hundreds of bits.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 
-from .errors import BoundViolation, LabelOutOfRange, MalformedTree, NotAPermutation, RankOutOfRange
+from .errors import BoundViolation, LabelOutOfRange, NotAPermutation, RankOutOfRange
 
 # ---------------------------------------------------------------------------
 # Mixed-radix tuples  <->  naturals
@@ -167,93 +166,6 @@ def perm_unrank(rank: int, k: int) -> list[int]:
     if k == 0:
         return []
     return _compose(_raw_unrank(rank, k), _invert(_sigma0(k)))
-
-
-# ---------------------------------------------------------------------------
-# Rooted labelled trees  <->  Pruefer sequences
-# ---------------------------------------------------------------------------
-
-
-def prufer_rank(edges, root: int, n: int) -> list[int]:
-    """Pruefer sequence of a rooted tree on labels 1..n (length n-1).
-
-    Classic encoding: repeatedly delete the smallest leaf and record its
-    neighbor, until two nodes remain; appending the root label then fixes
-    the root, making the map a bijection onto [1..n]^(n-1).
-    """
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    count = 0
-    for u, v in edges:
-        if not (1 <= u <= n and 1 <= v <= n) or u == v or v in adj[u]:
-            raise MalformedTree(f"bad tree edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
-        count += 1
-    if n < 2 or count != n - 1 or not 1 <= root <= n:
-        raise MalformedTree(f"{count} edges on {n} nodes (root {root})")
-    # n-1 edges + connectivity = tree.
-    reach = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    if len(reach) != n:
-        raise MalformedTree("input is not connected")
-
-    degree = {v: len(adj[v]) for v in adj}
-    leaves = [v for v in adj if degree[v] == 1]
-    heapq.heapify(leaves)
-    seq = []
-    removed: set[int] = set()
-    for _ in range(n - 2):
-        while True:
-            leaf = heapq.heappop(leaves)
-            if leaf not in removed and degree[leaf] == 1:
-                break
-        removed.add(leaf)
-        nbr = next(w for w in adj[leaf] if w not in removed)
-        seq.append(nbr)
-        degree[nbr] -= 1
-        degree[leaf] = 0
-        if degree[nbr] == 1:
-            heapq.heappush(leaves, nbr)
-    return seq + [root]
-
-
-def prufer_unrank(seq: list[int]) -> tuple[list[tuple[int, int]], int]:
-    """Rooted tree from a Pruefer sequence; returns (edges, root)."""
-    n = len(seq) + 1
-    for x in seq:
-        if not 1 <= x <= n:
-            raise MalformedTree(f"label {x} outside 1..{n}")
-    root = seq[-1]
-    if n == 1:
-        return [], root
-    body = seq[:-1]
-    degree = {v: 1 for v in range(1, n + 1)}
-    for x in body:
-        degree[x] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for x in body:
-        while True:
-            leaf = heapq.heappop(leaves)
-            if leaf not in used and degree[leaf] == 1:
-                break
-        used.add(leaf)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[leaf] -= 1
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    last = [v for v in range(1, n + 1) if degree[v] == 1 and v not in used]
-    u, v = last
-    edges.append((u, v))
-    return sorted(edges), root
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ Edges at v are named by their far endpoint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import BoundViolation, EmbeddingMismatch
@@ -47,12 +46,6 @@ def arrangement_bounds(deltas: list[int]) -> tuple[list[int], list[int]]:
     """
     total = sum(deltas)
     return list(deltas), [total - j for j in range(1, len(deltas) - 1)]
-
-
-def arrangement_count(deltas: list[int]) -> int:
-    """E_v: product of block degrees times falling factors of the total."""
-    c_bounds, d_bounds = arrangement_bounds(deltas)
-    return math.prod(c_bounds) * math.prod(d_bounds)
 
 
 @dataclass(frozen=True)

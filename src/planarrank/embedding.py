@@ -1,9 +1,10 @@
-"""Planar embeddings on the sphere: rotation systems, faces and nesting.
+"""Planar embeddings on the sphere: rotation systems, face counts and nesting.
 
 A rotation system stores, per vertex, the counter-clockwise cyclic list of
-neighbors.  Faces are traced with the fixed convention: after entering v
-through edge e, the boundary continues with the predecessor of e in v's
-counter-clockwise list, which keeps the face on the left.
+neighbors.  Faces follow the fixed convention: after entering v through
+edge e, the boundary continues with the predecessor of e in v's
+counter-clockwise list, which keeps the face on the left.  The faces'
+identifiers and their boundary walks are defined in the oracle.
 
 For a disconnected graph the rotation alone does not fix the embedding;
 a nesting tree (which face of which component hosts each other component)
@@ -16,22 +17,10 @@ from __future__ import annotations
 
 import json
 
-from .errors import GraphMismatch, MalformedInput, UnknownFace
-from .graph import Edge, Graph, connected_components, edge_id
+from .errors import GraphMismatch, MalformedInput
+from .graph import Graph, connected_components
 
 Rotation = dict[int, list[int]]
-
-# A face is the tuple of directed edges of its boundary walk, rotated so
-# the smallest directed edge comes first.
-FaceBoundary = tuple[tuple[int, int], ...]
-
-
-def canonical_cycle(seq: list) -> tuple:
-    """Rotate a cyclic sequence so its smallest element comes first."""
-    if not seq:
-        return ()
-    k = seq.index(min(seq))
-    return tuple(seq[k:] + seq[:k])
 
 
 def canonical_rotation(rot: Rotation) -> Rotation:
@@ -41,42 +30,6 @@ def canonical_rotation(rot: Rotation) -> Rotation:
         k = nbrs.index(min(nbrs)) if nbrs else 0
         out[v] = nbrs[k:] + nbrs[:k]
     return out
-
-
-def _dart_successor(rot: Rotation) -> dict[tuple[int, int], tuple[int, int]]:
-    """Next dart of every directed edge (a, b) along its face boundary:
-    (b, c) with c the counter-clockwise predecessor of a at b."""
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for b, nbrs in rot.items():
-        prev = nbrs[-1] if nbrs else None
-        for a in nbrs:
-            succ[(a, b)] = (b, prev)
-            prev = a
-    return succ
-
-
-def trace_faces(rot: Rotation) -> list[FaceBoundary]:
-    """All face boundary walks of a rotation system.
-
-    Every directed edge (u, v) with v in rot[u] appears in exactly one
-    returned walk.  Output is sorted, so identical rotations give
-    identical face lists.
-    """
-    succ = _dart_successor(rot)
-    faces: list[FaceBoundary] = []
-    visited: set[tuple[int, int]] = set()
-    for v in sorted(rot):
-        for w in rot[v]:
-            dart = (v, w)
-            if dart in visited:
-                continue
-            walk: list[tuple[int, int]] = []
-            while dart not in visited:
-                visited.add(dart)
-                walk.append(dart)
-                dart = succ[dart]
-            faces.append(canonical_cycle(walk))
-    return sorted(faces)
 
 
 def face_count(rot: Rotation) -> int:
@@ -101,50 +54,6 @@ def face_count(rot: Rotation) -> int:
         while dart != start:
             dart = succ.pop(dart)
     return count
-
-
-def is_planar_rotation(g: Graph, rot: Rotation) -> bool:
-    """Euler check n - m + f = 2 on every component of g under rot."""
-    for _, comp in connected_components(g):
-        comp_rot = {v: rot[v] for v in comp}
-        n_c = len(comp)
-        m_c = sum(len(rot[v]) for v in comp) // 2
-        if n_c - m_c + face_count(comp_rot) != 2:
-            return False
-    return True
-
-
-def face_label(face: FaceBoundary, component: int) -> tuple[int, Edge, int]:
-    """Label (component, minimum edge id, side bit) of a face.
-
-    The side bit is 0 when the face lies to the right of its minimum edge
-    (u, v) traversed u -> v; with boundaries keeping the face on the left,
-    that means the walk contains the reversed traversal (v, u).  A bridge
-    traversed in both directions gets bit 0.
-    """
-    e = min(edge_id(a, b) for a, b in face)
-    bit = 0 if (e[1], e[0]) in face else 1
-    return (component, e, bit)
-
-
-def sorted_faces(rot: Rotation, component: int = 1) -> list[FaceBoundary]:
-    """Faces of one connected rotation, ordered by ascending label.
-
-    The position of a face in this list is its 0-based identifier.
-    """
-    faces = trace_faces(rot)
-    faces.sort(key=lambda f: face_label(f, component))
-    return faces
-
-
-def face_identifiers(emb: "PlanarEmbedding", component: int) -> list[FaceBoundary]:
-    """Faces of one component ordered by label; positions are the 0-based
-    face identifiers used by face tuples and nesting labels."""
-    comps = emb.components()
-    if not 1 <= component <= len(comps):
-        raise UnknownFace(f"component {component} does not exist")
-    rot = emb.component_rotation(comps[component - 1][1])
-    return sorted_faces(rot, component)
 
 
 def face_intervals(face_counts: list[int]) -> list[tuple[int, int]]:

@@ -13,10 +13,6 @@ class EdgelessComponent(MalformedInput):
     """A vertex (or component) carries no edge; face labels are undefined."""
 
 
-class NotConnected(PlanarRankError):
-    """Operation requires a connected graph."""
-
-
 class NotBiconnected(PlanarRankError):
     """Operation requires a biconnected graph."""
 

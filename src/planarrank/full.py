@@ -75,43 +75,30 @@ class EmbeddingRanker:
         self.comps = connected_components(graph)
         self.t = len(self.comps)
 
-        self.face_counts: list[int] = []
+        comp_of = {v: ci for ci, (_, comp) in enumerate(self.comps) for v in comp}
+        # A component's face count is m_c - n_c + 2 (Euler), and m_c is
+        # half its degree sum.
+        self.face_counts = [sum(map(graph.degree, comp)) // 2 - len(comp) + 2
+                            for _, comp in self.comps]
         self.blocks: list[_BlockInfo] = []
-        cut_vertices: list[int] = []  # global ids
         # Block-local (n, edges) -> its tree; a Graph is built on a miss only.
         trees: dict[tuple, SpqrTree] = {}
-
-        comp_of = {v: ci for ci, (_, comp) in enumerate(self.comps) for v in comp}
-        comp_edges: list[list[tuple[int, int]]] = [[] for _ in self.comps]
-        for u, v in graph.edges:
-            comp_edges[comp_of[u]].append((u, v))
-
-        for ci, (_, comp) in enumerate(self.comps):
-            order = sorted(comp)  # component-local id i is order[i - 1]
-            to_local = {v: i + 1 for i, v in enumerate(order)}
-            edges = [(to_local[u], to_local[v]) for u, v in comp_edges[ci]]
-            sub = Graph(len(order), edges)
-            self.face_counts.append(sub.m - sub.n + 2)
-            bct = block_cut_tree(sub)
-
-            for blk in bct.blocks:
-                # Both id maps are monotone, so every ordering convention
-                # agrees across coordinate systems, and the block's sorted
-                # edges stay sorted in each.
-                verts, key = blk.local()
-                tree = trees.get(key)
-                if tree is None:  # raises NotPlanar for a non-planar block
-                    tree = trees[key] = build_spqr(Graph(*key))
-                inv = (0, *(order[v - 1] for v in verts))  # ints: the collector untracks it
-                g_edges = [(inv[a], inv[b]) for a, b in key[1]]
-                poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
-                self.blocks.append(
-                    _BlockInfo(ci, g_edges, {x: i for i, x in enumerate(inv) if i},
-                               inv, tree,
-                               tuple((inv[u], u) for u in poles))
-                )
-            cut_vertices.extend(order[v - 1] for v in bct.cut_vertices)
-        self.blocks.sort(key=lambda info: info.edges[0])  # the p/r order
+        bct = block_cut_tree(graph)
+        for blk in bct.blocks:  # sorted by minimum edge: the p/r order
+            # The id map is monotone, so every ordering convention agrees
+            # across coordinate systems, and the block's sorted edges stay
+            # sorted in each.
+            verts, key = blk.local()
+            tree = trees.get(key)
+            if tree is None:  # raises NotPlanar for a non-planar block
+                tree = trees[key] = build_spqr(Graph(*key))
+            inv = (0, *verts)  # ints: the collector untracks it
+            poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
+            self.blocks.append(
+                _BlockInfo(comp_of[verts[0]], list(blk.edges),
+                           {x: i for i, x in enumerate(inv) if i}, inv, tree,
+                           tuple((inv[u], u) for u in poles))
+            )
         # Per tree, decoded block-local rotations by (p digits, r digits).
         self.decoded: dict[SpqrTree, dict[tuple, Rotation]] = {
             tree: {} for tree in trees.values()}
@@ -120,7 +107,7 @@ class EmbeddingRanker:
             e: b for b, info in enumerate(self.blocks) for e in info.edges
         }
         self.cuts: list[_CutInfo] = []
-        for v in sorted(cut_vertices):
+        for v in bct.cut_vertices:
             at_v: dict[int, list[int]] = {}
             for w in graph.adj[v]:
                 at_v.setdefault(block_of_edge[edge_id(v, w)], []).append(w)
@@ -240,7 +227,7 @@ class EmbeddingRanker:
         self._merge_cuts(values, self.cuts, block_rot, rot)
         # The decoded tree and tuple are valid by construction and the
         # composed rotation planar by the skeleton/merge invariants, so
-        # the full re-validation of digamma_inverse is skipped here.
+        # the full re-validation by validate is skipped here.
         tree, ft = self.nesting_codec.inverse(values[self.a], values[self.b])
         return PlanarEmbedding(self.graph, rot, tree, ft)
 

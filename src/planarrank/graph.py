@@ -1,4 +1,4 @@
-"""Simple undirected graphs, connectivity decomposition and union-find.
+"""Simple undirected graphs and their connectivity decomposition.
 
 Vertices are the dense integers 1..n.  An edge is the pair (u, v) with
 u < v; pairs compare lexicographically, which fixes every "minimum edge"
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import EdgelessComponent, MalformedInput, NotConnected
+from .errors import EdgelessComponent, MalformedInput
 
 Edge = tuple[int, int]
 
@@ -110,37 +110,6 @@ class Graph:
         )
 
 
-class UnionFind:
-    """Disjoint sets over 0..size-1 with path compression and union by rank."""
-
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.rank = [0] * size
-
-    def find(self, a: int) -> int:
-        if not 0 <= a < len(self.parent):
-            raise IndexError(f"element {a} out of range")
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:  # path compression
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return ra
-
-
 def connected_components(g: Graph) -> list[tuple[int, frozenset[int]]]:
     """Components as (1-based id, vertex set), ordered by smallest vertex.
 
@@ -194,7 +163,7 @@ class Block:
 
 @dataclass
 class BlockCutTree:
-    """Blocks and cut-vertices of one connected graph.
+    """Blocks and cut-vertices of a graph, over all its components.
 
     blocks are sorted by minimum edge id, so b(v) orderings are
     reproducible.
@@ -264,19 +233,18 @@ def lowpoint_dfs(adj: dict[int, list[int]], root: int
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
-    """Blocks and cut-vertices via lowpoint_dfs.
+    """Blocks and cut-vertices of every component via lowpoint_dfs.
 
-    DFS starts at vertex 1 and scans neighbors in ascending order, so the
-    result is deterministic.  Linear in n + m.
+    Each component's DFS starts at its smallest vertex and scans neighbors
+    in ascending order, so the result is deterministic.  Linear in n + m.
     """
-    comps = connected_components(g)
-    if len(comps) > 1:
-        raise NotConnected(f"graph has {len(comps)} components")
-    _, cut, raw_blocks = lowpoint_dfs(g.adj, 1)
-
     blocks = []
-    for edges in raw_blocks:
-        vs = frozenset(x for e in edges for x in e)
-        blocks.append(Block(vs, tuple(sorted(edges))))
+    cut: set[int] = set()
+    for _, comp in connected_components(g):
+        _, comp_cut, raw_blocks = lowpoint_dfs(g.adj, min(comp))
+        cut |= comp_cut
+        for edges in raw_blocks:
+            vs = frozenset(x for e in edges for x in e)
+            blocks.append(Block(vs, tuple(sorted(edges))))
     blocks.sort(key=lambda b: b.min_edge)
     return BlockCutTree(blocks, sorted(cut))

@@ -1,4 +1,4 @@
-"""Nesting of connected components: trees, face tuples and their codec.
+"""Nesting of connected components: the codec of nesting trees and face tuples.
 
 A disconnected embedding adds two pieces of data on top of the component
 rotations: a nesting tree (which inner face of which component hosts each
@@ -14,41 +14,8 @@ from __future__ import annotations
 import heapq
 
 from .codecs import nesting_tuple_preprocess
-from .embedding import (
-    NestingEdge,
-    PlanarEmbedding,
-    Rotation,
-    face_intervals,
-    validate,
-)
-from .errors import EmbeddingMismatch, LabelOutOfRange, MalformedTree
-from .graph import Graph
-
-
-def digamma(emb: PlanarEmbedding) -> tuple[list[NestingEdge], list[int]]:
-    """Nesting tree and face tuple of an embedding.
-
-    The embedding object carries both; this accessor re-validates and
-    hands them out in canonical form.
-    """
-    problems = validate(emb)
-    if problems:
-        raise EmbeddingMismatch("; ".join(problems))
-    return list(emb.nesting), list(emb.face_tuple)
-
-
-def digamma_inverse(
-    graph: Graph,
-    rot: Rotation,
-    nesting: list[NestingEdge],
-    face_tuple: list[int],
-) -> PlanarEmbedding:
-    """Assemble an embedding from component rotations plus nesting data."""
-    emb = PlanarEmbedding(graph, rot, nesting, face_tuple)
-    problems = validate(emb)
-    if problems:
-        raise EmbeddingMismatch("; ".join(problems))
-    return emb
+from .embedding import NestingEdge, face_intervals
+from .errors import LabelOutOfRange, MalformedTree
 
 
 def nesting_encode(nesting: list[NestingEdge], c: int) -> list[int]:

@@ -1,18 +1,24 @@
-"""Brute-force ground truth for the ranking bijections.
+"""Brute-force ground truth and the specification the tests compare against.
 
-Everything here enumerates exhaustively and filters with Euler's formula;
-nothing imports the production rank/unrank paths.  Used by tests and the
-`verify` command only.  Guards raise TooLarge instead of truncating, so a
-test can never silently pass on a partial enumeration.
+The specification is what the ranking layers compute but never need at
+run time: Euler's check, the face identifiers that give face-tuple entries
+and nesting labels their meaning, and the classic Pruefer codec, the
+worked example behind the nesting codec.  The enumerations run
+exhaustively and filter with Euler's check.  Nothing here imports the
+ranking layers (full, biconnected, cutvertex, spqr, nesting, codecs), so
+the reference stays independent of what it checks; only the tests and the
+`verify` command use this module.  Guards raise TooLarge instead of
+truncating, so a test can never silently pass on a partial enumeration.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
-from .embedding import PlanarEmbedding, Rotation, canonical_cycle, face_count, face_intervals
-from .errors import TooLarge
-from .graph import Graph, connected_components
+from .embedding import PlanarEmbedding, Rotation, face_count, face_intervals
+from .errors import MalformedTree, TooLarge, UnknownFace
+from .graph import Edge, Graph, connected_components, edge_id
 
 _ROTATION_GUARD = 2_000_000
 
@@ -38,10 +44,18 @@ def all_rotation_systems(g: Graph):
         yield {v: list(combo[i]) for i, v in enumerate(g.vertices)}
 
 
-def _euler_ok(comp: frozenset[int], rot: Rotation) -> bool:
-    sub = {v: rot[v] for v in comp}
-    m_c = sum(len(sub[v]) for v in comp) // 2
-    return len(comp) - m_c + face_count(sub) == 2
+def _euler_ok(rot: Rotation) -> bool:
+    """Euler's formula n - m + f = 2 for one connected rotation."""
+    m = sum(len(nbrs) for nbrs in rot.values()) // 2
+    return len(rot) - m + face_count(rot) == 2
+
+
+def is_planar_rotation(g: Graph, rot: Rotation) -> bool:
+    """Euler check n - m + f = 2 on every component of g under rot."""
+    for _, comp in connected_components(g):
+        if not _euler_ok({v: rot[v] for v in comp}):
+            return False
+    return True
 
 
 def enumerate_connected(g: Graph) -> list[Rotation]:
@@ -51,8 +65,7 @@ def enumerate_connected(g: Graph) -> list[Rotation]:
     comps = connected_components(g)
     if len(comps) != 1:
         raise ValueError("enumerate_connected needs a connected graph")
-    comp = comps[0][1]
-    return [rot for rot in all_rotation_systems(g) if _euler_ok(comp, rot)]
+    return [rot for rot in all_rotation_systems(g) if is_planar_rotation(g, rot)]
 
 
 def all_nesting_trees(c: int, face_counts: list[int]):
@@ -179,8 +192,179 @@ def enumerate_arrangements(
                     if x != v:
                         rot[x] = list(nbrs)
             rot[v] = candidate
-            n_all = len(rot)
-            m_all = sum(len(x) for x in rot.values()) // 2
-            if n_all - m_all + face_count(rot) == 2:
+            if _euler_ok(rot):
                 out.add(canonical_cycle(candidate))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Face identifiers
+# ---------------------------------------------------------------------------
+
+# A face is the tuple of directed edges of its boundary walk, rotated so
+# the smallest directed edge comes first.
+FaceBoundary = tuple[tuple[int, int], ...]
+
+
+def canonical_cycle(seq: list) -> tuple:
+    """Rotate a cyclic sequence so its smallest element comes first."""
+    if not seq:
+        return ()
+    k = seq.index(min(seq))
+    return tuple(seq[k:] + seq[:k])
+
+
+def _dart_successor(rot: Rotation) -> dict[tuple[int, int], tuple[int, int]]:
+    """Next dart of every directed edge (a, b) along its face boundary:
+    (b, c) with c the counter-clockwise predecessor of a at b."""
+    succ: dict[tuple[int, int], tuple[int, int]] = {}
+    for b, nbrs in rot.items():
+        prev = nbrs[-1] if nbrs else None
+        for a in nbrs:
+            succ[(a, b)] = (b, prev)
+            prev = a
+    return succ
+
+
+def trace_faces(rot: Rotation) -> list[FaceBoundary]:
+    """All face boundary walks of a rotation system.
+
+    Every directed edge (u, v) with v in rot[u] appears in exactly one
+    returned walk.  Output is sorted, so identical rotations give
+    identical face lists.
+    """
+    succ = _dart_successor(rot)
+    faces: list[FaceBoundary] = []
+    visited: set[tuple[int, int]] = set()
+    for v in sorted(rot):
+        for w in rot[v]:
+            dart = (v, w)
+            if dart in visited:
+                continue
+            walk: list[tuple[int, int]] = []
+            while dart not in visited:
+                visited.add(dart)
+                walk.append(dart)
+                dart = succ[dart]
+            faces.append(canonical_cycle(walk))
+    return sorted(faces)
+
+
+def face_label(face: FaceBoundary, component: int) -> tuple[int, Edge, int]:
+    """Label (component, minimum edge id, side bit) of a face.
+
+    The side bit is 0 when the face lies to the right of its minimum edge
+    (u, v) traversed u -> v; with boundaries keeping the face on the left,
+    that means the walk contains the reversed traversal (v, u).  A bridge
+    traversed in both directions gets bit 0.
+    """
+    e = min(edge_id(a, b) for a, b in face)
+    bit = 0 if (e[1], e[0]) in face else 1
+    return (component, e, bit)
+
+
+def sorted_faces(rot: Rotation, component: int = 1) -> list[FaceBoundary]:
+    """Faces of one connected rotation, ordered by ascending label.
+
+    The position of a face in this list is its 0-based identifier.
+    """
+    faces = trace_faces(rot)
+    faces.sort(key=lambda f: face_label(f, component))
+    return faces
+
+
+def face_identifiers(emb: PlanarEmbedding, component: int) -> list[FaceBoundary]:
+    """Faces of one component ordered by label; positions are the 0-based
+    face identifiers used by face tuples and nesting labels."""
+    comps = emb.components()
+    if not 1 <= component <= len(comps):
+        raise UnknownFace(f"component {component} does not exist")
+    rot = emb.component_rotation(comps[component - 1][1])
+    return sorted_faces(rot, component)
+
+
+# ---------------------------------------------------------------------------
+# Rooted labelled trees  <->  Pruefer sequences
+# ---------------------------------------------------------------------------
+
+
+def prufer_rank(edges, root: int, n: int) -> list[int]:
+    """Pruefer sequence of a rooted tree on labels 1..n (length n-1).
+
+    Classic encoding: repeatedly delete the smallest leaf and record its
+    neighbor, until two nodes remain; appending the root label then fixes
+    the root, making the map a bijection onto [1..n]^(n-1).
+    """
+    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    count = 0
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n) or u == v or v in adj[u]:
+            raise MalformedTree(f"bad tree edge ({u}, {v})")
+        adj[u].add(v)
+        adj[v].add(u)
+        count += 1
+    if n < 2 or count != n - 1 or not 1 <= root <= n:
+        raise MalformedTree(f"{count} edges on {n} nodes (root {root})")
+    # n-1 edges + connectivity = tree.
+    reach = {1}
+    stack = [1]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    if len(reach) != n:
+        raise MalformedTree("input is not connected")
+
+    degree = {v: len(adj[v]) for v in adj}
+    leaves = [v for v in adj if degree[v] == 1]
+    heapq.heapify(leaves)
+    seq = []
+    removed: set[int] = set()
+    for _ in range(n - 2):
+        while True:
+            leaf = heapq.heappop(leaves)
+            if leaf not in removed and degree[leaf] == 1:
+                break
+        removed.add(leaf)
+        nbr = next(w for w in adj[leaf] if w not in removed)
+        seq.append(nbr)
+        degree[nbr] -= 1
+        degree[leaf] = 0
+        if degree[nbr] == 1:
+            heapq.heappush(leaves, nbr)
+    return seq + [root]
+
+
+def prufer_unrank(seq: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """Rooted tree from a Pruefer sequence; returns (edges, root)."""
+    n = len(seq) + 1
+    for x in seq:
+        if not 1 <= x <= n:
+            raise MalformedTree(f"label {x} outside 1..{n}")
+    root = seq[-1]
+    if n == 1:
+        return [], root
+    body = seq[:-1]
+    degree = {v: 1 for v in range(1, n + 1)}
+    for x in body:
+        degree[x] += 1
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges: list[tuple[int, int]] = []
+    used: set[int] = set()
+    for x in body:
+        while True:
+            leaf = heapq.heappop(leaves)
+            if leaf not in used and degree[leaf] == 1:
+                break
+        used.add(leaf)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[leaf] -= 1
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    last = [v for v in range(1, n + 1) if degree[v] == 1 and v not in used]
+    u, v = last
+    edges.append((u, v))
+    return sorted(edges), root

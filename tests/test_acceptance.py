@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
 
 import itertools
+import math
 import random
 import time
 from math import factorial
@@ -17,20 +18,20 @@ from planarrank.codecs import (
     nesting_tuple_preprocess,
     perm_rank,
     perm_unrank,
-    prufer_rank,
-    prufer_unrank,
     tuple_rank,
     tuple_unrank,
 )
-from planarrank.cutvertex import BlocksAtV, arrangement_count
+from planarrank.cutvertex import BlocksAtV
 from planarrank.embedding import validate
 from planarrank.full import EmbeddingRanker
-from planarrank.graph import Graph, block_cut_tree, connected_components
+from planarrank.graph import Graph, block_cut_tree, edge_id
 from planarrank.nesting import nesting_decode, nesting_encode
 from planarrank.oracle import (
     enumerate_arrangements,
     enumerate_connected,
     enumerate_disconnected,
+    prufer_rank,
+    prufer_unrank,
 )
 from planarrank.spqr import build_spqr
 from test_full import CATALOG
@@ -89,7 +90,7 @@ class TestAcceptance:
                 ctx = BlocksAtV.make(v, [r[v] for r in blocks])
                 if ctx.delta_v > 8:
                     continue
-                expected = arrangement_count(ctx.deltas)
+                expected = math.prod(ctx.c_bounds + ctx.d_bounds)
                 got = len(enumerate_arrangements(v, blocks))
                 assert got == expected, f"E_v mismatch at vertex {v}"
                 checked += 1
@@ -217,22 +218,15 @@ def cut_configs(g: Graph):
     """Per cut-vertex, the incident blocks with a fixed embedding each."""
     ranker = EmbeddingRanker(g)
     emb = ranker.unrank(0)
-    for _, comp in connected_components(g):
-        order = sorted(comp)
-        remap = {v: i + 1 for i, v in enumerate(order)}
-        back = {i + 1: v for i, v in enumerate(order)}
-        sub = Graph(len(order), [(remap[u], remap[v]) for u, v in g.edges if u in comp])
-        bct = block_cut_tree(sub)
-        for v in bct.cut_vertices:
-            blocks = []
-            for blk in bct.blocks:
-                if v not in blk.vertices:
-                    continue
-                edge_set = {(back[a], back[b]) for a, b in blk.edges}
-                rot = {}
-                for x in blk.vertices:
-                    gx = back[x]
-                    rot[gx] = [w for w in emb.rot[gx]
-                               if (min(gx, w), max(gx, w)) in edge_set]
-                blocks.append(rot)
-            yield back[v], blocks
+    bct = block_cut_tree(g)
+    for v in bct.cut_vertices:
+        blocks = []
+        for blk in bct.blocks:
+            if v not in blk.vertices:
+                continue
+            edge_set = set(blk.edges)
+            rot = {}
+            for x in blk.vertices:
+                rot[x] = [w for w in emb.rot[x] if edge_id(x, w) in edge_set]
+            blocks.append(rot)
+        yield v, blocks

@@ -18,11 +18,10 @@ from planarrank.biconnected import (
     chi_inverse,
 )
 from planarrank.codecs import bounds_product, perm_unrank, tuple_unrank
-from planarrank.embedding import canonical_cycle, is_planar_rotation
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, edge_id
-from planarrank.oracle import enumerate_connected
+from planarrank.oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from planarrank.spqr import SkelEdge, build_spqr
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])

@@ -11,8 +11,6 @@ from planarrank.codecs import (
     nesting_tuple_preprocess,
     perm_rank,
     perm_unrank,
-    prufer_rank,
-    prufer_unrank,
     tuple_rank,
     tuple_unrank,
 )
@@ -23,6 +21,7 @@ from planarrank.errors import (
     NotAPermutation,
     RankOutOfRange,
 )
+from planarrank.oracle import prufer_rank, prufer_unrank
 
 # Values and bounds from the worked 22-element example; the product of the
 # bounds and the rank of the value tuple are pinned exactly.

@@ -1,6 +1,7 @@
 """phi_v / phi_v_inverse: arrangements of blocks around a cut-vertex."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -10,15 +11,14 @@ import pytest
 from planarrank.cutvertex import (
     BlocksAtV,
     OpCounter,
-    arrangement_count,
+    arrangement_bounds,
     phi_v,
     phi_v_inverse,
 )
-from planarrank.embedding import canonical_cycle, is_planar_rotation
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
-from planarrank.graph import Graph, UnionFind
-from planarrank.oracle import enumerate_arrangements
+from planarrank.graph import Graph
+from planarrank.oracle import canonical_cycle, enumerate_arrangements, is_planar_rotation
 
 
 def bridge(v, w):
@@ -71,19 +71,23 @@ CONFIGS = [
 
 class TestArrangementCount:
     def test_two_blocks_2_3(self):
-        assert arrangement_count([2, 3]) == 6
+        c_bounds, d_bounds = arrangement_bounds([2, 3])
+        assert math.prod(c_bounds + d_bounds) == 6
 
     def test_two_bridges(self):
-        assert arrangement_count([1, 1]) == 1
+        c_bounds, d_bounds = arrangement_bounds([1, 1])
+        assert math.prod(c_bounds + d_bounds) == 1
 
     def test_three_bridges(self):
-        assert arrangement_count([1, 1, 1]) == 2
+        c_bounds, d_bounds = arrangement_bounds([1, 1, 1])
+        assert math.prod(c_bounds + d_bounds) == 2
 
     def test_matches_formula(self):
         deltas = [2, 2, 1, 3]
         total = sum(deltas)
         expected = 2 * 2 * 1 * 3 * (total - 1) * (total - 2)
-        assert arrangement_count(deltas) == expected
+        c_bounds, d_bounds = arrangement_bounds(deltas)
+        assert math.prod(c_bounds + d_bounds) == expected
 
 
 class TestPhiV:
@@ -91,7 +95,7 @@ class TestPhiV:
     def test_bijection_against_oracle(self, name, v, blocks):
         ctx, rotations = at_v(v, blocks)
         c_bounds, d_bounds = ctx.c_bounds, ctx.d_bounds
-        expected = arrangement_count(ctx.deltas)
+        expected = math.prod(ctx.c_bounds + ctx.d_bounds)
 
         produced = {}
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
@@ -198,6 +202,37 @@ class TestPhiV:
 # ---------------------------------------------------------------------------
 # Reference: the merge over one linked cell object per edge
 # ---------------------------------------------------------------------------
+
+
+class UnionFind:
+    """Disjoint sets over 0..size-1 with path compression and union by rank.
+
+    The reference merges' own copy: a reference shares no code with the
+    phi_v and phi_v_inverse it checks.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.parent = list(range(size))
+        self.rank = [0] * size
+
+    def find(self, a: int) -> int:
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:  # path compression
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        return ra
 
 
 @dataclass

@@ -1,38 +1,29 @@
 """Rotation systems, face tracing, labels, validation, equality."""
 
-import itertools
-
 import pytest
 
 from planarrank.embedding import (
     PlanarEmbedding,
-    canonical_cycle,
     embeddings_equal,
     face_count,
-    face_identifiers,
     face_intervals,
-    face_label,
-    is_planar_rotation,
-    sorted_faces,
-    trace_faces,
     validate,
 )
 from planarrank.errors import GraphMismatch, UnknownFace
 from planarrank.graph import Graph
+from planarrank.oracle import (
+    all_rotation_systems,
+    canonical_cycle,
+    face_identifiers,
+    face_label,
+    is_planar_rotation,
+    sorted_faces,
+    trace_faces,
+)
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 TRI_ROT = {1: [2, 3], 2: [3, 1], 3: [1, 2]}
 K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-
-
-def all_rotation_systems(g: Graph):
-    """Every rotation system of g (first neighbor pinned to break cyclic ties)."""
-    per_vertex = []
-    for v in g.vertices:
-        nbrs = g.adj[v]
-        per_vertex.append([[nbrs[0], *rest] for rest in itertools.permutations(nbrs[1:])])
-    for combo in itertools.product(*per_vertex):
-        yield {v: list(combo[i]) for i, v in enumerate(g.vertices)}
 
 
 class TestTraceFaces:

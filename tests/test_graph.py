@@ -1,11 +1,11 @@
-"""Graph core: components, block-cut tree, union-find, JSON."""
+"""Graph core: components, block-cut tree, JSON."""
 
 import itertools
 
 import pytest
 
-from planarrank.errors import EdgelessComponent, MalformedInput, NotConnected
-from planarrank.graph import Block, Graph, UnionFind, block_cut_tree, connected_components
+from planarrank.errors import EdgelessComponent, MalformedInput
+from planarrank.graph import Block, Graph, block_cut_tree, connected_components
 
 
 def brute_cut_vertices(g: Graph) -> set[int]:
@@ -105,9 +105,18 @@ class TestBlockCutTree:
         assert sum(3 in b.vertices for b in t.blocks) == 2
         assert set(t.cut_vertices) == brute_cut_vertices(g)
 
-    def test_rejects_disconnected(self):
-        with pytest.raises(NotConnected):
-            block_cut_tree(Graph(4, [(1, 2), (3, 4)]))
+    def test_disconnected_yields_every_component(self):
+        t = block_cut_tree(Graph(4, [(1, 2), (3, 4)]))
+        assert [b.edges for b in t.blocks] == [((1, 2),), ((3, 4),)]
+        assert t.cut_vertices == []
+        # Components {1, 3, 5, 6, 7} and {2, 4} interleave their ids: the
+        # blocks of both sort together by minimum edge, and so do the
+        # cut-vertices.
+        g = Graph(7, [(1, 3), (3, 5), (2, 4), (5, 6), (5, 7), (6, 7)])
+        t = block_cut_tree(g)
+        assert [b.edges for b in t.blocks] == [
+            ((1, 3),), ((2, 4),), ((3, 5),), ((5, 6), (5, 7), (6, 7))]
+        assert t.cut_vertices == [3, 5]
 
     def test_blocks_sorted_by_min_edge(self):
         g = Graph(5, [(1, 5), (2, 5), (3, 5), (4, 5)])
@@ -148,33 +157,3 @@ class TestBlockCutTree:
         assert verts == [3, 5, 8]
         assert key == (3, ((1, 2), (1, 3), (2, 3)))
         assert Graph(*key).edges == key[1]
-
-
-class TestUnionFind:
-    def test_fresh_singletons(self):
-        uf = UnionFind(5)
-        assert uf.find(3) == 3
-
-    def test_single_union(self):
-        uf = UnionFind(4)
-        uf.union(1, 2)
-        assert uf.find(1) == uf.find(2)
-        assert uf.find(0) != uf.find(3)
-
-    def test_chain_against_label_propagation(self):
-        # Oracle: propagate minimum label until fixpoint.
-        n = 100
-        labels = list(range(n))
-        for i in range(n - 1):
-            a, b = labels[i], labels[i + 1]
-            lo = min(a, b)
-            labels = [lo if x in (a, b) else x for x in labels]
-        uf = UnionFind(n)
-        for i in range(n - 1):
-            uf.union(i, i + 1)
-        assert len(set(labels)) == 1
-        assert len({uf.find(i) for i in range(n)}) == 1
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            UnionFind(3).find(7)

@@ -1,20 +1,14 @@
-"""Nesting trees, the Pruefer-variant codec, and digamma."""
+"""Nesting trees, the Pruefer-variant codec, and the digamma data of an embedding."""
 
 import itertools
 import random
 
 import pytest
 
-from planarrank.embedding import PlanarEmbedding, face_intervals
-from planarrank.errors import EmbeddingMismatch, LabelOutOfRange
+from planarrank.embedding import PlanarEmbedding, face_intervals, validate
+from planarrank.errors import LabelOutOfRange
 from planarrank.graph import Graph
-from planarrank.nesting import (
-    NestingCodec,
-    digamma,
-    digamma_inverse,
-    nesting_decode,
-    nesting_encode,
-)
+from planarrank.nesting import NestingCodec, nesting_decode, nesting_encode
 from planarrank.oracle import all_nesting_trees
 
 def reference_preprocess(tau, intervals):
@@ -148,32 +142,38 @@ TT_ROT = {1: [2, 3], 2: [3, 1], 3: [1, 2], 4: [5, 6], 5: [6, 4], 6: [4, 5]}
 
 
 class TestDigamma:
+    """The paper's digamma: an embedding's nesting tree and face tuple.
+
+    PlanarEmbedding carries both in canonical form, and validate checks
+    them against the rotation.
+    """
+
     def test_connected_graph_trivial_tree(self):
         g = Graph(3, [(1, 2), (1, 3), (2, 3)])
         emb = PlanarEmbedding(g, {1: [2, 3], 2: [3, 1], 3: [1, 2]}, None, [1])
-        tree, ft = digamma(emb)
-        assert tree == [(0, 1, 0)] and ft == [1]
+        assert validate(emb) == []
+        assert emb.nesting == [(0, 1, 0)] and emb.face_tuple == [1]
 
     def test_two_disjoint_edges_side_by_side(self):
         g = Graph(4, [(1, 2), (3, 4)])
-        emb = digamma_inverse(
+        emb = PlanarEmbedding(
             g, {1: [2], 2: [1], 3: [4], 4: [3]}, [(0, 1, 0), (0, 2, 0)], [0, 0]
         )
-        tree, ft = digamma(emb)
-        assert tree == [(0, 1, 0), (0, 2, 0)]
+        assert validate(emb) == []
+        assert emb.nesting == [(0, 1, 0), (0, 2, 0)]
 
     def test_nested_triangles_roundtrip(self):
         # G2 inside G1's single inner face (label interval I_1 = [1..1]),
         # and the mirror-role nesting G1 inside G2 (I_2 = [2..2]).
         for tree_in in ([(0, 1, 0), (1, 2, 1)], [(0, 2, 0), (2, 1, 2)]):
-            emb = digamma_inverse(TWO_TRIANGLES, TT_ROT, tree_in, [0, 1])
-            tree, ft = digamma(emb)
-            assert tree == sorted(tree_in)
-            assert ft == [0, 1]
+            emb = PlanarEmbedding(TWO_TRIANGLES, TT_ROT, tree_in, [0, 1])
+            assert validate(emb) == []
+            assert emb.nesting == sorted(tree_in)
+            assert emb.face_tuple == [0, 1]
 
     def test_rejects_bad_interval(self):
-        with pytest.raises(EmbeddingMismatch):
-            digamma_inverse(TWO_TRIANGLES, TT_ROT, [(0, 1, 0), (1, 2, 2)], [0, 0])
+        emb = PlanarEmbedding(TWO_TRIANGLES, TT_ROT, [(0, 1, 0), (1, 2, 2)], [0, 0])
+        assert validate(emb) == ["edge G1-G2 label 2 outside interval [1..1]"]
 
     def test_exhaustive_all_pairs_roundtrip(self):
         # Three single-edge components: 1 tree x 1 tuple; two triangles: 12.
@@ -181,16 +181,18 @@ class TestDigamma:
         rot3 = {1: [2], 2: [1], 3: [4], 4: [3], 5: [6], 6: [5]}
         count = 0
         for tree in all_nesting_trees(3, [1, 1, 1]):
-            emb = digamma_inverse(g3, rot3, tree, [0, 0, 0])
-            assert digamma(emb)[0] == sorted(tree)
+            emb = PlanarEmbedding(g3, rot3, tree, [0, 0, 0])
+            assert validate(emb) == []
+            assert emb.nesting == sorted(tree)
             count += 1
         assert count == 1
 
         count = 0
         for tree in all_nesting_trees(2, [2, 2]):
             for ft in itertools.product(range(2), range(2)):
-                emb = digamma_inverse(TWO_TRIANGLES, TT_ROT, tree, list(ft))
-                assert digamma(emb) == (sorted(tree), list(ft))
+                emb = PlanarEmbedding(TWO_TRIANGLES, TT_ROT, tree, list(ft))
+                assert validate(emb) == []
+                assert (emb.nesting, emb.face_tuple) == (sorted(tree), list(ft))
                 count += 1
         assert count == 12
 
@@ -215,8 +217,9 @@ class TestNestingCodec:
             for b1 in range(2):
                 for b2 in range(2):
                     tree, ft = codec.inverse([a1], [b1, b2])
-                    emb = digamma_inverse(TWO_TRIANGLES, TT_ROT, tree, ft)
+                    emb = PlanarEmbedding(TWO_TRIANGLES, TT_ROT, tree, ft)
+                    assert validate(emb) == []
                     seen.add(emb.to_json())
-                    back_a, back_b = codec.forward(*digamma(emb))
+                    back_a, back_b = codec.forward(emb.nesting, emb.face_tuple)
                     assert (back_a, back_b) == ([a1], [b1, b2])
         assert len(seen) == 12

@@ -10,10 +10,9 @@ import pytest
 from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
 from planarrank import spqr
 from planarrank.biconnected import _induced_cycle, _rotate_to, chi_inverse
-from planarrank.embedding import canonical_cycle, is_planar_rotation
 from planarrank.errors import NotBiconnected, NotPlanar
-from planarrank.graph import Graph, block_cut_tree, connected_components
-from planarrank.oracle import enumerate_connected
+from planarrank.graph import Graph, block_cut_tree
+from planarrank.oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from planarrank.spqr import (
     SkelEdge,
     SpqrNode,
@@ -357,13 +356,7 @@ def reference_find_split(node):
 
 def blocks_of(g):
     """Every block of g as a standalone graph on 1..k."""
-    out = []
-    for _, comp in connected_components(g):
-        order = sorted(comp)
-        remap = {v: i + 1 for i, v in enumerate(order)}
-        sub = Graph(len(order), [(remap[u], remap[v]) for u, v in g.edges if u in comp])
-        out.extend(Graph(*b.local()[1]) for b in block_cut_tree(sub).blocks)
-    return out
+    return [Graph(*b.local()[1]) for b in block_cut_tree(g).blocks]
 
 
 def tree_record(tree):
