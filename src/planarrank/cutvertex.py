@@ -276,6 +276,11 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
     and par[j] is the run that encloses it (0 for none).  Block j's anchor
     is the edge at fpos[j] - 1, and the run right of run j in the same
     enclosing run is the one starting at lpos[j] + 1, if one starts there.
+
+    With two blocks there is no d value and nothing to check past the
+    input checks, so after them the call reads first_1 and first_2 off
+    the rotation directly, builds no walk or runs, and ticks the same
+    count as the general path.
     """
     if counter is None:
         counter = OpCounter()
@@ -289,6 +294,21 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
     # every edge once, so the scan stops within one lap, at step k.
     n = len(rotation)
     i0 = rotation.index(ctx.edges[0][0])
+    if b == 2:
+        # The lap runs from i0 + 1 round to i0.  Only blocks 1 and 2 meet
+        # here, so first_1 follows the lap's last block-2 edge, and first_2,
+        # the walk's first block-2 edge, is the lap's first: every edge
+        # from first_1 to i0 is in block 1.
+        blk = bytes(map(block_of.__getitem__, rotation))
+        last2 = blk.rfind(2, 0, i0)
+        if last2 < 0:
+            last2 = blk.rfind(2)
+        first2 = blk.find(2, i0)
+        if first2 < 0:
+            first2 = blk.find(2)
+        counter.tick((last2 - i0) % n + 1 + n)  # k, then the run scan
+        return [ctx.edges[0].index(rotation[(last2 + 1) % n]),
+                ctx.edges[1].index(rotation[first2])], []
     blk = list(map(block_of.__getitem__, rotation))
     steps = blk[i0 + 1:] + blk[:i0 + 1]  # blocks at steps 1..n
     k = steps.index(1, n - steps[::-1].index(2)) + 1
@@ -306,8 +326,6 @@ def phi_v(ctx: BlocksAtV, rotation: list[int], counter: OpCounter | None = None
         lpos[j] = p
     counter.tick(n)
     c_vals = [edges.index(walk[f]) for edges, f in zip(ctx.edges, fpos[1:])]
-    if b == 2:
-        return c_vals, []
 
     # Labels: positions in S (block 1, block 2, blocks 3.. minus firsts,
     # then firsts in decreasing block order).  The same pass checks that

@@ -185,7 +185,9 @@ def validate(emb: PlanarEmbedding) -> list[str]:
     # count Euler's formula gives each component.
     face_counts = []
     for cid, comp in comps:
-        comp_rot = emb.component_rotation(comp)
+        # One component's rotation is the whole table, which face_count
+        # reads without changing it, so only several components copy.
+        comp_rot = emb.rot if c == 1 else emb.component_rotation(comp)
         m_c = sum(map(len, comp_rot.values())) // 2
         f = face_count(comp_rot)
         if len(comp) - m_c + f != 2:

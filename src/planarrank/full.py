@@ -17,10 +17,14 @@ number; the product of all bounds is the number of embeddings.
 
 A block's SPQR-tree, in block-local ids, depends only on the block-local
 graph, so blocks with the same local graph share one tree, built once per
-distinct shape and read-only once its lazy data is filled.  So do the
-block-local rotations decoded from p and r digits: the ranker keeps at
-most DECODED_PER_SHAPE per shape and translates them to global ids per
-call.  The id maps, global poles and slices stay on the block's record.
+distinct shape and read-only once its lazy data is filled.  So does the
+translation between a block's p and r digits and its rotation, in both
+directions, held per shape under one cap of DECODED_PER_SHAPE entries
+each way: unrank keeps the block-local rotations decoded from p and r
+digits and translates them to global ids per call, and rank keeps chi's
+digits by the block-local rotations at the shape's P/R poles, which are
+all chi reads.  The id maps, global poles and slices stay on the block's
+record.
 A graph is planar exactly when each of its blocks is, and build_spqr
 tests each distinct block, so no whole-graph planarity test runs.
 """
@@ -42,7 +46,21 @@ from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
 
-DECODED_PER_SHAPE = 16  # per tree: every rotation of a shape with at most 16 embeddings
+DECODED_PER_SHAPE = 16  # per tree and direction: every embedding of a shape with at most 16
+
+
+@dataclass(slots=True)
+class _Shape:
+    """What the ranker keeps per distinct block graph besides its tree.
+
+    Each table holds at most DECODED_PER_SHAPE entries and stores a result
+    only once the layer has returned it, so a rejected input never enters.
+    """
+    poles: tuple[int, ...]     # local pole of each P-/R-node: where chi reads
+    # (p digits, r digits) -> the block-local rotation chi_inverse returned.
+    decoded: dict[tuple, Rotation] = field(default_factory=dict)
+    # Block-local rotations at poles, in that order -> chi's (p, r) digits.
+    encoded: dict[tuple, tuple[list[int], list[int]]] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -83,6 +101,7 @@ class EmbeddingRanker:
         self.blocks: list[_BlockInfo] = []
         # Block-local (n, edges) -> its tree; a Graph is built on a miss only.
         trees: dict[tuple, SpqrTree] = {}
+        self.shapes: dict[SpqrTree, _Shape] = {}
         bct = block_cut_tree(graph)
         for blk in bct.blocks:  # sorted by minimum edge: the p/r order
             # The id map is monotone, so every ordering convention agrees
@@ -92,16 +111,14 @@ class EmbeddingRanker:
             tree = trees.get(key)
             if tree is None:  # raises NotPlanar for a non-planar block
                 tree = trees[key] = build_spqr(Graph(*key))
+                self.shapes[tree] = _Shape(tuple(
+                    {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}))
             inv = (0, *verts)  # ints: the collector untracks it
-            poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
             self.blocks.append(
                 _BlockInfo(comp_of[verts[0]], list(blk.edges),
                            {x: i for i, x in enumerate(inv) if i}, inv, tree,
-                           tuple((inv[u], u) for u in poles))
+                           tuple((inv[u], u) for u in self.shapes[tree].poles))
             )
-        # Per tree, decoded block-local rotations by (p digits, r digits).
-        self.decoded: dict[SpqrTree, dict[tuple, Rotation]] = {
-            tree: {} for tree in trees.values()}
 
         block_of_edge = {
             e: b for b, info in enumerate(self.blocks) for e in info.edges
@@ -146,15 +163,6 @@ class EmbeddingRanker:
 
     # -- forward: embedding -> tuple/rank ------------------------------------
 
-    @staticmethod
-    def _block_rotation(emb: PlanarEmbedding, info: _BlockInfo) -> Rotation:
-        # chi reads the block's rotation only at the poles of its P- and
-        # R-nodes.  An edge at x lies in x's block exactly when its far end
-        # does: two blocks share at most one vertex.
-        to_local = info.to_local
-        return {i: [to_local[w] for w in emb.rot[x] if w in to_local]
-                for x, i in info.poles}
-
     def phi(self, emb: PlanarEmbedding) -> list[int]:
         """The full digit tuple of an embedding."""
         if emb.graph != self.graph:
@@ -167,12 +175,26 @@ class EmbeddingRanker:
         values[self.a], values[self.b] = self.nesting_codec.forward(
             list(emb.nesting), list(emb.face_tuple)
         )
+        rot = emb.rot
         for cut in self.cuts:
-            values[cut.c], values[cut.d] = phi_v(cut.ctx, emb.rot[cut.v])
+            values[cut.c], values[cut.d] = phi_v(cut.ctx, rot[cut.v])
+        shapes = self.shapes
         for info in self.blocks:
-            if info.poles:  # else choice-free (bridge, cycle): no digits
-                values[info.p], values[info.r] = chi(
-                    self._block_rotation(emb, info), info.tree)
+            if not info.poles:  # choice-free (bridge, cycle): no digits
+                continue
+            # chi reads the block's rotation only at the poles of its P-
+            # and R-nodes.  An edge at x lies in x's block exactly when its
+            # far end does: two blocks share at most one vertex.
+            to_local = info.to_local
+            key = tuple([tuple([to_local[w] for w in rot[x] if w in to_local])
+                         for x, _ in info.poles])
+            shape = shapes[info.tree]
+            digits = shape.encoded.get(key)
+            if digits is None:
+                digits = chi(dict(zip(shape.poles, map(list, key))), info.tree)
+                if len(shape.encoded) < DECODED_PER_SHAPE:
+                    shape.encoded[key] = digits
+            values[info.p], values[info.r] = digits
         return values
 
     def rank(self, emb: PlanarEmbedding) -> int:
@@ -190,16 +212,16 @@ class EmbeddingRanker:
         too); block_rot shares it with the cache.  A cut-vertex takes its
         block's rotation here and the merged arrangement in _merge_cuts.
         """
-        blocks, decoded = self.blocks, self.decoded
+        blocks, shapes = self.blocks, self.shapes
         for b in block_ids:
             info = blocks[b]
-            shape = decoded[info.tree]
+            decoded = shapes[info.tree].decoded
             key = (tuple(values[info.p]), tuple(values[info.r]))
-            local = shape.get(key)
+            local = decoded.get(key)
             if local is None:
                 local = chi_inverse(list(key[0]), list(key[1]), info.tree)
-                if len(shape) < DECODED_PER_SHAPE:
-                    shape[key] = local
+                if len(decoded) < DECODED_PER_SHAPE:
+                    decoded[key] = local
             block_rot[b] = local
             to_global = info.to_global
             for x, nbrs in local.items():

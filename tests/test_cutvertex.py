@@ -676,6 +676,7 @@ class TestAgainstReferenceForward:
         rng = random.Random(20261019)
         cases = Counter()
         rejected = accepted_shuffles = 0
+        two = interleaved = 0  # two-block cases, which take phi_v's exit
         for _ in range(2500):
             blocks = random_blocks(rng)
             ctx = BlocksAtV.make(1, blocks)
@@ -693,7 +694,14 @@ class TestAgainstReferenceForward:
                 rejected += 1
             elif ctx.b > 2:
                 accepted_shuffles += 1
+            if ctx.b == 2:
+                two += 1
+                blk = [ctx.block_of[w] for w in shuffled]
+                interleaved += sum(x != y for x, y in zip(blk, blk[1:] + blk[:1])) > 2
         # Both merge cases occur, and both kinds of shuffled input: rejected
         # ones and ones that happen to be valid merges of three or more blocks.
         assert cases["insert"] > 0 and cases["wrap"] > 0, cases
         assert rejected > 500 and accepted_shuffles > 50, (rejected, accepted_shuffles)
+        # The two-block exit runs on each such case in order and shuffled,
+        # and on shuffles whose blocks interleave, which it does not reject.
+        assert two >= 300 and interleaved >= 100, (two, interleaved)

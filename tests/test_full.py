@@ -9,14 +9,14 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from _graphgen import TEMPLATES, atlas_planar, random_planar
-from planarrank import cutvertex
+from planarrank import cutvertex, full
 from planarrank.biconnected import biconn_bounds, chi, chi_inverse
 from planarrank.codecs import check_bounds, tuple_rank, tuple_unrank
 from planarrank.cutvertex import BlocksAtV, phi_v, phi_v_inverse
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
 from planarrank.errors import EmbeddingMismatch, NotPlanar, RankOutOfRange
 from planarrank.full import (DECODED_PER_SHAPE, EmbeddingRanker, _BlockInfo,
-                             _CutInfo, count_embeddings, sample_uniform)
+                             _CutInfo, _Shape, count_embeddings, sample_uniform)
 from planarrank.graph import Graph, block_cut_tree, connected_components, edge_id
 from planarrank.nesting import NestingCodec
 from planarrank.oracle import enumerate_disconnected
@@ -212,26 +212,50 @@ class TestBijection:
 
 
 # Reference copy of the block rotation before it filtered by membership:
-# it keeps the darts whose edge the edge -> block map assigns to block b.
-def reference_block_rotation(ranker, emb, b):
+# it keeps the darts whose edge the edge -> block map assigns to each block.
+def reference_block_rotations(ranker, emb):
+    """Every block's rotation in its block-local ids, in block order."""
     block_of_edge = {e: i for i, info in enumerate(ranker.blocks) for e in info.edges}
-    info = ranker.blocks[b]
-    return {info.to_local[x]: [info.to_local[w] for w in emb.rot[x]
-                               if block_of_edge[edge_id(x, w)] == b]
-            for x in info.to_local}
+    rots = [{} for _ in ranker.blocks]
+    for x, nbrs in emb.rot.items():
+        for w in nbrs:
+            b = block_of_edge[edge_id(x, w)]
+            to_local = ranker.blocks[b].to_local
+            rots[b].setdefault(to_local[x], []).append(to_local[w])
+    return rots
+
+
+def reference_phi(ranker, emb):
+    """phi without the encode table: every call runs chi on each block's
+    rotation at its P- and R-node poles, which is all chi reads."""
+    values = [0] * len(ranker.bounds)
+    values[ranker.a], values[ranker.b] = ranker.nesting_codec.forward(
+        list(emb.nesting), list(emb.face_tuple))
+    for cut in ranker.cuts:
+        values[cut.c], values[cut.d] = phi_v(cut.ctx, emb.rot[cut.v])
+    for info, rot in zip(ranker.blocks, reference_block_rotations(ranker, emb)):
+        if info.poles:
+            values[info.p], values[info.r] = chi({i: rot[i] for _, i in info.poles},
+                                                 info.tree)
+    return values
 
 
 def compare_block_rotations(ranker, rng, rounds):
-    """The block rotation is built at the poles of the block's P- and
-    R-nodes only, where chi reads it; returns how many of those entries
-    dropped darts of other blocks (a pole at a cut-vertex)."""
+    """rank, which reads block digits through the per-shape encode table,
+    against the uncached reference on seeded ranks, each ranked twice so
+    the second reads the table; returns how many pole entries dropped
+    darts of other blocks (a pole at a cut-vertex)."""
     filtered = 0
     for _ in range(rounds):
-        emb = ranker.unrank(rng.randrange(ranker.count()))
-        for b, info in enumerate(ranker.blocks):
-            expected = reference_block_rotation(ranker, emb, b)
-            assert ranker._block_rotation(emb, info) == {i: expected[i] for _, i in info.poles}
-            filtered += sum(len(expected[i]) < len(emb.rot[x]) for x, i in info.poles)
+        r = rng.randrange(ranker.count())
+        emb = ranker.unrank(r)
+        values = reference_phi(ranker, emb)
+        assert tuple_rank(values, ranker.bounds) == r
+        assert ranker.phi(emb) == values
+        assert ranker.rank(emb) == r
+        filtered += sum(len(rot[i]) < len(emb.rot[x]) for info, rot in
+                        zip(ranker.blocks, reference_block_rotations(ranker, emb))
+                        for x, i in info.poles)
     return filtered
 
 
@@ -251,6 +275,17 @@ class TestBlockRotationAgainstReference:
         for g in atlas_planar():
             filtered += compare_block_rotations(EmbeddingRanker(g), rng, 2)
         assert filtered > 0
+
+    @pytest.mark.parametrize("components", [1, 60], ids=["forest", "nested"])
+    def test_forest_and_nested_graphs(self, components):
+        # Many blocks share each of the seven template shapes, so most
+        # block digits are read from the table after the first ranks.
+        rng = random.Random(components)
+        for seed in range(2):
+            ranker = EmbeddingRanker(random_planar(600, seed=1700 + seed,
+                                                   components=components))
+            assert len(ranker.blocks) > 10 * len(ranker.shapes)
+            compare_block_rotations(ranker, rng, 12)
 
 
 class ReferenceLayout:
@@ -440,6 +475,7 @@ class ReferenceConstruction(EmbeddingRanker):
 
         self.face_counts = []
         self.blocks = []
+        self.shapes = {}
         cut_vertices = []
 
         comp_of = {v: ci for ci, (_, comp) in enumerate(self.comps) for v in comp}
@@ -465,14 +501,15 @@ class ReferenceConstruction(EmbeddingRanker):
                     (min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in bg.edges
                 )
                 tree = build_spqr(bg)
-                poles = {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}
+                # Its own tables: no tree, and so no table, is shared.
+                shape = self.shapes[tree] = _Shape(
+                    tuple({nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}))
                 self.blocks.append(
                     _BlockInfo(ci, g_edges, fwd, inv, tree,
-                               tuple((inv[u], u) for u in poles))
+                               tuple((inv[u], u) for u in shape.poles))
                 )
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
         self.blocks.sort(key=lambda info: info.edges[0])
-        self.decoded = {info.tree: {} for info in self.blocks}  # unrank's cache
 
         block_of_edge = {
             e: b for b, info in enumerate(self.blocks) for e in info.edges
@@ -520,6 +557,7 @@ def compare_construction(g: Graph, rng: random.Random, k: int = 24) -> int:
     k seeded ones) agree, and every distinct block-local graph has
     exactly one tree.  Returns how many blocks reuse a tree."""
     new, ref = EmbeddingRanker(g), ReferenceConstruction(g)
+    assert len(ref.shapes) == len(ref.blocks)  # one tree and table pair each
     assert new.bounds == ref.bounds
     assert len(new.blocks) == len(ref.blocks)
     for a, b in zip(new.blocks, ref.blocks):
@@ -558,8 +596,6 @@ class TestConstructionAgainstReference:
         assert reused == 240  # of 421 blocks
 
     def test_tree_is_built_once_per_shape(self, monkeypatch):
-        from planarrank import full
-
         built = []
 
         def counted(bg):
@@ -734,7 +770,7 @@ class TestDecodeCacheAgainstReference:
             ranks = [0, count - 1] + [rng.randrange(count) for _ in range(40)]
             compare_decoders(ranker, ranks + ranks[::-1])  # repeats hit both caches
             blocks += len(ranker.blocks)
-            shapes += len(ranker.decoded)
+            shapes += len(ranker.shapes)
         assert 2 * shapes < blocks  # most blocks decode through a shared shape
 
 
@@ -751,13 +787,88 @@ class TestDecodeCacheBound:
             ranks.add(rng.randrange(ranker.count()))
         for r in sorted(ranks):
             ranker.unrank(r)
-        sizes = {id(tree): len(shape) for tree, shape in ranker.decoded.items()}
+        sizes = {id(tree): len(shape.decoded) for tree, shape in ranker.shapes.items()}
         assert sizes.keys() <= trees.keys()
         assert max(sizes.values()) == DECODED_PER_SHAPE  # K2,5 fills its cap
         assert sum(sizes.values()) <= DECODED_PER_SHAPE * len(trees)
         for r in sorted(ranks, reverse=True)[:200]:
             ranker.unrank(r)
-        assert {id(tree): len(shape) for tree, shape in ranker.decoded.items()} == sizes
+        assert {id(tree): len(shape.decoded) for tree, shape in ranker.shapes.items()} == sizes
+
+
+def table_snapshot(ranker):
+    """Every shape's decode and encode table, copied."""
+    return {id(tree): (dict(shape.decoded), dict(shape.encoded))
+            for tree, shape in ranker.shapes.items()}
+
+
+# The wheel with hub 1 is one R-node whose pole, the hub, has four
+# skeleton edges: of the three cyclic orders there, chi accepts two.
+W4_HUB = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)])
+
+
+class TestEncodeTable:
+    def test_at_most_16_keys_per_shape_after_1000_ranks(self):
+        ranker = EmbeddingRanker(repeated_shapes_chain(12))  # 96 blocks
+        rng = random.Random(18)
+        embs = [ranker.unrank(rng.randrange(ranker.count())) for _ in range(1000)]
+        for emb in embs:
+            ranker.rank(emb)
+        sizes = {id(tree): len(shape.encoded) for tree, shape in ranker.shapes.items()}
+        assert max(sizes.values()) == DECODED_PER_SHAPE  # K2,5 fills its cap
+        assert all(len(shape.decoded) <= DECODED_PER_SHAPE
+                   for shape in ranker.shapes.values())
+        for emb in embs[:200]:
+            ranker.rank(emb)
+        assert {id(tree): len(shape.encoded)
+                for tree, shape in ranker.shapes.items()} == sizes
+
+    def test_rejected_rank_leaves_every_table_unchanged(self, monkeypatch):
+        ranker = EmbeddingRanker(W4_HUB)
+        for r in range(ranker.count()):
+            assert ranker.rank(ranker.unrank(r)) == r
+        before = table_snapshot(ranker)
+        assert sum(len(enc) for _, enc in before.values()) == 2  # both reflections
+
+        rot = dict(ranker.unrank(0).rot)
+        rot[1] = [2, 5, 3, 4]
+        bad = PlanarEmbedding(W4_HUB, rot)
+        with pytest.raises(EmbeddingMismatch, match="violates Euler's formula"):
+            ranker.rank(bad)
+        assert table_snapshot(ranker) == before
+
+        # Past validate, chi rejects the hub's rotation with its own message,
+        # on every try: the rejected key never enters the table.
+        info = ranker.blocks[0]
+        with pytest.raises(EmbeddingMismatch) as direct:
+            chi({i: [info.to_local[w] for w in bad.rot[x]] for x, i in info.poles},
+                info.tree)
+        monkeypatch.setattr(full, "validate", lambda emb: [])
+        for _ in range(2):
+            with pytest.raises(EmbeddingMismatch) as raised:
+                ranker.rank(bad)
+            assert str(raised.value) == str(direct.value)
+            assert table_snapshot(ranker) == before
+
+    def test_rejected_ranks_on_a_forest(self):
+        ranker = EmbeddingRanker(random_planar(300, seed=1801, components=1))
+        rng = random.Random(19)
+        for _ in range(20):
+            ranker.rank(ranker.unrank(rng.randrange(ranker.count())))
+        before = table_snapshot(ranker)
+        rejected = 0
+        for _ in range(40):
+            rot = dict(ranker.unrank(rng.randrange(ranker.count())).rot)
+            v = rng.choice([x for x in rot if len(rot[x]) >= 3])
+            nbrs = rot[v] = list(rot[v])
+            i, j = rng.sample(range(len(nbrs)), 2)
+            nbrs[i], nbrs[j] = nbrs[j], nbrs[i]
+            try:
+                ranker.rank(PlanarEmbedding(ranker.graph, rot))
+            except EmbeddingMismatch:
+                rejected += 1
+        assert rejected > 10
+        assert table_snapshot(ranker) == before
 
 
 class TestSampleEnumerate:
