@@ -32,28 +32,38 @@ def canonical_rotation(rot: Rotation) -> Rotation:
     return out
 
 
-def face_count(rot: Rotation) -> int:
-    """Number of faces: orbits of the dart successor, walks not built.
+def edges_and_faces(rot: Rotation, parts) -> list[tuple[int, int]]:
+    """(edges, faces) of each part: faces are orbits of the dart
+    successor, walks not built.
 
-    Every neighbor must itself be a vertex of rot (a whole rotation, or one
-    component's).  A dart (a, b) is keyed by the integer a * base + b.
+    Each part is a set of vertices of rot that holds every neighbor of
+    its vertices (a component, or a whole connected rotation), so its
+    darts and orbits are its own: one dict holds a part's darts until its
+    orbits have emptied it.  No neighbor list may repeat a vertex, so a
+    part has half as many edges as darts.  A dart (a, b) is keyed by the
+    integer a * base + b.
     """
     base = max(rot, default=0) + 1
     succ: dict[int, int] = {}
-    for b, nbrs in rot.items():
-        if nbrs:
-            bb = b * base
-            prev = bb + nbrs[-1]
-            for a in nbrs:
-                succ[a * base + b] = prev
-                prev = bb + a
-    count = 0
-    while succ:
-        start, dart = succ.popitem()
-        count += 1
-        while dart != start:
-            dart = succ.pop(dart)
-    return count
+    out = []
+    for part in parts:
+        for b in part:
+            nbrs = rot[b]
+            if nbrs:
+                bb = b * base
+                prev = bb + nbrs[-1]
+                for a in nbrs:
+                    succ[a * base + b] = prev
+                    prev = bb + a
+        m = len(succ) // 2
+        f = 0
+        while succ:
+            start, dart = succ.popitem()
+            f += 1
+            while dart != start:
+                dart = succ.pop(dart)
+        out.append((m, f))
+    return out
 
 
 def face_intervals(face_counts: list[int]) -> list[tuple[int, int]]:
@@ -98,14 +108,6 @@ class PlanarEmbedding:
             face_tuple = [0]
         self.nesting = sorted((int(p), int(ch), int(lb)) for p, ch, lb in nesting)
         self.face_tuple = [int(x) for x in face_tuple]
-
-    # -- component helpers -------------------------------------------------
-
-    def components(self) -> list[tuple[int, frozenset[int]]]:
-        return connected_components(self.graph)
-
-    def component_rotation(self, comp_vertices: frozenset[int]) -> Rotation:
-        return {v: self.rot[v] for v in comp_vertices}
 
     # -- equality and serialization ---------------------------------------
 
@@ -178,18 +180,15 @@ def validate(emb: PlanarEmbedding) -> list[str]:
     if problems:
         return problems
 
-    comps = emb.components()
+    comps = connected_components(g)
     c = len(comps)
 
     # Per-component Euler formula (sphere check); face_counts holds the
-    # count Euler's formula gives each component.
+    # count Euler's formula gives each component.  One pass over the
+    # table, component by component, copies no rotation.
     face_counts = []
-    for cid, comp in comps:
-        # One component's rotation is the whole table, which face_count
-        # reads without changing it, so only several components copy.
-        comp_rot = emb.rot if c == 1 else emb.component_rotation(comp)
-        m_c = sum(map(len, comp_rot.values())) // 2
-        f = face_count(comp_rot)
+    counted = edges_and_faces(emb.rot, [comp for _, comp in comps])
+    for (cid, comp), (m_c, f) in zip(comps, counted):
         if len(comp) - m_c + f != 2:
             problems.append(f"component {cid} violates Euler's formula (f={f})")
         face_counts.append(m_c - len(comp) + 2)

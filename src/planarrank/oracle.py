@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .embedding import PlanarEmbedding, Rotation, face_count, face_intervals
+from .embedding import PlanarEmbedding, Rotation, edges_and_faces, face_intervals
 from .errors import MalformedTree, TooLarge, UnknownFace
 from .graph import Edge, Graph, connected_components, edge_id
 
@@ -46,8 +46,8 @@ def all_rotation_systems(g: Graph):
 
 def _euler_ok(rot: Rotation) -> bool:
     """Euler's formula n - m + f = 2 for one connected rotation."""
-    m = sum(len(nbrs) for nbrs in rot.values()) // 2
-    return len(rot) - m + face_count(rot) == 2
+    [(m, f)] = edges_and_faces(rot, [rot])
+    return len(rot) - m + f == 2
 
 
 def is_planar_rotation(g: Graph, rot: Rotation) -> bool:
@@ -276,10 +276,10 @@ def sorted_faces(rot: Rotation, component: int = 1) -> list[FaceBoundary]:
 def face_identifiers(emb: PlanarEmbedding, component: int) -> list[FaceBoundary]:
     """Faces of one component ordered by label; positions are the 0-based
     face identifiers used by face tuples and nesting labels."""
-    comps = emb.components()
+    comps = connected_components(emb.graph)
     if not 1 <= component <= len(comps):
         raise UnknownFace(f"component {component} does not exist")
-    rot = emb.component_rotation(comps[component - 1][1])
+    rot = {v: emb.rot[v] for v in comps[component - 1][1]}
     return sorted_faces(rot, component)
 
 

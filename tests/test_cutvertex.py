@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -10,7 +11,6 @@ import pytest
 
 from planarrank.cutvertex import (
     BlocksAtV,
-    OpCounter,
     arrangement_bounds,
     phi_v,
     phi_v_inverse,
@@ -183,20 +183,93 @@ class TestPhiV:
         with pytest.raises(EmbeddingMismatch):
             phi_v(ctx, [2, 3, 5])
 
-    def test_forward_work_is_linear_in_degree(self):
-        # Operation-count ceiling: phi_v does O(delta_v) elementary steps.
-        v, blocks = 1, [triangle(1, 2, 3), triangle(1, 4, 5), bridge(1, 6),
-                       square(1, 7, 8, 9), bridge(1, 10)]
-        ctx, rotations = at_v(v, blocks)
-        c_bounds, d_bounds = ctx.c_bounds, ctx.d_bounds
-        worst = 0
-        for c_vals in itertools.product(*[range(x) for x in c_bounds]):
-            for d_vals in itertools.product(*[range(x) for x in d_bounds]):
-                merged = phi_v_inverse(ctx, rotations, list(c_vals), list(d_vals))
-                counter = OpCounter()
-                phi_v(ctx, merged, counter)
-                worst = max(worst, counter.ops)
-        assert worst <= 12 * ctx.delta_v + 16
+
+# ---------------------------------------------------------------------------
+# Work under doubling: executed lines of cutvertex.py
+# ---------------------------------------------------------------------------
+
+
+def executed_lines(fn, *args) -> int:
+    """Line events in cutvertex.py frames during one call of fn.
+
+    Every frame of the module counts, helpers and comprehensions
+    included, so no loop of the call goes unseen.  Work done inside
+    builtins (a sort, a slice) has no line events.
+    """
+    filename = phi_v.__code__.co_filename
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        return local if frame.f_code.co_filename == filename else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+DIGIT_PATTERNS = ["zero", "max", "alternating", "random"]
+BLOCK_COUNTS = (100, 200, 400, 800)
+
+
+def wide_cut_vertex(b, pattern):
+    """One cut-vertex with b blocks of degrees 1, 2, 3, 4, 1, ... at v,
+    their rotations at v, and a tuple whose d digits follow the pattern:
+    all 0, all at their maximum, the two alternating, or seeded random
+    (c digits random too; otherwise all 0)."""
+    blocks, w = [], 2
+    for j in range(b):
+        delta = 1 + j % 4
+        blocks.append(list(range(w + delta - 1, w - 1, -1)))
+        w += delta
+    ctx = BlocksAtV.make(1, blocks)
+    c_vals = [0] * b
+    if pattern == "zero":
+        d_vals = [0] * (b - 2)
+    elif pattern == "max":
+        d_vals = [x - 1 for x in ctx.d_bounds]
+    elif pattern == "alternating":
+        d_vals = [(x - 1) * (i % 2) for i, x in enumerate(ctx.d_bounds)]
+    else:
+        rng = random.Random(b)
+        c_vals = [rng.randrange(x) for x in ctx.c_bounds]
+        d_vals = [rng.randrange(x) for x in ctx.d_bounds]
+    return ctx, blocks, c_vals, d_vals
+
+
+def doubling_ratios(counts):
+    return [later / earlier for earlier, later in zip(counts, counts[1:])]
+
+
+class TestWorkUnderDoubling:
+    """The per-call bounds O(delta_v * alpha) for phi_v_inverse and
+    O(delta_v) for phi_v, checked by measurement: doubling the blocks at
+    v (and so delta_v) at most about doubles the lines executed."""
+
+    @pytest.mark.parametrize("pattern", DIGIT_PATTERNS)
+    def test_phi_v_inverse(self, pattern):
+        counts = [executed_lines(phi_v_inverse, *wide_cut_vertex(b, pattern))
+                  for b in BLOCK_COUNTS]
+        assert max(doubling_ratios(counts)) <= 2.2, counts
+
+    @pytest.mark.parametrize("pattern", DIGIT_PATTERNS)
+    def test_phi_v(self, pattern):
+        counts = []
+        for b in BLOCK_COUNTS:
+            ctx, rotations, c_vals, d_vals = wide_cut_vertex(b, pattern)
+            merged = phi_v_inverse(ctx, rotations, c_vals, d_vals)
+            assert phi_v(ctx, merged) == (c_vals, d_vals)
+            counts.append(executed_lines(phi_v, ctx, merged))
+        assert max(doubling_ratios(counts)) <= 2.2, counts
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +505,17 @@ class TestWideCutVertex:
     def test_roundtrip(self, name, g):
         ranker = EmbeddingRanker(g)
         assert [cut.v for cut in ranker.cuts] == [1]
+        cut = ranker.cuts[0]
+        # The first and last rank set every d digit to 0 and to its
+        # maximum, the two patterns that once walked long chains.
+        extremes = {0: [0] * len(cut.ctx.d_bounds),
+                    ranker.count() - 1: [x - 1 for x in cut.ctx.d_bounds]}
         rng = random.Random(7)
-        for _ in range(5):
-            r = rng.randrange(ranker.count())
-            assert ranker.rank(ranker.unrank(r)) == r
+        for r in [*extremes] + [rng.randrange(ranker.count()) for _ in range(5)]:
+            emb = ranker.unrank(r)
+            assert ranker.rank(emb) == r
+            if r in extremes:
+                assert ranker.phi(emb)[cut.d] == extremes[r]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +549,7 @@ class _TNode:
 
 
 
-def _find_first1(ctx, rotation, counter):
+def _find_first1(ctx, rotation):
     """First edge of block 1 after a full pass over block 2's edges."""
     block_of = ctx.block_of
     n = len(rotation)
@@ -482,23 +562,19 @@ def _find_first1(ctx, rotation, counter):
         if blk == 2:
             seen2.add(w)
         elif blk == 1 and len(seen2) == need:
-            counter.tick(k)
             return w
-    counter.tick(2 * n)
     raise EmbeddingMismatch("could not locate first_1; rotation is not a valid merge")
 
 
-def reference_phi_v(ctx, rotation, counter=None):
+def reference_phi_v(ctx, rotation):
     """phi_v over an ordered tree of _TNode objects and a UnionFind of
-    blocks, with the same checks and the same OpCounter ticks."""
-    if counter is None:
-        counter = OpCounter()
+    blocks, with the same checks."""
     b = ctx.b
     block_of = ctx.block_of
     if len(rotation) != ctx.delta_v or block_of.keys() != set(rotation):
         raise EmbeddingMismatch("rotation does not cover the incident edges")
 
-    first1 = _find_first1(ctx, rotation, counter)
+    first1 = _find_first1(ctx, rotation)
     i0 = rotation.index(first1)
     walk = rotation[i0:] + rotation[:i0]
 
@@ -506,7 +582,6 @@ def reference_phi_v(ctx, rotation, counter=None):
     orders: list[list[int]] = [[] for _ in range(b)]
     for w in walk:
         orders[block_of[w] - 1].append(w)
-    counter.tick(len(walk))
     firsts = {j: orders[j - 1][0] for j in range(1, b + 1)}
     c_vals = [edges.index(order[0]) for edges, order in zip(ctx.edges, orders)]
     if b == 2:
@@ -533,7 +608,6 @@ def reference_phi_v(ctx, rotation, counter=None):
     root = _TNode(block=0)
     gamma = root
     comp_node: dict[int, _TNode] = {}
-    counter.tick(len(walk))
     for w in walk:
         j = block_of[w]
         is_first = w == firsts[j]
@@ -571,15 +645,12 @@ def reference_phi_v(ctx, rotation, counter=None):
 
     # Per path node, the edge its block's run resumes with right of the
     # nest: the first edge-node child to the right of the path child.
-    ops = 0  # elementary steps from here on, ticked once at the end
     jump: dict[int, int] = {}
     for t, nd in enumerate(path):
-        ops += 1
         if nd.block == 2:
             break
         pi_child = path[t + 1]
         for child in nd.children[pi_child.slot + 1:]:
-            ops += 1
             if child.is_edge:
                 jump[nd.block] = child.w
                 break
@@ -603,7 +674,6 @@ def reference_phi_v(ctx, rotation, counter=None):
 
     d_vals = []
     for j in range(3, b + 1):
-        ops += 1
         nd = comp_node[j]
         sib = nd.left_sibling()
         if sib is None:
@@ -621,7 +691,6 @@ def reference_phi_v(ctx, rotation, counter=None):
             else:
                 cur = nd
                 while True:
-                    ops += 1
                     nxt = (cur.parent.children[cur.slot + 1]
                            if cur.slot + 1 < len(cur.parent.children) else None)
                     if nxt is None or nxt.is_edge:
@@ -639,7 +708,6 @@ def reference_phi_v(ctx, rotation, counter=None):
             t = path_index[top]
             while (t + 1 < len(path) and path[t + 1].block != 2
                    and uf.find(path[t + 1].block) == uf.find(j)):
-                ops += 1
                 t += 1
             d_vals.append(ell[jump[path[t].block]])
             uf.union(1, j)
@@ -653,7 +721,6 @@ def reference_phi_v(ctx, rotation, counter=None):
         fused[anchor] = firsts[j]
         del gap_owner[anchor]
         gap_owner[resolve(firsts[j])] = firsts[j]
-    counter.tick(ops)
 
     for d, limit in zip(d_vals, ctx.d_bounds):
         if not 0 <= d < limit:
@@ -662,13 +729,11 @@ def reference_phi_v(ctx, rotation, counter=None):
 
 
 def outcome(forward, ctx, rotation):
-    """(result or exception class, OpCounter total) of one forward call."""
-    counter = OpCounter()
+    """Result, or exception class, of one forward call."""
     try:
-        got = forward(ctx, rotation, counter)
+        return forward(ctx, rotation)
     except Exception as exc:  # the class is compared, whatever it is
-        got = type(exc)
-    return got, counter.ops
+        return type(exc)
 
 
 class TestAgainstReferenceForward:
@@ -684,13 +749,13 @@ class TestAgainstReferenceForward:
             d_vals = [rng.randrange(x) for x in ctx.d_bounds]
             merged = reference_phi_v_inverse(ctx, blocks, c_vals, d_vals, cases)
             expected = outcome(reference_phi_v, ctx, merged)
-            assert expected[0] == (c_vals, d_vals)
+            assert expected == (c_vals, d_vals)
             assert outcome(phi_v, ctx, merged) == expected, (blocks, merged)
 
             shuffled = rng.sample(merged, len(merged))
             expected = outcome(reference_phi_v, ctx, shuffled)
             assert outcome(phi_v, ctx, shuffled) == expected, (blocks, shuffled)
-            if isinstance(expected[0], type):
+            if isinstance(expected, type):
                 rejected += 1
             elif ctx.b > 2:
                 accepted_shuffles += 1

@@ -1,16 +1,21 @@
 """Rotation systems, face tracing, labels, validation, equality."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from _graphgen import random_planar
 from planarrank.embedding import (
     PlanarEmbedding,
+    edges_and_faces,
     embeddings_equal,
-    face_count,
     face_intervals,
     validate,
 )
 from planarrank.errors import GraphMismatch, UnknownFace
-from planarrank.graph import Graph
+from planarrank.full import EmbeddingRanker
+from planarrank.graph import Graph, connected_components
 from planarrank.oracle import (
     all_rotation_systems,
     canonical_cycle,
@@ -32,7 +37,7 @@ class TestTraceFaces:
         assert faces == [((1, 2), (2, 1))]
 
     def test_triangle_two_faces(self):
-        assert face_count(TRI_ROT) == 2
+        assert edges_and_faces(TRI_ROT, [TRI_ROT]) == [(3, 2)]
 
     def test_every_directed_edge_exactly_once(self):
         for rot in all_rotation_systems(K4):
@@ -44,7 +49,7 @@ class TestTraceFaces:
         planar = [rot for rot in all_rotation_systems(K4) if is_planar_rotation(K4, rot)]
         assert planar, "K4 has planar rotation systems"
         for rot in planar:
-            assert face_count(rot) == 4
+            assert edges_and_faces(rot, [rot]) == [(6, 4)]
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_partition_property_on_cycles(self, n):
@@ -134,6 +139,154 @@ class TestValidate:
                       (7, 8), (7, 9), (8, 9)])
         rot = {v: list(g.adj[v]) for v in g.vertices}
         assert validate(PlanarEmbedding(g, rot, nesting, [0, 0, 0])) == problems
+
+
+def reference_face_count(rot):
+    """Number of faces of one connected rotation: orbits of the dart
+    successor over darts keyed by a * base + b."""
+    base = max(rot, default=0) + 1
+    succ = {}
+    for b, nbrs in rot.items():
+        if nbrs:
+            bb = b * base
+            prev = bb + nbrs[-1]
+            for a in nbrs:
+                succ[a * base + b] = prev
+                prev = bb + a
+    count = 0
+    while succ:
+        start, dart = succ.popitem()
+        count += 1
+        while dart != start:
+            dart = succ.pop(dart)
+    return count
+
+
+def reference_validate(emb):
+    """validate as it was with one rotation copy and one face count per
+    component: the reference for the one pass over the whole table."""
+    problems: list[str] = []
+    g = emb.graph
+
+    if set(emb.rot) != set(g.vertices):
+        problems.append("rotation table does not cover the vertex set")
+        return problems
+    for v in g.vertices:
+        if sorted(emb.rot[v]) != g.adj[v]:
+            problems.append(f"rotation at {v} is not a permutation of its neighbors")
+    if problems:
+        return problems
+
+    comps = connected_components(g)
+    c = len(comps)
+
+    face_counts = []
+    for cid, comp in comps:
+        comp_rot = {v: emb.rot[v] for v in comp}
+        m_c = sum(map(len, comp_rot.values())) // 2
+        f = reference_face_count(comp_rot)
+        if len(comp) - m_c + f != 2:
+            problems.append(f"component {cid} violates Euler's formula (f={f})")
+        face_counts.append(m_c - len(comp) + 2)
+
+    if len(emb.face_tuple) != c:
+        problems.append(f"face tuple has {len(emb.face_tuple)} entries, expected {c}")
+    else:
+        for i, (o, f) in enumerate(zip(emb.face_tuple, face_counts), start=1):
+            if not 0 <= o < f:
+                problems.append(f"face tuple entry o_{i}={o} outside 0..{f - 1}")
+
+    parent: dict[int, tuple[int, int]] = {}
+    for p, ch, lb in emb.nesting:
+        if not (0 <= p <= c and 1 <= ch <= c):
+            problems.append(f"nesting edge ({p},{ch}) names unknown components")
+            continue
+        if ch in parent:
+            problems.append(f"component {ch} has two parents in the nesting tree")
+        parent[ch] = (p, lb)
+    if set(parent) != set(range(1, c + 1)):
+        problems.append("nesting tree does not give every component exactly one parent")
+        return problems
+    intervals = face_intervals(face_counts)
+    for ch, (p, lb) in sorted(parent.items()):
+        if p == 0:
+            if lb != 0:
+                problems.append(f"edge rho-G{ch} must carry label 0, got {lb}")
+        else:
+            lo, hi = intervals[p - 1]
+            if not lo <= lb <= hi:
+                problems.append(
+                    f"edge G{p}-G{ch} label {lb} outside interval [{lo}..{hi}]"
+                )
+    rooted: dict[int, bool] = {0: True}
+    for ch in range(1, c + 1):
+        walk = []
+        cur = ch
+        while cur not in rooted:
+            rooted[cur] = False
+            walk.append(cur)
+            cur = parent[cur][0]
+        for x in walk:
+            rooted[x] = rooted[cur]
+    problems.extend(f"nesting tree has a cycle through G{ch}"
+                    for ch in range(1, c + 1) if not rooted[ch])
+    return problems
+
+
+def validate_cases(emb, rng):
+    """emb itself, then copies with one fault each: two neighbors swapped
+    at one vertex (one component's rotation), a face tuple entry raised
+    or dropped, an edge from rho or a random nesting edge relabelled, or
+    the random edge re-parented, pointed at an unknown component,
+    duplicated or dropped."""
+    g, nesting, ft = emb.graph, emb.nesting, emb.face_tuple
+    c = len(ft)
+    yield emb
+    rot = dict(emb.rot)
+    v = rng.choice([x for x in rot if len(rot[x]) >= 3])
+    nbrs = rot[v] = list(rot[v])
+    i, j = rng.sample(range(len(nbrs)), 2)
+    nbrs[i], nbrs[j] = nbrs[j], nbrs[i]
+    yield PlanarEmbedding(g, rot, nesting, ft)
+    i = rng.randrange(c)
+    yield PlanarEmbedding(g, emb.rot, nesting,
+                          ft[:i] + [ft[i] + rng.randint(1, 4)] + ft[i + 1:])
+    yield PlanarEmbedding(g, emb.rot, nesting, ft[:i] + ft[i + 1:])
+    p, ch, lb = nesting[0]  # sorted: an edge from rho
+    yield PlanarEmbedding(g, emb.rot, [(p, ch, lb + 1)] + nesting[1:], ft)
+    i = rng.randrange(c)
+    p, ch, lb = nesting[i]
+    rest = nesting[:i] + nesting[i + 1:]
+    for edge in [(p, ch, lb + rng.choice([-2, -1, 1, 2])),
+                 (rng.randint(0, c), ch, lb),
+                 (c + 1, ch, lb)]:
+        yield PlanarEmbedding(g, emb.rot, rest + [edge], ft)
+    yield PlanarEmbedding(g, emb.rot, nesting + [(rng.randint(0, c), ch, lb)], ft)
+    yield PlanarEmbedding(g, emb.rot, rest, ft)
+
+
+VALIDATE_MESSAGES = [
+    "violates Euler's formula", "face tuple entry", "face tuple has",
+    "names unknown components", "has two parents", "exactly one parent",
+    "outside interval", "must carry label 0", "has a cycle through",
+]
+
+
+class TestValidateAgainstReference:
+    def test_sixty_component_graphs(self):
+        rng = random.Random(19)
+        found = Counter()
+        for seed in range(4):
+            ranker = EmbeddingRanker(random_planar(300, seed=1900 + seed, components=60))
+            assert ranker.t == 60
+            for _ in range(5):
+                emb = ranker.unrank(rng.randrange(ranker.count()))
+                assert validate(emb) == []
+                for case in validate_cases(emb, rng):
+                    problems = validate(case)
+                    assert problems == reference_validate(case)
+                    found.update(m for p in problems for m in VALIDATE_MESSAGES if m in p)
+        assert found.keys() == set(VALIDATE_MESSAGES), found
 
 
 class TestEquality:
