@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .errors import BoundViolation, LabelOutOfRange, NotAPermutation, RankOutOfRange
+from .errors import BoundViolation, NotAPermutation, RankOutOfRange
 
 # ---------------------------------------------------------------------------
 # Mixed-radix tuples  <->  naturals
@@ -178,26 +178,16 @@ def nesting_tuple_preprocess(
 ) -> tuple[list[int], dict[int, int]]:
     """Map nesting labels to parent components and count degrees.
 
-    tau'_i is 0 for label 0 (parent rho), otherwise the h with
-    tau_i in I_h, found by binary search over the intervals' lower ends
-    (O(log c) per label).  An empty interval (lo, lo - 1) shares its lo
-    with the next interval, so the search lands on the non-empty one.
+    The labels passed ``check_bounds``: each is 0 or lies in one of the
+    intervals.  tau'_i is 0 for label 0 (parent rho), otherwise the h
+    with tau_i in I_h, found by binary search over the intervals' lower
+    ends (O(log c) per label).  An empty interval (lo, lo - 1) shares its
+    lo with the next interval, so the search lands on the non-empty one.
     Returns (tau', deltas) where deltas[h] is the number of occurrences
     of h in tau' plus one, and deltas[0] that plus two.
     """
-    top = intervals[-1][1] if intervals else 0
     los = [lo for lo, _ in intervals]
-    tau_prime = []
-    for x in tau:
-        if x == 0:
-            tau_prime.append(0)
-            continue
-        if not 1 <= x <= top:
-            raise LabelOutOfRange(f"label {x} outside 0..{top}")
-        h = bisect_right(los, x)
-        if h == 0 or x > intervals[h - 1][1]:
-            raise LabelOutOfRange(f"label {x} falls in no interval")
-        tau_prime.append(h)
+    tau_prime = [bisect_right(los, x) if x else 0 for x in tau]
     deltas = {h: 1 for h in range(1, len(intervals) + 1)}
     deltas[0] = 2
     for h in tau_prime:

@@ -34,13 +34,21 @@ patterns, while the number of blocks at v doubles, and requires each
 count to no more than about double.
 
 Edges at v are named by their far endpoint.
+
+Both directions trust their input; the ranker checks it once, where it
+enters.  phi_v's rotation is a vertex's rotation in an embedding that
+``validate`` accepted, so it holds each incident edge once and the
+block runs nest.  phi_v_inverse's digits passed ``check_bounds``, and its
+block rotations are the blocks' decoded rotations at v, so each holds
+exactly its block's edges.  What is still checked here is what no input
+check implies: the algorithms' own invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundViolation, EmbeddingMismatch
+from .errors import EmbeddingMismatch
 
 
 def arrangement_bounds(deltas: list[int]) -> tuple[list[int], list[int]]:
@@ -121,30 +129,18 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     """Merge the block embeddings as dictated by the tuple.
 
     ``rotations[j-1]`` is block j's counter-clockwise rotation at v (far
-    endpoints), in ctx's block order; each must hold exactly block j's
-    edges.  Returns the rotation at v (counter-clockwise neighbor list
-    starting at first_1).
+    endpoints), in ctx's block order, holding exactly block j's edges,
+    and the digits lie within ctx's bounds.  Returns the rotation at v
+    (counter-clockwise neighbor list starting at first_1).
 
     The growing rotation is a doubly linked list over far endpoints (the
     ``nxt``/``prv`` dicts), and S and the fused pairs are far endpoints
     too, so a call allocates no object per edge.  The partial embeddings
     form a union-find over block indices (a parent list with union by
     rank); ``head``/``tail`` hold each root's first and last edge.  The
-    merge runs in O(delta_v * alpha); checking that each rotation holds
-    its block's edges sorts it once.
+    merge runs in O(delta_v * alpha).
     """
     b = ctx.b
-    # Block count, degrees and far endpoints in one comparison.
-    if tuple(map(tuple, map(sorted, rotations))) != ctx.edges:
-        raise EmbeddingMismatch("block rotations do not match the blocks at v")
-    if len(c_vals) != len(ctx.c_bounds) or len(d_vals) != len(ctx.d_bounds):
-        raise BoundViolation("tuple layout does not match b(v)")
-    for c, limit in zip(c_vals, ctx.c_bounds):
-        if not 0 <= c < limit:
-            raise BoundViolation(f"c={c} outside 0..{limit - 1}")
-    for d, limit in zip(d_vals, ctx.d_bounds):
-        if not 0 <= d < limit:
-            raise BoundViolation(f"d={d} outside 0..{limit - 1}")
 
     # Block runs first_j..last_j: each rotation turned to start at first_j.
     runs = []
@@ -265,8 +261,8 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
 def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     """Tuple <c_1..c_b, d_1..d_{b-2}> of a merged rotation at v.
 
-    Each block's rotation at v is read off the merged rotation itself, so
-    it is the restriction of ``rotation`` to the block's edges.
+    ``rotation`` is v's rotation in a valid embedding.  Each block's
+    rotation at v is read off it, as its restriction to the block's edges.
 
     Edges are addressed by their position in the walk (the rotation turned
     to start at first_1).  Block j's run spans positions fpos[j]..lpos[j]
@@ -274,17 +270,14 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     is the edge at fpos[j] - 1, and the run right of run j in the same
     enclosing run is the one starting at lpos[j] + 1, if one starts there.
 
-    With two blocks there is no d value and nothing to check past the
-    input checks, so after them the call reads first_1 and first_2 off
-    the rotation directly and builds no walk or runs.
+    With two blocks there is no d value, so the call reads first_1 and
+    first_2 off the rotation directly and builds no walk or runs.
 
     The O(delta_v) bound is checked by counting executed lines under
     doubling, as the module docstring says.
     """
     b = ctx.b
     block_of = ctx.block_of
-    if len(rotation) != ctx.delta_v or block_of.keys() != set(rotation):
-        raise EmbeddingMismatch("rotation does not cover the incident edges")
 
     # first_1: the first edge of block 1 that a scan from past block 1's
     # minimum edge meets after all of block 2's edges.  The rotation holds
@@ -322,8 +315,8 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     c_vals = [edges.index(walk[f]) for edges, f in zip(ctx.edges, fpos[1:])]
 
     # Labels: positions in S (block 1, block 2, blocks 3.. minus firsts,
-    # then firsts in decreasing block order).  The same pass checks that
-    # the runs nest and records each run's enclosing run.
+    # then firsts in decreasing block order).  The same pass records each
+    # run's enclosing run.
     label = [0] * (b + 1)  # next label of each block's non-first edges
     k = 0
     for j, delta in enumerate(ctx.deltas, start=1):
@@ -340,14 +333,10 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
             if j > 2:
                 ell[p] = n + 2 - j
                 continue
-        elif gamma != j:
-            raise EmbeddingMismatch("block runs are not properly nested")
         elif p == lpos[j]:
             gamma = par[j]
         ell[p] = label[j]
         label[j] += 1
-    if gamma != 0:
-        raise EmbeddingMismatch("block runs are not properly nested")
 
     # The nest path: the runs that contain block 2's run, top-down.  A
     # block that wrapped around the nest either sits on this path itself

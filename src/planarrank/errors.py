@@ -37,10 +37,6 @@ class MalformedTree(PlanarRankError):
     """Input is not a valid (rooted, labelled) tree."""
 
 
-class LabelOutOfRange(PlanarRankError):
-    """A nesting label lies outside the admissible interval."""
-
-
 class GraphMismatch(PlanarRankError):
     """Two embeddings do not share the same underlying graph."""
 

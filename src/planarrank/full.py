@@ -53,8 +53,8 @@ DECODED_PER_SHAPE = 16  # per tree and direction: every embedding of a shape wit
 class _Shape:
     """What the ranker keeps per distinct block graph besides its tree.
 
-    Each table holds at most DECODED_PER_SHAPE entries and stores a result
-    only once the layer has returned it, so a rejected input never enters.
+    Each table holds at most DECODED_PER_SHAPE entries.  rank fills its
+    table only past validate, so a rejected embedding never enters.
     """
     poles: tuple[int, ...]     # local pole of each P-/R-node: where chi reads
     # (p digits, r digits) -> the block-local rotation chi_inverse returned.
@@ -70,7 +70,10 @@ class _BlockInfo:
     to_local: dict[int, int]
     to_global: tuple[int, ...]  # global id of each local id (index 0 unused)
     tree: SpqrTree             # shared by every block with this local graph
-    poles: tuple[tuple[int, int], ...]  # (global, local) pole of each P-/R-node
+    # (global, local, cut, lo, hi) pole of each P-/R-node.  At a cut-vertex
+    # pole, cut indexes it in ranker.cuts and the block's edges are lo..hi
+    # of its rotation sorted by block; otherwise cut is -1.
+    poles: tuple[tuple[int, int, int, int, int], ...] = field(init=False)
     p: slice = field(init=False)  # its P-node digits in the rank tuple
     r: slice = field(init=False)  # its R-node bits
 
@@ -116,8 +119,7 @@ class EmbeddingRanker:
             inv = (0, *verts)  # ints: the collector untracks it
             self.blocks.append(
                 _BlockInfo(comp_of[verts[0]], list(blk.edges),
-                           {x: i for i, x in enumerate(inv) if i}, inv, tree,
-                           tuple((inv[u], u) for u in self.shapes[tree].poles))
+                           {x: i for i, x in enumerate(inv) if i}, inv, tree)
             )
 
         block_of_edge = {
@@ -131,6 +133,18 @@ class EmbeddingRanker:
             ctx = BlocksAtV.make(v, at_v.values())
             ids = [block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
             self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
+        # Each block's poles, with the run of its edges at a cut-vertex pole
+        # (_BlockInfo.poles): the blocks at v in ctx's order, deltas apart.
+        span: dict[tuple[int, int], tuple[int, int, int]] = {}
+        for k, cut in enumerate(self.cuts):
+            lo = 0
+            for b, delta in zip(cut.block_ids, cut.ctx.deltas):
+                span[b, cut.v] = (k, lo, lo + delta)
+                lo += delta
+        for b, info in enumerate(self.blocks):
+            inv = info.to_global
+            info.poles = tuple((inv[u], u, *span.get((b, inv[u]), (-1, 0, 0)))
+                               for u in self.shapes[info.tree].poles)
         self.nesting_codec = NestingCodec(self.face_counts)
 
         # The digit layout, in tuple order: each segment's bounds go onto
@@ -176,18 +190,31 @@ class EmbeddingRanker:
             list(emb.nesting), list(emb.face_tuple)
         )
         rot = emb.rot
-        for cut in self.cuts:
+        cuts = self.cuts
+        for cut in cuts:
             values[cut.c], values[cut.d] = phi_v(cut.ctx, rot[cut.v])
+        # chi reads a block's rotation only at the poles of its P- and
+        # R-nodes.  Every edge at a pole that is no cut-vertex lies in the
+        # pole's one block.  A cut-vertex pole's rotation is sorted by block
+        # once, on first use, and each block reads its own run of it, so a
+        # hub of k blocks is not scanned k times.
+        grouped_at: dict[int, list[int]] = {}
         shapes = self.shapes
         for info in self.blocks:
             if not info.poles:  # choice-free (bridge, cycle): no digits
                 continue
-            # chi reads the block's rotation only at the poles of its P-
-            # and R-nodes.  An edge at x lies in x's block exactly when its
-            # far end does: two blocks share at most one vertex.
             to_local = info.to_local
-            key = tuple([tuple([to_local[w] for w in rot[x] if w in to_local])
-                         for x, _ in info.poles])
+            key = []
+            for x, _, k, lo, hi in info.poles:
+                nbrs = rot[x]
+                if k >= 0:
+                    grouped = grouped_at.get(k)
+                    if grouped is None:
+                        block_of = cuts[k].ctx.block_of
+                        grouped = grouped_at[k] = sorted(nbrs, key=block_of.__getitem__)
+                    nbrs = grouped[lo:hi]
+                key.append(tuple([to_local[w] for w in nbrs]))
+            key = tuple(key)
             shape = shapes[info.tree]
             digits = shape.encoded.get(key)
             if digits is None:

@@ -7,6 +7,13 @@ a face tuple (each component's outer face under the reference-face
 projection).  The tree encodes to a (c-1)-tuple of labels by a Pruefer
 variant that deletes the smallest-id leaf component and records the label
 of its parent edge.
+
+Both directions trust their input; the ranker checks it once, where it
+enters.  The encoded tree is an embedding's nesting tree that
+``validate`` accepted: every component has one parent, and the tree is
+rooted at rho.  The decoded labels and face tuple entries passed
+``check_bounds``: c-1 labels, each below the label bound, and each entry
+below its component's face count.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ import heapq
 
 from .codecs import nesting_tuple_preprocess
 from .embedding import NestingEdge, face_intervals
-from .errors import LabelOutOfRange, MalformedTree
 
 
 def nesting_encode(nesting: list[NestingEdge], c: int) -> list[int]:
@@ -27,12 +33,8 @@ def nesting_encode(nesting: list[NestingEdge], c: int) -> list[int]:
     parent: dict[int, tuple[int, int]] = {}
     children: dict[int, set[int]] = {h: set() for h in range(0, c + 1)}
     for p, ch, lb in nesting:
-        if ch in parent or not (0 <= p <= c and 1 <= ch <= c):
-            raise MalformedTree(f"bad nesting edge ({p},{ch},{lb})")
         parent[ch] = (p, lb)
         children[p].add(ch)
-    if set(parent) != set(range(1, c + 1)):
-        raise MalformedTree("nesting tree must give every component one parent")
 
     leaves = [h for h in range(1, c + 1) if not children[h]]
     heapq.heapify(leaves)
@@ -58,11 +60,7 @@ def nesting_decode(tau: list[int], face_counts: list[int]) -> list[NestingEdge]:
     So the decode is O(c) after preprocessing.  The last leaf hangs under
     rho with label 0.
     """
-    c = len(face_counts)
-    if len(tau) != c - 1:
-        raise LabelOutOfRange(f"expected {c - 1} labels, got {len(tau)}")
-    intervals = face_intervals(face_counts)
-    tau_prime, deltas = nesting_tuple_preprocess(tau, intervals)
+    tau_prime, deltas = nesting_tuple_preprocess(tau, face_intervals(face_counts))
     edges: list[NestingEdge] = []
     ptr = 1
     while deltas[ptr] != 1:
@@ -105,7 +103,4 @@ class NestingCodec:
 
     def inverse(self, a: list[int], b: list[int]
                 ) -> tuple[list[NestingEdge], list[int]]:
-        for o, f in zip(b, self.face_counts):
-            if not 0 <= o < f:
-                raise LabelOutOfRange(f"face tuple entry {o} outside 0..{f - 1}")
         return nesting_decode(a, self.face_counts), list(b)

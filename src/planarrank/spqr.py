@@ -97,7 +97,6 @@ class SpqrNode:
     # What chi and chi_inverse read of a P- or R-node: the lower pole is
     # set by SpqrTree, the rest filled by SpqrTree.chi_nodes.
     pole: int = 0
-    degree: int = 0
     child_tin: tuple[int, ...] = ()
     first: tuple[int, ...] = ()
 
@@ -174,7 +173,7 @@ class SpqrTree:
     def chi_nodes(self) -> tuple[list[SpqrNode], list[SpqrNode]]:
         """The P- and R-nodes in conventional order, with what chi reads.
 
-        chi reads the lower pole; degree counts the skeleton edges there.
+        chi reads the lower pole.
         A skeleton edge is named as in skeleton(): by the preorder rank of
         the child it leads to, -1 for the reference edge, and child_tin
         lists the children's tins in that order.  first is the first
@@ -189,13 +188,11 @@ class SpqrTree:
         """
         p_nodes, r_nodes = self.conventional
         for nd in p_nodes + r_nodes:
-            u = nd.pole
-            nd.degree = sum(1 for e in self.skeleton(nd) if u in e)
             nd.child_tin = tuple(self.nodes[c].tin for c in nd.children)
             if nd.kind == "P":
                 nd.first = tuple(range(len(nd.children) - 1, -1, -1))
             else:
-                nd.first = tuple(self.first_r[nd.index][u])
+                nd.first = tuple(self.first_r[nd.index][nd.pole])
         return self.conventional
 
     def dump(self, relabel: tuple[int, ...] | dict[int, int] | None = None) -> str:

@@ -10,14 +10,9 @@ import pytest
 
 from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
 from planarrank import spqr
-from planarrank.biconnected import (
-    _induced_cycle,
-    _rotate_to,
-    biconn_bounds,
-    chi,
-    chi_inverse,
-)
+from planarrank.biconnected import _induced_cycle, biconn_bounds, chi, chi_inverse
 from planarrank.codecs import bounds_product, perm_unrank, tuple_unrank
+from planarrank.embedding import PlanarEmbedding, validate
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, edge_id
@@ -84,11 +79,15 @@ class TestChi:
             assert is_planar_rotation(g, rot)
 
     def test_bound_violation(self):
-        tree = build_spqr(K4)
+        # chi_inverse's digits passed check_bounds: an R bit of 2, or a P
+        # value for a tree without P-nodes, stops at the ranker.  K4's
+        # tuple is its outer face, then its one R bit.
+        ranker = EmbeddingRanker(K4)
+        assert ranker.bounds == [4, 2]
         with pytest.raises(BoundViolation):
-            chi_inverse([], [2], tree)
+            ranker.phi_inverse([0, 2])
         with pytest.raises(BoundViolation):
-            chi_inverse([0], [0], tree)
+            ranker.phi_inverse([0, 0, 0])
 
     @pytest.mark.parametrize("g", SMALL_BICONNECTED)
     def test_bijection_against_oracle(self, g):
@@ -138,34 +137,38 @@ class TestChi:
 
 
 class TestChiRejects:
+    """chi reads a rotation that validate accepted: rank rejects any other
+    before chi runs, with validate's message."""
+
     @pytest.mark.parametrize("g,stranger", [(W4, 3), (THETA, 5)], ids=["r-node", "p-node"])
     def test_non_edge_at_the_pole(self, g, stranger):
         # The stranger is not adjacent to vertex 1, the pole of the only
         # P- or R-node: in W4 it lies in the block, in THETA outside it.
-        tree = build_spqr(g)
-        p_nodes, r_nodes = tree.conventional
+        ranker = EmbeddingRanker(g)
+        p_nodes, r_nodes = ranker.blocks[0].tree.conventional
         assert [min(nd.poles) for nd in p_nodes + r_nodes] == [1]
-        rot = chi_inverse([0] * len(p_nodes), [0] * len(r_nodes), tree)
+        rot = dict(ranker.unrank(0).rot)
         rot[1] = [stranger, *rot[1][1:]]
-        with pytest.raises(EmbeddingMismatch):
-            chi(rot, tree)
+        assert_rank_rejects(ranker, rot)
 
     def test_pole_missing_from_the_rotation(self):
-        # Vertex 1 is the lower pole of the only P-node; a rotation without
-        # it is rejected by name, not with a raw KeyError.
+        # Vertex 1 is the lower pole of the only P-node.
         g = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
-        tree = build_spqr(g)
-        (nd,), () = tree.chi_nodes
-        rot = chi_inverse([0], [], tree)
+        ranker = EmbeddingRanker(g)
+        (nd,), () = ranker.blocks[0].tree.chi_nodes
+        assert nd.pole == 1
+        rot = dict(ranker.unrank(0).rot)
         del rot[1]
-        with pytest.raises(EmbeddingMismatch, match=f"pole 1 of node {nd.index} "):
-            chi(rot, tree)
+        assert_rank_rejects(ranker, rot)
 
-    def test_rotating_to_a_missing_edge(self):
-        nd = build_spqr(K4).r_nodes()[0]
-        assert _rotate_to([4, 5, 6], 5, nd) == [5, 6, 4]
-        with pytest.raises(EmbeddingMismatch):
-            _rotate_to([4, 5, 6], 7, nd)
+
+def assert_rank_rejects(ranker, rot):
+    emb = PlanarEmbedding(ranker.graph, rot)
+    problems = validate(emb)
+    assert problems
+    with pytest.raises(EmbeddingMismatch) as info:
+        ranker.rank(emb)
+    assert str(info.value) == "; ".join(problems)
 
 
 # Reference copy of the run reader before the tree owned chi's tables: it
@@ -201,16 +204,11 @@ def reference_induced_cycle(tree, node, x, rot):
     return tokens
 
 
-def induced_or_error(read, *args):
-    try:
-        return read(*args)
-    except EmbeddingMismatch:
-        return "mismatch"
-
-
 def compare_run_readers(tree, rng, rounds):
-    """Both readers on chi_inverse's rotations and on shuffled ones; the
-    number of node/rotation pairs compared."""
+    """Both readers on chi_inverse's rotations and on shuffled ones whose
+    skeleton runs stay contiguous; the number of node/rotation pairs
+    compared.  A shuffle that breaks a run is no planar rotation, which
+    validate rejects before chi runs."""
     p_nodes, r_nodes = tree.chi_nodes
     bounds = biconn_bounds(tree)
     compared = 0
@@ -220,8 +218,11 @@ def compare_run_readers(tree, rng, rounds):
         for nd in p_nodes + r_nodes:
             u = nd.pole
             for cand in (rot, {**rot, u: rng.sample(rot[u], len(rot[u]))}):
-                got = induced_or_error(_induced_cycle, tree, nd, cand)
-                assert got == induced_or_error(reference_induced_cycle, tree, nd, u, cand)
+                try:
+                    expected = reference_induced_cycle(tree, nd, u, cand)
+                except EmbeddingMismatch:
+                    continue
+                assert _induced_cycle(tree, nd, cand) == expected
                 compared += 1
     return compared
 

@@ -14,13 +14,15 @@ from planarrank.codecs import (
     tuple_rank,
     tuple_unrank,
 )
+from planarrank.embedding import face_intervals
 from planarrank.errors import (
     BoundViolation,
-    LabelOutOfRange,
     MalformedTree,
     NotAPermutation,
     RankOutOfRange,
 )
+from planarrank.full import EmbeddingRanker
+from planarrank.graph import Graph
 from planarrank.oracle import prufer_rank, prufer_unrank
 
 # Values and bounds from the worked 22-element example; the product of the
@@ -176,9 +178,13 @@ class TestNestingPreprocess:
         assert tau_prime == [1]
         assert deltas[1] == 2 and deltas[0] == 2
 
+    # nesting_tuple_preprocess's labels passed check_bounds, so a label
+    # outside every interval stops at the ranker, here at a_2 (digit 2).
+
     def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
-            nesting_tuple_preprocess([16], self.INTERVALS)
+        ranker = ranker_with_intervals(self.INTERVALS)
+        with pytest.raises(BoundViolation):
+            ranker.phi_inverse(with_labels(ranker, [0, 16, 0, 0]))
 
     # Face counts 3, 1, 1, 4, 1: components 2, 3 and 5 have one face, so
     # their intervals are empty; I_2 and I_3 share lo = 3 with I_4.
@@ -200,6 +206,32 @@ class TestNestingPreprocess:
         (GAPPED, -3, "label -3 outside 0..5"),
     ])
     def test_out_of_range_messages(self, intervals, label, message):
-        with pytest.raises(LabelOutOfRange) as info:
-            nesting_tuple_preprocess([0, label], intervals)
-        assert str(info.value) == message
+        ranker = ranker_with_intervals(intervals)
+        with pytest.raises(BoundViolation) as info:
+            ranker.phi_inverse(with_labels(ranker, [0, label, 0, 0]))
+        # check_bounds names the digit where the label sits.
+        assert str(info.value) == message.replace("label ", "value b_2=")
+
+
+def ranker_with_intervals(intervals):
+    """The ranker of disjoint components whose label intervals these are:
+    an edge for a component of one face, k paths of length two between
+    two poles for one of k faces."""
+    edges, n = [], 0
+    for lo, hi in intervals:
+        f = hi - lo + 2
+        if f == 1:
+            edges.append((n + 1, n + 2))
+        else:
+            edges += [(n + p, n + 2 + i) for i in range(1, f + 1) for p in (1, 2)]
+        n += 2 if f == 1 else f + 2
+    ranker = EmbeddingRanker(Graph(n, sorted(edges)))
+    assert face_intervals(ranker.face_counts) == intervals
+    return ranker
+
+
+def with_labels(ranker, labels):
+    """The all-zero tuple with these nesting labels."""
+    values = [0] * len(ranker.bounds)
+    values[ranker.a] = labels
+    return values

@@ -3,18 +3,19 @@
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
 
+from _linecount import doubling_ratios, executed_lines
 from planarrank.cutvertex import (
     BlocksAtV,
     arrangement_bounds,
     phi_v,
     phi_v_inverse,
 )
+from planarrank.embedding import PlanarEmbedding, validate
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
@@ -150,38 +151,70 @@ class TestPhiV:
                     run = [w for w in merged if w in set(r)]
                     assert canonical_cycle(run) == canonical_cycle(list(r))
 
+    # Bad input reaches phi_v and phi_v_inverse only through the ranker,
+    # which rejects it where it enters: validate owns the rotation at v,
+    # check_bounds the c and d digits.
+
     def test_bound_violation(self):
-        ctx = BlocksAtV.make(1, [[2], [3], [4]])
-        with pytest.raises(BoundViolation):
-            phi_v_inverse(ctx, [[2], [3], [4]], [0, 0, 0], [2])
-        with pytest.raises(BoundViolation):
-            phi_v_inverse(ctx, [[2], [3], [4]], [1, 0, 0], [0])
+        assert_unrank_rejects([[2], [3], [4]], [0, 0, 0], [2])
+        assert_unrank_rejects([[2], [3], [4]], [1, 0, 0], [0])
 
     @pytest.mark.parametrize("rotations", [[[2], [3]], [[2], [3, 5], [4]]])
     def test_rejects_rotations_not_matching_blocks(self, rotations):
-        ctx = BlocksAtV.make(1, [[2], [3], [4]])
-        with pytest.raises(EmbeddingMismatch):
-            phi_v_inverse(ctx, rotations, [0, 0, 0], [0])
+        assert_rank_rejects([[2], [3], [4]], rotations)
 
-    @pytest.mark.parametrize("blocks,rotations,c_vals,d_vals", [
+    @pytest.mark.parametrize("blocks,rotations", [
         # A foreign far endpoint in place of block 2's edge.
-        ([[2], [3], [4]], [[2], [5], [4]], [0, 0, 0], [0]),
-        # Right-sized rotations holding the other block's edges.
-        ([[2, 3], [4, 5]], [[2, 5], [4, 3]], [0, 0], []),
+        ([[2], [3], [4]], [[2], [5], [4]]),
+        # Right-sized rotations holding the other block's edges, which
+        # interleave the two blocks at v.
+        ([[2, 3], [4, 5]], [[2, 4], [3, 5]]),
         # A repeated far endpoint.
-        ([[2, 3], [4, 5]], [[2, 2], [4, 5]], [0, 0], []),
-        ([[2, 3], [4, 5], [6]], [[3, 2], [5, 5], [6]], [0, 0, 0], [0]),
+        ([[2, 3], [4, 5]], [[2, 2], [4, 5]]),
+        ([[2, 3], [4, 5], [6]], [[3, 2], [5, 5], [6]]),
     ], ids=["foreign", "swapped", "repeated", "repeated-later-block"])
-    def test_rejects_rotations_with_other_edges(self, blocks, rotations,
-                                                c_vals, d_vals):
-        ctx = BlocksAtV.make(1, blocks)
-        with pytest.raises(EmbeddingMismatch):
-            phi_v_inverse(ctx, rotations, c_vals, d_vals)
+    def test_rejects_rotations_with_other_edges(self, blocks, rotations):
+        assert_rank_rejects(blocks, rotations)
 
     def test_rejects_foreign_rotation(self):
-        ctx = BlocksAtV.make(1, [[2], [3], [4]])
-        with pytest.raises(EmbeddingMismatch):
-            phi_v(ctx, [2, 3, 5])
+        assert_rank_rejects([[2], [3], [4]], [[2, 3, 5]])
+
+
+def graph_at_1(blocks):
+    """The graph of these blocks at vertex 1, given by their far endpoints:
+    a bridge per one-edge block, a triangle per two-edge block."""
+    edges = []
+    for ws in blocks:
+        edges += [(1, w) for w in ws]
+        if len(ws) == 2:
+            edges.append(tuple(sorted(ws)))
+    return Graph(max(map(max, blocks)), sorted(edges))
+
+
+def assert_rank_rejects(blocks, rotations):
+    """rank, given the blocks' graph with the rotations one after the other
+    at vertex 1, raises EmbeddingMismatch with validate's message."""
+    g = graph_at_1(blocks)
+    ranker = EmbeddingRanker(g)
+    rot = dict(ranker.unrank(0).rot)
+    rot[1] = [w for r in rotations for w in r]
+    emb = PlanarEmbedding(g, rot)
+    problems = validate(emb)
+    assert problems
+    with pytest.raises(EmbeddingMismatch) as info:
+        ranker.rank(emb)
+    assert str(info.value) == "; ".join(problems)
+
+
+def assert_unrank_rejects(blocks, c_vals, d_vals):
+    """phi_inverse of the blocks' graph, given these c and d digits at
+    vertex 1, raises BoundViolation from check_bounds."""
+    ranker = EmbeddingRanker(graph_at_1(blocks))
+    (cut,) = ranker.cuts
+    values = [0] * len(ranker.bounds)
+    values[cut.c.start:cut.d.stop] = c_vals + d_vals
+    with pytest.raises(BoundViolation):
+        ranker.phi_inverse(values)
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +222,7 @@ class TestPhiV:
 # ---------------------------------------------------------------------------
 
 
-def executed_lines(fn, *args) -> int:
-    """Line events in cutvertex.py frames during one call of fn.
-
-    Every frame of the module counts, helpers and comprehensions
-    included, so no loop of the call goes unseen.  Work done inside
-    builtins (a sort, a slice) has no line events.
-    """
-    filename = phi_v.__code__.co_filename
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return local
-
-    def on_call(frame, event, arg):
-        return local if frame.f_code.co_filename == filename else None
-
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(previous)
-    return count
-
-
+CUTVERTEX_PY = phi_v.__code__.co_filename
 DIGIT_PATTERNS = ["zero", "max", "alternating", "random"]
 BLOCK_COUNTS = (100, 200, 400, 800)
 
@@ -246,10 +252,6 @@ def wide_cut_vertex(b, pattern):
     return ctx, blocks, c_vals, d_vals
 
 
-def doubling_ratios(counts):
-    return [later / earlier for earlier, later in zip(counts, counts[1:])]
-
-
 class TestWorkUnderDoubling:
     """The per-call bounds O(delta_v * alpha) for phi_v_inverse and
     O(delta_v) for phi_v, checked by measurement: doubling the blocks at
@@ -257,7 +259,7 @@ class TestWorkUnderDoubling:
 
     @pytest.mark.parametrize("pattern", DIGIT_PATTERNS)
     def test_phi_v_inverse(self, pattern):
-        counts = [executed_lines(phi_v_inverse, *wide_cut_vertex(b, pattern))
+        counts = [executed_lines(CUTVERTEX_PY, phi_v_inverse, *wide_cut_vertex(b, pattern))
                   for b in BLOCK_COUNTS]
         assert max(doubling_ratios(counts)) <= 2.2, counts
 
@@ -268,7 +270,7 @@ class TestWorkUnderDoubling:
             ctx, rotations, c_vals, d_vals = wide_cut_vertex(b, pattern)
             merged = phi_v_inverse(ctx, rotations, c_vals, d_vals)
             assert phi_v(ctx, merged) == (c_vals, d_vals)
-            counts.append(executed_lines(phi_v, ctx, merged))
+            counts.append(executed_lines(CUTVERTEX_PY, phi_v, ctx, merged))
         assert max(doubling_ratios(counts)) <= 2.2, counts
 
 
@@ -453,7 +455,7 @@ TWO_BLOCK_CONFIGS = [c for c in CONFIGS if len(c[2]) == 2]
 
 class TestTwoBlockExit:
     """At b(v) = 2 phi_v_inverse returns the two runs without building the
-    merge structures; its input checks still run first."""
+    merge structures."""
 
     @pytest.mark.parametrize("name,v,blocks", TWO_BLOCK_CONFIGS,
                              ids=[c[0] for c in TWO_BLOCK_CONFIGS])
@@ -469,27 +471,23 @@ class TestTwoBlockExit:
     def test_configs_cover_two_blocks(self):
         assert len(TWO_BLOCK_CONFIGS) == 5
 
+    # What the exit is given passed the ranker's input checks: rank's
+    # rotation at v passed validate, unrank's digits check_bounds.
     @pytest.mark.parametrize("rotations", [
         [[2, 3]],                   # one block missing
         [[2, 3], [4], [5]],         # one block too many
         [[2, 5], [4]],              # a foreign far endpoint
         [[2, 2], [4]],              # a repeated far endpoint
-        [[2], [3, 4]],              # right edges, wrong split
-        [[4], [2, 3]],              # blocks out of order
-    ], ids=["missing", "extra", "foreign", "repeated", "split", "order"])
+    ], ids=["missing", "extra", "foreign", "repeated"])
     def test_rejects_rotations_not_matching_blocks(self, rotations):
-        ctx = BlocksAtV.make(1, [[2, 3], [4]])
-        with pytest.raises(EmbeddingMismatch):
-            phi_v_inverse(ctx, rotations, [0, 0], [])
+        assert_rank_rejects([[2, 3], [4]], rotations)
 
     @pytest.mark.parametrize("c_vals,d_vals", [
         ([2, 0], []), ([0, 1], []), ([-1, 0], []),   # c out of range
         ([0], []), ([0, 0, 0], []), ([0, 0], [0]),   # layout of b = 3
     ])
     def test_bound_violation(self, c_vals, d_vals):
-        ctx = BlocksAtV.make(1, [[2, 3], [4]])
-        with pytest.raises(BoundViolation):
-            phi_v_inverse(ctx, [[3, 2], [4]], c_vals, d_vals)
+        assert_unrank_rejects([[2, 3], [4]], c_vals, d_vals)
 
 
 class TestWideCutVertex:
@@ -740,7 +738,7 @@ class TestAgainstReferenceForward:
     def test_random_cut_vertices_match_reference(self):
         rng = random.Random(20261019)
         cases = Counter()
-        rejected = accepted_shuffles = 0
+        accepted_shuffles = 0
         two = interleaved = 0  # two-block cases, which take phi_v's exit
         for _ in range(2500):
             blocks = random_blocks(rng)
@@ -748,25 +746,27 @@ class TestAgainstReferenceForward:
             c_vals = [rng.randrange(x) for x in ctx.c_bounds]
             d_vals = [rng.randrange(x) for x in ctx.d_bounds]
             merged = reference_phi_v_inverse(ctx, blocks, c_vals, d_vals, cases)
-            expected = outcome(reference_phi_v, ctx, merged)
-            assert expected == (c_vals, d_vals)
-            assert outcome(phi_v, ctx, merged) == expected, (blocks, merged)
+            assert reference_phi_v(ctx, merged) == (c_vals, d_vals)
+            assert phi_v(ctx, merged) == (c_vals, d_vals), (blocks, merged)
 
+            # A shuffle whose block runs do not nest is no planar rotation
+            # at v: validate rejects it before phi_v runs, so only the
+            # shuffles the reference accepts are compared.
             shuffled = rng.sample(merged, len(merged))
             expected = outcome(reference_phi_v, ctx, shuffled)
-            assert outcome(phi_v, ctx, shuffled) == expected, (blocks, shuffled)
             if isinstance(expected, type):
-                rejected += 1
-            elif ctx.b > 2:
+                continue
+            assert phi_v(ctx, shuffled) == expected, (blocks, shuffled)
+            if ctx.b > 2:
                 accepted_shuffles += 1
-            if ctx.b == 2:
+            else:
                 two += 1
                 blk = [ctx.block_of[w] for w in shuffled]
                 interleaved += sum(x != y for x, y in zip(blk, blk[1:] + blk[:1])) > 2
-        # Both merge cases occur, and both kinds of shuffled input: rejected
-        # ones and ones that happen to be valid merges of three or more blocks.
+        # Both merge cases occur, and shuffles that happen to be valid
+        # merges of three or more blocks.
         assert cases["insert"] > 0 and cases["wrap"] > 0, cases
-        assert rejected > 500 and accepted_shuffles > 50, (rejected, accepted_shuffles)
-        # The two-block exit runs on each such case in order and shuffled,
-        # and on shuffles whose blocks interleave, which it does not reject.
+        assert accepted_shuffles > 50, accepted_shuffles
+        # The reference accepts every two-block shuffle, those whose blocks
+        # interleave too, and the exit agrees with it on each.
         assert two >= 300 and interleaved >= 100, (two, interleaved)

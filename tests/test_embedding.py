@@ -13,7 +13,7 @@ from planarrank.embedding import (
     face_intervals,
     validate,
 )
-from planarrank.errors import GraphMismatch, UnknownFace
+from planarrank.errors import EmbeddingMismatch, GraphMismatch, UnknownFace
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, connected_components
 from planarrank.oracle import (
@@ -286,6 +286,13 @@ class TestValidateAgainstReference:
                     problems = validate(case)
                     assert problems == reference_validate(case)
                     found.update(m for p in problems for m in VALIDATE_MESSAGES if m in p)
+                    # rank checks its input through validate only.
+                    if problems:
+                        with pytest.raises(EmbeddingMismatch) as info:
+                            ranker.rank(case)
+                        assert str(info.value) == "; ".join(problems)
+                    else:
+                        assert embeddings_equal(ranker.unrank(ranker.rank(case)), case)
         assert found.keys() == set(VALIDATE_MESSAGES), found
 
 

@@ -9,18 +9,21 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from _graphgen import TEMPLATES, atlas_planar, random_planar
+from _linecount import doubling_ratios, executed_lines
 from planarrank import cutvertex, full
 from planarrank.biconnected import biconn_bounds, chi, chi_inverse
 from planarrank.codecs import check_bounds, tuple_rank, tuple_unrank
 from planarrank.cutvertex import BlocksAtV, phi_v, phi_v_inverse
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
-from planarrank.errors import EmbeddingMismatch, NotPlanar, RankOutOfRange
+from planarrank.errors import BoundViolation, EmbeddingMismatch, NotPlanar, RankOutOfRange
 from planarrank.full import (DECODED_PER_SHAPE, EmbeddingRanker, _BlockInfo,
                              _CutInfo, _Shape, count_embeddings, sample_uniform)
 from planarrank.graph import Graph, block_cut_tree, connected_components, edge_id
 from planarrank.nesting import NestingCodec
 from planarrank.oracle import enumerate_disconnected
 from planarrank.spqr import build_spqr
+
+FULL_PY = full.__file__
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 
@@ -235,7 +238,7 @@ def reference_phi(ranker, emb):
         values[cut.c], values[cut.d] = phi_v(cut.ctx, emb.rot[cut.v])
     for info, rot in zip(ranker.blocks, reference_block_rotations(ranker, emb)):
         if info.poles:
-            values[info.p], values[info.r] = chi({i: rot[i] for _, i in info.poles},
+            values[info.p], values[info.r] = chi({i: rot[i] for _, i, *_ in info.poles},
                                                  info.tree)
     return values
 
@@ -255,7 +258,7 @@ def compare_block_rotations(ranker, rng, rounds):
         assert ranker.rank(emb) == r
         filtered += sum(len(rot[i]) < len(emb.rot[x]) for info, rot in
                         zip(ranker.blocks, reference_block_rotations(ranker, emb))
-                        for x, i in info.poles)
+                        for x, i, *_ in info.poles)
     return filtered
 
 
@@ -320,7 +323,7 @@ class ReferenceLayout:
         info = self.ranker.blocks[b]
         to_local = info.to_local
         return {i: [to_local[w] for w in emb.rot[x] if w in to_local]
-                for x, i in info.poles}
+                for x, i, *_ in info.poles}
 
     def phi(self, emb):
         ranker = self.ranker
@@ -502,12 +505,9 @@ class ReferenceConstruction(EmbeddingRanker):
                 )
                 tree = build_spqr(bg)
                 # Its own tables: no tree, and so no table, is shared.
-                shape = self.shapes[tree] = _Shape(
+                self.shapes[tree] = _Shape(
                     tuple({nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}))
-                self.blocks.append(
-                    _BlockInfo(ci, g_edges, fwd, inv, tree,
-                               tuple((inv[u], u) for u in shape.poles))
-                )
+                self.blocks.append(_BlockInfo(ci, g_edges, fwd, inv, tree))
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
         self.blocks.sort(key=lambda info: info.edges[0])
 
@@ -522,6 +522,22 @@ class ReferenceConstruction(EmbeddingRanker):
             ctx = BlocksAtV.make(v, at_v.values())
             ids = [block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
             self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
+        # At a cut-vertex pole, a block's edges follow those of the blocks
+        # before it in ctx's order.
+        cut_index = {cut.v: k for k, cut in enumerate(self.cuts)}
+        for b, info in enumerate(self.blocks):
+            poles = []
+            for u in self.shapes[info.tree].poles:
+                x = info.to_global[u]
+                k = cut_index.get(x, -1)
+                if k < 0:
+                    poles.append((x, u, -1, 0, 0))
+                    continue
+                cut = self.cuts[k]
+                j = cut.block_ids.index(b)
+                lo = sum(len(ws) for ws in cut.ctx.edges[:j])
+                poles.append((x, u, k, lo, lo + len(cut.ctx.edges[j])))
+            info.poles = tuple(poles)
         self.nesting_codec = NestingCodec(self.face_counts)
 
         self.bounds = []
@@ -803,7 +819,7 @@ def table_snapshot(ranker):
 
 
 # The wheel with hub 1 is one R-node whose pole, the hub, has four
-# skeleton edges: of the three cyclic orders there, chi accepts two.
+# skeleton edges: of the three cyclic orders there, two are planar.
 W4_HUB = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)])
 
 
@@ -823,7 +839,7 @@ class TestEncodeTable:
         assert {id(tree): len(shape.encoded)
                 for tree, shape in ranker.shapes.items()} == sizes
 
-    def test_rejected_rank_leaves_every_table_unchanged(self, monkeypatch):
+    def test_rejected_rank_leaves_every_table_unchanged(self):
         ranker = EmbeddingRanker(W4_HUB)
         for r in range(ranker.count()):
             assert ranker.rank(ranker.unrank(r)) == r
@@ -836,19 +852,6 @@ class TestEncodeTable:
         with pytest.raises(EmbeddingMismatch, match="violates Euler's formula"):
             ranker.rank(bad)
         assert table_snapshot(ranker) == before
-
-        # Past validate, chi rejects the hub's rotation with its own message,
-        # on every try: the rejected key never enters the table.
-        info = ranker.blocks[0]
-        with pytest.raises(EmbeddingMismatch) as direct:
-            chi({i: [info.to_local[w] for w in bad.rot[x]] for x, i in info.poles},
-                info.tree)
-        monkeypatch.setattr(full, "validate", lambda emb: [])
-        for _ in range(2):
-            with pytest.raises(EmbeddingMismatch) as raised:
-                ranker.rank(bad)
-            assert str(raised.value) == str(direct.value)
-            assert table_snapshot(ranker) == before
 
     def test_rejected_ranks_on_a_forest(self):
         ranker = EmbeddingRanker(random_planar(300, seed=1801, components=1))
@@ -869,6 +872,58 @@ class TestEncodeTable:
                 rejected += 1
         assert rejected > 10
         assert table_snapshot(ranker) == before
+
+
+# One cut-vertex, 1, with three blocks (K4, the theta graph on 1, 5, 6, 7
+# and a bridge) and a triangle beside them: each segment of the tuple has
+# a digit whose bound exceeds 1.
+SEGMENTED = Graph(11, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 3),
+                       (2, 4), (3, 4), (5, 6), (5, 7), (9, 10), (9, 11), (10, 11)])
+
+
+class TestBoundaryChecksDigits:
+    """Unrank, sample and enumerate decode digits that passed check_bounds
+    (or tuple_unrank), and no layer below checks them again: an
+    out-of-range digit in any segment stops at phi_inverse's check."""
+
+    @pytest.mark.parametrize("segment", ["a", "b", "c", "d", "p", "r"])
+    def test_out_of_range_digit(self, segment):
+        ranker = EmbeddingRanker(SEGMENTED)
+        (cut,) = ranker.cuts
+        slices = {"a": [ranker.a], "b": [ranker.b], "c": [cut.c], "d": [cut.d],
+                  "p": [info.p for info in ranker.blocks],
+                  "r": [info.r for info in ranker.blocks]}[segment]
+        bounds = ranker.bounds
+        i = next(j for s in slices for j in range(s.start, s.stop) if bounds[j] > 1)
+        for x in (bounds[i], -1):
+            values = [0] * len(bounds)
+            values[i] = x
+            with pytest.raises(BoundViolation) as info:
+                ranker.phi_inverse(values)
+            assert str(info.value) == f"value b_{i + 1}={x} outside 0..{bounds[i] - 1}"
+
+
+def hub(k):
+    """k K4 blocks sharing vertex 1."""
+    edges = []
+    for i in range(k):
+        a, b, c = 3 * i + 2, 3 * i + 3, 3 * i + 4
+        edges += [(1, a), (1, b), (1, c), (a, b), (a, c), (b, c)]
+    return Graph(3 * k + 1, edges)
+
+
+class TestRankAtAHub:
+    def test_work_under_doubling(self):
+        """Each K4's R-node has its pole at the hub, so rank reads every
+        block's rotation there; doubling the blocks at most about doubles
+        the lines of full.py that one rank executes."""
+        counts = []
+        for k in (100, 200, 400, 800):
+            ranker = EmbeddingRanker(hub(k))
+            assert {x for info in ranker.blocks for x, *_ in info.poles} == {1}
+            emb = ranker.unrank(ranker.count() // 3)
+            counts.append(executed_lines(FULL_PY, ranker.rank, emb))
+        assert max(doubling_ratios(counts)) <= 2.2, counts
 
 
 class TestSampleEnumerate:

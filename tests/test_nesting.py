@@ -6,7 +6,8 @@ import random
 import pytest
 
 from planarrank.embedding import PlanarEmbedding, face_intervals, validate
-from planarrank.errors import LabelOutOfRange
+from planarrank.errors import BoundViolation
+from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
 from planarrank.nesting import NestingCodec, nesting_decode, nesting_encode
 from planarrank.oracle import all_nesting_trees
@@ -20,13 +21,13 @@ def reference_preprocess(tau, intervals):
             tau_prime.append(0)
             continue
         if not 1 <= x <= top:
-            raise LabelOutOfRange(f"label {x} outside 0..{top}")
+            raise ValueError(f"label {x} outside 0..{top}")
         for h, (lo, hi) in enumerate(intervals, start=1):
             if lo <= x <= hi:
                 tau_prime.append(h)
                 break
         else:
-            raise LabelOutOfRange(f"label {x} falls in no interval")
+            raise ValueError(f"label {x} falls in no interval")
     deltas = {h: 1 for h in range(1, len(intervals) + 1)}
     deltas[0] = 2
     for h in tau_prime:
@@ -105,8 +106,12 @@ class TestCodec:
         assert nesting_encode(tree, 3) == [1, 1]
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
-            nesting_decode([16], [2, 2])
+        # nesting_decode's labels passed check_bounds: two triangles take
+        # labels 0..2, so 16 stops at the ranker.
+        ranker = EmbeddingRanker(TWO_TRIANGLES)
+        assert ranker.bounds == [3, 2, 2]
+        with pytest.raises(BoundViolation, match="value b_1=16 outside 0..2"):
+            ranker.phi_inverse([16, 0, 0])
 
     def test_matches_reference_decode_on_random_cases(self):
         # Single-face components give empty intervals, in the middle and at
