@@ -16,7 +16,6 @@ from .errors import (
     NotPlanar,
     PlanarRankError,
     RankOutOfRange,
-    TooLarge,
 )
 from .full import EmbeddingRanker, count_embeddings, sample_uniform
 from .graph import Graph, block_cut_tree, connected_components
@@ -39,5 +38,4 @@ __all__ = [
     "NotPlanar",
     "PlanarRankError",
     "RankOutOfRange",
-    "TooLarge",
 ]

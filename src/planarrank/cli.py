@@ -13,10 +13,9 @@ import sys
 
 from .codecs import tuple_rank
 from .embedding import PlanarEmbedding
-from .errors import MalformedInput, NotPlanar, PlanarRankError, RankOutOfRange, TooLarge
+from .errors import MalformedInput, NotPlanar, PlanarRankError, RankOutOfRange
 from .full import EmbeddingRanker
 from .graph import Graph
-from .oracle import enumerate_disconnected
 
 
 def _load_graph(path: str) -> Graph:
@@ -97,37 +96,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
-    if g.n > args.max_n:
-        raise MalformedInput(
-            f"graph has {g.n} vertices, above the --max-n {args.max_n} oracle guard"
-        )
-    ranker = EmbeddingRanker(g)
-    total = ranker.count()
-    try:
-        oracle = enumerate_disconnected(g)
-    except TooLarge as exc:
-        raise MalformedInput(str(exc)) from exc
-    ok = True
-    if total != len(oracle):
-        print(f"MISMATCH: count {total} != oracle {len(oracle)}", file=sys.stderr)
-        ok = False
-    produced = set()
-    for r in range(total):
-        emb = ranker.unrank(r)
-        produced.add(emb.to_json())
-        if ranker.rank(emb) != r:
-            print(f"MISMATCH: rank(unrank({r})) != {r}", file=sys.stderr)
-            ok = False
-    if produced != oracle:
-        print("MISMATCH: unranked embedding set differs from the oracle",
-              file=sys.stderr)
-        ok = False
-    print("verify: OK" if ok else "verify: FAILED")
-    return 0 if ok else 4
-
-
 def cmd_decompose(args) -> int:
     ranker = EmbeddingRanker(_load_graph(args.graph))
     for ci, (cid, comp) in enumerate(ranker.comps):
@@ -177,11 +145,6 @@ def main(argv=None) -> int:
     p.add_argument("--from", dest="start", default="0")
     p.add_argument("--limit", type=int, default=None)
     p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("verify", help="cross-check against the brute-force oracle")
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("--max-n", type=int, default=8)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", help="dump block-cut tree and SPQR-trees")
     p.add_argument("-g", "--graph", required=True)

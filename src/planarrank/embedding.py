@@ -4,7 +4,8 @@ A rotation system stores, per vertex, the counter-clockwise cyclic list of
 neighbors.  Faces follow the fixed convention: after entering v through
 edge e, the boundary continues with the predecessor of e in v's
 counter-clockwise list, which keeps the face on the left.  The faces'
-identifiers and their boundary walks are defined in the oracle.
+identifiers and their boundary walks, which give face-tuple entries their
+meaning, are defined in tests/_oracle.py (face_identifiers).
 
 For a disconnected graph the rotation alone does not fix the embedding;
 a nesting tree (which face of which component hosts each other component)

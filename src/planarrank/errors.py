@@ -33,21 +33,9 @@ class NotAPermutation(PlanarRankError):
     """Input is not a bijection on 0..k-1."""
 
 
-class MalformedTree(PlanarRankError):
-    """Input is not a valid (rooted, labelled) tree."""
-
-
 class GraphMismatch(PlanarRankError):
     """Two embeddings do not share the same underlying graph."""
 
 
-class UnknownFace(PlanarRankError):
-    """A face identifier does not address a face of the embedding."""
-
-
 class EmbeddingMismatch(PlanarRankError):
     """An embedding is inconsistent with the structure it is ranked against."""
-
-
-class TooLarge(PlanarRankError):
-    """Brute-force enumeration guard tripped; refusing partial output."""

@@ -10,7 +10,7 @@ so the child side of a twin pair never gains a second u-v edge.  Every
 real edge ends up in exactly one Q-node; every virtual edge has exactly
 one twin in the adjacent skeleton.  Each split is the first valid one in
 ascending pair order; the search tries only the pairs {u, v} where v is
-a cut-vertex of the skeleton minus u or an edge joins them, one lowpoint
+a cut-vertex of the skeleton minus u or two edges join them, one lowpoint
 DFS per u, so each search is O(n*m).  The linear-time decomposition of
 Hopcroft and Tarjan is not used.
 
@@ -261,26 +261,25 @@ def _split_components(vertices: set[int], edges: list[SkelEdge], u: int, v: int)
 
 def _is_single_virtual(comp) -> bool:
     _, es = comp
-    return len(es) == 1 and es[0].real is None
+    return len(es) == 1
 
 
 def _find_split(node: _RawNode):
     """First valid split (u, v, component) in ascending pair order, or None.
 
-    A pair {u, v} has two or more split components only if v is a
-    cut-vertex of the skeleton minus u or an edge joins u and v.  If the
-    only such edge is one virtual edge and v is no cut-vertex, one of the
-    two components is that edge alone, which no valid split takes.  So
-    for each u the pairs tried are those whose v is a cut-vertex of the
-    skeleton minus u (every v if that is disconnected) or is joined to u
-    by two or more edges or by a real edge.  One lowpoint DFS per u makes
-    the search O(n*m), plus O(m) per pair tried.
+    The skeleton holds virtual edges only: build_spqr moves every real
+    edge into its Q-node before the first search.  A pair {u, v} has two
+    or more split components only if v is a cut-vertex of the skeleton
+    minus u or an edge joins u and v.  If only one edge joins them and v
+    is no cut-vertex, one of the two components is that edge alone, which
+    no valid split takes.  So for each u the pairs tried are those whose
+    v is a cut-vertex of the skeleton minus u (every v if that is
+    disconnected) or is joined to u by two or more edges.  One lowpoint
+    DFS per u makes the search O(n*m), plus O(m) per pair tried.
     """
-    # A real edge weighs 2 so that weight >= 2 marks the pairs tried
-    # whatever the cut-vertices.
     weight: dict[Edge, int] = {}
     for e in node.edges:
-        weight[e.eid] = weight.get(e.eid, 0) + (2 if e.real else 1)
+        weight[e.eid] = weight.get(e.eid, 0) + 1
     adj: dict[int, list[int]] = {x: [] for x in node.vertices}
     for a, b in weight:
         adj[a].append(b)
@@ -356,25 +355,22 @@ def build_spqr(g: Graph) -> SpqrTree:
     if not nx.check_planarity(nx.Graph(g.edges))[0]:
         raise NotPlanar("graph admits no planar embedding")
 
-    raw: list[_RawNode] = [
-        _RawNode(set(g.vertices), [new_edge(u, v, (u, v), None) for u, v in g.edges])
-    ]
+    # Every real edge goes into its own Q-node, twinned with a virtual
+    # edge of the root skeleton, so no skeleton the split search sees
+    # holds a real edge.
+    raw: list[_RawNode] = [_RawNode(set(g.vertices), [])]
     adjacency: dict[int, list[int]] = {}  # pair id -> [node index, node index]
+    for u, v in g.edges:
+        pair = new_pair(u, v)
+        raw[0].edges.append(new_edge(u, v, None, pair))
+        q_edges = [new_edge(u, v, (u, v), None), new_edge(u, v, None, pair)]
+        raw.append(_RawNode({u, v}, q_edges))
+        adjacency[pair] = [0, len(raw) - 1]
 
     work = [0]
     while work:
         idx = work.pop()
         node = raw[idx]
-        # Peel every real edge into its own Q-node first; skeletons with
-        # three or more edges always admit these splits, and doing them in
-        # bulk keeps the split-pair search off the common fast path.
-        while len(node.edges) >= 3 and any(e.real for e in node.edges):
-            e = next(x for x in node.edges if x.real)
-            pair = new_pair(e.u, e.v)
-            node.edges.remove(e)
-            node.edges.append(new_edge(e.u, e.v, None, pair))
-            raw.append(_RawNode({e.u, e.v}, [e, new_edge(e.u, e.v, None, pair)]))
-            adjacency[pair] = [idx, len(raw) - 1]
         # A cycle is an S-node already; splitting it further would only
         # cut it into triangles for the S-S merge to glue back, at one
         # split-pair search per triangle.

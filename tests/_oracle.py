@@ -6,9 +6,9 @@ and nesting labels their meaning, and the classic Pruefer codec, the
 worked example behind the nesting codec.  The enumerations run
 exhaustively and filter with Euler's check.  Nothing here imports the
 ranking layers (full, biconnected, cutvertex, spqr, nesting, codecs), so
-the reference stays independent of what it checks; only the tests and the
-`verify` command use this module.  Guards raise TooLarge instead of
-truncating, so a test can never silently pass on a partial enumeration.
+the reference stays independent of what it checks, and nothing in the
+package imports this module.  Guards raise TooLarge instead of truncating,
+so a test can never silently pass on a partial enumeration.
 """
 
 from __future__ import annotations
@@ -16,11 +16,23 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .embedding import PlanarEmbedding, Rotation, edges_and_faces, face_intervals
-from .errors import MalformedTree, TooLarge, UnknownFace
-from .graph import Edge, Graph, connected_components, edge_id
+from planarrank.embedding import PlanarEmbedding, Rotation, edges_and_faces, face_intervals
+from planarrank.errors import PlanarRankError
+from planarrank.graph import Edge, Graph, connected_components, edge_id
 
 _ROTATION_GUARD = 2_000_000
+
+
+class TooLarge(PlanarRankError):
+    """Brute-force enumeration guard tripped; refusing partial output."""
+
+
+class MalformedTree(PlanarRankError):
+    """Input is not a valid (rooted, labelled) tree."""
+
+
+class UnknownFace(PlanarRankError):
+    """A face identifier does not address a face of the embedding."""
 
 
 def all_rotation_systems(g: Graph):

@@ -12,6 +12,13 @@ from math import factorial
 import pytest
 
 from _graphgen import random_planar
+from _oracle import (
+    enumerate_arrangements,
+    enumerate_connected,
+    enumerate_disconnected,
+    prufer_rank,
+    prufer_unrank,
+)
 from planarrank.biconnected import biconn_bounds
 from planarrank.codecs import (
     bounds_product,
@@ -26,13 +33,6 @@ from planarrank.embedding import validate
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, block_cut_tree, edge_id
 from planarrank.nesting import nesting_decode, nesting_encode
-from planarrank.oracle import (
-    enumerate_arrangements,
-    enumerate_connected,
-    enumerate_disconnected,
-    prufer_rank,
-    prufer_unrank,
-)
 from planarrank.spqr import build_spqr
 from test_full import CATALOG
 

@@ -9,11 +9,11 @@ R-nodes, nested series-parallel blocks and disconnected graphs.
 import pytest
 
 from _graphgen import atlas_planar
+from _oracle import all_rotation_systems, enumerate_disconnected, is_planar_rotation
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
 from planarrank.errors import EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import connected_components
-from planarrank.oracle import all_rotation_systems, enumerate_disconnected, is_planar_rotation
 
 
 def test_atlas_size():

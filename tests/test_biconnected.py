@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 
 from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
+from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from planarrank import spqr
 from planarrank.biconnected import _induced_cycle, biconn_bounds, chi, chi_inverse
 from planarrank.codecs import bounds_product, perm_unrank, tuple_unrank
@@ -16,7 +17,6 @@ from planarrank.embedding import PlanarEmbedding, validate
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, edge_id
-from planarrank.oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from planarrank.spqr import SkelEdge, build_spqr
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])

@@ -73,16 +73,6 @@ class TestCli:
         ranks = [json.loads(line)["rank"] for line in lines]
         assert ranks == ["0", "1"]
 
-    def test_verify_ok(self, triangle_file, capsys):
-        assert main(["verify", "-g", triangle_file, "--max-n", "6"]) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_verify_guard(self, tmp_path, capsys):
-        g = Graph(12, [(i, i + 1) for i in range(1, 12)])
-        p = tmp_path / "path.json"
-        p.write_text(g.to_json())
-        assert main(["verify", "-g", str(p), "--max-n", "8"]) == 1
-
     def test_decompose_dump(self, triangle_file, capsys):
         assert main(["decompose", "-g", triangle_file]) == 0
         out = capsys.readouterr().out

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from _oracle import MalformedTree, prufer_rank, prufer_unrank
 from planarrank.codecs import (
     bounds_product,
     nesting_tuple_preprocess,
@@ -17,13 +18,11 @@ from planarrank.codecs import (
 from planarrank.embedding import face_intervals
 from planarrank.errors import (
     BoundViolation,
-    MalformedTree,
     NotAPermutation,
     RankOutOfRange,
 )
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
-from planarrank.oracle import prufer_rank, prufer_unrank
 
 # Values and bounds from the worked 22-element example; the product of the
 # bounds and the rank of the value tuple are pinned exactly.

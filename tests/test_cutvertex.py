@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from _linecount import doubling_ratios, executed_lines
+from _oracle import canonical_cycle, enumerate_arrangements, is_planar_rotation
 from planarrank.cutvertex import (
     BlocksAtV,
     arrangement_bounds,
@@ -19,7 +20,6 @@ from planarrank.embedding import PlanarEmbedding, validate
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
-from planarrank.oracle import canonical_cycle, enumerate_arrangements, is_planar_rotation
 
 
 def bridge(v, w):

@@ -6,17 +6,8 @@ from collections import Counter
 import pytest
 
 from _graphgen import random_planar
-from planarrank.embedding import (
-    PlanarEmbedding,
-    edges_and_faces,
-    embeddings_equal,
-    face_intervals,
-    validate,
-)
-from planarrank.errors import EmbeddingMismatch, GraphMismatch, UnknownFace
-from planarrank.full import EmbeddingRanker
-from planarrank.graph import Graph, connected_components
-from planarrank.oracle import (
+from _oracle import (
+    UnknownFace,
     all_rotation_systems,
     canonical_cycle,
     face_identifiers,
@@ -25,6 +16,16 @@ from planarrank.oracle import (
     sorted_faces,
     trace_faces,
 )
+from planarrank.embedding import (
+    PlanarEmbedding,
+    edges_and_faces,
+    embeddings_equal,
+    face_intervals,
+    validate,
+)
+from planarrank.errors import EmbeddingMismatch, GraphMismatch
+from planarrank.full import EmbeddingRanker
+from planarrank.graph import Graph, connected_components
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 TRI_ROT = {1: [2, 3], 2: [3, 1], 3: [1, 2]}

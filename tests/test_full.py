@@ -10,6 +10,7 @@ from networkx.generators.atlas import graph_atlas_g
 
 from _graphgen import TEMPLATES, atlas_planar, random_planar
 from _linecount import doubling_ratios, executed_lines
+from _oracle import TooLarge, enumerate_disconnected
 from planarrank import cutvertex, full
 from planarrank.biconnected import biconn_bounds, chi, chi_inverse
 from planarrank.codecs import check_bounds, tuple_rank, tuple_unrank
@@ -20,7 +21,6 @@ from planarrank.full import (DECODED_PER_SHAPE, EmbeddingRanker, _BlockInfo,
                              _CutInfo, _Shape, count_embeddings, sample_uniform)
 from planarrank.graph import Graph, block_cut_tree, connected_components, edge_id
 from planarrank.nesting import NestingCodec
-from planarrank.oracle import enumerate_disconnected
 from planarrank.spqr import build_spqr
 
 FULL_PY = full.__file__
@@ -121,8 +121,6 @@ class TestBijection:
 
     def test_random_graphs_exhaustive_oracle_equality(self):
         # Beyond the fixed catalog: generator-shaped graphs, full set check.
-        from planarrank.errors import TooLarge
-
         checked = 0
         for seed in range(60):
             g = random_planar(6, seed=seed, max_degree=6)

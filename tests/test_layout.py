@@ -1,14 +1,14 @@
 """The package's layout: what the library keeps, and what the oracle may see.
 
-A production module (every module under src/planarrank/ except oracle.py)
-defines only what the library runs: each module-level function or class is
-exported in planarrank.__all__ or referenced from src/, perfbench/ or
-demos/ outside its own definition.  Code that only tests reach belongs in
-the tests or, when it states the specification, in oracle.py.
+Every module under src/planarrank/ is production code and defines only
+what the library runs: each module-level function or class is exported in
+planarrank.__all__ or referenced from src/, perfbench/ or demos/ outside
+its own definition.  Code that only tests reach belongs in the tests or,
+when it states the specification, in tests/_oracle.py.
 
-oracle.py is the brute-force reference the tests compare against, so it
-imports none of the ranking layers, and only the CLI's verify command
-imports it.
+tests/_oracle.py is the brute-force reference the tests compare against,
+so it imports none of the ranking layers, and nothing under src/,
+perfbench/ or demos/ imports it.
 """
 
 import ast
@@ -69,7 +69,7 @@ def unreached_definitions() -> list[str]:
     exported = set(planarrank.__all__)
     unreached = []
     for path, tree in sources.items():
-        if path.parent != PACKAGE or path.name == "oracle.py":
+        if path.parent != PACKAGE:
             continue
         others = set().union(*(_names(t) for p, t in sources.items() if p != path))
         for node in tree.body:
@@ -87,11 +87,11 @@ def test_production_modules_define_only_what_the_library_runs():
 
 
 def test_oracle_imports_no_ranking_layer():
-    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    tree = ast.parse((ROOT / "tests" / "_oracle.py").read_text())
     assert _imported_modules(tree) & RANKING_LAYERS == set()
 
 
-def test_only_the_cli_imports_the_oracle():
+def test_nothing_outside_the_tests_imports_the_oracle():
     importers = sorted(p.relative_to(ROOT).as_posix() for p, tree in _sources().items()
-                       if "oracle" in _imported_modules(tree))
-    assert importers == ["src/planarrank/cli.py"]
+                       if "_oracle" in _imported_modules(tree))
+    assert importers == []

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
+from _oracle import all_nesting_trees
 from planarrank.embedding import PlanarEmbedding, face_intervals, validate
 from planarrank.errors import BoundViolation
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
 from planarrank.nesting import NestingCodec, nesting_decode, nesting_encode
-from planarrank.oracle import all_nesting_trees
 
 def reference_preprocess(tau, intervals):
     """The interval scan nesting_tuple_preprocess used to do: O(c) per label."""

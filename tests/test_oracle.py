@@ -2,13 +2,13 @@
 
 import pytest
 
-from planarrank.errors import TooLarge
-from planarrank.graph import Graph
-from planarrank.oracle import (
+from _oracle import (
+    TooLarge,
     enumerate_arrangements,
     enumerate_connected,
     enumerate_disconnected,
 )
+from planarrank.graph import Graph
 
 
 class TestConnected:

@@ -8,11 +8,11 @@ from collections import Counter
 import pytest
 
 from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
+from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from planarrank import spqr
 from planarrank.biconnected import _induced_cycle, chi_inverse
 from planarrank.errors import NotBiconnected, NotPlanar
 from planarrank.graph import Graph, block_cut_tree
-from planarrank.oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from planarrank.spqr import (
     SkelEdge,
     SpqrNode,
@@ -380,16 +380,12 @@ class TestSplitSearchAgainstReference:
                 old = tree_record(build_spqr(g))
             assert new == old, g.edges
 
-    @pytest.mark.parametrize("real", ["all", "none", "alternate"])
-    def test_first_split_of_atlas_skeletons(self, real):
-        # Skeletons the builder never searches: real edges not yet peeled,
-        # and graphs that are not biconnected (the skeleton minus u may be
-        # disconnected).
+    def test_first_split_of_atlas_skeletons(self):
+        # Skeletons of virtual edges only, as the builder searches, but
+        # also on graphs that are not biconnected (the skeleton minus u
+        # may be disconnected).
         for g in atlas_planar():
-            reals = {"all": [True] * g.m, "none": [False] * g.m,
-                     "alternate": [i % 2 == 0 for i in range(g.m)]}[real]
-            edges = [SkelEdge(i, u, v, (u, v) if r else None)
-                     for i, ((u, v), r) in enumerate(zip(g.edges, reals))]
+            edges = [SkelEdge(i, u, v) for i, (u, v) in enumerate(g.edges)]
             node = _RawNode(set(g.vertices), edges)
             assert _find_split(node) == reference_find_split(node), g.edges
 
