@@ -50,7 +50,7 @@ def cmd_rank(args) -> int:
     g = _load_graph(args.graph)
     emb = _load_embedding(g, args.embedding)
     ranker = EmbeddingRanker(g)
-    values = ranker.phi(emb)
+    values = ranker.phi(emb)  # validate checks the embedding here, once
     print(tuple_rank(values, ranker.bounds))
     if args.tuple:
         print(json.dumps({"values": values, "bounds": ranker.bounds}, sort_keys=True))

@@ -25,12 +25,23 @@ Rotation = dict[int, list[int]]
 
 
 def canonical_rotation(rot: Rotation) -> Rotation:
-    """Rotate every neighbor list to start at the smallest neighbor."""
-    out: Rotation = {}
-    for v, nbrs in rot.items():
-        k = nbrs.index(min(nbrs)) if nbrs else 0
-        out[v] = nbrs[k:] + nbrs[:k]
-    return out
+    """New lists, each neighbor list rotated to start at its smallest
+    neighbor: the form a PlanarEmbedding holds.
+
+    The ranker builds its rotations in this form where it makes them
+    (full.py), once per decoded block shape and once per merged
+    cut-vertex, and hands them to PlanarEmbedding as they are; every
+    other embedding is brought to it here, by the constructor.
+    """
+    return {v: canonical_neighbors(nbrs) for v, nbrs in rot.items()}
+
+
+def canonical_neighbors(nbrs: list[int]) -> list[int]:
+    """A new list: nbrs rotated to start at its smallest entry."""
+    if not nbrs:
+        return []
+    k = nbrs.index(min(nbrs))
+    return nbrs[k:] + nbrs[:k]
 
 
 def edges_and_faces(rot: Rotation, parts) -> list[tuple[int, int]]:
@@ -95,9 +106,19 @@ class PlanarEmbedding:
         rot: Rotation,
         nesting: list[NestingEdge] | None = None,
         face_tuple: list[int] | None = None,
+        *,
+        canonical: bool = False,
     ) -> None:
+        """By default the embedding holds canonical copies of rot's lists
+        (canonical_rotation), so it shares none with the caller.
+
+        canonical=True: rot's lists are canonical and owned by this
+        embedding.  rot is kept as it is, with no pass over it and no
+        check.  The ranker passes it for the rotations it builds
+        canonical (full.py).
+        """
         self.graph = graph
-        self.rot = canonical_rotation(rot)
+        self.rot = rot if canonical else canonical_rotation(rot)
         c = len(connected_components(graph))
         if nesting is None:
             if c != 1:
@@ -124,6 +145,11 @@ class PlanarEmbedding:
 
     @classmethod
     def from_json(cls, graph: Graph, text: str) -> "PlanarEmbedding":
+        """The embedding a to_json text describes, on graph.
+
+        Checks only the text's shape.  Whether the embedding is one of
+        graph's is validate's to say, and rank runs it on its input.
+        """
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -144,18 +170,14 @@ class PlanarEmbedding:
             raise MalformedInput('"nesting" must be a list of integer triples')
         if not (ft is None or isinstance(ft, list) and all(type(x) is int for x in ft)):
             raise MalformedInput('"face_tuple" must be a list of integers')
-        emb = cls(graph, rot, [tuple(e) for e in nesting or []] or None, ft or None)
-        problems = validate(emb)
-        if problems:
-            raise MalformedInput("; ".join(problems))
-        return emb
+        return cls(graph, rot, [tuple(e) for e in nesting or []] or None, ft or None)
 
 
 def embeddings_equal(e1: PlanarEmbedding, e2: PlanarEmbedding) -> bool:
     """Same rotation system, same nesting tree, same face tuple.
 
-    PlanarEmbedding canonicalises every neighbor list, so equal rotation
-    systems compare equal as dicts.
+    Every PlanarEmbedding holds its neighbor lists in canonical form, so
+    equal rotation systems compare equal as dicts.
     """
     if e1.graph != e2.graph:
         raise GraphMismatch("embeddings live on different graphs")

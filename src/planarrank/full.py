@@ -27,6 +27,14 @@ all chi reads.  The id maps, global poles and slices stay on the block's
 record.
 A graph is planar exactly when each of its blocks is, and build_spqr
 tests each distinct block, so no whole-graph planarity test runs.
+
+Unrank builds every rotation in the canonical form PlanarEmbedding
+holds (each neighbor list starting at its smallest neighbor) where it
+makes it: a block-local rotation once, when its shape decodes it, and a
+merged cut-vertex rotation once per merge.  A block's id map is
+monotone, so the smallest local neighbor maps to the smallest global
+one and a canonical local list stays canonical in global ids.  The
+embedding then takes the lists as they are, with no second pass.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from . import codecs
 from .biconnected import biconn_bounds, chi, chi_inverse
 from .codecs import bounds_product, tuple_rank, tuple_unrank
 from .cutvertex import BlocksAtV, phi_v, phi_v_inverse
-from .embedding import PlanarEmbedding, Rotation, validate
+from .embedding import (PlanarEmbedding, Rotation, canonical_neighbors, canonical_rotation,
+                        validate)
 from .errors import EmbeddingMismatch, RankOutOfRange
 from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
@@ -57,7 +66,9 @@ class _Shape:
     table only past validate, so a rejected embedding never enters.
     """
     poles: tuple[int, ...]     # local pole of each P-/R-node: where chi reads
-    # (p digits, r digits) -> the block-local rotation chi_inverse returned.
+    # (p digits, r digits) -> the block-local rotation chi_inverse
+    # returned, made canonical once, on entry.  Read-only: unrank copies
+    # its lists into global ids.
     decoded: dict[tuple, Rotation] = field(default_factory=dict)
     # Block-local rotations at poles, in that order -> chi's (p, r) digits.
     encoded: dict[tuple, tuple[list[int], list[int]]] = field(default_factory=dict)
@@ -232,12 +243,15 @@ class EmbeddingRanker:
     def _decode_blocks(self, values: list[int], block_ids, block_rot: list[Rotation | None],
                        rot: Rotation) -> None:
         """Decode the given blocks into block_rot and write their vertices'
-        rotations into rot, in global ids.
+        rotations into rot, in global ids, as new canonical lists.
 
         Each skeleton choice decodes once per shape into a block-local
         rotation (the one rotation of a choice-free block, bridge or cycle,
-        too); block_rot shares it with the cache.  A cut-vertex takes its
-        block's rotation here and the merged arrangement in _merge_cuts.
+        too), made canonical there: once per cache entry, or once per
+        decode past the cache's cap.  block_rot shares it with the cache.
+        The id map is monotone, so the global lists are canonical too.  A
+        cut-vertex takes its block's rotation here and the merged
+        arrangement in _merge_cuts.
         """
         blocks, shapes = self.blocks, self.shapes
         for b in block_ids:
@@ -246,7 +260,8 @@ class EmbeddingRanker:
             key = (tuple(values[info.p]), tuple(values[info.r]))
             local = decoded.get(key)
             if local is None:
-                local = chi_inverse(list(key[0]), list(key[1]), info.tree)
+                local = canonical_rotation(
+                    chi_inverse(list(key[0]), list(key[1]), info.tree))
                 if len(decoded) < DECODED_PER_SHAPE:
                     decoded[key] = local
             block_rot[b] = local
@@ -256,14 +271,16 @@ class EmbeddingRanker:
 
     def _merge_cuts(self, values: list[int], cuts, block_rot: list[Rotation | None],
                     rot: Rotation) -> None:
-        """Write each given cut-vertex's merged rotation into rot."""
+        """Write each given cut-vertex's merged rotation into rot, as a new
+        canonical list."""
         blocks = self.blocks
         for cut in cuts:
             at_v = []
             for b in cut.block_ids:
                 info = blocks[b]
                 at_v.append([info.to_global[w] for w in block_rot[b][info.to_local[cut.v]]])
-            rot[cut.v] = phi_v_inverse(cut.ctx, at_v, values[cut.c], values[cut.d])
+            rot[cut.v] = canonical_neighbors(
+                phi_v_inverse(cut.ctx, at_v, values[cut.c], values[cut.d]))
 
     def phi_inverse(self, values: list[int]) -> PlanarEmbedding:
         """Embedding from a full digit tuple."""
@@ -276,9 +293,10 @@ class EmbeddingRanker:
         self._merge_cuts(values, self.cuts, block_rot, rot)
         # The decoded tree and tuple are valid by construction and the
         # composed rotation planar by the skeleton/merge invariants, so
-        # the full re-validation by validate is skipped here.
+        # the full re-validation by validate is skipped here.  rot's lists
+        # are new and canonical, so the embedding takes them as they are.
         tree, ft = self.nesting_codec.inverse(values[self.a], values[self.b])
-        return PlanarEmbedding(self.graph, rot, tree, ft)
+        return PlanarEmbedding(self.graph, rot, tree, ft, canonical=True)
 
     def unrank(self, r: int) -> PlanarEmbedding:
         return self.phi_inverse(tuple_unrank(r, self.bounds))
@@ -332,7 +350,9 @@ class EmbeddingRanker:
         nesting only when an a or b digit changed.  The delay is
         amortized constant in digits; a step still costs the size of the
         re-decoded blocks and cut-vertices, and every item is a fresh
-        PlanarEmbedding, O(n) to build.
+        PlanarEmbedding, O(n) to build.  The kept rotations are canonical
+        as built (_decode_blocks, _merge_cuts), so an item only copies
+        each list, and no two items share a mutable list.
         """
         total = self.count()
         if not 0 <= start < total:
@@ -355,7 +375,8 @@ class EmbeddingRanker:
             self._merge_cuts(values, cuts[bisect_right(cut_reach, i):], block_rot, rot)
             if i < self.b.stop:
                 tree, ft = self.nesting_codec.inverse(values[self.a], values[self.b])
-            yield r, PlanarEmbedding(self.graph, rot, tree, ft)
+            yield r, PlanarEmbedding(self.graph, {v: nbrs[:] for v, nbrs in rot.items()},
+                                     tree, ft, canonical=True)
 
 
 def count_embeddings(g: Graph) -> int:

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from planarrank import embedding, full
 from planarrank.cli import main
+from planarrank.embedding import validate
 from planarrank.graph import Graph
 
 TRIANGLE_JSON = '{"vertices": [1, 2, 3], "edges": [[1, 2], [1, 3], [2, 3]]}'
@@ -190,3 +192,51 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestRankChecksOnce:
+    """rank checks its embedding once, through validate in
+    EmbeddingRanker.phi: from_json checks only the JSON's shape."""
+
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        calls = []
+
+        def counted(emb):
+            calls.append(emb)
+            return validate(emb)
+
+        # phi reads full's binding; from_json would read embedding's.
+        monkeypatch.setattr(embedding, "validate", counted)
+        monkeypatch.setattr(full, "validate", counted)
+        return calls
+
+    @pytest.mark.parametrize("flags", [[], ["--tuple"]])
+    def test_valid_embedding(self, triangle_file, tmp_path, capsys, validate_calls, flags):
+        emb = tmp_path / "emb.json"
+        assert main(["unrank", "-g", triangle_file, "-r", "1", "-o", str(emb)]) == 0
+        assert validate_calls == []
+        assert main(["rank", "-g", triangle_file, "-e", str(emb), *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "1"
+        assert len(validate_calls) == 1
+
+    def test_rejected_embedding(self, triangle_file, tmp_path, capsys, validate_calls):
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({"rotations": {"1": [2, 3], "2": [1, 3], "3": [1, 2]},
+                                   "face_tuple": [5]}))
+        assert main(["rank", "-g", triangle_file, "-e", str(emb)]) == 1
+        assert capsys.readouterr().err == "error: face tuple entry o_1=5 outside 0..1\n"
+        assert len(validate_calls) == 1
+
+    def test_nonplanar_graph_exit_2(self, tmp_path, capsys, validate_calls):
+        # No rotation of K5 is planar, so the graph is what is at fault.
+        g = tmp_path / "k5.json"
+        g.write_text(K5_JSON)
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({"rotations": {
+            str(v): [w for w in range(1, 6) if w != v] for v in range(1, 6)}}))
+        assert main(["rank", "-g", str(g), "-e", str(emb)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph admits no planar embedding\n"
+        assert validate_calls == []
