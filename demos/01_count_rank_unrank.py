@@ -18,7 +18,7 @@ print()
 for r in range(ranker.count()):
     emb = ranker.unrank(r)
     back = ranker.rank(emb)
-    rotation_at_cut = emb.rot[3]
+    rotation_at_cut = list(emb.rot[3])
     print(f"rank {r:2d}  ->  rotation at the cut-vertex {rotation_at_cut}"
           f"  outer faces {emb.face_tuple}  ->  rank {back}")
     assert back == r

@@ -14,4 +14,4 @@ print(f"{total} embeddings; streaming the middle third:")
 
 start = total // 3
 for rank, emb in ranker.enumerate(start, limit=total // 3):
-    print(f"rank {rank:3d}: rotation at 4 = {emb.rot[4]}")
+    print(f"rank {rank:3d}: rotation at 4 = {list(emb.rot[4])}")

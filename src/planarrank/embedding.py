@@ -7,6 +7,10 @@ counter-clockwise list, which keeps the face on the left.  The faces'
 identifiers and their boundary walks, which give face-tuple entries their
 meaning, are defined in tests/_oracle.py (face_identifiers).
 
+An embedding holds each neighbor list as a tuple of ints, so embeddings
+can share the tuples of the vertices whose rotation they agree on: the
+ranker's embeddings share every rotation no digit decides (full.py).
+
 For a disconnected graph the rotation alone does not fix the embedding;
 a nesting tree (which face of which component hosts each other component)
 plus a face tuple (per-component outer face under the reference-face
@@ -21,11 +25,11 @@ import json
 from .errors import GraphMismatch, MalformedInput
 from .graph import Graph, connected_components
 
-Rotation = dict[int, list[int]]
+Rotation = dict[int, tuple[int, ...]]
 
 
-def canonical_rotation(rot: Rotation) -> Rotation:
-    """New lists, each neighbor list rotated to start at its smallest
+def canonical_rotation(rot) -> Rotation:
+    """Each neighbor list as a tuple rotated to start at its smallest
     neighbor: the form a PlanarEmbedding holds.
 
     The ranker builds its rotations in this form where it makes them
@@ -36,12 +40,12 @@ def canonical_rotation(rot: Rotation) -> Rotation:
     return {v: canonical_neighbors(nbrs) for v, nbrs in rot.items()}
 
 
-def canonical_neighbors(nbrs: list[int]) -> list[int]:
-    """A new list: nbrs rotated to start at its smallest entry."""
+def canonical_neighbors(nbrs) -> tuple[int, ...]:
+    """nbrs as a tuple rotated to start at its smallest entry."""
     if not nbrs:
-        return []
+        return ()
     k = nbrs.index(min(nbrs))
-    return nbrs[k:] + nbrs[:k]
+    return (*nbrs[k:], *nbrs[:k])
 
 
 def edges_and_faces(rot: Rotation, parts) -> list[tuple[int, int]]:
@@ -109,16 +113,19 @@ class PlanarEmbedding:
         *,
         canonical: bool = False,
     ) -> None:
-        """By default the embedding holds canonical copies of rot's lists
-        (canonical_rotation), so it shares none with the caller.
+        """By default the embedding holds canonical tuples of rot's lists
+        (canonical_rotation), and its own sorted list of int nesting
+        triples and list of face tuple ints.
 
-        canonical=True: rot's lists are canonical and owned by this
-        embedding.  rot is kept as it is, with no pass over it and no
-        check.  The ranker passes it for the rotations it builds
-        canonical (full.py).
+        canonical=True: rot's values are canonical tuples, nesting is a
+        sorted list of int triples and face_tuple a list of ints, and the
+        rot dict and both lists are owned by this embedding.  All three
+        are kept as they are, with no pass over them and no check.  The
+        ranker passes it for the embeddings it builds (full.py).  Either
+        way, an omitted nesting or face tuple takes its connected-graph
+        default.
         """
         self.graph = graph
-        self.rot = rot if canonical else canonical_rotation(rot)
         c = len(connected_components(graph))
         if nesting is None:
             if c != 1:
@@ -128,8 +135,12 @@ class PlanarEmbedding:
             if c != 1:
                 raise MalformedInput("face tuple required for a disconnected graph")
             face_tuple = [0]
-        self.nesting = sorted((int(p), int(ch), int(lb)) for p, ch, lb in nesting)
-        self.face_tuple = [int(x) for x in face_tuple]
+        if canonical:
+            self.rot, self.nesting, self.face_tuple = rot, nesting, face_tuple
+        else:
+            self.rot = canonical_rotation(rot)
+            self.nesting = sorted((int(p), int(ch), int(lb)) for p, ch, lb in nesting)
+            self.face_tuple = [int(x) for x in face_tuple]
 
     # -- equality and serialization ---------------------------------------
 
@@ -176,8 +187,8 @@ class PlanarEmbedding:
 def embeddings_equal(e1: PlanarEmbedding, e2: PlanarEmbedding) -> bool:
     """Same rotation system, same nesting tree, same face tuple.
 
-    Every PlanarEmbedding holds its neighbor lists in canonical form, so
-    equal rotation systems compare equal as dicts.
+    Every PlanarEmbedding holds its neighbor lists as canonical tuples,
+    so equal rotation systems compare equal as dicts.
     """
     if e1.graph != e2.graph:
         raise GraphMismatch("embeddings live on different graphs")

@@ -29,12 +29,19 @@ A graph is planar exactly when each of its blocks is, and build_spqr
 tests each distinct block, so no whole-graph planarity test runs.
 
 Unrank builds every rotation in the canonical form PlanarEmbedding
-holds (each neighbor list starting at its smallest neighbor) where it
-makes it: a block-local rotation once, when its shape decodes it, and a
-merged cut-vertex rotation once per merge.  A block's id map is
-monotone, so the smallest local neighbor maps to the smallest global
+holds (each neighbor list a tuple starting at its smallest neighbor)
+where it makes it: a block-local rotation once, when its shape decodes
+it, and a merged cut-vertex rotation once per merge.  A block's id map
+is monotone, so the smallest local neighbor maps to the smallest global
 one and a canonical local list stays canonical in global ids.  The
-embedding then takes the lists as they are, with no second pass.
+embedding then takes the tuples as they are, with no second pass.
+
+Unrank writes only the vertices its digits decide.  A vertex of degree
+at most 2 has one rotation in every embedding: the ranker makes it once,
+at set-up, in its base rotation, which every unrank copies and every
+embedding shares.  Of the other vertices, one that is no cut-vertex lies
+in one block, with its full degree there, and _decode_blocks writes it;
+a cut-vertex is written by _merge_cuts.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from . import codecs
 from .biconnected import biconn_bounds, chi, chi_inverse
@@ -66,9 +74,12 @@ class _Shape:
     table only past validate, so a rejected embedding never enters.
     """
     poles: tuple[int, ...]     # local pole of each P-/R-node: where chi reads
+    # Local vertices of local degree >= 3, ascending: the only ones whose
+    # rotation in the block the block's digits decide.
+    decided: tuple[int, ...]
     # (p digits, r digits) -> the block-local rotation chi_inverse
-    # returned, made canonical once, on entry.  Read-only: unrank copies
-    # its lists into global ids.
+    # returned, made canonical once, on entry.  Read-only: unrank
+    # translates its tuples into global ids.
     decoded: dict[tuple, Rotation] = field(default_factory=dict)
     # Block-local rotations at poles, in that order -> chi's (p, r) digits.
     encoded: dict[tuple, tuple[list[int], list[int]]] = field(default_factory=dict)
@@ -108,10 +119,13 @@ class EmbeddingRanker:
         self.t = len(self.comps)
 
         comp_of = {v: ci for ci, (_, comp) in enumerate(self.comps) for v in comp}
-        # A component's face count is m_c - n_c + 2 (Euler), and m_c is
-        # half its degree sum.
-        self.face_counts = [sum(map(graph.degree, comp)) // 2 - len(comp) + 2
-                            for _, comp in self.comps]
+        # The base rotation, keyed by every vertex in ascending order: the
+        # one canonical rotation of each vertex of degree <= 2, and an empty
+        # placeholder for every other vertex, which each unrank overwrites
+        # (see the module docstring).
+        self.base: Rotation = {v: tuple(nbrs) if len(nbrs) < 3 else ()
+                               for v, nbrs in graph.adj.items()}
+        comp_edges = [0] * self.t  # m_c: the blocks of a component split its edges
         self.blocks: list[_BlockInfo] = []
         # Block-local (n, edges) -> its tree; a Graph is built on a miss only.
         trees: dict[tuple, SpqrTree] = {}
@@ -125,13 +139,18 @@ class EmbeddingRanker:
             tree = trees.get(key)
             if tree is None:  # raises NotPlanar for a non-planar block
                 tree = trees[key] = build_spqr(Graph(*key))
-                self.shapes[tree] = _Shape(tuple(
-                    {nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}))
+                self.shapes[tree] = _Shape(
+                    tuple({nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}),
+                    tuple(x for x, nbrs in tree.graph.adj.items() if len(nbrs) >= 3))
             inv = (0, *verts)  # ints: the collector untracks it
+            comp = comp_of[verts[0]]
+            comp_edges[comp] += len(blk.edges)
             self.blocks.append(
-                _BlockInfo(comp_of[verts[0]], list(blk.edges),
+                _BlockInfo(comp, list(blk.edges),
                            {x: i for i, x in enumerate(inv) if i}, inv, tree)
             )
+        # A component's face count is m_c - n_c + 2 (Euler).
+        self.face_counts = [m - len(comp) + 2 for m, (_, comp) in zip(comp_edges, self.comps)]
 
         block_of_edge = {
             e: b for b, info in enumerate(self.blocks) for e in info.edges
@@ -242,37 +261,42 @@ class EmbeddingRanker:
 
     def _decode_blocks(self, values: list[int], block_ids, block_rot: list[Rotation | None],
                        rot: Rotation) -> None:
-        """Decode the given blocks into block_rot and write their vertices'
-        rotations into rot, in global ids, as new canonical lists.
+        """Decode the given blocks into block_rot and write the rotations of
+        their vertices of local degree >= 3 into rot, in global ids, as new
+        canonical tuples.
 
         Each skeleton choice decodes once per shape into a block-local
         rotation (the one rotation of a choice-free block, bridge or cycle,
         too), made canonical there: once per cache entry, or once per
         decode past the cache's cap.  block_rot shares it with the cache.
-        The id map is monotone, so the global lists are canonical too.  A
-        cut-vertex takes its block's rotation here and the merged
-        arrangement in _merge_cuts.
+        The id map is monotone, so the global tuples are canonical too.  A
+        vertex of local degree <= 2 keeps what rot holds: its base rotation
+        or, at a cut-vertex, the merged arrangement _merge_cuts writes.  A
+        cut-vertex of local degree >= 3 is written here and again there.
         """
         blocks, shapes = self.blocks, self.shapes
         for b in block_ids:
             info = blocks[b]
-            decoded = shapes[info.tree].decoded
+            shape = shapes[info.tree]
             key = (tuple(values[info.p]), tuple(values[info.r]))
-            local = decoded.get(key)
+            local = shape.decoded.get(key)
             if local is None:
                 local = canonical_rotation(
                     chi_inverse(list(key[0]), list(key[1]), info.tree))
-                if len(decoded) < DECODED_PER_SHAPE:
-                    decoded[key] = local
+                if len(shape.decoded) < DECODED_PER_SHAPE:
+                    shape.decoded[key] = local
             block_rot[b] = local
             to_global = info.to_global
-            for x, nbrs in local.items():
-                rot[to_global[x]] = [to_global[w] for w in nbrs]
+            for x in shape.decided:
+                # x has three or more neighbors, so itemgetter builds an
+                # exact-size tuple; tuple() of an iterator starts at ten
+                # slots and shrinks, which fragments the allocator.
+                rot[to_global[x]] = itemgetter(*local[x])(to_global)
 
     def _merge_cuts(self, values: list[int], cuts, block_rot: list[Rotation | None],
                     rot: Rotation) -> None:
         """Write each given cut-vertex's merged rotation into rot, as a new
-        canonical list."""
+        canonical tuple."""
         blocks = self.blocks
         for cut in cuts:
             at_v = []
@@ -288,13 +312,14 @@ class EmbeddingRanker:
         # wrapper installed on codecs.check_bounds sees every call.
         codecs.check_bounds(values, self.bounds)
         block_rot: list[Rotation | None] = [None] * len(self.blocks)
-        rot: Rotation = {}
+        rot = self.base.copy()
         self._decode_blocks(values, range(len(self.blocks)), block_rot, rot)
         self._merge_cuts(values, self.cuts, block_rot, rot)
         # The decoded tree and tuple are valid by construction and the
         # composed rotation planar by the skeleton/merge invariants, so
-        # the full re-validation by validate is skipped here.  rot's lists
-        # are new and canonical, so the embedding takes them as they are.
+        # the full re-validation by validate is skipped here.  rot is a new
+        # dict of canonical tuples, and the tree and face tuple are new
+        # lists, sorted and of ints, so the embedding takes them as they are.
         tree, ft = self.nesting_codec.inverse(values[self.a], values[self.b])
         return PlanarEmbedding(self.graph, rot, tree, ft, canonical=True)
 
@@ -348,11 +373,13 @@ class EmbeddingRanker:
         re-merges only the cut-vertices that own one of those digits,
         plus the cut-vertices on a re-decoded block, and decodes the
         nesting only when an a or b digit changed.  The delay is
-        amortized constant in digits; a step still costs the size of the
-        re-decoded blocks and cut-vertices, and every item is a fresh
-        PlanarEmbedding, O(n) to build.  The kept rotations are canonical
-        as built (_decode_blocks, _merge_cuts), so an item only copies
-        each list, and no two items share a mutable list.
+        amortized constant in digits; a step costs the size of the
+        re-decoded blocks and cut-vertices, plus one copy of the rotation
+        dict per item, made without a line of Python per vertex.  The
+        kept rotations are canonical tuples as built (_decode_blocks,
+        _merge_cuts), so consecutive items share every tuple the step did
+        not rewrite, and each item owns its rotation dict, nesting list
+        and face tuple list: no two items share a mutable object.
         """
         total = self.count()
         if not 0 <= start < total:
@@ -361,7 +388,7 @@ class EmbeddingRanker:
         bounds = self.bounds
         values = tuple_unrank(start, bounds)
         block_rot: list[Rotation | None] = [None] * len(self.blocks)
-        rot: Rotation = {}
+        rot = self.base.copy()
         i = -1  # the first item decodes every owner
         for r in range(start, total if limit is None else min(total, start + limit)):
             if r > start:
@@ -375,8 +402,7 @@ class EmbeddingRanker:
             self._merge_cuts(values, cuts[bisect_right(cut_reach, i):], block_rot, rot)
             if i < self.b.stop:
                 tree, ft = self.nesting_codec.inverse(values[self.a], values[self.b])
-            yield r, PlanarEmbedding(self.graph, {v: nbrs[:] for v, nbrs in rot.items()},
-                                     tree, ft, canonical=True)
+            yield r, PlanarEmbedding(self.graph, dict(rot), tree[:], ft[:], canonical=True)
 
 
 def count_embeddings(g: Graph) -> int:

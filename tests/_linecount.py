@@ -3,12 +3,15 @@
 import sys
 
 
-def executed_lines(filename: str, fn, *args) -> int:
-    """Line events in frames of the given source file during one call of fn.
+def executed_lines(path: str, fn, *args) -> int:
+    """Line events in frames of the source files under path during one
+    call of fn.
 
-    Every frame of the file counts, helpers and comprehensions included,
-    so no loop of the call goes unseen.  Work done inside builtins (a
-    sort, a slice) has no line events.
+    path is one source file, or a directory ending in a separator for
+    every file below it.  Every frame of those files counts, helpers,
+    comprehensions and resumed generators included, so no loop of the
+    call goes unseen.  Work done inside builtins (a sort, a slice, a dict
+    copy) has no line events.
     """
     count = 0
 
@@ -19,7 +22,7 @@ def executed_lines(filename: str, fn, *args) -> int:
         return local
 
     def on_call(frame, event, arg):
-        return local if frame.f_code.co_filename == filename else None
+        return local if frame.f_code.co_filename.startswith(path) else None
 
     previous = sys.gettrace()
     sys.settrace(on_call)

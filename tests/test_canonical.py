@@ -1,9 +1,9 @@
 """Unrank, sample and enumerate build their rotations canonical and hand
-out lists that no cache and no other item holds.
+out embeddings that share no mutable object with a cache or another item.
 
 The ranker makes a block-local rotation canonical once, when its shape
 decodes it, and a merged cut-vertex rotation once per merge; the
-embedding takes the lists as they are (PlanarEmbedding's canonical=True).
+embedding takes the tuples as they are (PlanarEmbedding's canonical=True).
 Each embedding the ranker hands out is held here to what the
 canonicalising constructor builds from the same rotation started
 anywhere else.
@@ -33,11 +33,11 @@ def benchmark_graphs(workload: str):
 
 
 def assert_canonical_by_construction(emb, rng):
-    """Every list starts at its minimum, the embedding equals the one the
-    canonicalising constructor builds from copies started elsewhere, and
-    validate accepts it."""
+    """Every rotation is a tuple starting at its minimum, the embedding
+    equals the one the canonicalising constructor builds from copies
+    started elsewhere, and validate accepts it."""
     for v, nbrs in emb.rot.items():
-        assert nbrs[0] == min(nbrs), (v, nbrs)
+        assert type(nbrs) is tuple and nbrs[0] == min(nbrs), (v, nbrs)
     turned = {}
     for v, nbrs in emb.rot.items():
         k = rng.randrange(len(nbrs))
@@ -80,17 +80,17 @@ class TestCanonicalByConstruction:
 
 
 def decoded_snapshot(ranker):
-    """Every shape's decode table, its lists copied."""
-    return {id(tree): {key: {x: list(nbrs) for x, nbrs in local.items()}
-                       for key, local in shape.decoded.items()}
-            for tree, shape in ranker.shapes.items()}
+    """Every shape's decode table and the base rotation, copied."""
+    tables = {id(tree): {key: dict(local) for key, local in shape.decoded.items()}
+              for tree, shape in ranker.shapes.items()}
+    return tables, dict(ranker.base)
 
 
 def scribble(emb):
-    """Change every list the embedding holds."""
-    for nbrs in emb.rot.values():
-        nbrs.reverse()
-        nbrs.append(-1)
+    """Change everything mutable the embedding holds: rebind every
+    rotation, and append to the nesting and face tuple lists."""
+    for v, nbrs in emb.rot.items():
+        emb.rot[v] = (*reversed(nbrs), -1)
     emb.nesting.append((-1, -1, -1))
     emb.face_tuple.append(-1)
 
@@ -106,7 +106,7 @@ class TestReturnedListsAreNeverTheCaches:
         ranks = [rng.randrange(ranker.count()) for _ in range(20)]
         want = [ranker.unrank(r).to_json() for r in ranks]
         tables = decoded_snapshot(ranker)
-        assert any(tables.values())
+        assert any(tables[0].values())
         for r in ranks:
             scribble(ranker.unrank(r))
         assert decoded_snapshot(ranker) == tables

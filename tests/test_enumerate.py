@@ -7,11 +7,13 @@ layer of the tuple, and with unrank on every rank of the atlas.
 """
 
 import json
+import os
 import random
 
 import pytest
 
 from _graphgen import atlas_planar, random_planar
+from _linecount import doubling_ratios, executed_lines
 from planarrank import full
 from planarrank.cli import main
 from planarrank.codecs import tuple_rank, tuple_unrank
@@ -19,6 +21,8 @@ from planarrank.errors import RankOutOfRange
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
 from planarrank.nesting import NestingCodec
+
+PACKAGE = os.path.dirname(full.__file__) + os.sep
 
 
 def reference_enumerate(ranker, start=0, limit=None):
@@ -175,6 +179,23 @@ class TestStepRedoesOnlyChangedOwners:
         assert step_calls["phi_v_inverse"] * 20 < calls["phi_v_inverse"]
 
 
+class TestStepUnderDoubling:
+    def test_step_at_the_last_digit(self):
+        """A step whose carry stops at the last digit redoes one block and
+        its cut-vertices, and hands out an item that shares every other
+        rotation: doubling the graph leaves the lines executed in the
+        package about flat (an item that copied each rotation would
+        double them)."""
+        counts = []
+        for n in (250, 500, 1000, 2000):
+            ranker = EmbeddingRanker(random_planar(n, seed=2301, components=1))
+            top = max(j for j, x in enumerate(ranker.bounds) if x > 1)
+            items = ranker.enumerate(rank_below_carry(ranker, top, random.Random(n)), 2)
+            next(items)
+            counts.append(executed_lines(PACKAGE, next, items))
+        assert max(doubling_ratios(counts)) <= 1.5, counts
+
+
 class TestEdgeCases:
     def test_single_embedding(self):
         ranker = EmbeddingRanker(Graph(4, [(1, 2), (2, 3), (3, 4)]))  # a path
@@ -210,12 +231,18 @@ class TestEdgeCases:
             list(ranker.enumerate(start))
 
     def test_items_share_no_lists(self):
+        """Items share only immutable tuples: each owns its rotation dict,
+        nesting list and face tuple list, and the vertices of degree <= 2,
+        whose rotation no digit decides, share one tuple across items."""
         ranker = EmbeddingRanker(forest_graph())
         (_, first), (_, second) = ranker.enumerate(0, 2)
         assert first.to_json() == ranker.unrank(0).to_json()
-        assert all(first.rot[v] is not second.rot[v] for v in first.rot)
+        assert first.rot is not second.rot
+        assert all(type(nbrs) is tuple for emb in (first, second) for nbrs in emb.rot.values())
         assert first.nesting is not second.nesting
         assert first.face_tuple is not second.face_tuple
+        fixed = [v for v in first.rot if ranker.graph.degree(v) <= 2]
+        assert fixed and all(first.rot[v] is second.rot[v] for v in fixed)
 
 
 def test_cli_enumerate_lines_are_unrank_json_across_a_carry(tmp_path, capsys):

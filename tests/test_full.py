@@ -169,14 +169,14 @@ class TestBijection:
         # (c, d digits, rotation at 4) for r mod 16; r // 16 is the
         # outer-face digit, which leaves the rotation alone.
         pinned = [
-            ([0, 0, 0, 0], [3, 7, 8, 5, 6]), ([0, 0, 0, 1], [3, 5, 7, 8, 6]),
-            ([0, 0, 0, 2], [3, 5, 6, 7, 8]), ([0, 0, 0, 3], [3, 7, 5, 6, 8]),
-            ([0, 0, 1, 0], [3, 8, 7, 5, 6]), ([0, 0, 1, 1], [3, 5, 8, 7, 6]),
-            ([0, 0, 1, 2], [3, 5, 6, 8, 7]), ([0, 0, 1, 3], [3, 8, 5, 6, 7]),
-            ([0, 1, 0, 0], [3, 7, 8, 6, 5]), ([0, 1, 0, 1], [3, 6, 7, 8, 5]),
-            ([0, 1, 0, 2], [3, 6, 5, 7, 8]), ([0, 1, 0, 3], [3, 7, 6, 5, 8]),
-            ([0, 1, 1, 0], [3, 8, 7, 6, 5]), ([0, 1, 1, 1], [3, 6, 8, 7, 5]),
-            ([0, 1, 1, 2], [3, 6, 5, 8, 7]), ([0, 1, 1, 3], [3, 8, 6, 5, 7]),
+            ([0, 0, 0, 0], (3, 7, 8, 5, 6)), ([0, 0, 0, 1], (3, 5, 7, 8, 6)),
+            ([0, 0, 0, 2], (3, 5, 6, 7, 8)), ([0, 0, 0, 3], (3, 7, 5, 6, 8)),
+            ([0, 0, 1, 0], (3, 8, 7, 5, 6)), ([0, 0, 1, 1], (3, 5, 8, 7, 6)),
+            ([0, 0, 1, 2], (3, 5, 6, 8, 7)), ([0, 0, 1, 3], (3, 8, 5, 6, 7)),
+            ([0, 1, 0, 0], (3, 7, 8, 6, 5)), ([0, 1, 0, 1], (3, 6, 7, 8, 5)),
+            ([0, 1, 0, 2], (3, 6, 5, 7, 8)), ([0, 1, 0, 3], (3, 7, 6, 5, 8)),
+            ([0, 1, 1, 0], (3, 8, 7, 6, 5)), ([0, 1, 1, 1], (3, 6, 8, 7, 5)),
+            ([0, 1, 1, 2], (3, 6, 5, 8, 7)), ([0, 1, 1, 3], (3, 8, 6, 5, 7)),
         ]
         assert ranker.count() == 48
         for r in range(48):
@@ -504,7 +504,8 @@ class ReferenceConstruction(EmbeddingRanker):
                 tree = build_spqr(bg)
                 # Its own tables: no tree, and so no table, is shared.
                 self.shapes[tree] = _Shape(
-                    tuple({nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}))
+                    tuple({nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}),
+                    tuple(x for x in bg.vertices if bg.degree(x) >= 3))
                 self.blocks.append(_BlockInfo(ci, g_edges, fwd, inv, tree))
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
         self.blocks.sort(key=lambda info: info.edges[0])
@@ -537,6 +538,14 @@ class ReferenceConstruction(EmbeddingRanker):
                 poles.append((x, u, k, lo, lo + len(cut.ctx.edges[j])))
             info.poles = tuple(poles)
         self.nesting_codec = NestingCodec(self.face_counts)
+        # Read off the edge list: a vertex with at most two neighbors has
+        # one rotation, (smaller, larger); every unrank writes each other
+        # vertex over its empty placeholder.
+        ends = {v: [] for v in range(1, graph.n + 1)}
+        for u, w in graph.edges:
+            ends[u].append(w)
+            ends[w].append(u)
+        self.base = {v: tuple(sorted(ws)) if len(ws) <= 2 else () for v, ws in ends.items()}
 
         self.bounds = []
 
@@ -573,6 +582,7 @@ def compare_construction(g: Graph, rng: random.Random, k: int = 24) -> int:
     new, ref = EmbeddingRanker(g), ReferenceConstruction(g)
     assert len(ref.shapes) == len(ref.blocks)  # one tree and table pair each
     assert new.bounds == ref.bounds
+    assert list(new.base.items()) == list(ref.base.items())
     assert len(new.blocks) == len(ref.blocks)
     for a, b in zip(new.blocks, ref.blocks):
         assert (a.edges, a.poles) == (b.edges, b.poles)
@@ -750,7 +760,7 @@ def compare_decoders(ranker, ranks):
     for r in ranks:
         values = tuple_unrank(r, ranker.bounds)
         new, old = ranker.phi_inverse(values), ref.phi_inverse(values)
-        assert list(new.rot) == list(old.rot)
+        assert list(new.rot) == sorted(old.rot)  # ascending, as the base is keyed
         assert new.to_json() == old.to_json()
 
 
