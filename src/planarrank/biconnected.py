@@ -4,9 +4,10 @@ chi reads, for every P-node, the circular order its branches take around
 the lower pole, and for every R-node, which reflection the skeleton shows;
 chi_inverse rebuilds the rotation system from those numbers.  Tuple layout
 is all P values first, then all R bits, each group in conventional order.
-Value 0 is the first embedding that SpqrTree.chi_nodes states for each
-node: a P value ranks the permutation of the node's children away from
-their first order, an R bit flips the first reflection.
+Value 0 is the first embedding that SpqrTree states for each node when
+built: a P value ranks the permutation of the node's children away from
+their first order, an R bit flips the first reflection, which the
+block's planarity witness gives.
 
 Both directions trust their input; the ranker checks it once, where it
 enters.  chi reads a block's rotation in an embedding that ``validate``
@@ -35,7 +36,7 @@ def biconn_bounds(tree: SpqrTree) -> list[int]:
 
 def _induced_cycle(tree: SpqrTree, nd: SpqrNode, rot: Rotation) -> list[int]:
     """Cyclic order of the node's skeleton edges around its pole induced by
-    rot, each named as in SpqrTree.chi_nodes.
+    rot, each named as in SpqrTree.skeleton.
 
     A real edge expands from the edge toward the child whose interval holds
     its Q-node (the children's intervals split the node's own past its
@@ -43,7 +44,7 @@ def _induced_cycle(tree: SpqrTree, nd: SpqrNode, rot: Rotation) -> list[int]:
     real edges of one skeleton edge form a contiguous run; the run order
     is the induced order.
     """
-    u, lo, hi, child_tin = nd.pole, nd.tin, nd.tout, nd.child_tin
+    u, lo, hi, child_tin = nd.poles[0], nd.tin, nd.tout, nd.child_tin
     q_tin = tree.q_tin
     tokens = []
     last = None
@@ -60,7 +61,7 @@ def _induced_cycle(tree: SpqrTree, nd: SpqrNode, rot: Rotation) -> list[int]:
 
 def chi(rot: Rotation, tree: SpqrTree) -> tuple[list[int], list[int]]:
     """Tuple <p_1..p_y, r_1..r_z> of a block embedding."""
-    p_nodes, r_nodes = tree.chi_nodes
+    p_nodes, r_nodes = tree.conventional
     p_vals = []
     for nd in p_nodes:
         induced = _induced_cycle(tree, nd, rot)
@@ -83,7 +84,7 @@ def chi_inverse(p_vals: list[int], r_vals: list[int], tree: SpqrTree) -> Rotatio
     around the lower pole: the reference edge, then the children permuted
     from their first order.  An R value is the node's flip bit.
     """
-    p_nodes, r_nodes = tree.chi_nodes
+    p_nodes, r_nodes = tree.conventional
     orders: dict[int, tuple[int, ...]] = {}
     for nd, p in zip(p_nodes, p_vals):
         orders[nd.index] = (-1, *[nd.first[s] for s in perm_unrank(p, len(nd.children))])

@@ -167,8 +167,15 @@ class PlanarEmbedding:
             raise MalformedInput(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "rotations" not in data:
             raise MalformedInput('embedding JSON needs a "rotations" key')
+        # Each key must be the decimal text to_json writes, and each neighbor
+        # a JSON integer: int() would also take " 1", "2", 2.9 and true.
+        rot = {}
         try:
-            rot = {int(v): [int(w) for w in nbrs] for v, nbrs in data["rotations"].items()}
+            for v, nbrs in data["rotations"].items():
+                if str(int(v)) != v or not all(type(w) is int for w in nbrs):
+                    raise ValueError(f"{v!r}: {nbrs!r} is not a vertex id with its "
+                                     "integer neighbors")
+                rot[int(v)] = list(nbrs)
         except (AttributeError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad rotation table: {exc}") from exc
         # An absent or null "nesting"/"face_tuple" means the default.  JSON

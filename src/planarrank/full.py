@@ -16,8 +16,8 @@ slices.  The mixed-radix codec turns the tuple into a single natural
 number; the product of all bounds is the number of embeddings.
 
 A block's SPQR-tree, in block-local ids, depends only on the block-local
-graph, so blocks with the same local graph share one tree, built once per
-distinct shape and read-only once its lazy data is filled.  So does the
+graph, so blocks with the same local graph share one tree, built complete
+once per distinct shape and read-only from then on.  So does the
 translation between a block's p and r digits and its rotation, in both
 directions, held per shape under one cap of DECODED_PER_SHAPE entries
 each way: unrank keeps the block-local rotations decoded from p and r
@@ -140,7 +140,7 @@ class EmbeddingRanker:
             if tree is None:  # raises NotPlanar for a non-planar block
                 tree = trees[key] = build_spqr(Graph(*key))
                 self.shapes[tree] = _Shape(
-                    tuple({nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}),
+                    tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}),
                     tuple(x for x, nbrs in tree.graph.adj.items() if len(nbrs) >= 3))
             inv = (0, *verts)  # ints: the collector untracks it
             comp = comp_of[verts[0]]

@@ -19,29 +19,27 @@ identifiers are (depth, minimum pertinent edge); "conventional order"
 sorts P- and R-nodes by that identifier.
 
 The builder hands over the nodes (kind, parent, children sorted by
-minimum edge, depth, minimum pertinent edge, poles) and the root.  A node
-keeps no skeleton.  Every real edge sits in a two-edge Q-node, so each
-skeleton edge of a P-, S- or R-node is virtual and leads to the parent or
-to one child, and its ends are that neighbour's poles: SpqrTree.skeleton
-lists them, child i's edge as name i and the reference edge as name -1.
-The SpqrTree alone numbers the preorder intervals and maps every real
-edge to its Q-node's tin.  It owns the data derived from that fixed
-structure, each computed on first use and kept for the life of the tree:
-the conventional order, the fixed rotation of every S-skeleton and the
-first reflection of every R-skeleton (first_r), and what chi and
-chi_inverse read of each P- and R-node (chi_nodes), where the first
-embedding of every P-skeleton is stated.
+minimum edge, depth, minimum pertinent edge, poles), the root and the
+witness of the block's one planarity test, a planar embedding of the
+block.  A node keeps no skeleton.  Every real edge sits in a two-edge
+Q-node, so each skeleton edge of a P-, S- or R-node is virtual and leads
+to the parent or to one child, and its ends are that neighbour's poles:
+SpqrTree.skeleton lists them, child i's edge as name i and the reference
+edge as name -1.  A tree is complete when built: SpqrTree derives, once,
+the preorder intervals, each real edge's Q-node tin, the conventional
+order, what chi and chi_inverse read of each node, and the fixed rotation
+of every S-skeleton and first reflection of every R-skeleton (first_r),
+which the witness gives.
 
 A tree depends only on its graph, so EmbeddingRanker shares one tree
-among all blocks with the same block-local graph.  Apart from those lazy
-fills, which depend on the tree alone, a tree is read-only once built;
-nothing that belongs to one block is stored on it.
+among all blocks with the same block-local graph.  A tree is read-only
+once built; nothing that belongs to one block is stored on it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import networkx as nx
 
@@ -92,24 +90,31 @@ class SpqrNode:
     tout: int = 0
     # The reference edge's ends, lower first; the root Q-node has no
     # reference edge and takes its real edge's.  A Q-node's poles are its
-    # real edge.
+    # real edge.  chi reads a P- or R-node at the lower pole.
     poles: tuple[int, int] = (0, 0)
-    # What chi and chi_inverse read of a P- or R-node: the lower pole is
-    # set by SpqrTree, the rest filled by SpqrTree.chi_nodes.
-    pole: int = 0
+    # What chi and chi_inverse read, set by SpqrTree.
     child_tin: tuple[int, ...] = ()
     first: tuple[int, ...] = ()
 
 
-def _names(nd: SpqrNode) -> list[int]:
-    """The node's skeleton edge names in SpqrTree.skeleton's order."""
-    return [*range(len(nd.children)), -1]
-
-
 class SpqrTree:
-    """Rooted SPQR-tree of one biconnected planar graph."""
+    """Rooted SPQR-tree of one biconnected planar graph, complete when built."""
 
-    def __init__(self, graph: Graph, nodes: list[SpqrNode], root: int) -> None:
+    def __init__(self, graph: Graph, nodes: list[SpqrNode], root: int,
+                 witness: nx.PlanarEmbedding) -> None:
+        """Derive every fact the tree owns from the built nodes and the
+        witness, a planar embedding of the graph.
+
+        chi and chi_inverse read each P- and R-node in conventional order:
+        child_tin lists the children's tins by skeleton() name, and first
+        is the first embedding in those names, an R-node's order at the
+        lower pole and for a P-node each child's position after the
+        reference edge.  A P-node's first embedding is the reference edge,
+        then the children by descending identifier, counter-clockwise
+        around the lower pole; they share one depth, so that is descending
+        preorder rank.  Ints and tuples of ints only, which the garbage
+        collector stops tracking right away.
+        """
         self.graph = graph
         self.nodes = nodes
         self.root = root
@@ -129,7 +134,59 @@ class SpqrTree:
         # Real edge -> tin of its Q-node.
         self.q_tin: dict[Edge, int] = {nd.poles: nd.tin for nd in nodes if nd.kind == "Q"}
         for nd in nodes:
-            nd.pole = nd.poles[0]
+            nd.child_tin = tuple(nodes[c].tin for c in nd.children)
+        # P-nodes and R-nodes sorted by identifier (depth, min pertinent edge).
+        key = lambda n: (n.depth, n.min_edge)
+        self.conventional = (sorted(self.p_nodes(), key=key), sorted(self.r_nodes(), key=key))
+        for nd in self.conventional[0]:
+            nd.first = tuple(range(len(nd.children) - 1, -1, -1))
+
+        # Each vertex's real edges, as the tins of their Q-nodes ascending,
+        # and the place of each in the witness's rotation at the vertex.
+        tins: dict[int, list[int]] = {}
+        place: dict[int, dict[int, int]] = {}
+        for x, nbrs in witness.get_data().items():
+            place[x] = {self.q_tin[edge_id(x, w)]: i for i, w in enumerate(nbrs)}
+            tins[x] = sorted(place[x])
+        # Read-only lists of skeleton names by node index: every S-node's
+        # one rotation and every R-node's first reflection.
+        self.first_r: dict[int, dict[int, list[int]]] = {
+            nd.index: self._first_rotation(nd, tins, place)
+            for nd in nodes if nd.kind in ("S", "R")}
+
+    def _first_rotation(self, nd: SpqrNode, tins: dict[int, list[int]],
+                        place: dict[int, dict[int, int]]) -> dict[int, list[int]]:
+        """The rotation the witness induces on an S- or R-skeleton, an
+        R-node's reflected by the pole rule and also kept as its first.
+
+        At a skeleton vertex x, the real edges of each skeleton edge form
+        one run of the witness's rotation, and one of them places the run:
+        for the edge toward a child, the first inside the child's interval,
+        and for the reference edge, one outside the node's.  Pole rule: at
+        the lower pole u, let (u,w1) be the minimum-id skeleton edge and w2
+        its neighbor in u's circular list with the smaller edge id; the
+        first embedding has w2 as the counter-clockwise predecessor of w1.
+        An R-skeleton is simple, so its ends name each edge.
+        """
+        nodes = self.nodes
+        at: dict[int, list[tuple[int, int]]] = {}
+        for i, c in enumerate(nd.children):
+            for x in nodes[c].poles:
+                ts = tins[x]
+                at.setdefault(x, []).append((place[x][ts[bisect_left(ts, nodes[c].tin)]], i))
+        for x in nd.poles:
+            ts = tins[x]
+            t = ts[0] if ts[0] < nd.tin else ts[bisect_right(ts, nd.tout)]
+            at.setdefault(x, []).append((place[x][t], -1))
+        rot = {x: [name for _, name in sorted(placed)] for x, placed in at.items()}
+        if nd.kind == "R":
+            skel = self.skeleton(nd)
+            names = rot[nd.poles[0]]
+            i = names.index(min(names, key=skel.__getitem__))
+            if skel[names[i - 1]] > skel[names[(i + 1) % len(names)]]:
+                rot = {x: lst[::-1] for x, lst in rot.items()}
+            nd.first = tuple(rot[nd.poles[0]])
+        return rot
 
     def p_nodes(self) -> list[SpqrNode]:
         return [n for n in self.nodes if n.kind == "P"]
@@ -145,55 +202,6 @@ class SpqrTree:
         not listed."""
         nodes = self.nodes
         return [*(nodes[c].poles for c in nd.children), nd.poles]
-
-    @cached_property
-    def conventional(self) -> tuple[list[SpqrNode], list[SpqrNode]]:
-        """P-nodes and R-nodes sorted by identifier (depth, min pertinent edge)."""
-        key = lambda n: (n.depth, n.min_edge)
-        return sorted(self.p_nodes(), key=key), sorted(self.r_nodes(), key=key)
-
-    @cached_property
-    def first_r(self) -> dict[int, dict[int, list[int]]]:
-        """The fixed rotations, as lists of skeleton names, by node index:
-        every S-node's (a cycle has exactly one) and every R-node's first
-        reflection.  Read-only."""
-        out = {}
-        for nd in self.nodes:
-            if nd.kind == "R":
-                out[nd.index] = first_embedding_R(self, nd)
-            elif nd.kind == "S":
-                at: dict[int, list[int]] = {}
-                for name, (a, b) in zip(_names(nd), self.skeleton(nd)):
-                    at.setdefault(a, []).append(name)
-                    at.setdefault(b, []).append(name)
-                out[nd.index] = at
-        return out
-
-    @cached_property
-    def chi_nodes(self) -> tuple[list[SpqrNode], list[SpqrNode]]:
-        """The P- and R-nodes in conventional order, with what chi reads.
-
-        chi reads the lower pole.
-        A skeleton edge is named as in skeleton(): by the preorder rank of
-        the child it leads to, -1 for the reference edge, and child_tin
-        lists the children's tins in that order.  first is the first
-        embedding in those names: an R-node's order at the pole, and for
-        a P-node each child's position after the reference edge.  A
-        P-node's first embedding is the reference edge, then the children
-        by descending identifier, counter-clockwise around the lower pole;
-        the children share one depth, so that is descending preorder rank.
-        Ints and tuples of ints only, so the garbage collector stops
-        tracking them right away: a large ranker holds them for every P-
-        and R-node.
-        """
-        p_nodes, r_nodes = self.conventional
-        for nd in p_nodes + r_nodes:
-            nd.child_tin = tuple(self.nodes[c].tin for c in nd.children)
-            if nd.kind == "P":
-                nd.first = tuple(range(len(nd.children) - 1, -1, -1))
-            else:
-                nd.first = tuple(self.first_r[nd.index][nd.pole])
-        return self.conventional
 
     def dump(self, relabel: tuple[int, ...] | dict[int, int] | None = None) -> str:
         """Debug text: one node per line, "kind depth min-edge [edges]"."""
@@ -326,10 +334,12 @@ def build_spqr(g: Graph) -> SpqrTree:
 
     Raises NotBiconnected or NotPlanar for any other graph.  The ranker
     calls it once per distinct block graph, and a graph is planar exactly
-    when its blocks are, so this is where the ranker tests planarity.
+    when its blocks are, so this is where the ranker tests planarity.  That
+    one test's witness gives every S- and R-skeleton its first rotation.
     """
     if g.m == 1:
-        return SpqrTree(g, [SpqrNode(0, "Q", min_edge=g.edges[0], poles=g.edges[0])], 0)
+        return SpqrTree(g, [SpqrNode(0, "Q", min_edge=g.edges[0], poles=g.edges[0])], 0,
+                        nx.PlanarEmbedding())
 
     uid_counter = 0
 
@@ -352,7 +362,8 @@ def build_spqr(g: Graph) -> SpqrTree:
     reached, cut, _ = lowpoint_dfs(g.adj, 1)
     if len(reached) < g.n or cut:
         raise NotBiconnected("SPQR-trees require a biconnected graph")
-    if not nx.check_planarity(nx.Graph(g.edges))[0]:
+    planar, witness = nx.check_planarity(nx.Graph(g.edges))
+    if not planar:
         raise NotPlanar("graph admits no planar embedding")
 
     # Every real edge goes into its own Q-node, twinned with a virtual
@@ -467,40 +478,12 @@ def build_spqr(g: Graph) -> SpqrTree:
     # Deterministic child order, which SpqrTree's preorder follows.
     for nd in nodes:
         nd.children.sort(key=lambda c: nodes[c].min_edge)
-    return SpqrTree(g, nodes, root)
+    return SpqrTree(g, nodes, root, witness)
 
 
 # ---------------------------------------------------------------------------
 # Skeleton embeddings
 # ---------------------------------------------------------------------------
-
-
-def first_embedding_R(tree: SpqrTree, node: SpqrNode) -> dict[int, list[int]]:
-    """The reflection selected by the pole rule, as rotation lists of
-    skeleton names.
-
-    At the minimum pole u, let (u,w1) be the minimum-id skeleton edge at u
-    and w2 its neighbor in u's circular list with the smaller edge id; the
-    first embedding has (u,w1) immediately before (u,w2) clockwise, i.e.
-    w2 is the counter-clockwise predecessor of w1.  An R-skeleton is
-    simple, so its ends name each edge.
-    """
-    skel = tree.skeleton(node)
-    ok, emb = nx.check_planarity(nx.Graph(skel))
-    if not ok:
-        raise NotPlanar(f"R-skeleton of node {node.index} is not planar")
-    data = emb.get_data()
-    rot = {v: list(data[v]) for v in sorted(data)}
-    u = node.pole
-    w1 = min(rot[u], key=lambda w: edge_id(u, w))
-    i = rot[u].index(w1)
-    a = rot[u][(i - 1) % len(rot[u])]  # ccw predecessor
-    b = rot[u][(i + 1) % len(rot[u])]
-    w2 = a if edge_id(u, a) < edge_id(u, b) else b
-    if w2 != a:
-        rot = {v: list(reversed(nbrs)) for v, nbrs in rot.items()}
-    name = dict(zip(skel, _names(node)))
-    return {v: [name[edge_id(v, w)] for w in nbrs] for v, nbrs in rot.items()}
 
 
 def skeleton_rotation(
@@ -516,7 +499,8 @@ def skeleton_rotation(
     """
     if node.kind == "Q":
         u, v = node.poles
-        return {u: _names(node), v: _names(node)}
+        names = [*range(len(node.children)), -1]  # skeleton()'s order
+        return {u: names, v: names}
     if node.kind == "P":
         u, v = node.poles
         order = orders[node.index]

@@ -122,3 +122,31 @@ def series_parallel(n: int, seed: int) -> Graph:
             edges.append((u, w))
             edges.append((v, w))
     return Graph(n, edges)
+
+
+def p_fan(k: int) -> Graph:
+    """k copies of K4 minus the edge {1, 2}, glued at 1 and 2: one P-node
+    on the poles {1, 2} with k R-children (k >= 2)."""
+    edges = []
+    for i in range(k):
+        a, b = 2 * i + 3, 2 * i + 4
+        edges += [(1, a), (1, b), (2, a), (2, b), (a, b)]
+    return Graph(2 * k + 2, edges)
+
+
+def wheel(k: int) -> Graph:
+    """The wheel W_k: hub 1 joined to every vertex of the rim cycle
+    2..k+1; one R-node (k >= 3)."""
+    rim = range(2, k + 2)
+    return Graph(k + 1, [(1, x) for x in rim] + [(x, x + 1) for x in rim[:-1]] + [(2, k + 1)])
+
+
+def necklace(k: int) -> Graph:
+    """The cycle 1..k with each edge replaced by a K4 minus that edge:
+    one S-node with k R-children (k >= 3)."""
+    edges = []
+    for i in range(k):
+        u, v = i + 1, (i + 1) % k + 1
+        a, b = k + 2 * i + 1, k + 2 * i + 2
+        edges += [(u, a), (u, b), (v, a), (v, b), (a, b)]
+    return Graph(3 * k, edges)

@@ -10,13 +10,12 @@ import pytest
 
 from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
 from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
-from planarrank import spqr
 from planarrank.biconnected import _induced_cycle, biconn_bounds, chi, chi_inverse
 from planarrank.codecs import bounds_product, perm_unrank, tuple_unrank
 from planarrank.embedding import PlanarEmbedding, validate
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
-from planarrank.graph import Graph, edge_id
+from planarrank.graph import Graph, block_cut_tree, edge_id
 from planarrank.spqr import SkelEdge, build_spqr
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -116,24 +115,58 @@ class TestChi:
         reshuffled = {v: rot[v][1:] + rot[v][:1] for v in rot}
         assert chi(rot, tree) == chi(reshuffled, tree)
 
-    def test_first_r_embedding_computed_once_per_r_node(self, monkeypatch):
-        # K4 plus a vertex on the pair {1, 2}: one P-node, one R-node.
+    def test_one_planarity_test_per_block_shape_and_none_after_set_up(self, monkeypatch):
+        # K4 plus a vertex on the pair {1, 2}: one P-node, one R-node.  The
+        # R-node's first reflection comes with the tree, so chi and
+        # chi_inverse agree on every choice with no further test.
         g = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)])
-        calls = []
-        original = spqr.first_embedding_R
+        graphs = []
+        original = nx.check_planarity
 
-        def counted(tree, node):
-            calls.append(node.index)
-            return original(tree, node)
+        def counted(graph, *args, **kwargs):
+            graphs.append(sorted(edge_id(u, v) for u, v in graph.edges))
+            return original(graph, *args, **kwargs)
 
-        monkeypatch.setattr(spqr, "first_embedding_R", counted)
+        monkeypatch.setattr(nx, "check_planarity", counted)
         tree = build_spqr(g)
         assert len(tree.p_nodes()) == 1 and len(tree.r_nodes()) == 1
+        assert graphs == [list(g.edges)]
         for _ in range(3):
             for p_vals, r_vals in itertools.product([[0], [1]], [[0], [1]]):
                 rot = chi_inverse(p_vals, r_vals, tree)
                 assert chi(rot, tree) == (p_vals, r_vals)
-        assert sorted(calls) == sorted(nd.index for nd in tree.r_nodes())
+        assert len(graphs) == 1
+
+        # Set-up tests each distinct block graph of two or more edges once:
+        # two K4s, W4, two grids, a triangle and a bridge make five.
+        blocks = [K4, K4, W4, triangulated_grid(3, "down"), TRIANGLE,
+                  Graph(2, [(1, 2)]), triangulated_grid(4, "up")]
+        graphs.clear()
+        ranker = EmbeddingRanker(glued(blocks))
+        shapes = sorted({blk.local()[1] for blk in block_cut_tree(ranker.graph).blocks
+                         if len(blk.edges) >= 2})
+        assert len(shapes) == 5
+        assert sorted(graphs) == sorted(list(edges) for _, edges in shapes)
+        graphs.clear()
+        total = ranker.count()
+        for r in [0, 1, total // 3, total - 1]:
+            assert ranker.rank(ranker.unrank(r)) == r
+        assert len(list(ranker.sample(5, 3))) == 3
+        assert len(list(ranker.enumerate(total - 20))) == 20
+        assert graphs == []
+
+
+def glued(blocks):
+    """The blocks glued into one connected graph, each at its vertex 1 to
+    the highest vertex so far.  New ids ascend past the glue vertex, so
+    each block keeps its own graph as its block-local graph."""
+    edges = list(blocks[0].edges)
+    n = blocks[0].n
+    for blk in blocks[1:]:
+        name = [0, n, *range(n + 1, n + blk.n)]
+        edges += [(name[u], name[v]) for u, v in blk.edges]
+        n += blk.n - 1
+    return Graph(n, edges)
 
 
 class TestChiRejects:
@@ -155,8 +188,8 @@ class TestChiRejects:
         # Vertex 1 is the lower pole of the only P-node.
         g = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
         ranker = EmbeddingRanker(g)
-        (nd,), () = ranker.blocks[0].tree.chi_nodes
-        assert nd.pole == 1
+        (nd,), () = ranker.blocks[0].tree.conventional
+        assert nd.poles[0] == 1
         rot = dict(ranker.unrank(0).rot)
         del rot[1]
         assert_rank_rejects(ranker, rot)
@@ -209,14 +242,14 @@ def compare_run_readers(tree, rng, rounds):
     skeleton runs stay contiguous; the number of node/rotation pairs
     compared.  A shuffle that breaks a run is no planar rotation, which
     validate rejects before chi runs."""
-    p_nodes, r_nodes = tree.chi_nodes
+    p_nodes, r_nodes = tree.conventional
     bounds = biconn_bounds(tree)
     compared = 0
     for _ in range(rounds):
         vals = [rng.randrange(b) for b in bounds]
         rot = chi_inverse(vals[:len(p_nodes)], vals[len(p_nodes):], tree)
         for nd in p_nodes + r_nodes:
-            u = nd.pole
+            u = nd.poles[0]
             for cand in (rot, {**rot, u: rng.sample(rot[u], len(rot[u]))}):
                 try:
                     expected = reference_induced_cycle(tree, nd, u, cand)

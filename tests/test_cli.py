@@ -179,8 +179,12 @@ class TestCli:
         {"face_tuple": 5},
         {"face_tuple": ["a"]},
         {"rotations": [[2, 3]]},
+        {"rotations": {"1": [2.9, 3], "2": [1, 3], "3": [1, 2]}},
+        {"rotations": {"1": ["2", "3"], "2": [1, 3], "3": [1, 2]}},
+        {"rotations": {" 1": [2, 3], "2": [1, 3], "3": [1, 2]}},
     ], ids=["nesting-not-list", "nesting-pair", "nesting-string-label",
-            "face-tuple-not-list", "face-tuple-string", "rotations-not-object"])
+            "face-tuple-not-list", "face-tuple-string", "rotations-not-object",
+            "rotation-float-neighbor", "rotation-string-neighbors", "rotation-padded-key"])
     def test_malformed_embedding_json_exit_1(self, triangle_file, tmp_path, capsys,
                                              override):
         emb = tmp_path / "emb.json"

@@ -504,7 +504,7 @@ class ReferenceConstruction(EmbeddingRanker):
                 tree = build_spqr(bg)
                 # Its own tables: no tree, and so no table, is shared.
                 self.shapes[tree] = _Shape(
-                    tuple({nd.pole for nd in tree.nodes if nd.kind in ("P", "R")}),
+                    tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}),
                     tuple(x for x in bg.vertices if bg.degree(x) >= 3))
                 self.blocks.append(_BlockInfo(ci, g_edges, fwd, inv, tree))
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)

@@ -5,14 +5,17 @@ import itertools
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 
-from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
+from _graphgen import (atlas_planar, necklace, p_fan, random_planar, series_parallel,
+                       triangulated_grid, wheel)
+from _linecount import doubling_ratios, executed_lines
 from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from planarrank import spqr
 from planarrank.biconnected import _induced_cycle, chi_inverse
 from planarrank.errors import NotBiconnected, NotPlanar
-from planarrank.graph import Graph, block_cut_tree
+from planarrank.graph import Graph, block_cut_tree, edge_id
 from planarrank.spqr import (
     SkelEdge,
     SpqrNode,
@@ -23,7 +26,6 @@ from planarrank.spqr import (
     _split_components,
     build_spqr,
     compose_embedding,
-    first_embedding_R,
 )
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -195,9 +197,9 @@ class TestBuildSpqr:
     @pytest.mark.parametrize("g", BICONNECTED)
     def test_tree_holds_no_edge_records(self, g):
         # The frozen tree stores no skeleton: no SkelEdge is reachable from
-        # it, before or after chi and chi_inverse fill its lazy tables.
+        # it, before or after chi_inverse reads it.
         tree = build_spqr(g)
-        p_nodes, r_nodes = tree.chi_nodes
+        p_nodes, r_nodes = tree.conventional
         chi_inverse([0] * len(p_nodes), [0] * len(r_nodes), tree)
         seen, stack = set(), [tree]
         while stack:
@@ -241,7 +243,7 @@ class TestFirstEmbeddings:
             6, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (4, 6), (5, 6), (2, 5)])
         for g in [THETA, K23, nested_theta]:
             tree = build_spqr(g)
-            p_nodes, r_nodes = tree.chi_nodes
+            p_nodes, r_nodes = tree.conventional
             rot = chi_inverse([0] * len(p_nodes), [0] * len(r_nodes), tree)
             assert p_nodes
             for nd in p_nodes:
@@ -254,7 +256,7 @@ class TestFirstEmbeddings:
     def test_r_first_embedding_pole_rule(self):
         tree = build_spqr(K4)
         nd = tree.r_nodes()[0]
-        rot = first_embedding_R(tree, nd)
+        rot = tree.first_r[nd.index]
         u = min(nd.poles)
         skel = tree.skeleton(nd)
         nbrs = [far_end(skel[t], u) for t in rot[u]]
@@ -268,7 +270,7 @@ class TestFirstEmbeddings:
         # Exactly one of the two reflections satisfies the pole rule.
         tree = build_spqr(K4)
         nd = tree.r_nodes()[0]
-        rot = first_embedding_R(tree, nd)
+        rot = tree.first_r[nd.index]
         mirror = {v: list(reversed(l)) for v, l in rot.items()}
         u = min(nd.poles)
         skel = tree.skeleton(nd)
@@ -284,9 +286,8 @@ class TestFirstEmbeddings:
         assert satisfies(rot) and not satisfies(mirror)
 
     def test_r_rule_idempotent(self):
-        tree = build_spqr(K4)
-        nd = tree.r_nodes()[0]
-        assert first_embedding_R(tree, nd) == first_embedding_R(tree, nd)
+        # Two builds of one graph state the same first reflection.
+        assert build_spqr(K4).first_r == build_spqr(K4).first_r
 
 
 class TestCompose:
@@ -463,7 +464,7 @@ def reference_cycle_tree(g):
     nodes[0].children = [s_index]
     for qi in range(1, s_index):
         nodes[qi].parent = s_index
-    return SpqrTree(g, nodes, 0)
+    return SpqrTree(g, nodes, 0, nx.check_planarity(nx.Graph(g.edges))[1])
 
 
 class TestCycleFastPath:
@@ -492,3 +493,97 @@ class TestCycleFastPath:
         tree = build_spqr(cycle(2000))
         assert calls == 0
         assert Counter(nd.kind for nd in tree.nodes) == {"Q": 2000, "S": 1}
+
+
+# Reference copy of the first rotations before the tree derived them from
+# its block's planarity witness: an S-skeleton's one rotation read off its
+# edge list, and for an R-skeleton a second planarity test of the skeleton
+# alone, reflected by the pole rule.
+def reference_first_r(tree):
+    out = {}
+    for nd in tree.nodes:
+        names = [*range(len(nd.children)), -1]
+        skel = tree.skeleton(nd)
+        if nd.kind == "S":
+            at = {}
+            for name, (a, b) in zip(names, skel):
+                at.setdefault(a, []).append(name)
+                at.setdefault(b, []).append(name)
+            out[nd.index] = at
+        elif nd.kind == "R":
+            ok, emb = nx.check_planarity(nx.Graph(skel))
+            assert ok
+            data = emb.get_data()
+            rot = {v: list(data[v]) for v in sorted(data)}
+            u = nd.poles[0]
+            w1 = min(rot[u], key=lambda w: edge_id(u, w))
+            i = rot[u].index(w1)
+            a = rot[u][(i - 1) % len(rot[u])]  # ccw predecessor
+            b = rot[u][(i + 1) % len(rot[u])]
+            w2 = a if edge_id(u, a) < edge_id(u, b) else b
+            if w2 != a:
+                rot = {v: list(reversed(nbrs)) for v, nbrs in rot.items()}
+            name = dict(zip(skel, names))
+            out[nd.index] = {v: [name[edge_id(v, w)] for w in nbrs] for v, nbrs in rot.items()}
+    return out
+
+
+def cyclic(first_r):
+    return {idx: {x: canonical_cycle(names) for x, names in rot.items()}
+            for idx, rot in first_r.items()}
+
+
+class TestFirstRotationsAgainstReference:
+    """Every S- and R-skeleton's first rotation, read off the block's one
+    planarity witness, equals the reference's as a cyclic order at every
+    skeleton vertex."""
+
+    @staticmethod
+    def check(blocks):
+        r_nodes = 0
+        for g in blocks:
+            tree = build_spqr(g)
+            assert cyclic(tree.first_r) == cyclic(reference_first_r(tree)), g.edges
+            r_nodes += len(tree.r_nodes())
+        return r_nodes
+
+    def test_atlas_blocks(self):
+        blocks = {(b.n, b.edges): b for g in atlas_planar() for b in blocks_of(g)}
+        assert self.check(blocks.values()) >= 100
+
+    @pytest.mark.parametrize("diagonal", ["down", "up"])
+    def test_triangulated_grids(self, diagonal):
+        self.check([triangulated_grid(k, diagonal) for k in range(3, 11)])
+
+    def test_series_parallel_blocks(self):
+        self.check([series_parallel(10 + 7 * seed, seed) for seed in range(20)])
+
+    def test_random_planar_blocks(self):
+        assert self.check([b for seed in range(40)
+                           for b in blocks_of(random_planar(80, seed))]) >= 40
+
+    def test_fans_wheels_and_necklaces(self):
+        blocks = [p_fan(k) for k in range(2, 7)] + [wheel(k) for k in range(3, 9)]
+        blocks += [necklace(k) for k in range(3, 7)]
+        assert self.check(blocks) == 20 + 6 + 18
+
+
+def tree_data_lines(g):
+    """Lines executed in spqr.py while a built tree of g derives its data
+    from its nodes and witness; the split search is not counted."""
+    tree = build_spqr(g)
+    witness = nx.check_planarity(nx.Graph(g.edges))[1]
+    return executed_lines(spqr.__file__, SpqrTree, g, tree.nodes, tree.root, witness)
+
+
+@pytest.mark.parametrize("family,sizes", [
+    (p_fan, [25, 50, 100, 200]),
+    (wheel, [50, 100, 200, 400]),
+    (necklace, [25, 50, 100, 200]),
+], ids=["p-fan", "wheel", "necklace"])
+def test_tree_data_is_linear_under_doubling(family, sizes):
+    """A pole shared by k skeletons is not scanned k times: the tree
+    places each skeleton edge at a vertex by one lookup among the
+    vertex's real edges."""
+    ratios = doubling_ratios([tree_data_lines(family(k)) for k in sizes])
+    assert max(ratios) <= 2.2, ratios
