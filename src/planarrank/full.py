@@ -63,7 +63,7 @@ from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
 
-DECODED_PER_SHAPE = 16  # per tree and direction: every embedding of a shape with at most 16
+DECODED_PER_SHAPE = 16  # per tree and direction: a shape with at most 16 embeddings keeps them all
 
 
 @dataclass(slots=True)

@@ -35,7 +35,7 @@ class Graph:
         seen: set[Edge] = set()
         adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
         for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (type(u) is int and type(v) is int):
                 raise MalformedInput(f"edge endpoints must be integers: {(u, v)!r}")
             if u == v:
                 raise MalformedInput(f"self-loop at vertex {u}")

@@ -10,13 +10,14 @@ import pytest
 
 from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
 from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
+from _spqr_reference import SkelEdge
 from planarrank.biconnected import _induced_cycle, biconn_bounds, chi, chi_inverse
 from planarrank.codecs import bounds_product, perm_unrank, tuple_unrank
 from planarrank.embedding import PlanarEmbedding, validate
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, block_cut_tree, edge_id
-from planarrank.spqr import SkelEdge, build_spqr
+from planarrank.spqr import build_spqr
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])

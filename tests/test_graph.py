@@ -54,6 +54,12 @@ class TestGraph:
         with pytest.raises(EdgelessComponent):
             Graph(3, [(1, 2)])
 
+    def test_rejects_bool_endpoints(self):
+        # True == 1, but to_json would write it as true, which from_json
+        # rejects, so the graph it builds could not round-trip.
+        with pytest.raises(MalformedInput):
+            Graph(3, [(True, 2), (2, 3), (1, 3)])
+
     def test_json_roundtrip(self):
         g = Graph(4, [(1, 2), (3, 4), (2, 3)])
         assert Graph.from_json(g.to_json()) == g

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import os
 import random
 from collections import Counter
 
@@ -12,17 +13,15 @@ from _graphgen import (atlas_planar, necklace, p_fan, random_planar, series_para
                        triangulated_grid, wheel)
 from _linecount import doubling_ratios, executed_lines
 from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
+from _spqr_reference import build_spqr as reference_build_spqr
 from planarrank import spqr
 from planarrank.biconnected import _induced_cycle, chi_inverse
 from planarrank.errors import NotBiconnected, NotPlanar
 from planarrank.graph import Graph, block_cut_tree, edge_id
 from planarrank.spqr import (
-    SkelEdge,
     SpqrNode,
     SpqrTree,
     _find_split,
-    _is_single_virtual,
-    _RawNode,
     _split_components,
     build_spqr,
     compose_embedding,
@@ -196,8 +195,9 @@ class TestBuildSpqr:
 
     @pytest.mark.parametrize("g", BICONNECTED)
     def test_tree_holds_no_edge_records(self, g):
-        # The frozen tree stores no skeleton: no SkelEdge is reachable from
-        # it, before or after chi_inverse reads it.
+        # The frozen tree stores no skeleton under construction and not the
+        # witness: no set and no networkx object is reachable from it,
+        # before or after chi_inverse reads it.
         tree = build_spqr(g)
         p_nodes, r_nodes = tree.conventional
         chi_inverse([0] * len(p_nodes), [0] * len(r_nodes), tree)
@@ -207,7 +207,8 @@ class TestBuildSpqr:
             if id(obj) in seen or isinstance(obj, type):
                 continue
             seen.add(id(obj))
-            assert not isinstance(obj, SkelEdge)
+            assert not isinstance(obj, set)
+            assert not type(obj).__module__.startswith("networkx"), obj
             stack.extend(gc.get_referents(obj))
         assert len(seen) > len(tree.nodes)
 
@@ -337,22 +338,19 @@ class TestCompose:
         assert rots == oracle
 
 
-def reference_find_split(node):
+def reference_find_split(vertices, pairs, ends):
     """The search _find_split replaced: every vertex pair in ascending
-    order, with the split components recomputed for each pair."""
-    for u, v in sorted(
-        (a, b) for a in node.vertices for b in node.vertices if a < b
-    ):
-        comps = _split_components(node.vertices, node.edges, u, v)
-        if len(comps) < 2:
-            continue
-        comps.sort(key=lambda c: min(e.uid for e in c[1]))
-        for i, comp in enumerate(comps):
-            if _is_single_virtual(comp):
-                continue
-            if len(comps) == 2 and _is_single_virtual(comps[1 - i]):
-                continue
-            return u, v, comp
+    order, with the split components recomputed for each pair.  At three
+    or more components every one that is more than a single edge splits
+    off; at two, both must be, and the one with the smaller pair id does."""
+    for u, v in sorted((a, b) for a in vertices for b in vertices if a < b):
+        comps = _split_components(vertices, pairs, ends, u, v)
+        comps.sort(key=lambda c: min(c[1]))
+        big = [c for c in comps if len(c[1]) >= 2]
+        if len(comps) >= 3 and big:
+            return u, v, big
+        if len(comps) == 2 and len(big) == 2:
+            return u, v, big[:1]
     return None
 
 
@@ -361,11 +359,18 @@ def blocks_of(g):
     return [Graph(*b.local()[1]) for b in block_cut_tree(g).blocks]
 
 
-def tree_record(tree):
-    return tree.dump(), [
-        (nd.kind, nd.parent, nd.children, nd.tin, nd.tout, nd.depth, nd.min_edge,
-         tree.skeleton(nd))
-        for nd in tree.nodes]
+def tree_by_identifier(tree):
+    """The dump, and every node by identifier (depth, min pertinent edge)
+    with its kind, parent's identifier, interval, poles, skeleton, and its
+    first embedding and first rotations as cyclic orders.  Node indices
+    are left out: two builders may number the nodes differently."""
+    ident = {nd.index: (nd.depth, nd.min_edge) for nd in tree.nodes}
+    return tree.dump(), {
+        ident[nd.index]: (nd.kind, ident.get(nd.parent), nd.tin, nd.tout, nd.poles,
+                          tree.skeleton(nd), canonical_cycle(list(nd.first)),
+                          {x: canonical_cycle(names)
+                           for x, names in tree.first_r.get(nd.index, {}).items()})
+        for nd in tree.nodes}
 
 
 class TestSplitSearchAgainstReference:
@@ -375,10 +380,10 @@ class TestSplitSearchAgainstReference:
     @staticmethod
     def check(blocks, monkeypatch):
         for g in blocks:
-            new = tree_record(build_spqr(g))
+            new = tree_by_identifier(build_spqr(g))
             with monkeypatch.context() as m:
                 m.setattr(spqr, "_find_split", reference_find_split)
-                old = tree_record(build_spqr(g))
+                old = tree_by_identifier(build_spqr(g))
             assert new == old, g.edges
 
     def test_first_split_of_atlas_skeletons(self):
@@ -386,9 +391,9 @@ class TestSplitSearchAgainstReference:
         # also on graphs that are not biconnected (the skeleton minus u
         # may be disconnected).
         for g in atlas_planar():
-            edges = [SkelEdge(i, u, v) for i, (u, v) in enumerate(g.edges)]
-            node = _RawNode(set(g.vertices), edges)
-            assert _find_split(node) == reference_find_split(node), g.edges
+            ends = dict(enumerate(g.edges, 1))
+            skeleton = (set(g.vertices), list(ends), ends)
+            assert _find_split(*skeleton) == reference_find_split(*skeleton), g.edges
 
     def test_atlas_blocks(self, monkeypatch):
         blocks = [b for g in atlas_planar() for b in blocks_of(g)]
@@ -407,6 +412,44 @@ class TestSplitSearchAgainstReference:
     def test_random_planar_blocks(self, monkeypatch):
         self.check([b for seed in range(40) for b in blocks_of(random_planar(40, seed))],
                    monkeypatch)
+
+
+class TestBuilderAgainstReference:
+    """The builder on twin-pair ids, which splits off every component of a
+    split pair at once, gives the reference builder's tree: per-edge
+    records, one component per split."""
+
+    @staticmethod
+    def check(blocks):
+        for g in blocks:
+            assert tree_by_identifier(build_spqr(g)) == tree_by_identifier(
+                reference_build_spqr(g)), g.edges
+
+    def test_atlas_blocks(self):
+        self.check({(b.n, b.edges): b for g in atlas_planar() for b in blocks_of(g)}.values())
+
+    @pytest.mark.parametrize("diagonal", ["down", "up"])
+    def test_triangulated_grids(self, diagonal):
+        self.check([triangulated_grid(k, diagonal) for k in range(3, 11)])
+
+    def test_series_parallel_blocks(self):
+        self.check([series_parallel(10 + 7 * seed, seed) for seed in range(20)])
+
+    def test_random_planar_blocks(self):
+        self.check([b for seed in range(40) for b in blocks_of(random_planar(80, seed))])
+
+    def test_fans_wheels_and_necklaces(self):
+        self.check([p_fan(k) for k in range(2, 9)] + [wheel(k) for k in range(3, 12)]
+                   + [necklace(k) for k in range(3, 9)])
+
+
+def test_p_fan_set_up_is_linear_under_doubling():
+    """The P-fan's k components at its one split pair {1, 2} split off in
+    one step, not one split-pair search each."""
+    package = os.path.dirname(spqr.__file__) + os.sep
+    ratios = doubling_ratios([executed_lines(package, build_spqr, p_fan(k))
+                              for k in (25, 50, 100, 200)])
+    assert max(ratios) <= 2.2, ratios
 
 
 @pytest.mark.parametrize("diagonal", ["down", "up"])
@@ -436,16 +479,6 @@ def cycle(n, labels=None):
     """The cycle 1-2-...-n-1, with vertex i renamed labels[i - 1]."""
     name = labels or list(range(1, n + 1))
     return Graph(n, [(name[i], name[(i + 1) % n]) for i in range(n)])
-
-
-def tree_by_identifier(tree):
-    """The dump, and every node by identifier (depth, min pertinent edge)
-    with its kind, parent's identifier, interval, poles and skeleton."""
-    ident = {nd.index: (nd.depth, nd.min_edge) for nd in tree.nodes}
-    return tree.dump(), {
-        ident[nd.index]: (nd.kind, ident.get(nd.parent), nd.tin, nd.tout, nd.poles,
-                          sorted(tree.skeleton(nd)))
-        for nd in tree.nodes}
 
 
 def reference_cycle_tree(g):
