@@ -9,6 +9,10 @@ built: a P value ranks the permutation of the node's children away from
 their first order, an R bit flips the first reflection, which the
 block's planarity witness gives.
 
+chi reads the rotation only through each lower pole's placement, built
+once per call, and orders skeleton edges there by SpqrTree.induced, the
+rule that gives the tree its first rotations from the witness.
+
 Both directions trust their input; the ranker checks it once, where it
 enters.  chi reads a block's rotation in an embedding that ``validate``
 accepted: a planar rotation of the block, so at every pole the real
@@ -20,12 +24,11 @@ lies within its bound.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import factorial
 
 from .codecs import perm_rank, perm_unrank
 from .embedding import Rotation
-from .spqr import SpqrNode, SpqrTree, compose_embedding
+from .spqr import SpqrTree, compose_embedding
 
 
 def biconn_bounds(tree: SpqrTree) -> list[int]:
@@ -34,46 +37,24 @@ def biconn_bounds(tree: SpqrTree) -> list[int]:
     return [factorial(len(nd.children)) for nd in p_nodes] + [2] * len(r_nodes)
 
 
-def _induced_cycle(tree: SpqrTree, nd: SpqrNode, rot: Rotation) -> list[int]:
-    """Cyclic order of the node's skeleton edges around its pole induced by
-    rot, each named as in SpqrTree.skeleton.
-
-    A real edge expands from the edge toward the child whose interval holds
-    its Q-node (the children's intervals split the node's own past its
-    tin), or from the reference edge if the node's interval does not.  The
-    real edges of one skeleton edge form a contiguous run; the run order
-    is the induced order.
-    """
-    u, lo, hi, child_tin = nd.poles[0], nd.tin, nd.tout, nd.child_tin
-    q_tin = tree.q_tin
-    tokens = []
-    last = None
-    for w in rot[u]:
-        t = q_tin[(u, w) if u < w else (w, u)]
-        tok = bisect_right(child_tin, t) - 1 if lo <= t <= hi else -1
-        if tok != last:
-            tokens.append(tok)
-            last = tok
-    if len(tokens) > 1 and tokens[0] == tokens[-1]:
-        tokens.pop()
-    return tokens
-
-
 def chi(rot: Rotation, tree: SpqrTree) -> tuple[list[int], list[int]]:
-    """Tuple <p_1..p_y, r_1..r_z> of a block embedding."""
+    """Tuple <p_1..p_y, r_1..r_z> of a block embedding; a node costs its
+    skeleton edges at the pole, not the pole's degree."""
     p_nodes, r_nodes = tree.conventional
+    place = {u: tree.placement(u, rot[u]) for u in {nd.poles[0] for nd in p_nodes + r_nodes}}
     p_vals = []
     for nd in p_nodes:
-        induced = _induced_cycle(tree, nd, rot)
-        i = induced.index(-1)  # the children follow the reference edge
-        p_vals.append(perm_rank([nd.first[x] for x in induced[i + 1:] + induced[:i]]))
+        u = nd.poles[0]
+        order = tree.induced(nd, u, range(-1, len(nd.children)), place[u])
+        i = order.index(-1)  # the children follow the reference edge
+        p_vals.append(perm_rank([nd.first[x] for x in order[i + 1:] + order[:i]]))
 
     r_vals = []
     for nd in r_nodes:
-        want = list(nd.first)
-        induced = _induced_cycle(tree, nd, rot)
-        i = induced.index(want[0])
-        r_vals.append(0 if induced[i:] + induced[:i] == want else 1)
+        u = nd.poles[0]
+        order = tree.induced(nd, u, nd.first, place[u])
+        i = order.index(nd.first[0])
+        r_vals.append(0 if tuple(order[i:] + order[:i]) == nd.first else 1)
     return p_vals, r_vals
 
 

@@ -151,6 +151,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_decompose)
 
     args = parser.parse_args(argv)
+    # Counts and ranks may exceed Python's default int-str limit of 4,300
+    # digits: lift it for this command only.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except PlanarRankError as exc:
@@ -160,6 +164,8 @@ def main(argv=None) -> int:
         if isinstance(exc, RankOutOfRange):
             return 3
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

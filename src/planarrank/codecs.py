@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .errors import BoundViolation, NotAPermutation, RankOutOfRange
+from .errors import BoundViolation, RankOutOfRange
 
 # ---------------------------------------------------------------------------
 # Mixed-radix tuples  <->  naturals
@@ -145,18 +145,12 @@ def _sigma0(k: int) -> list[int]:
     return _raw_unrank(0, k)
 
 
-def _check_perm(perm: list[int]) -> None:
-    k = len(perm)
-    if sorted(perm) != list(range(k)):
-        raise NotAPermutation(f"{perm!r} is not a permutation of 0..{k - 1}")
-
-
 def perm_rank(perm: list[int]) -> int:
-    """Rank in [0 .. k!-1]; the identity ranks to 0."""
-    _check_perm(perm)
+    """Rank in [0 .. k!-1] of a permutation of 0..k-1, as chi's sort
+    makes; the identity ranks to 0."""
     if not perm:
         return 0
-    return _raw_rank(_compose(list(perm), _sigma0(len(perm))))
+    return _raw_rank(_compose(perm, _sigma0(len(perm))))
 
 
 def perm_unrank(rank: int, k: int) -> list[int]:

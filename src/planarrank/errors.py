@@ -29,10 +29,6 @@ class RankOutOfRange(PlanarRankError):
     """A rank does not address any object in the bijection's codomain."""
 
 
-class NotAPermutation(PlanarRankError):
-    """Input is not a bijection on 0..k-1."""
-
-
 class GraphMismatch(PlanarRankError):
     """Two embeddings do not share the same underlying graph."""
 

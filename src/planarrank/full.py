@@ -248,7 +248,7 @@ class EmbeddingRanker:
             shape = shapes[info.tree]
             digits = shape.encoded.get(key)
             if digits is None:
-                digits = chi(dict(zip(shape.poles, map(list, key))), info.tree)
+                digits = chi(dict(zip(shape.poles, key)), info.tree)
                 if len(shape.encoded) < DECODED_PER_SHAPE:
                     shape.encoded[key] = digits
             values[info.p], values[info.r] = digits

@@ -34,9 +34,11 @@ to the parent or to one child, and its ends are that neighbour's poles:
 SpqrTree.skeleton lists them, child i's edge as name i and the reference
 edge as name -1.  A tree is complete when built: SpqrTree derives, once,
 the preorder intervals, each real edge's Q-node tin, the conventional
-order, what chi and chi_inverse read of each node, and the fixed rotation
-of every S-skeleton and first reflection of every R-skeleton (first_r),
-which the witness gives.
+order, each P- and R-node's first embedding, and the fixed rotation of
+every S-skeleton and first reflection of every R-skeleton (first_r),
+which the witness gives.  One rule, SpqrTree.induced, places skeleton
+edges at a vertex: on the witness here, and in chi on the rotation
+being ranked.
 
 A tree depends only on its graph, so EmbeddingRanker shares one tree
 among all blocks with the same block-local graph.  A tree is read-only
@@ -74,8 +76,7 @@ class SpqrNode:
     # reference edge and takes its real edge's.  A Q-node's poles are its
     # real edge.  chi reads a P- or R-node at the lower pole.
     poles: tuple[int, int] = (0, 0)
-    # What chi and chi_inverse read, set by SpqrTree.
-    child_tin: tuple[int, ...] = ()
+    # The first embedding, which chi and chi_inverse read; set by SpqrTree.
     first: tuple[int, ...] = ()
 
 
@@ -88,14 +89,13 @@ class SpqrTree:
         witness, a planar embedding of the graph.
 
         chi and chi_inverse read each P- and R-node in conventional order:
-        child_tin lists the children's tins by skeleton() name, and first
-        is the first embedding in those names, an R-node's order at the
-        lower pole and for a P-node each child's position after the
-        reference edge.  A P-node's first embedding is the reference edge,
-        then the children by descending identifier, counter-clockwise
-        around the lower pole; they share one depth, so that is descending
-        preorder rank.  Ints and tuples of ints only, which the garbage
-        collector stops tracking right away.
+        first is the first embedding in skeleton() names, an R-node's
+        order at the lower pole and for a P-node each child's position
+        after the reference edge.  A P-node's first embedding is the
+        reference edge, then the children by descending identifier,
+        counter-clockwise around the lower pole; they share one depth, so
+        that is descending preorder rank.  Ints and tuples of ints only,
+        which the garbage collector stops tracking right away.
         """
         self.graph = graph
         self.nodes = nodes
@@ -115,52 +115,62 @@ class SpqrTree:
             stack.extend((c, False) for c in reversed(nodes[idx].children))
         # Real edge -> tin of its Q-node.
         self.q_tin: dict[Edge, int] = {nd.poles: nd.tin for nd in nodes if nd.kind == "Q"}
-        for nd in nodes:
-            nd.child_tin = tuple(nodes[c].tin for c in nd.children)
         # P-nodes and R-nodes sorted by identifier (depth, min pertinent edge).
         key = lambda n: (n.depth, n.min_edge)
         self.conventional = (sorted(self.p_nodes(), key=key), sorted(self.r_nodes(), key=key))
         for nd in self.conventional[0]:
             nd.first = tuple(range(len(nd.children) - 1, -1, -1))
 
-        # Each vertex's real edges, as the tins of their Q-nodes ascending,
-        # and the place of each in the witness's rotation at the vertex.
-        tins: dict[int, list[int]] = {}
-        place: dict[int, dict[int, int]] = {}
-        for x, nbrs in witness.get_data().items():
-            place[x] = {self.q_tin[edge_id(x, w)]: i for i, w in enumerate(nbrs)}
-            tins[x] = sorted(place[x])
+        # Each vertex's real edges, as the tins of their Q-nodes ascending.
+        witnessed = {x: self.placement(x, nbrs) for x, nbrs in witness.get_data().items()}
+        self.tins = {x: tuple(sorted(place)) for x, place in witnessed.items()}
         # Read-only lists of skeleton names by node index: every S-node's
         # one rotation and every R-node's first reflection.
         self.first_r: dict[int, dict[int, list[int]]] = {
-            nd.index: self._first_rotation(nd, tins, place)
+            nd.index: self._first_rotation(nd, witnessed)
             for nd in nodes if nd.kind in ("S", "R")}
 
-    def _first_rotation(self, nd: SpqrNode, tins: dict[int, list[int]],
-                        place: dict[int, dict[int, int]]) -> dict[int, list[int]]:
+    def placement(self, x: int, nbrs) -> dict[int, int]:
+        """Position of each real edge at x, by its Q-node's tin, in the
+        rotation nbrs at x."""
+        return {self.q_tin[edge_id(x, w)]: i for i, w in enumerate(nbrs)}
+
+    def induced(self, nd: SpqrNode, x: int, names, place: dict[int, int]) -> list[int]:
+        """The named skeleton edges of nd at x, in the cyclic order that a
+        planar rotation with this placement at x induces.  Each is placed
+        by one real edge of its run there: for the edge toward a child, the
+        first of x's tins inside the child's interval, and for the
+        reference edge, one outside the node's."""
+        nodes, ts = self.nodes, self.tins[x]
+
+        def position(name: int) -> int:
+            if name >= 0:
+                t = ts[bisect_left(ts, nodes[nd.children[name]].tin)]
+            else:
+                t = ts[0] if ts[0] < nd.tin else ts[bisect_right(ts, nd.tout)]
+            return place[t]
+
+        return sorted(names, key=position)
+
+    def _first_rotation(self, nd: SpqrNode,
+                        witnessed: dict[int, dict[int, int]]) -> dict[int, list[int]]:
         """The rotation the witness induces on an S- or R-skeleton, an
         R-node's reflected by the pole rule and also kept as its first.
 
-        At a skeleton vertex x, the real edges of each skeleton edge form
-        one run of the witness's rotation, and one of them places the run:
-        for the edge toward a child, the first inside the child's interval,
-        and for the reference edge, one outside the node's.  Pole rule: at
-        the lower pole u, let (u,w1) be the minimum-id skeleton edge and w2
-        its neighbor in u's circular list with the smaller edge id; the
-        first embedding has w2 as the counter-clockwise predecessor of w1.
-        An R-skeleton is simple, so its ends name each edge.
+        Each skeleton vertex's names are placed by induced, on the
+        witness's placement at that vertex.  Pole rule: at the lower pole
+        u, let (u,w1) be the minimum-id skeleton edge and w2 its neighbor
+        in u's circular list with the smaller edge id; the first embedding
+        has w2 as the counter-clockwise predecessor of w1.  An R-skeleton
+        is simple, so its ends name each edge.
         """
-        nodes = self.nodes
-        at: dict[int, list[tuple[int, int]]] = {}
+        at: dict[int, list[int]] = {}
         for i, c in enumerate(nd.children):
-            for x in nodes[c].poles:
-                ts = tins[x]
-                at.setdefault(x, []).append((place[x][ts[bisect_left(ts, nodes[c].tin)]], i))
+            for x in self.nodes[c].poles:
+                at.setdefault(x, []).append(i)
         for x in nd.poles:
-            ts = tins[x]
-            t = ts[0] if ts[0] < nd.tin else ts[bisect_right(ts, nd.tout)]
-            at.setdefault(x, []).append((place[x][t], -1))
-        rot = {x: [name for _, name in sorted(placed)] for x, placed in at.items()}
+            at.setdefault(x, []).append(-1)
+        rot = {x: self.induced(nd, x, names, witnessed[x]) for x, names in at.items()}
         if nd.kind == "R":
             skel = self.skeleton(nd)
             names = rot[nd.poles[0]]

@@ -134,6 +134,14 @@ def p_fan(k: int) -> Graph:
     return Graph(2 * k + 2, edges)
 
 
+def fan(k: int) -> Graph:
+    """Hub 1 joined to every vertex of the path 2..k+1: a P-node on each
+    pair {1, x} for inner x, all with their lower pole at the hub
+    (k >= 3)."""
+    path = range(2, k + 2)
+    return Graph(k + 1, [(1, x) for x in path] + [(x, x + 1) for x in path[:-1]])
+
+
 def wheel(k: int) -> Graph:
     """The wheel W_k: hub 1 joined to every vertex of the rim cycle
     2..k+1; one R-node (k >= 3)."""

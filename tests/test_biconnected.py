@@ -8,10 +8,11 @@ from dataclasses import dataclass
 import networkx as nx
 import pytest
 
-from _graphgen import atlas_planar, random_planar, series_parallel, triangulated_grid
+from _graphgen import (atlas_planar, fan, p_fan, random_planar, series_parallel,
+                       triangulated_grid, wheel)
 from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from _spqr_reference import SkelEdge
-from planarrank.biconnected import _induced_cycle, biconn_bounds, chi, chi_inverse
+from planarrank.biconnected import biconn_bounds, chi, chi_inverse
 from planarrank.codecs import bounds_product, perm_unrank, tuple_unrank
 from planarrank.embedding import PlanarEmbedding, validate
 from planarrank.errors import BoundViolation, EmbeddingMismatch
@@ -239,10 +240,12 @@ def reference_induced_cycle(tree, node, x, rot):
 
 
 def compare_run_readers(tree, rng, rounds):
-    """Both readers on chi_inverse's rotations and on shuffled ones whose
-    skeleton runs stay contiguous; the number of node/rotation pairs
-    compared.  A shuffle that breaks a run is no planar rotation, which
-    validate rejects before chi runs."""
+    """The reference and SpqrTree.induced, as cyclic orders, on
+    chi_inverse's rotations and on shuffled ones whose skeleton runs stay
+    contiguous; the number of node/rotation pairs compared.  A run that
+    wraps past the end of the rotation list may start either list.  A
+    shuffle that breaks a run is no planar rotation, which validate
+    rejects before chi runs."""
     p_nodes, r_nodes = tree.conventional
     bounds = biconn_bounds(tree)
     compared = 0
@@ -251,12 +254,14 @@ def compare_run_readers(tree, rng, rounds):
         rot = chi_inverse(vals[:len(p_nodes)], vals[len(p_nodes):], tree)
         for nd in p_nodes + r_nodes:
             u = nd.poles[0]
+            names = [-1, *(i for i, c in enumerate(nd.children) if u in tree.nodes[c].poles)]
             for cand in (rot, {**rot, u: rng.sample(rot[u], len(rot[u]))}):
                 try:
                     expected = reference_induced_cycle(tree, nd, u, cand)
                 except EmbeddingMismatch:
                     continue
-                assert _induced_cycle(tree, nd, cand) == expected
+                induced = tree.induced(nd, u, names, tree.placement(u, cand[u]))
+                assert canonical_cycle(induced) == canonical_cycle(expected)
                 compared += 1
     return compared
 
@@ -279,6 +284,15 @@ class TestRunReaderAgainstReference:
             for info in EmbeddingRanker(g).blocks:
                 compared += compare_run_readers(info.tree, rng, 2)
         assert compared >= 1000
+
+    def test_fans_and_wheels(self):
+        # Every P-node of a fan and the R-node of a wheel share the hub as
+        # their lower pole; the P-fan's one P-node has k children there.
+        rng = random.Random(8)
+        blocks = [p_fan(k) for k in range(2, 9)]
+        blocks += [family(k) for family in (fan, wheel) for k in range(3, 12)]
+        compared = sum(compare_run_readers(build_spqr(g), rng, 4) for g in blocks)
+        assert compared >= 400
 
 
 # Reference copy of the decode before the tree dropped its per-edge

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -196,6 +197,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_numbers_past_the_int_str_limit(self, tmp_path, capsys):
+        """Vertex 1 joined to 2,000 triangles: the count has more than the
+        4,300 digits to which Python limits int-str conversion by default,
+        and every subcommand that reads or prints a rank handles it.  The
+        caller's limit is back in place after each command."""
+        edges = [e for i in range(2000)
+                 for e in ([1, 2 * i + 2], [1, 2 * i + 3], [2 * i + 2, 2 * i + 3])]
+        g = tmp_path / "hub.json"
+        g.write_text(json.dumps({"vertices": list(range(1, 4002)), "edges": edges}))
+        limit = sys.get_int_max_str_digits()
+
+        assert main(["count", "-g", str(g)]) == 0
+        count = capsys.readouterr().out.strip()
+        assert len(count) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            last = str(int(count) - 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+        emb = tmp_path / "emb.json"
+        assert main(["unrank", "-g", str(g), "-r", last, "-o", str(emb)]) == 0
+        assert main(["rank", "-g", str(g), "-e", str(emb)]) == 0
+        assert capsys.readouterr().out == last + "\n"
+        assert main(["enumerate", "-g", str(g), "--from", last]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["rank"] == last
+        assert json.loads(line)["embedding"] == json.loads(emb.read_text())
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestRankChecksOnce:

@@ -16,11 +16,7 @@ from planarrank.codecs import (
     tuple_unrank,
 )
 from planarrank.embedding import face_intervals
-from planarrank.errors import (
-    BoundViolation,
-    NotAPermutation,
-    RankOutOfRange,
-)
+from planarrank.errors import BoundViolation, RankOutOfRange
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
 
@@ -117,10 +113,6 @@ class TestPermCodec:
             assert perm_unrank(r, k) == list(p)
             ranks.add(r)
         assert ranks == set(range(factorial(k)))
-
-    def test_not_a_permutation(self):
-        with pytest.raises(NotAPermutation):
-            perm_rank([0, 0, 2])
 
 
 class TestPruferCodec:

@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import os
 import random
 
 import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from _graphgen import TEMPLATES, atlas_planar, random_planar
+from _graphgen import TEMPLATES, atlas_planar, fan, p_fan, random_planar
 from _linecount import doubling_ratios, executed_lines
 from _oracle import TooLarge, enumerate_disconnected
 from planarrank import cutvertex, full
@@ -24,6 +25,7 @@ from planarrank.nesting import NestingCodec
 from planarrank.spqr import build_spqr
 
 FULL_PY = full.__file__
+PACKAGE = os.path.dirname(full.__file__) + os.sep
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 
@@ -931,6 +933,25 @@ class TestRankAtAHub:
             assert {x for info in ranker.blocks for x, *_ in info.poles} == {1}
             emb = ranker.unrank(ranker.count() // 3)
             counts.append(executed_lines(FULL_PY, ranker.rank, emb))
+        assert max(doubling_ratios(counts)) <= 2.2, counts
+
+    @pytest.mark.parametrize("family,sizes", [
+        (fan, [50, 100, 200, 400]),
+        (p_fan, [31, 62, 125]),
+    ], ids=["fan", "p-fan"])
+    def test_chi_under_doubling(self, family, sizes):
+        """Every P-node of the fan, and the P-fan's P-node with its k
+        children, has its lower pole at a hub of degree about k.  chi
+        places each skeleton edge there by one real edge, so doubling k
+        at most about doubles the lines the package executes in one
+        rank.  The ranker is fresh, so its encode tables are empty and
+        chi runs on every block."""
+        counts = []
+        for k in sizes:
+            ranker = EmbeddingRanker(family(k))
+            emb = ranker.unrank(ranker.count() // 3)
+            assert not any(shape.encoded for shape in ranker.shapes.values())
+            counts.append(executed_lines(PACKAGE, ranker.rank, emb))
         assert max(doubling_ratios(counts)) <= 2.2, counts
 
 

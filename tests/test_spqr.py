@@ -15,7 +15,7 @@ from _linecount import doubling_ratios, executed_lines
 from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from _spqr_reference import build_spqr as reference_build_spqr
 from planarrank import spqr
-from planarrank.biconnected import _induced_cycle, chi_inverse
+from planarrank.biconnected import chi_inverse
 from planarrank.errors import NotBiconnected, NotPlanar
 from planarrank.graph import Graph, block_cut_tree, edge_id
 from planarrank.spqr import (
@@ -250,7 +250,8 @@ class TestFirstEmbeddings:
             for nd in p_nodes:
                 k = len(nd.children)
                 assert k == len(tree.skeleton(nd)) - 1 >= 2
-                induced = _induced_cycle(tree, nd, rot)
+                u = nd.poles[0]
+                induced = tree.induced(nd, u, range(-1, k), tree.placement(u, rot[u]))
                 i = induced.index(-1)
                 assert induced[i:] + induced[:i] == [-1, *range(k - 1, -1, -1)]
 
