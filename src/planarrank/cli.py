@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 malformed input, 2 non-planar graph, 3 rank out
-of range.  Output is deterministic: JSON is emitted with sorted keys and
-streams are JSON lines.
+Exit codes: 0 success, 1 malformed input (a usage error included), 2
+non-planar graph, 3 rank out of range.  Output is deterministic: JSON is
+emitted with sorted keys and streams are JSON lines.
 """
 
 from __future__ import annotations
@@ -110,8 +110,17 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 1, malformed input: 2
+    is the exit code of a non-planar graph."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planarrank",
         description="Rank, unrank, count, enumerate and sample planar embeddings.",
     )

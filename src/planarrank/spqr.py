@@ -1,25 +1,20 @@
 """SPQR-trees: decomposition of a biconnected planar graph.
 
-The tree is produced by repeatedly splitting skeletons along split pairs
-until every skeleton is a parallel bundle (P), a cycle (S) or a
-triconnected graph (R), then merging adjacent S-nodes into the canonical
-form.  A skeleton under construction is its vertex set and a list of
-twin-pair ids, with each pair's ends kept once: no record per edge.  Pair
-i (1..m) is real edge i, whose Q-node is made once, at the start, so no
-skeleton the split search sees holds a real edge.  A cycle skeleton is
-never split: it already is an S-node.  A split pair {u, v} is split once:
-with three or more split components, every one that is not a single edge
-splits off together and leaves a bond (P); with two, the one holding the
-smaller pair id splits off.  Adjacent P-nodes cannot occur, because each
-component split off is one connected component of the skeleton minus
-{u, v}, so the child side of a twin pair never gains a second u-v edge.
-The tree is unique (Gutwenger and Mutzel, "A linear time implementation
-of SPQR-trees", GD 2000), so the order of the splits does not change it.
-Each split is made at the first split pair in ascending order; the search
-tries only the pairs {u, v} where v is a cut-vertex of the skeleton minus
-u or two edges join them, one lowpoint DFS per u, so each search is
-O(n*m).  The linear-time decomposition of Hopcroft and Tarjan is not
-used.
+The split components come from one path search: Hopcroft and Tarjan,
+"Dividing a graph into triconnected components" (SIAM J. Comput. 1973),
+with the corrections of Gutwenger and Mutzel, "A linear time
+implementation of SPQR-trees" (GD 2000).  A palm-tree DFS gives lowpt1,
+lowpt2 and ND, a bucket sort orders the arcs by phi, a second DFS
+renumbers the vertices and marks where each path starts, and the path
+search finds the type-1 and type-2 separation pairs with its stack of
+triples (TSTACK) and pops each split component's edges off its stack of
+edges (ESTACK).  A split component is a bond (P), a triangle (S) or a
+triconnected graph (R).  Merging bonds with bonds and polygons with
+polygons gives the triconnected components, which are unique, so the
+tree is.  Set-up is linear in the size of the graph, and no search
+recurses.  The builder keeps a component as a list of twin-pair ids,
+with each pair's ends kept once: no record per edge.  Pair i (1..m) is real edge
+i, whose Q-node is made once, at the start.
 
 The tree is rooted at the Q-node of the graph's minimum edge.  Node
 identifiers are (depth, minimum pertinent edge); "conventional order"
@@ -53,7 +48,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from .errors import NotBiconnected, NotPlanar
-from .graph import Edge, Graph, edge_id, lowpoint_dfs
+from .graph import Edge, Graph, edge_id
 
 
 @dataclass
@@ -218,99 +213,375 @@ class SpqrTree:
 # ---------------------------------------------------------------------------
 
 
-def _split_components(vertices: set[int], pairs: list[int], ends: dict[int, Edge],
-                      u: int, v: int) -> list[tuple[set[int], list[int]]]:
-    """Components of a skeleton with respect to the pair {u, v}, u < v.
+def _palm_tree(g: Graph):
+    """Palm tree of g: a depth-first search from vertex 1 that numbers the
+    vertices in preorder and directs every edge, a tree arc from parent to
+    child or a frond from a vertex to an ancestor.  Raises NotBiconnected
+    unless g is biconnected.
 
-    Each direct u-v edge is its own component; every connected component
-    of the skeleton minus {u, v} forms one component together with its
-    edges into u and v.
+    Returns, by vertex, the preorder number, lowpt1 and lowpt2 (the lowest
+    and second lowest number among the vertex and the heads of fronds that
+    leave its subtree, as numbers) and ND (the size of its subtree); and,
+    by edge id (edge i is g.edges[i - 1]), its tail, its head and whether
+    it is a tree arc.
     """
-    comps = []
-    rest = []
-    for p in pairs:
-        if ends[p] == (u, v):
-            comps.append(({u, v}, [p]))
+    n, m = g.n, g.m
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for e, (a, b) in enumerate(g.edges, 1):
+        incident[a].append((b, e))
+        incident[b].append((a, e))
+    number = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    low1 = [0] * (n + 1)
+    low2 = [0] * (n + 1)
+    nd = [1] * (n + 1)
+    tail = [0] * (m + 1)
+    head = [0] * (m + 1)
+    tree = [False] * (m + 1)
+    number[1] = low1[1] = low2[1] = count = 1
+    stack = [(1, iter(incident[1]))]
+    while stack:
+        v, arcs = stack[-1]
+        for w, e in arcs:
+            if tail[e]:
+                continue  # the tree arc from the parent
+            tail[e], head[e] = v, w
+            if not number[w]:
+                count += 1
+                number[w] = low1[w] = low2[w] = count
+                parent[w] = v
+                tree[e] = True
+                stack.append((w, iter(incident[w])))
+                break
+            x = number[w]  # a frond: w is an ancestor of v
+            if x < low1[v]:
+                low2[v], low1[v] = low1[v], x
+            elif low1[v] < x < low2[v]:
+                low2[v] = x
         else:
-            rest.append(p)
-    others = [x for x in vertices if x not in (u, v)]
-    if others:
-        idx = {x: i for i, x in enumerate(others)}
-        parent = list(range(len(others)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for p in rest:
-            a, b = ends[p]
-            if a in idx and b in idx:
-                ra, rb = find(idx[a]), find(idx[b])
-                if ra != rb:
-                    parent[ra] = rb
-        groups: dict[int, tuple[set[int], list[int]]] = {}
-        for x in others:
-            groups.setdefault(find(idx[x]), (set(), []))[0].add(x)
-        for p in rest:
-            a, b = ends[p]
-            groups[find(idx[a if a in idx else b])][1].append(p)
-        for vs, ps in groups.values():
-            comps.append((vs | {u, v}, ps))
-    return comps
+            stack.pop()
+            u = parent[v]
+            if not u:
+                continue
+            # u separates v's subtree from the rest unless a frond leaves
+            # it above u; the root does as soon as it has a second child
+            # (nd[1] holds the earlier children's subtrees).
+            if low1[v] >= number[u] and (u != 1 or nd[1] > 1):
+                raise NotBiconnected("SPQR-trees require a biconnected graph")
+            if low1[v] < low1[u]:
+                low2[u] = min(low1[u], low2[v])
+                low1[u] = low1[v]
+            elif low1[v] == low1[u]:
+                low2[u] = min(low2[u], low2[v])
+            else:
+                low2[u] = min(low2[u], low1[v])
+            nd[u] += nd[v]
+    if count < n:
+        raise NotBiconnected("SPQR-trees require a biconnected graph")
+    return number, low1, low2, nd, tail, head, tree
 
 
-def _find_split(vertices: set[int], pairs: list[int], ends: dict[int, Edge]):
-    """First split pair {u, v} in ascending order, with the components
-    that split off there: (u, v, [(vertices, pairs), ...]), or None.
+def _path_search(g: Graph, palm) -> tuple[list[tuple[str, list[int]]], list[Edge]]:
+    """The split components of a biconnected graph g, by Hopcroft and
+    Tarjan's path search with Gutwenger and Mutzel's corrections.
 
-    Every skeleton edge is virtual: its real edge sits in a Q-node from
-    the start.  A pair with three or more split components splits off
-    every component that is not a single edge, which leaves a bond; with
-    two, both must be more than an edge, and the one holding the smaller
-    pair id splits off.  A pair {u, v} has two or more split components
-    only if v is a cut-vertex of the skeleton minus u or an edge joins u
-    and v.  If only one edge joins them and v is no cut-vertex, one of the
-    two components is that edge alone, so no split is made.  So for each u
-    the pairs tried are those whose v is a cut-vertex of the skeleton
-    minus u (every v if that is disconnected) or is joined to u by two or
-    more edges.  One lowpoint DFS per u makes the search O(n*m), plus O(m)
-    per pair tried.
+    The palm tree's arcs are ordered by phi (bucket sort), a second search
+    renumbers the vertices so that the first child's subtree holds the
+    highest numbers, and the path search, guided by the triples of TSTACK,
+    pops the edges of each split component off ESTACK and leaves one new
+    virtual edge in their place.  Edge ids are twin-pair ids: edge i
+    (1..m) is g.edges[i - 1], and each virtual edge takes the next id.
+
+    Returns each split component's kind ("P" for a bond of three edges,
+    "S" for a triangle, "R" for a triconnected graph) and edge ids, and
+    each edge id's ends.  Ends that are equal share one tuple, the
+    graph's own edge where they are adjacent, so a large tree holds few.
     """
-    weight: dict[Edge, int] = {}
-    for p in pairs:
-        weight[ends[p]] = weight.get(ends[p], 0) + 1
-    adj: dict[int, list[int]] = {x: [] for x in vertices}
-    for a, b in weight:
-        adj[a].append(b)
-        adj[b].append(a)
-    order = sorted(vertices)
-    for u in order[:-1]:
-        rest = {x: [w for w in ws if w != u] for x, ws in adj.items() if x != u}
-        reached, cut, _ = lowpoint_dfs(rest, order[-1])
-        tried = {v for v in (cut if len(reached) == len(rest) else rest) if v > u}
-        tried.update(w for w in adj[u] if w > u and weight[edge_id(u, w)] >= 2)
-        for v in sorted(tried):
-            comps = _split_components(vertices, pairs, ends, u, v)
-            split = sorted((c for c in comps if len(c[1]) > 1), key=lambda c: min(c[1]))
-            if len(comps) > 2 and split:
-                return u, v, split
-            if len(comps) == 2 and len(split) == 2:
-                return u, v, split[:1]
-    return None
+    n, m = g.n, g.m
+    number, low1, low2, nd, tail, head, tree = palm
 
+    # An acceptable adjacency structure: the arcs leaving each vertex in
+    # ascending phi, by bucket sort.
+    buckets: list[list[int]] = [[] for _ in range(3 * n + 3)]
+    for e in range(1, m + 1):
+        w = head[e]
+        if not tree[e]:
+            buckets[3 * number[w] + 1].append(e)
+        else:
+            buckets[3 * low1[w] + (0 if low2[w] < number[tail[e]] else 2)].append(e)
+    out: list[list[int]] = [[] for _ in range(n + 1)]
+    for bucket in buckets:
+        for e in bucket:
+            out[tail[e]].append(e)
 
-def _classify(vertices: set[int], pairs: list[int], ends: dict[int, Edge]) -> str:
-    """Kind of a skeleton that is not a Q-node."""
-    if len(vertices) == 2:
-        return "P"
-    degree = dict.fromkeys(vertices, 0)
-    for p in pairs:
-        a, b = ends[p]
-        degree[a] += 1
-        degree[b] += 1
-    return "S" if all(d == 2 for d in degree.values()) else "R"
+    # Renumber: a vertex's number is the highest still free minus its
+    # subtree's size, so later children take lower numbers.  Mark the
+    # first arc of every path, and collect the fronds into each vertex in
+    # the order they are met: the first one's tail is the vertex's highpt.
+    newnum = [0] * (n + 1)
+    first = [False] * (m + 1)
+    fronds_in: list[list[int]] = [[] for _ in range(n + 1)]
+    free, new_path = n, True
+    newnum[1] = 1
+    stack = [iter(out[1])]
+    while stack:
+        for e in stack[-1]:
+            if new_path:
+                first[e], new_path = True, False
+            w = head[e]
+            if tree[e]:
+                newnum[w] = free - nd[w] + 1
+                stack.append(iter(out[w]))
+                break
+            fronds_in[w].append(e)
+            new_path = True
+        else:
+            stack.pop()
+            free -= 1
+
+    # From here on a vertex is its new number.  The arcs leaving vertex x
+    # fill slots start[x]..start[x + 1] - 1 of one flat list; a split may
+    # put a virtual edge in a slot or mark the slot dead.
+    at = [0] * (n + 1)
+    renum = [0] * (n + 1)  # preorder number -> new number
+    for v in range(1, n + 1):
+        at[newnum[v]] = v
+        renum[number[v]] = newnum[v]
+    src = [0] + [newnum[tail[e]] for e in range(1, m + 1)]
+    dst = [0] + [newnum[head[e]] for e in range(1, m + 1)]
+    is_tree = tree[:]
+    lowpt1, lowpt2, size, father, degree = ([0] * (n + 1) for _ in range(5))
+    tree_arc = [0] * (n + 1)
+    for v in range(1, n + 1):
+        x = newnum[v]
+        lowpt1[x], lowpt2[x], size[x] = renum[low1[v]], renum[low2[v]], nd[v]
+        degree[x] = len(g.adj[v])
+    for e in range(1, m + 1):
+        if tree[e]:
+            father[dst[e]], tree_arc[dst[e]] = src[e], e
+    start = [0] * (n + 2)
+    slots: list[int] = []
+    for x in range(1, n + 1):
+        start[x] = len(slots)
+        slots += out[at[x]]
+    start[n + 1] = len(slots)
+    path_start = [first[e] for e in slots]
+    slot_of = [0] * (m + 1)
+    for s, e in enumerate(slots):
+        slot_of[e] = s
+    dead = [False] * len(slots)
+    head_slot = start[:]  # lower bound of each vertex's first live slot
+
+    # highpt lists, front last: entry i has value hval[i] while hlive[i].
+    hval: list[int] = []
+    hlive: list[bool] = []
+    in_high = [-1] * (m + 1)
+    highpt: list[list[int]] = [[] for _ in range(n + 1)]
+    for w in range(1, n + 1):
+        for e in reversed(fronds_in[w]):
+            in_high[e] = len(hval)
+            highpt[newnum[w]].append(len(hval))
+            hval.append(src[e])
+            hlive.append(True)
+
+    def high(x: int) -> int:
+        entries = highpt[x]
+        while entries and not hlive[entries[-1]]:
+            entries.pop()
+        return hval[entries[-1]] if entries else 0
+
+    def del_high(e: int) -> None:
+        if in_high[e] >= 0:
+            hlive[in_high[e]] = False
+            in_high[e] = -1
+
+    def new_edge(a: int, b: int) -> int:
+        src.append(a)
+        dst.append(b)
+        is_tree.append(False)
+        in_high.append(-1)
+        slot_of.append(-1)
+        return len(src) - 1
+
+    def first_head(x: int) -> int:
+        s = head_slot[x]
+        while dead[s]:
+            s += 1
+        head_slot[x] = s
+        return dst[slots[s]]
+
+    comps: list[tuple[str, list[int]]] = []
+    estack: list[int] = []
+    EOS = (0, -1, 0)
+    tstack = [EOS]  # triples (h, a, b), a run per path
+
+    def start_path(a: int, h: int, b: int) -> None:
+        """Push the triple (h, a, b) of a path whose lowest end is a; the
+        triples with a higher a merge into it, and their highest h and
+        the last b replace h and b."""
+        if tstack[-1][1] > a:
+            h = 0
+            while tstack[-1][1] > a:
+                top, _, b = tstack.pop()
+                h = max(h, top)
+        tstack.append((h, a, b))
+
+    pos = start[:]
+    child = [0] * (n + 1)  # the child whose search is under way
+    outv = [0] * (n + 1)  # arcs of v not yet searched, this one included
+    outv[1] = start[2] - start[1]
+    path = [1]
+    while path:
+        v = path[-1]
+        it = pos[v]
+        w = child[v]
+        if w:
+            child[v] = 0
+            estack.append(tree_arc[w])
+            # Type-2 pairs {v, b}: TSTACK's triples (h, v, b), and v's
+            # child of degree 2.  Each split leaves a virtual tree arc
+            # v -> x in the slot of the arc v -> w.
+            while v != 1 and (tstack[-1][1] == v or (degree[w] == 2 and first_head(w) > w)):
+                h, a, b = tstack[-1]
+                if a == v and father[b] == a:
+                    tstack.pop()
+                    continue
+                e_ab = 0  # an edge a-b, which joins the new edge in a bond
+                if degree[w] == 2 and first_head(w) > w:
+                    # The path v -> w -> x makes a triangle with v-x.
+                    e1 = estack.pop()
+                    e2 = estack.pop()
+                    dead[slot_of[e2]] = True
+                    x = dst[e2]
+                    ev = new_edge(v, x)
+                    degree[x] -= 1
+                    degree[v] -= 1
+                    comps.append(("S", [e1, e2, ev]))
+                    if estack and src[estack[-1]] == x and dst[estack[-1]] == v:
+                        e_ab = estack.pop()
+                        dead[slot_of[e_ab]] = True
+                        del_high(e_ab)
+                else:
+                    # Every edge with both ends in a..h splits off.
+                    tstack.pop()
+                    comp = []
+                    while True:
+                        xy = estack[-1]
+                        x, y = src[xy], dst[xy]
+                        if not (a <= x <= h and a <= y <= h):
+                            break
+                        estack.pop()
+                        if (x == a and y == b) or (x == b and y == a):
+                            e_ab = xy
+                            dead[slot_of[xy]] = True
+                            del_high(xy)
+                        else:
+                            if slot_of[xy] != it:
+                                dead[slot_of[xy]] = True
+                                del_high(xy)
+                            comp.append(xy)
+                            degree[x] -= 1
+                            degree[y] -= 1
+                    ev = new_edge(v, b)
+                    comp.append(ev)
+                    comps.append(("R" if len(comp) > 3 else "S", comp))
+                    x = b
+                if e_ab:
+                    e2 = new_edge(v, x)
+                    comps.append(("P", [e_ab, ev, e2]))
+                    ev = e2
+                    degree[x] -= 1
+                    degree[v] -= 1
+                estack.append(ev)
+                slots[it], slot_of[ev], is_tree[ev] = ev, it, True
+                degree[x] += 1
+                degree[v] += 1
+                father[x], tree_arc[x] = v, ev
+                w = x
+            # A type-1 pair {lowpt1(w), v}: every edge with an end in w's
+            # subtree splits off, and a virtual frond v -> lowpt1(w) takes
+            # the place of the arc v -> w.
+            lo = lowpt1[w]
+            if lowpt2[w] >= v and lo < v and (father[v] != 1 or outv[v] >= 2):
+                comp = []
+                x = y = 0
+                while estack:
+                    xy = estack[-1]
+                    x, y = src[xy], dst[xy]
+                    if not (w <= x < w + size[w] or w <= y < w + size[w]):
+                        break
+                    comp.append(estack.pop())
+                    del_high(xy)
+                    degree[x] -= 1
+                    degree[y] -= 1
+                ev = new_edge(v, lo)
+                comp.append(ev)
+                comps.append(("R" if len(comp) > 3 else "S", comp))
+                if (x == v and y == lo) or (x == lo and y == v):
+                    eh = estack.pop()
+                    if slot_of[eh] != it:
+                        dead[slot_of[eh]] = True
+                    e2 = new_edge(v, lo)
+                    comps.append(("P", [eh, ev, e2]))
+                    in_high[e2] = in_high[eh]
+                    ev = e2
+                    degree[v] -= 1
+                    degree[lo] -= 1
+                if lo != father[v]:
+                    estack.append(ev)
+                    slots[it], slot_of[ev] = ev, it
+                    if in_high[ev] < 0 and high(lo) < v:
+                        in_high[ev] = len(hval)
+                        highpt[lo].append(len(hval))
+                        hval.append(v)
+                        hlive.append(True)
+                    degree[v] += 1
+                    degree[lo] += 1
+                else:
+                    # A bond with the tree arc into v, which the new edge
+                    # replaces.
+                    dead[it] = True
+                    e2 = new_edge(lo, v)
+                    eh = tree_arc[v]
+                    comps.append(("P", [ev, e2, eh]))
+                    tree_arc[v], is_tree[e2] = e2, True
+                    slot_of[e2] = slot_of[eh]
+                    slots[slot_of[eh]] = e2
+            # Drop the triples of the path this arc began, and those whose
+            # pair a frond from v passes over.
+            if path_start[it]:
+                while tstack[-1] is not EOS:
+                    tstack.pop()
+                tstack.pop()
+            while (tstack[-1] is not EOS and tstack[-1][1] != v and tstack[-1][2] != v
+                   and high(v) > tstack[-1][0]):
+                tstack.pop()
+            outv[v] -= 1
+            it += 1
+        end = start[v + 1]
+        while it < end:
+            e = slots[it]
+            w = dst[e]
+            if is_tree[e]:
+                if path_start[it]:
+                    start_path(lowpt1[w], w + size[w] - 1, v)
+                    tstack.append(EOS)
+                pos[v], child[v] = it, w
+                outv[w] = start[w + 1] - start[w]
+                path.append(w)
+                break
+            if path_start[it]:
+                start_path(w, v, v)
+            estack.append(e)
+            it += 1
+        else:
+            path.pop()
+    comps.append(("R" if len(estack) > 4 else "S", estack))
+    shared = {e: e for e in g.edges}
+    ends = [(0, 0), *g.edges] + [  # no pair has id 0
+        shared.setdefault(e, e) for e in
+        (edge_id(at[src[p]], at[dst[p]]) for p in range(m + 1, len(src)))]
+    return comps, ends
 
 
 def build_spqr(g: Graph) -> SpqrTree:
@@ -321,86 +592,66 @@ def build_spqr(g: Graph) -> SpqrTree:
     when its blocks are, so this is where the ranker tests planarity.  That
     one test's witness gives every S- and R-skeleton its first rotation.
 
-    A skeleton under construction is (vertices, twin-pair ids).  Pair i
-    (1..m) is real edge i: raw node i is its Q-node, and raw node 0, the
-    skeleton the splitting starts from, holds the other twin of every
-    pair.  Each split makes one new pair per component it takes.
+    Set-up is linear in the size of the graph.  One path search gives
+    the split components, and each is a raw node: its kind and its
+    twin-pair ids.  Raw node i (0..m-1) is the Q-node of pair i + 1, real
+    edge i + 1, and every other pair joins two split components.  Merging
+    bonds with bonds and polygons with polygons gives the triconnected
+    components, which are the tree's P-, S- and R-nodes.
     """
     if g.m == 1:
         return SpqrTree(g, [SpqrNode(0, "Q", min_edge=g.edges[0], poles=g.edges[0])], 0,
                         nx.PlanarEmbedding())
 
-    reached, cut, _ = lowpoint_dfs(g.adj, 1)
-    if len(reached) < g.n or cut:
-        raise NotBiconnected("SPQR-trees require a biconnected graph")
+    palm = _palm_tree(g)
     planar, witness = nx.check_planarity(nx.Graph(g.edges))
     if not planar:
         raise NotPlanar("graph admits no planar embedding")
+    comps, ends = _path_search(g, palm)
 
-    # Twin pair id -> its ends, which become the child's poles, and the two
-    # raw nodes whose skeletons hold its twins.  Pairs with the same ends
-    # share one tuple, the graph's own edge where the ends are adjacent, so
-    # a large tree holds few of them.
-    ends: dict[int, Edge] = dict(enumerate(g.edges, 1))
-    twin: dict[int, list[int]] = {p: [0, p] for p in ends}
-    shared = {e: e for e in g.edges}
-    raw: list[tuple[set[int], list[int]]] = [(set(g.vertices), list(ends))]
-    raw += [(set(e), [p]) for p, e in ends.items()]
+    kinds = ["Q"] * g.m + [kind for kind, _ in comps]
+    raw = [[p] for p in range(1, g.m + 1)] + [pairs for _, pairs in comps]
+    # Twin pair id -> the two raw nodes that hold it.
+    twin: list[list[int]] = [[p - 1] if p <= g.m else [] for p in range(len(ends))]
+    for i in range(g.m, len(raw)):
+        for p in raw[i]:
+            twin[p].append(i)
 
-    work = [0]
-    while work:
-        idx = work.pop()
-        vertices, pairs = raw[idx]
-        # A cycle is an S-node already; splitting it further would only
-        # cut it into triangles for the S-S merge to glue back, at one
-        # split-pair search per triangle.
-        while _classify(vertices, pairs, ends) != "S":
-            found = _find_split(vertices, pairs, ends)
-            if found is None:
-                break
-            u, v, comps = found
-            taken: set[int] = set()
-            for comp_vertices, comp_pairs in comps:
-                pair, cidx = len(ends) + 1, len(raw)
-                ends[pair] = shared.setdefault((u, v), (u, v))
-                twin[pair] = [idx, cidx]
-                for p in comp_pairs:
-                    members = twin[p]
-                    members[members.index(idx)] = cidx
-                raw.append((comp_vertices, comp_pairs + [pair]))
-                work.append(cidx)
-                taken.update(comp_pairs)
-                pairs.append(pair)
-            pairs = [p for p in pairs if p not in taken]
-            vertices = {x for p in pairs for x in ends[p]}
-            raw[idx] = vertices, pairs
+    # Merge split components of one kind that share a virtual pair: a
+    # bond glued to a bond is a bond, a polygon glued to a polygon a
+    # polygon.  Each merged class keeps the pairs of its members that
+    # lead out of it, on the node its union-find root names.
+    owner = list(range(len(raw)))
 
-    kinds = ["Q" if 0 < i <= g.m else _classify(vs, ps, ends) for i, (vs, ps) in enumerate(raw)]
+    def find(i: int) -> int:
+        while owner[i] != i:
+            owner[i] = owner[owner[i]]
+            i = owner[i]
+        return i
 
-    # Merge adjacent S-nodes into canonical form.  Two cycles glued along
-    # a twin pair make a cycle, so a merge changes no node's kind and one
-    # pass over the pairs finds them all.  Only the pair lists are read
-    # from here on.
-    for pair, (a, b) in list(twin.items()):
-        if not kinds[a] == kinds[b] == "S":
-            continue
-        pairs = raw[a][1]
-        pairs.remove(pair)
-        for p in raw[b][1]:
-            if p != pair:
-                pairs.append(p)
-                members = twin[p]
-                members[members.index(b)] = a
+    inner = [False] * len(ends)
+    for p in range(g.m + 1, len(ends)):
+        a, b = twin[p]
+        if kinds[a] == kinds[b] != "R":
+            owner[find(b)] = find(a)
+            inner[p] = True
+    merged: dict[int, list[int]] = {}
+    for i in range(g.m, len(raw)):
+        merged.setdefault(find(i), []).extend(p for p in raw[i] if not inner[p])
+    for i, pairs in merged.items():
+        raw[i] = pairs
+    for p in range(1, len(ends)):
+        twin[p] = [find(i) for i in twin[p]]
 
-    # Freeze breadth-first from the root, raw node 1, the Q-node of the
+    # Freeze breadth-first from the root, raw node 0, the Q-node of the
     # minimum edge, which takes its real edge as poles; every other node
     # takes the ends of the twin pair toward its parent.  Frozen node i is
     # raw node order[i].
     nodes = [SpqrNode(0, "Q", poles=ends[1])]
-    order = [1]
+    order = [0]
     for i, cur in enumerate(order):
         up = order[nodes[i].parent] if i else None
-        for p in raw[cur][1]:
+        for p in raw[cur]:
             a, b = twin[p]
             nxt = b if a == cur else a
             if nxt == up:

@@ -86,24 +86,26 @@ def atlas_planar() -> tuple[Graph, ...]:
     return tuple(out)
 
 
-def triangulated_grid(k: int, diagonal: str) -> Graph:
-    """k x k grid, every cell cut by a "down" (i,j)-(i+1,j+1) or "up"
-    (i,j+1)-(i+1,j) diagonal.  For k >= 3 its SPQR-tree has one R-node,
-    plus an S- and a P-node at each of the two corners of degree 2."""
+def triangulated_grid(k: int, diagonal: str, rows: int | None = None) -> Graph:
+    """Grid of rows x k vertices (k x k by default), every cell cut by a
+    "down" (i,j)-(i+1,j+1) or "up" (i,j+1)-(i+1,j) diagonal.  For k, rows
+    >= 3 its SPQR-tree has one R-node, plus an S- and a P-node at each of
+    the two corners of degree 2."""
+    rows = k if rows is None else rows
     vid = lambda i, j: i * k + j + 1
     edges = []
-    for i in range(k):
+    for i in range(rows):
         for j in range(k):
             if j + 1 < k:
                 edges.append((vid(i, j), vid(i, j + 1)))
-            if i + 1 < k:
+            if i + 1 < rows:
                 edges.append((vid(i, j), vid(i + 1, j)))
-            if i + 1 < k and j + 1 < k:
+            if i + 1 < rows and j + 1 < k:
                 if diagonal == "down":
                     edges.append((vid(i, j), vid(i + 1, j + 1)))
                 else:
                     edges.append((vid(i, j + 1), vid(i + 1, j)))
-    return Graph(k * k, edges)
+    return Graph(rows * k, edges)
 
 
 def series_parallel(n: int, seed: int) -> Graph:

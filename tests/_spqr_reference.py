@@ -1,11 +1,21 @@
-"""Reference copy of the SPQR-tree builder on per-edge records.
+"""Reference copies of two earlier SPQR-tree builders.
 
-Before skeletons were built on twin-pair ids, every skeleton edge was a
+build_spqr is the builder on per-edge records: every skeleton edge was a
 SkelEdge with a uid, every skeleton a _RawNode, and each split took one
 split component at a time: the first valid one in ascending pair order,
-components sorted by their minimum uid.  The tree is unique, so the
-builder in planarrank.spqr must give the same tree node for node, with
-indices aside.  Tests compare the two by node identifier.
+components sorted by their minimum uid.
+
+pair_build_spqr is the builder on twin-pair ids that followed it: a
+skeleton under construction is its vertex set and a list of pair ids, and
+a split pair is split once, every component that splits off there at
+once.  Its split search, pair_find_split, runs one lowpoint DFS per
+vertex of the skeleton, so each search is O(n*m); reference_find_split
+is the all-pairs search before it, which pair_build_spqr takes in its
+place.
+
+The tree is unique, so the builder in planarrank.spqr, one path search
+in linear time, must give the same tree as each of them node for node,
+with indices aside.  Tests compare them by node identifier.
 """
 
 from __future__ import annotations
@@ -297,3 +307,225 @@ def build_spqr(g: Graph) -> SpqrTree:
     for nd in nodes:
         nd.children.sort(key=lambda c: nodes[c].min_edge)
     return SpqrTree(g, nodes, root, witness)
+
+
+# ---------------------------------------------------------------------------
+# The builder on twin-pair ids
+# ---------------------------------------------------------------------------
+
+
+def pair_split_components(vertices: set[int], pairs: list[int], ends: dict[int, Edge],
+                      u: int, v: int) -> list[tuple[set[int], list[int]]]:
+    """Components of a skeleton with respect to the pair {u, v}, u < v.
+
+    Each direct u-v edge is its own component; every connected component
+    of the skeleton minus {u, v} forms one component together with its
+    edges into u and v.
+    """
+    comps = []
+    rest = []
+    for p in pairs:
+        if ends[p] == (u, v):
+            comps.append(({u, v}, [p]))
+        else:
+            rest.append(p)
+    others = [x for x in vertices if x not in (u, v)]
+    if others:
+        idx = {x: i for i, x in enumerate(others)}
+        parent = list(range(len(others)))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for p in rest:
+            a, b = ends[p]
+            if a in idx and b in idx:
+                ra, rb = find(idx[a]), find(idx[b])
+                if ra != rb:
+                    parent[ra] = rb
+        groups: dict[int, tuple[set[int], list[int]]] = {}
+        for x in others:
+            groups.setdefault(find(idx[x]), (set(), []))[0].add(x)
+        for p in rest:
+            a, b = ends[p]
+            groups[find(idx[a if a in idx else b])][1].append(p)
+        for vs, ps in groups.values():
+            comps.append((vs | {u, v}, ps))
+    return comps
+
+
+def pair_find_split(vertices: set[int], pairs: list[int], ends: dict[int, Edge]):
+    """First split pair {u, v} in ascending order, with the components
+    that split off there: (u, v, [(vertices, pairs), ...]), or None.
+
+    Every skeleton edge is virtual: its real edge sits in a Q-node from
+    the start.  A pair with three or more split components splits off
+    every component that is not a single edge, which leaves a bond; with
+    two, both must be more than an edge, and the one holding the smaller
+    pair id splits off.  A pair {u, v} has two or more split components
+    only if v is a cut-vertex of the skeleton minus u or an edge joins u
+    and v.  If only one edge joins them and v is no cut-vertex, one of the
+    two components is that edge alone, so no split is made.  So for each u
+    the pairs tried are those whose v is a cut-vertex of the skeleton
+    minus u (every v if that is disconnected) or is joined to u by two or
+    more edges.  One lowpoint DFS per u makes the search O(n*m), plus O(m)
+    per pair tried.
+    """
+    weight: dict[Edge, int] = {}
+    for p in pairs:
+        weight[ends[p]] = weight.get(ends[p], 0) + 1
+    adj: dict[int, list[int]] = {x: [] for x in vertices}
+    for a, b in weight:
+        adj[a].append(b)
+        adj[b].append(a)
+    order = sorted(vertices)
+    for u in order[:-1]:
+        rest = {x: [w for w in ws if w != u] for x, ws in adj.items() if x != u}
+        reached, cut, _ = lowpoint_dfs(rest, order[-1])
+        tried = {v for v in (cut if len(reached) == len(rest) else rest) if v > u}
+        tried.update(w for w in adj[u] if w > u and weight[edge_id(u, w)] >= 2)
+        for v in sorted(tried):
+            comps = pair_split_components(vertices, pairs, ends, u, v)
+            split = sorted((c for c in comps if len(c[1]) > 1), key=lambda c: min(c[1]))
+            if len(comps) > 2 and split:
+                return u, v, split
+            if len(comps) == 2 and len(split) == 2:
+                return u, v, split[:1]
+    return None
+
+
+def reference_find_split(vertices, pairs, ends):
+    """The search pair_find_split replaced: every vertex pair in ascending
+    order, with the split components recomputed for each pair.  At three
+    or more components every one that is more than a single edge splits
+    off; at two, both must be, and the one with the smaller pair id does."""
+    for u, v in sorted((a, b) for a in vertices for b in vertices if a < b):
+        comps = pair_split_components(vertices, pairs, ends, u, v)
+        comps.sort(key=lambda c: min(c[1]))
+        big = [c for c in comps if len(c[1]) >= 2]
+        if len(comps) >= 3 and big:
+            return u, v, big
+        if len(comps) == 2 and len(big) == 2:
+            return u, v, big[:1]
+    return None
+
+
+def pair_classify(vertices: set[int], pairs: list[int], ends: dict[int, Edge]) -> str:
+    """Kind of a skeleton that is not a Q-node."""
+    if len(vertices) == 2:
+        return "P"
+    degree = dict.fromkeys(vertices, 0)
+    for p in pairs:
+        a, b = ends[p]
+        degree[a] += 1
+        degree[b] += 1
+    return "S" if all(d == 2 for d in degree.values()) else "R"
+
+
+def pair_build_spqr(g: Graph, find_split=pair_find_split) -> SpqrTree:
+    """Decompose a biconnected planar graph into its SPQR-tree.
+
+    Raises NotBiconnected or NotPlanar for any other graph.  The ranker
+    calls it once per distinct block graph, and a graph is planar exactly
+    when its blocks are, so this is where the ranker tests planarity.  That
+    one test's witness gives every S- and R-skeleton its first rotation.
+
+    A skeleton under construction is (vertices, twin-pair ids).  Pair i
+    (1..m) is real edge i: raw node i is its Q-node, and raw node 0, the
+    skeleton the splitting starts from, holds the other twin of every
+    pair.  Each split makes one new pair per component it takes.
+    """
+    if g.m == 1:
+        return SpqrTree(g, [SpqrNode(0, "Q", min_edge=g.edges[0], poles=g.edges[0])], 0,
+                        nx.PlanarEmbedding())
+
+    reached, cut, _ = lowpoint_dfs(g.adj, 1)
+    if len(reached) < g.n or cut:
+        raise NotBiconnected("SPQR-trees require a biconnected graph")
+    planar, witness = nx.check_planarity(nx.Graph(g.edges))
+    if not planar:
+        raise NotPlanar("graph admits no planar embedding")
+
+    # Twin pair id -> its ends, which become the child's poles, and the two
+    # raw nodes whose skeletons hold its twins.  Pairs with the same ends
+    # share one tuple, the graph's own edge where the ends are adjacent, so
+    # a large tree holds few of them.
+    ends: dict[int, Edge] = dict(enumerate(g.edges, 1))
+    twin: dict[int, list[int]] = {p: [0, p] for p in ends}
+    shared = {e: e for e in g.edges}
+    raw: list[tuple[set[int], list[int]]] = [(set(g.vertices), list(ends))]
+    raw += [(set(e), [p]) for p, e in ends.items()]
+
+    work = [0]
+    while work:
+        idx = work.pop()
+        vertices, pairs = raw[idx]
+        # A cycle is an S-node already; splitting it further would only
+        # cut it into triangles for the S-S merge to glue back, at one
+        # split-pair search per triangle.
+        while pair_classify(vertices, pairs, ends) != "S":
+            found = find_split(vertices, pairs, ends)
+            if found is None:
+                break
+            u, v, comps = found
+            taken: set[int] = set()
+            for comp_vertices, comp_pairs in comps:
+                pair, cidx = len(ends) + 1, len(raw)
+                ends[pair] = shared.setdefault((u, v), (u, v))
+                twin[pair] = [idx, cidx]
+                for p in comp_pairs:
+                    members = twin[p]
+                    members[members.index(idx)] = cidx
+                raw.append((comp_vertices, comp_pairs + [pair]))
+                work.append(cidx)
+                taken.update(comp_pairs)
+                pairs.append(pair)
+            pairs = [p for p in pairs if p not in taken]
+            vertices = {x for p in pairs for x in ends[p]}
+            raw[idx] = vertices, pairs
+
+    kinds = ["Q" if 0 < i <= g.m else pair_classify(vs, ps, ends) for i, (vs, ps) in enumerate(raw)]
+
+    # Merge adjacent S-nodes into canonical form.  Two cycles glued along
+    # a twin pair make a cycle, so a merge changes no node's kind and one
+    # pass over the pairs finds them all.  Only the pair lists are read
+    # from here on.
+    for pair, (a, b) in list(twin.items()):
+        if not kinds[a] == kinds[b] == "S":
+            continue
+        pairs = raw[a][1]
+        pairs.remove(pair)
+        for p in raw[b][1]:
+            if p != pair:
+                pairs.append(p)
+                members = twin[p]
+                members[members.index(b)] = a
+
+    # Freeze breadth-first from the root, raw node 1, the Q-node of the
+    # minimum edge, which takes its real edge as poles; every other node
+    # takes the ends of the twin pair toward its parent.  Frozen node i is
+    # raw node order[i].
+    nodes = [SpqrNode(0, "Q", poles=ends[1])]
+    order = [1]
+    for i, cur in enumerate(order):
+        up = order[nodes[i].parent] if i else None
+        for p in raw[cur][1]:
+            a, b = twin[p]
+            nxt = b if a == cur else a
+            if nxt == up:
+                continue
+            nodes[i].children.append(len(nodes))
+            nodes.append(SpqrNode(len(nodes), kinds[nxt], parent=i,
+                                  depth=nodes[i].depth + 1, poles=ends[p]))
+            order.append(nxt)
+
+    # e(mu): minimum real edge in the subtree, computed leaves-first, and
+    # the deterministic child order SpqrTree's preorder follows.  A
+    # Q-node's real edge is its poles.
+    for nd in reversed(nodes):
+        nd.children.sort(key=lambda c: nodes[c].min_edge)
+        nd.min_edge = nd.poles if nd.kind == "Q" else nodes[nd.children[0]].min_edge
+    return SpqrTree(g, nodes, 0, witness)

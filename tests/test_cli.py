@@ -62,6 +62,24 @@ class TestCli:
         p.write_text('{"vertices": [1, 2], "edges": [[2, 1]]}')
         assert main(["count", "-g", str(p)]) == 1
 
+    @pytest.mark.parametrize("argv,err", [
+        (["count"], "usage: planarrank count [-h] -g GRAPH\n"
+                    "planarrank count: error: the following arguments are required:"
+                    " -g/--graph\n"),
+        (["enumerate", "-g", "G", "--limit", "x"],
+         "usage: planarrank enumerate [-h] -g GRAPH [--from START] [--limit LIMIT]\n"
+         "planarrank enumerate: error: argument --limit: invalid int value: 'x'\n"),
+    ], ids=["missing-graph", "limit-not-int"])
+    def test_usage_error_exit_1(self, triangle_file, argv, err, capsys):
+        # Exit code 2 is a non-planar graph's; a usage error is malformed
+        # input, and argparse's usage text stays as it is.
+        with pytest.raises(SystemExit) as exc:
+            main([triangle_file if a == "G" else a for a in argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
     def test_sample_deterministic(self, triangle_file, capsys):
         main(["sample", "-g", triangle_file, "--seed", "7", "-k", "4"])
         first = capsys.readouterr().out

@@ -9,23 +9,17 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from _graphgen import (atlas_planar, necklace, p_fan, random_planar, series_parallel,
+from _graphgen import (atlas_planar, fan, necklace, p_fan, random_planar, series_parallel,
                        triangulated_grid, wheel)
 from _linecount import doubling_ratios, executed_lines
 from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from _spqr_reference import build_spqr as reference_build_spqr
+from _spqr_reference import pair_build_spqr, pair_find_split, reference_find_split
 from planarrank import spqr
 from planarrank.biconnected import chi_inverse
 from planarrank.errors import NotBiconnected, NotPlanar
 from planarrank.graph import Graph, block_cut_tree, edge_id
-from planarrank.spqr import (
-    SpqrNode,
-    SpqrTree,
-    _find_split,
-    _split_components,
-    build_spqr,
-    compose_embedding,
-)
+from planarrank.spqr import SpqrNode, SpqrTree, build_spqr, compose_embedding
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 C4 = Graph(4, [(1, 2), (1, 4), (2, 3), (3, 4)])
@@ -339,22 +333,6 @@ class TestCompose:
         assert rots == oracle
 
 
-def reference_find_split(vertices, pairs, ends):
-    """The search _find_split replaced: every vertex pair in ascending
-    order, with the split components recomputed for each pair.  At three
-    or more components every one that is more than a single edge splits
-    off; at two, both must be, and the one with the smaller pair id does."""
-    for u, v in sorted((a, b) for a in vertices for b in vertices if a < b):
-        comps = _split_components(vertices, pairs, ends, u, v)
-        comps.sort(key=lambda c: min(c[1]))
-        big = [c for c in comps if len(c[1]) >= 2]
-        if len(comps) >= 3 and big:
-            return u, v, big
-        if len(comps) == 2 and len(big) == 2:
-            return u, v, big[:1]
-    return None
-
-
 def blocks_of(g):
     """Every block of g as a standalone graph on 1..k."""
     return [Graph(*b.local()[1]) for b in block_cut_tree(g).blocks]
@@ -375,56 +353,55 @@ def tree_by_identifier(tree):
 
 
 class TestSplitSearchAgainstReference:
-    """The split-pair search tries only cut-vertices of the skeleton minus
-    u and joined pairs; the trees must equal the all-pairs search's."""
-
-    @staticmethod
-    def check(blocks, monkeypatch):
-        for g in blocks:
-            new = tree_by_identifier(build_spqr(g))
-            with monkeypatch.context() as m:
-                m.setattr(spqr, "_find_split", reference_find_split)
-                old = tree_by_identifier(build_spqr(g))
-            assert new == old, g.edges
-
-    def test_first_split_of_atlas_skeletons(self):
-        # Skeletons of virtual edges only, as the builder searches, but
-        # also on graphs that are not biconnected (the skeleton minus u
-        # may be disconnected).
-        for g in atlas_planar():
-            ends = dict(enumerate(g.edges, 1))
-            skeleton = (set(g.vertices), list(ends), ends)
-            assert _find_split(*skeleton) == reference_find_split(*skeleton), g.edges
-
-    def test_atlas_blocks(self, monkeypatch):
-        blocks = [b for g in atlas_planar() for b in blocks_of(g)]
-        assert len(blocks) == 1684
-        self.check(blocks, monkeypatch)
-
-    @pytest.mark.parametrize("diagonal", ["down", "up"])
-    @pytest.mark.parametrize("k", range(3, 9))
-    def test_triangulated_grids(self, k, diagonal, monkeypatch):
-        self.check([triangulated_grid(k, diagonal)], monkeypatch)
-
-    def test_series_parallel_blocks(self, monkeypatch):
-        self.check([series_parallel(10 + 7 * seed, seed) for seed in range(20)],
-                   monkeypatch)
-
-    def test_random_planar_blocks(self, monkeypatch):
-        self.check([b for seed in range(40) for b in blocks_of(random_planar(40, seed))],
-                   monkeypatch)
-
-
-class TestBuilderAgainstReference:
-    """The builder on twin-pair ids, which splits off every component of a
-    split pair at once, gives the reference builder's tree: per-edge
-    records, one component per split."""
+    """The path search gives the tree of the twin-pair builder with the
+    all-pairs split search, which tries every vertex pair of every
+    skeleton."""
 
     @staticmethod
     def check(blocks):
         for g in blocks:
             assert tree_by_identifier(build_spqr(g)) == tree_by_identifier(
-                reference_build_spqr(g)), g.edges
+                pair_build_spqr(g, reference_find_split)), g.edges
+
+    def test_first_split_of_atlas_skeletons(self):
+        # The twin-pair builder's own search, which tries only cut-vertices
+        # of the skeleton minus u and joined pairs, against the all-pairs
+        # search: on skeletons of virtual edges only, as that builder
+        # searches, but also on graphs that are not biconnected (the
+        # skeleton minus u may be disconnected).
+        for g in atlas_planar():
+            ends = dict(enumerate(g.edges, 1))
+            skeleton = (set(g.vertices), list(ends), ends)
+            assert pair_find_split(*skeleton) == reference_find_split(*skeleton), g.edges
+
+    def test_atlas_blocks(self):
+        blocks = [b for g in atlas_planar() for b in blocks_of(g)]
+        assert len(blocks) == 1684
+        self.check(blocks)
+
+    @pytest.mark.parametrize("diagonal", ["down", "up"])
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_triangulated_grids(self, k, diagonal):
+        self.check([triangulated_grid(k, diagonal)])
+
+    def test_series_parallel_blocks(self):
+        self.check([series_parallel(10 + 7 * seed, seed) for seed in range(20)])
+
+    def test_random_planar_blocks(self):
+        self.check([b for seed in range(40) for b in blocks_of(random_planar(40, seed))])
+
+
+class TestBuilderAgainstReference:
+    """The path search gives the tree of both earlier builders: the one on
+    per-edge records, one component per split, and the one on twin-pair
+    ids with a lowpoint DFS per skeleton vertex."""
+
+    @staticmethod
+    def check(blocks):
+        for g in blocks:
+            new = tree_by_identifier(build_spqr(g))
+            assert new == tree_by_identifier(reference_build_spqr(g)), g.edges
+            assert new == tree_by_identifier(pair_build_spqr(g)), g.edges
 
     def test_atlas_blocks(self):
         self.check({(b.n, b.edges): b for g in atlas_planar() for b in blocks_of(g)}.values())
@@ -443,43 +420,61 @@ class TestBuilderAgainstReference:
         self.check([p_fan(k) for k in range(2, 9)] + [wheel(k) for k in range(3, 12)]
                    + [necklace(k) for k in range(3, 9)])
 
+    # Shapes that need Gutwenger and Mutzel's corrections to Hopcroft and
+    # Tarjan: bonds made in mid-search (the hub and each inner path
+    # vertex of a fan are the poles of a P-node), P inside S inside P,
+    # and long chains of degree-2 vertices.
+    def test_fans(self):
+        self.check([fan(k) for k in range(3, 31)])
 
-def test_p_fan_set_up_is_linear_under_doubling():
-    """The P-fan's k components at its one split pair {1, 2} split off in
-    one step, not one split-pair search each."""
-    package = os.path.dirname(spqr.__file__) + os.sep
-    ratios = doubling_ratios([executed_lines(package, build_spqr, p_fan(k))
-                              for k in (25, 50, 100, 200)])
-    assert max(ratios) <= 2.2, ratios
+    @pytest.mark.parametrize("diagonal", ["down", "up"])
+    def test_large_triangulated_grids(self, diagonal):
+        self.check([triangulated_grid(k, diagonal) for k in range(11, 15)])
 
+    def test_large_series_parallel_blocks(self):
+        self.check([series_parallel(100 + 20 * seed, seed) for seed in range(11)])
 
-@pytest.mark.parametrize("diagonal", ["down", "up"])
-def test_split_search_stays_bounded_on_a_16x16_grid(diagonal, monkeypatch):
-    """Set-up of a 256-vertex triangulated grid tries at most one split
-    pair per tree node; the all-pairs search tried thousands on 8x8."""
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _split_components(*args)
-
-    monkeypatch.setattr(spqr, "_split_components", counted)
-    g = triangulated_grid(16, diagonal)
-    tree = build_spqr(g)
-    assert calls <= len(tree.nodes)
-    assert Counter(nd.kind for nd in tree.nodes) == {"Q": 705, "R": 1, "P": 2, "S": 2}
-    assert [len(skeleton_vertices(tree, nd)) for nd in tree.r_nodes()] == [254]
-    corners = {v for v in g.vertices if g.degree(v) == 2}
-    s_nodes = [nd for nd in tree.nodes if nd.kind == "S"]
-    assert [len(skeleton_vertices(tree, nd)) for nd in s_nodes] == [3, 3]
-    assert {v for nd in s_nodes for v in skeleton_vertices(tree, nd)} & corners == corners
+    def test_blocks_of_large_random_planar_graphs(self):
+        self.check([b for seed in range(20) for b in blocks_of(random_planar(200, seed))])
 
 
 def cycle(n, labels=None):
     """The cycle 1-2-...-n-1, with vertex i renamed labels[i - 1]."""
     name = labels or list(range(1, n + 1))
     return Graph(n, [(name[i], name[(i + 1) % n]) for i in range(n)])
+
+
+@pytest.mark.parametrize("family,sizes", [
+    (fan, [50, 100, 200, 400]),
+    (necklace, [25, 50, 100, 200]),
+    (wheel, [50, 100, 200, 400]),
+    (p_fan, [25, 50, 100, 200]),
+    (lambda rows: triangulated_grid(16, "down", rows), [8, 16, 32, 64]),
+    (lambda rows: triangulated_grid(16, "up", rows), [8, 16, 32, 64]),
+    (cycle, [250, 500, 1000, 2000]),
+], ids=["fan", "necklace", "wheel", "p-fan", "grid-down", "grid-up", "cycle"])
+def test_set_up_is_linear_under_doubling(family, sizes):
+    """The lines build_spqr executes in src/planarrank grow at most 2.2
+    times per doubling of the graph: one path search finds every split
+    component, with no search per skeleton vertex and none per split."""
+    package = os.path.dirname(spqr.__file__) + os.sep
+    ratios = doubling_ratios([executed_lines(package, build_spqr, family(k)) for k in sizes])
+    assert max(ratios) <= 2.2, ratios
+
+
+@pytest.mark.parametrize("diagonal", ["down", "up"])
+def test_split_search_stays_bounded_on_a_16x16_grid(diagonal):
+    """The tree of a 256-vertex triangulated grid, one R-node with the
+    corners split off; test_set_up_is_linear_under_doubling bounds the
+    work of its set-up."""
+    g = triangulated_grid(16, diagonal)
+    tree = build_spqr(g)
+    assert Counter(nd.kind for nd in tree.nodes) == {"Q": 705, "R": 1, "P": 2, "S": 2}
+    assert [len(skeleton_vertices(tree, nd)) for nd in tree.r_nodes()] == [254]
+    corners = {v for v in g.vertices if g.degree(v) == 2}
+    s_nodes = [nd for nd in tree.nodes if nd.kind == "S"]
+    assert [len(skeleton_vertices(tree, nd)) for nd in s_nodes] == [3, 3]
+    assert {v for nd in s_nodes for v in skeleton_vertices(tree, nd)} & corners == corners
 
 
 def reference_cycle_tree(g):
@@ -502,8 +497,9 @@ def reference_cycle_tree(g):
 
 
 class TestCycleFastPath:
-    """The split-pair search leaves a cycle skeleton whole, so a cycle
-    block costs no search at all."""
+    """A cycle block is one S-node: the path search cuts it into
+    triangles, which the polygon merge glues back in linear time
+    (test_set_up_is_linear_under_doubling)."""
 
     def test_equals_the_general_builder(self):
         rng = random.Random(12)
@@ -515,17 +511,8 @@ class TestCycleFastPath:
             assert tree_by_identifier(tree) == tree_by_identifier(
                 reference_cycle_tree(g)), g.edges
 
-    def test_splits_nothing_on_a_2000_cycle(self, monkeypatch):
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return _split_components(*args)
-
-        monkeypatch.setattr(spqr, "_split_components", counted)
+    def test_one_s_node_on_a_2000_cycle(self):
         tree = build_spqr(cycle(2000))
-        assert calls == 0
         assert Counter(nd.kind for nd in tree.nodes) == {"Q": 2000, "S": 1}
 
 
