@@ -51,7 +51,7 @@ def cmd_rank(args) -> int:
     emb = _load_embedding(g, args.embedding)
     ranker = EmbeddingRanker(g)
     values = ranker.phi(emb)  # validate checks the embedding here, once
-    print(tuple_rank(values, ranker.bounds))
+    print(tuple_rank(values, ranker.radix))
     if args.tuple:
         print(json.dumps({"values": values, "bounds": ranker.bounds}, sort_keys=True))
     return 0

@@ -33,7 +33,7 @@ def check_bounds(values: list[int], bounds: list[int]) -> None:
 _LEAF = 32
 
 
-def _product_tree(bounds: list[int]) -> tuple:
+def _product_tree(bounds: tuple[int, ...]) -> tuple:
     """(bound product, digit count, high half, low half) of a digit span;
     both halves are None for a span of at most _LEAF digits."""
     if len(bounds) <= _LEAF:
@@ -43,7 +43,30 @@ def _product_tree(bounds: list[int]) -> tuple:
     return hi[0] * lo[0], len(bounds), hi, lo
 
 
-def _rank_span(values: list[int], bounds: list[int], node: tuple) -> int:
+class MixedRadix:
+    """Positive bounds B_1..B_k with their product tree, built once: what
+    tuple_rank and tuple_unrank read.
+
+    The bounds are checked here, where they are made, so neither codec
+    checks them again.
+    """
+
+    __slots__ = ("bounds", "tree")
+
+    def __init__(self, bounds: list[int]) -> None:
+        for i, limit in enumerate(bounds):
+            if limit < 1:
+                raise BoundViolation(f"bound B_{i + 1}={limit} must be positive")
+        self.bounds = tuple(bounds)
+        self.tree = _product_tree(self.bounds)
+
+    @property
+    def total(self) -> int:
+        """The number of tuples: the product of the bounds."""
+        return self.tree[0]
+
+
+def _rank_span(values: list[int], bounds: tuple[int, ...], node: tuple) -> int:
     _, _, hi, lo = node
     if hi is None:
         r = 0
@@ -55,17 +78,17 @@ def _rank_span(values: list[int], bounds: list[int], node: tuple) -> int:
             + _rank_span(values[mid:], bounds[mid:], lo))
 
 
-def tuple_rank(values: list[int], bounds: list[int]) -> int:
+def tuple_rank(values: list[int], radix: MixedRadix) -> int:
     """Rank of a bounded tuple: p_i = p_{i-1} * B_i + b_i, p_0 = 0.
 
     The first element is the most significant digit, so ranks increase
     with the lexicographic order of tuples.
     """
-    check_bounds(values, bounds)
-    return _rank_span(values, bounds, _product_tree(bounds))
+    check_bounds(values, radix.bounds)
+    return _rank_span(values, radix.bounds, radix.tree)
 
 
-def _unrank_span(rank: int, bounds: list[int], node: tuple) -> list[int]:
+def _unrank_span(rank: int, bounds: tuple[int, ...], node: tuple) -> list[int]:
     _, _, hi, lo = node
     if hi is None:
         out = [0] * len(bounds)
@@ -77,19 +100,11 @@ def _unrank_span(rank: int, bounds: list[int], node: tuple) -> list[int]:
     return _unrank_span(r_hi, bounds[:mid], hi) + _unrank_span(r_lo, bounds[mid:], lo)
 
 
-def tuple_unrank(rank: int, bounds: list[int]) -> list[int]:
+def tuple_unrank(rank: int, radix: MixedRadix) -> list[int]:
     """Inverse of tuple_rank: split by halves, then peel digits with mod/div."""
-    for limit in bounds:
-        if limit < 1:
-            raise BoundViolation(f"bound {limit} must be positive")
-    tree = _product_tree(bounds)
-    if not 0 <= rank < tree[0]:
-        raise RankOutOfRange(f"rank {rank} outside 0..{tree[0] - 1}")
-    return _unrank_span(rank, bounds, tree)
-
-
-def bounds_product(bounds: list[int]) -> int:
-    return _product_tree(bounds)[0]
+    if not 0 <= rank < radix.total:
+        raise RankOutOfRange(f"rank {rank} outside 0..{radix.total - 1}")
+    return _unrank_span(rank, radix.bounds, radix.tree)
 
 
 # ---------------------------------------------------------------------------

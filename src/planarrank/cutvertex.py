@@ -42,6 +42,12 @@ block runs nest.  phi_v_inverse's digits passed ``check_bounds``, and its
 block rotations are the blocks' decoded rotations at v, so each holds
 exactly its block's edges.  What is still checked here is what no input
 check implies: the algorithms' own invariants.
+
+phi_v_inverse takes and returns rotations in the canonical form the
+ranker holds (a tuple starting at its smallest far endpoint): each
+block's rotation at v, and the merged rotation it returns.  Block 1
+holds v's smallest neighbor, so the merge is turned to start at block
+1's first edge; with two blocks that takes one tuple expression.
 """
 
 from __future__ import annotations
@@ -125,13 +131,15 @@ def _union(parent: list[int], rank: list[int], x: int, y: int) -> int:
 
 
 def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
-                  d_vals: list[int]) -> list[int]:
+                  d_vals: list[int]) -> tuple[int, ...]:
     """Merge the block embeddings as dictated by the tuple.
 
     ``rotations[j-1]`` is block j's counter-clockwise rotation at v (far
-    endpoints), in ctx's block order, holding exactly block j's edges,
-    and the digits lie within ctx's bounds.  Returns the rotation at v
-    (counter-clockwise neighbor list starting at first_1).
+    endpoints), a canonical tuple, in ctx's block order, holding exactly
+    block j's edges, and the digits lie within ctx's bounds.  Returns the
+    rotation at v as a canonical tuple: the counter-clockwise neighbor
+    list from first_1 on, turned to start at v's smallest neighbor,
+    block 1's first edge.
 
     The growing rotation is a doubly linked list over far endpoints (the
     ``nxt``/``prv`` dicts), and S and the fused pairs are far endpoints
@@ -141,14 +149,20 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     merge runs in O(delta_v * alpha).
     """
     b = ctx.b
+    if b == 2:
+        # The first merge only: block 2's run after last_1.  Turned to start
+        # at r1[0], that is block 1 up to first_1, then block 2's run, then
+        # the rest of block 1; first_1 = r1[0] puts block 2 at the end.
+        r1, r2 = rotations
+        i = r1.index(ctx.edges[0][c_vals[0]]) or len(r1)
+        j = r2.index(ctx.edges[1][c_vals[1]])
+        return (*r1[:i], *r2[j:], *r2[:j], *r1[i:])
 
     # Block runs first_j..last_j: each rotation turned to start at first_j.
     runs = []
     for rot, edges, c in zip(rotations, ctx.edges, c_vals):
         i = rot.index(edges[c])
-        runs.append(rot[i:] + rot[:i])
-    if b == 2:
-        return runs[0] + runs[1]  # the first merge only: block 2 after last_1
+        runs.append([*rot[i:], *rot[:i]])
 
     # The runs linked in order; a missing nxt/prv entry ends the list.
     nxt: dict[int, int | None] = {}
@@ -250,7 +264,8 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
         w = nxt.get(w)
     if len(out) != ctx.delta_v:
         raise EmbeddingMismatch("merge lost or duplicated edges")
-    return out
+    i = out.index(rotations[0][0])
+    return (*out[i:], *out[:i])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ The rank tuple concatenates, in this order:
 EmbeddingRanker lays this out once: the ranker keeps the a and b slices
 of the tuple, each cut-vertex its c and d slices, each block its p and r
 slices.  The mixed-radix codec turns the tuple into a single natural
-number; the product of all bounds is the number of embeddings.
+number; the product of all bounds is the number of embeddings.  The
+ranker derives the codec's product tree of the bounds once (MixedRadix),
+and every count, rank and unrank reads it.
 
 A block's SPQR-tree, in block-local ids, depends only on the block-local
 graph, so blocks with the same local graph share one tree, built complete
@@ -31,17 +33,21 @@ tests each distinct block, so no whole-graph planarity test runs.
 Unrank builds every rotation in the canonical form PlanarEmbedding
 holds (each neighbor list a tuple starting at its smallest neighbor)
 where it makes it: a block-local rotation once, when its shape decodes
-it, and a merged cut-vertex rotation once per merge.  A block's id map
-is monotone, so the smallest local neighbor maps to the smallest global
-one and a canonical local list stays canonical in global ids.  The
-embedding then takes the tuples as they are, with no second pass.
+it, and a merged cut-vertex rotation once per merge, which phi_v_inverse
+returns canonical from the blocks' canonical tuples at v.  A block's id
+map is monotone, so the smallest local neighbor maps to the smallest
+global one and a canonical local list stays canonical in global ids.
+The embedding then takes the tuples as they are, with no second pass.
 
-Unrank writes only the vertices its digits decide.  A vertex of degree
-at most 2 has one rotation in every embedding: the ranker makes it once,
-at set-up, in its base rotation, which every unrank copies and every
-embedding shares.  Of the other vertices, one that is no cut-vertex lies
-in one block, with its full degree there, and _decode_blocks writes it;
-a cut-vertex is written by _merge_cuts.
+Unrank writes each vertex its digits decide once, and no other.  A
+vertex of degree at most 2 has one rotation in every embedding: the
+ranker makes it once, at set-up, in its base rotation, which every
+unrank copies and every embedding shares.  Of the other vertices, one
+that is no cut-vertex lies in one block, with its full degree there, and
+_decode_blocks writes it; a cut-vertex is written by _merge_cuts alone.
+The records both read are made at set-up: each block's non-cut vertices
+of degree >= 3, and per cut-vertex, each block's rotation at it, fixed
+where the block has at most 2 edges there.
 """
 
 from __future__ import annotations
@@ -54,10 +60,9 @@ from operator import itemgetter
 
 from . import codecs
 from .biconnected import biconn_bounds, chi, chi_inverse
-from .codecs import bounds_product, tuple_rank, tuple_unrank
+from .codecs import MixedRadix, tuple_rank, tuple_unrank
 from .cutvertex import BlocksAtV, phi_v, phi_v_inverse
-from .embedding import (PlanarEmbedding, Rotation, canonical_neighbors, canonical_rotation,
-                        validate)
+from .embedding import PlanarEmbedding, Rotation, canonical_rotation, validate
 from .errors import EmbeddingMismatch, RankOutOfRange
 from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
@@ -74,9 +79,6 @@ class _Shape:
     table only past validate, so a rejected embedding never enters.
     """
     poles: tuple[int, ...]     # local pole of each P-/R-node: where chi reads
-    # Local vertices of local degree >= 3, ascending: the only ones whose
-    # rotation in the block the block's digits decide.
-    decided: tuple[int, ...]
     # (p digits, r digits) -> the block-local rotation chi_inverse
     # returned, made canonical once, on entry.  Read-only: unrank
     # translates its tuples into global ids.
@@ -96,6 +98,9 @@ class _BlockInfo:
     # pole, cut indexes it in ranker.cuts and the block's edges are lo..hi
     # of its rotation sorted by block; otherwise cut is -1.
     poles: tuple[tuple[int, int, int, int, int], ...] = field(init=False)
+    # (global, local) of each vertex that is no cut-vertex and has degree
+    # >= 3: the vertices whose rotation the block's digits decide alone.
+    decided: tuple[tuple[int, int], ...] = field(init=False)
     p: slice = field(init=False)  # its P-node digits in the rank tuple
     r: slice = field(init=False)  # its R-node bits
 
@@ -106,6 +111,11 @@ class _CutInfo:
     comp: int
     block_ids: list[int]       # indices into ranker.blocks, in ctx's order
     ctx: BlocksAtV
+    # Per block at v, in ctx's order, (fixed, b, local v, to_global): a
+    # block with at most 2 edges at v has one canonical rotation there,
+    # fixed; otherwise fixed is () and the rotation is block b's at local
+    # v, translated through to_global.
+    at_v: list[tuple[tuple[int, ...], int, int, tuple[int, ...]]] = field(init=False)
     c: slice = field(init=False)  # its c values in the rank tuple
     d: slice = field(init=False)  # its d values
 
@@ -129,6 +139,8 @@ class EmbeddingRanker:
         self.blocks: list[_BlockInfo] = []
         # Block-local (n, edges) -> its tree; a Graph is built on a miss only.
         trees: dict[tuple, SpqrTree] = {}
+        # Each tree's local vertices of local degree >= 3, ascending.
+        branching: dict[SpqrTree, tuple[int, ...]] = {}
         self.shapes: dict[SpqrTree, _Shape] = {}
         bct = block_cut_tree(graph)
         for blk in bct.blocks:  # sorted by minimum edge: the p/r order
@@ -140,8 +152,9 @@ class EmbeddingRanker:
             if tree is None:  # raises NotPlanar for a non-planar block
                 tree = trees[key] = build_spqr(Graph(*key))
                 self.shapes[tree] = _Shape(
-                    tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}),
-                    tuple(x for x, nbrs in tree.graph.adj.items() if len(nbrs) >= 3))
+                    tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}))
+                branching[tree] = tuple(x for x, nbrs in tree.graph.adj.items()
+                                        if len(nbrs) >= 3)
             inv = (0, *verts)  # ints: the collector untracks it
             comp = comp_of[verts[0]]
             comp_edges[comp] += len(blk.edges)
@@ -165,16 +178,29 @@ class EmbeddingRanker:
             self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
         # Each block's poles, with the run of its edges at a cut-vertex pole
         # (_BlockInfo.poles): the blocks at v in ctx's order, deltas apart.
+        # The same pass records each cut-vertex's at_v: a block's edges at
+        # v, sorted, are its one canonical rotation there when at most 2.
         span: dict[tuple[int, int], tuple[int, int, int]] = {}
+        blocks = self.blocks
         for k, cut in enumerate(self.cuts):
+            v = cut.v
             lo = 0
-            for b, delta in zip(cut.block_ids, cut.ctx.deltas):
-                span[b, cut.v] = (k, lo, lo + delta)
+            cut.at_v = at_v = []
+            for b, ws, delta in zip(cut.block_ids, cut.ctx.edges, cut.ctx.deltas):
+                span[b, v] = (k, lo, lo + delta)
                 lo += delta
-        for b, info in enumerate(self.blocks):
+                if delta < 3:
+                    at_v.append((ws, 0, 0, ()))
+                else:
+                    info = blocks[b]
+                    at_v.append(((), b, info.to_local[v], info.to_global))
+        cut_vertices = set(bct.cut_vertices)
+        for b, info in enumerate(blocks):
             inv = info.to_global
             info.poles = tuple((inv[u], u, *span.get((b, inv[u]), (-1, 0, 0)))
                                for u in self.shapes[info.tree].poles)
+            info.decided = tuple([(inv[u], u) for u in branching[info.tree]
+                                  if inv[u] not in cut_vertices])
         self.nesting_codec = NestingCodec(self.face_counts)
 
         # The digit layout, in tuple order: each segment's bounds go onto
@@ -199,11 +225,12 @@ class EmbeddingRanker:
             info.p = segment(bb[:y])
         for info, (bb, y) in zip(self.blocks, chi_bounds):
             info.r = segment(bb[y:])
+        self.radix = MixedRadix(self.bounds)
 
     # -- counting -----------------------------------------------------------
 
     def count(self) -> int:
-        return bounds_product(self.bounds)
+        return self.radix.total
 
     # -- forward: embedding -> tuple/rank ------------------------------------
 
@@ -255,24 +282,23 @@ class EmbeddingRanker:
         return values
 
     def rank(self, emb: PlanarEmbedding) -> int:
-        return tuple_rank(self.phi(emb), self.bounds)
+        return tuple_rank(self.phi(emb), self.radix)
 
     # -- inverse: tuple/rank -> embedding ------------------------------------
 
     def _decode_blocks(self, values: list[int], block_ids, block_rot: list[Rotation | None],
                        rot: Rotation) -> None:
         """Decode the given blocks into block_rot and write the rotations of
-        their vertices of local degree >= 3 into rot, in global ids, as new
-        canonical tuples.
+        their decided vertices (_BlockInfo.decided) into rot, in global ids,
+        as new canonical tuples.
 
         Each skeleton choice decodes once per shape into a block-local
         rotation (the one rotation of a choice-free block, bridge or cycle,
         too), made canonical there: once per cache entry, or once per
         decode past the cache's cap.  block_rot shares it with the cache.
         The id map is monotone, so the global tuples are canonical too.  A
-        vertex of local degree <= 2 keeps what rot holds: its base rotation
-        or, at a cut-vertex, the merged arrangement _merge_cuts writes.  A
-        cut-vertex of local degree >= 3 is written here and again there.
+        vertex of degree <= 2 keeps its base rotation, and a cut-vertex is
+        left to _merge_cuts, which reads block_rot.
         """
         blocks, shapes = self.blocks, self.shapes
         for b in block_ids:
@@ -287,24 +313,22 @@ class EmbeddingRanker:
                     shape.decoded[key] = local
             block_rot[b] = local
             to_global = info.to_global
-            for x in shape.decided:
+            for x, u in info.decided:
                 # x has three or more neighbors, so itemgetter builds an
                 # exact-size tuple; tuple() of an iterator starts at ten
                 # slots and shrinks, which fragments the allocator.
-                rot[to_global[x]] = itemgetter(*local[x])(to_global)
+                rot[x] = itemgetter(*local[u])(to_global)
 
     def _merge_cuts(self, values: list[int], cuts, block_rot: list[Rotation | None],
                     rot: Rotation) -> None:
         """Write each given cut-vertex's merged rotation into rot, as a new
-        canonical tuple."""
-        blocks = self.blocks
+        canonical tuple, from the blocks' canonical tuples at it: the fixed
+        one or, from block_rot, one itemgetter call (see _decode_blocks)."""
         for cut in cuts:
-            at_v = []
-            for b in cut.block_ids:
-                info = blocks[b]
-                at_v.append([info.to_global[w] for w in block_rot[b][info.to_local[cut.v]]])
-            rot[cut.v] = canonical_neighbors(
-                phi_v_inverse(cut.ctx, at_v, values[cut.c], values[cut.d]))
+            rot[cut.v] = phi_v_inverse(
+                cut.ctx, [fixed or itemgetter(*block_rot[b][x])(to_global)
+                          for fixed, b, x, to_global in cut.at_v],
+                values[cut.c], values[cut.d])
 
     def phi_inverse(self, values: list[int]) -> PlanarEmbedding:
         """Embedding from a full digit tuple."""
@@ -324,7 +348,7 @@ class EmbeddingRanker:
         return PlanarEmbedding(self.graph, rot, tree, ft, canonical=True)
 
     def unrank(self, r: int) -> PlanarEmbedding:
-        return self.phi_inverse(tuple_unrank(r, self.bounds))
+        return self.phi_inverse(tuple_unrank(r, self.radix))
 
     # -- sampling and enumeration --------------------------------------------
 
@@ -342,8 +366,8 @@ class EmbeddingRanker:
         A block's reach is one past the last of its digits whose bound
         exceeds 1, 0 if it has none: after a step whose carry stops at
         digit i, exactly the blocks with reach > i own a changed digit.
-        A cut-vertex's reach also covers the blocks at it, because
-        re-decoding a block rewrites the rotation at each of its vertices.
+        A cut-vertex's reach also covers the blocks at it, because its
+        merge reads each block's rotation at it.
         Returns the last digit whose bound exceeds 1 (-1 if none), then
         the reaches of the blocks in ascending order with their indices,
         and the same for the cut-vertices.
@@ -386,7 +410,7 @@ class EmbeddingRanker:
             raise RankOutOfRange(f"rank {start} outside 0..{total - 1}")
         top, block_reach, blocks, cut_reach, cuts = self._owners_by_reach
         bounds = self.bounds
-        values = tuple_unrank(start, bounds)
+        values = tuple_unrank(start, self.radix)
         block_rot: list[Rotation | None] = [None] * len(self.blocks)
         rot = self.base.copy()
         i = -1  # the first item decodes every owner

@@ -21,7 +21,7 @@ from _oracle import (
 )
 from planarrank.biconnected import biconn_bounds
 from planarrank.codecs import (
-    bounds_product,
+    MixedRadix,
     nesting_tuple_preprocess,
     perm_rank,
     perm_unrank,
@@ -48,9 +48,10 @@ class TestAcceptance:
         values = [0, 11, 1, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 2, 1, 6, 1, 4, 5, 0, 1]
         bounds = [17, 17, 17, 2, 9, 8, 1, 2, 3, 1, 2, 2, 2, 4, 9, 8, 7, 2, 6, 6, 2, 2]
         t0 = time.perf_counter()
-        ok = (tuple_rank(values, bounds) == 754705812645
-              and tuple_unrank(754705812645, bounds) == values
-              and bounds_product(bounds) == 19716667342848)
+        radix = MixedRadix(bounds)
+        ok = (tuple_rank(values, radix) == 754705812645
+              and tuple_unrank(754705812645, radix) == values
+              and radix.total == 19716667342848)
         elapsed = time.perf_counter() - t0
         report("1 (mixed-radix worked example)", ok and elapsed < 0.1)
 
@@ -158,7 +159,7 @@ class TestAcceptance:
         ]
         for g in corpus:
             tree = build_spqr(g)
-            expected = bounds_product(biconn_bounds(tree))
+            expected = MixedRadix(biconn_bounds(tree)).total
             got = len(enumerate_connected(g))
             assert got == expected, f"count mismatch on {g!r}"
         elapsed = time.perf_counter() - t0

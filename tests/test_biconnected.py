@@ -13,7 +13,7 @@ from _graphgen import (atlas_planar, fan, p_fan, random_planar, series_parallel,
 from _oracle import canonical_cycle, enumerate_connected, is_planar_rotation
 from _spqr_reference import SkelEdge
 from planarrank.biconnected import biconn_bounds, chi, chi_inverse
-from planarrank.codecs import bounds_product, perm_unrank, tuple_unrank
+from planarrank.codecs import MixedRadix, perm_unrank, tuple_unrank
 from planarrank.embedding import PlanarEmbedding, validate
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
@@ -96,10 +96,10 @@ class TestChi:
         tree = build_spqr(g)
         bounds = biconn_bounds(tree)
         p_count = len(tree.p_nodes())
-        total = bounds_product(bounds)
+        radix = MixedRadix(bounds)
         produced = {}
-        for rank in range(total):
-            vals = tuple_unrank(rank, bounds)
+        for rank in range(radix.total):
+            vals = tuple_unrank(rank, radix)
             p_vals, r_vals = vals[:p_count], vals[p_count:]
             rot = chi_inverse(p_vals, r_vals, tree)
             key = canon(rot)

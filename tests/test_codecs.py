@@ -8,7 +8,7 @@ import pytest
 
 from _oracle import MalformedTree, prufer_rank, prufer_unrank
 from planarrank.codecs import (
-    bounds_product,
+    MixedRadix,
     nesting_tuple_preprocess,
     perm_rank,
     perm_unrank,
@@ -28,53 +28,59 @@ EXAMPLE_BOUNDS = [17, 17, 17, 2, 9, 8, 1, 2, 3, 1, 2, 2, 2, 4, 9, 8, 7, 2, 6, 6,
 
 class TestTupleCodec:
     def test_all_zero_is_rank_zero(self):
-        assert tuple_rank([0, 0, 0], [5, 7, 2]) == 0
+        assert tuple_rank([0, 0, 0], MixedRadix([5, 7, 2])) == 0
 
     def test_worked_example_rank(self):
-        assert tuple_rank(EXAMPLE_VALUES, EXAMPLE_BOUNDS) == 754705812645
+        assert tuple_rank(EXAMPLE_VALUES, MixedRadix(EXAMPLE_BOUNDS)) == 754705812645
 
     def test_worked_example_unrank(self):
-        assert tuple_unrank(754705812645, EXAMPLE_BOUNDS) == EXAMPLE_VALUES
+        assert tuple_unrank(754705812645, MixedRadix(EXAMPLE_BOUNDS)) == EXAMPLE_VALUES
 
     def test_worked_example_product(self):
-        assert bounds_product(EXAMPLE_BOUNDS) == 19716667342848
+        assert MixedRadix(EXAMPLE_BOUNDS).total == 19716667342848
 
     def test_small_tuple_by_lexicographic_enumeration(self):
         # Oracle: position of <1,2> among all 12 tuples in lex order.
         bounds = [3, 4]
         all_tuples = sorted(itertools.product(range(3), range(4)))
         assert all_tuples.index((1, 2)) == 6
-        assert tuple_rank([1, 2], bounds) == 6
+        assert tuple_rank([1, 2], MixedRadix(bounds)) == 6
 
     def test_max_rank_is_max_tuple(self):
-        assert tuple_unrank(11, [3, 4]) == [2, 3]
+        assert tuple_unrank(11, MixedRadix([3, 4])) == [2, 3]
 
     def test_monotone_in_lex_order(self):
         bounds = [4, 3, 2]
         ranks = [
-            tuple_rank(list(t), bounds)
+            tuple_rank(list(t), MixedRadix(bounds))
             for t in sorted(itertools.product(range(4), range(3), range(2)))
         ]
         assert ranks == list(range(24))
 
     def test_bound_violation(self):
         with pytest.raises(BoundViolation):
-            tuple_rank([3], [3])
+            tuple_rank([3], MixedRadix([3]))
 
     def test_rank_out_of_range(self):
         with pytest.raises(RankOutOfRange):
-            tuple_unrank(12, [3, 4])
+            tuple_unrank(12, MixedRadix([3, 4]))
+
+    @pytest.mark.parametrize("bounds", [[0], [3, -1, 2]])
+    def test_non_positive_bound(self, bounds):
+        # Checked once, where the radix is made, so neither codec checks it.
+        with pytest.raises(BoundViolation, match="must be positive"):
+            MixedRadix(bounds)
 
     def test_random_bijectivity(self):
         rng = random.Random(7)
         for _ in range(100):
             k = rng.randint(1, 8)
             bounds = [rng.randint(1, 9) for _ in range(k)]
-            total = bounds_product(bounds)
-            if total > 10**5:
+            radix = MixedRadix(bounds)
+            if radix.total > 10**5:
                 continue
-            for r in range(total):
-                assert tuple_rank(tuple_unrank(r, bounds), bounds) == r
+            for r in range(radix.total):
+                assert tuple_rank(tuple_unrank(r, radix), radix) == r
 
     def test_long_tuple_matches_digit_recurrence(self):
         # Long enough that the codec splits the digits into halves.
@@ -86,11 +92,12 @@ class TestTupleCodec:
         for b, limit in zip(values, bounds):
             expected = expected * limit + b
             total *= limit
-        assert tuple_rank(values, bounds) == expected
-        assert tuple_unrank(expected, bounds) == values
-        assert bounds_product(bounds) == total
+        radix = MixedRadix(bounds)
+        assert tuple_rank(values, radix) == expected
+        assert tuple_unrank(expected, radix) == values
+        assert radix.total == total
         with pytest.raises(RankOutOfRange):
-            tuple_unrank(total, bounds)
+            tuple_unrank(total, radix)
 
 
 class TestPermCodec:

@@ -16,7 +16,7 @@ from planarrank.cutvertex import (
     phi_v,
     phi_v_inverse,
 )
-from planarrank.embedding import PlanarEmbedding, validate
+from planarrank.embedding import PlanarEmbedding, canonical_neighbors, validate
 from planarrank.errors import BoundViolation, EmbeddingMismatch
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
@@ -40,8 +40,9 @@ def k4_block(v, a, b, c):
 
 
 def at_v(v, blocks):
-    """Fixed data of v and the blocks' rotations at v, in its block order."""
-    rotations = sorted((r[v] for r in blocks), key=min)
+    """Fixed data of v and the blocks' rotations at v, in its block order,
+    as the canonical tuples phi_v_inverse takes."""
+    rotations = sorted((canonical_neighbors(r[v]) for r in blocks), key=min)
     return BlocksAtV.make(v, rotations), rotations
 
 
@@ -229,13 +230,13 @@ BLOCK_COUNTS = (100, 200, 400, 800)
 
 def wide_cut_vertex(b, pattern):
     """One cut-vertex with b blocks of degrees 1, 2, 3, 4, 1, ... at v,
-    their rotations at v, and a tuple whose d digits follow the pattern:
-    all 0, all at their maximum, the two alternating, or seeded random
-    (c digits random too; otherwise all 0)."""
+    their rotations at v (canonical tuples), and a tuple whose d digits
+    follow the pattern: all 0, all at their maximum, the two alternating,
+    or seeded random (c digits random too; otherwise all 0)."""
     blocks, w = [], 2
     for j in range(b):
         delta = 1 + j % 4
-        blocks.append(list(range(w + delta - 1, w - 1, -1)))
+        blocks.append(canonical_neighbors(range(w + delta - 1, w - 1, -1)))
         w += delta
     ctx = BlocksAtV.make(1, blocks)
     c_vals = [0] * b
@@ -437,6 +438,8 @@ def random_blocks(rng):
 
 class TestAgainstReferenceMerge:
     def test_random_cut_vertices_match_reference(self):
+        """phi_v_inverse, given the blocks' canonical tuples, returns the
+        reference's merge made canonical."""
         rng = random.Random(20261018)
         cases = Counter()
         for _ in range(2000):
@@ -445,8 +448,8 @@ class TestAgainstReferenceMerge:
             c_vals = [rng.randrange(x) for x in ctx.c_bounds]
             d_vals = [rng.randrange(x) for x in ctx.d_bounds]
             expected = reference_phi_v_inverse(ctx, blocks, c_vals, d_vals, cases)
-            assert phi_v_inverse(ctx, blocks, c_vals, d_vals) == expected, (
-                blocks, c_vals, d_vals)
+            got = phi_v_inverse(ctx, [canonical_neighbors(r) for r in blocks], c_vals, d_vals)
+            assert got == canonical_neighbors(expected), (blocks, c_vals, d_vals)
         assert cases["insert"] > 0 and cases["wrap"] > 0, cases
 
 
@@ -454,8 +457,8 @@ TWO_BLOCK_CONFIGS = [c for c in CONFIGS if len(c[2]) == 2]
 
 
 class TestTwoBlockExit:
-    """At b(v) = 2 phi_v_inverse returns the two runs without building the
-    merge structures."""
+    """At b(v) = 2 phi_v_inverse builds the canonical merge in one tuple
+    expression, without the merge structures."""
 
     @pytest.mark.parametrize("name,v,blocks", TWO_BLOCK_CONFIGS,
                              ids=[c[0] for c in TWO_BLOCK_CONFIGS])
@@ -465,8 +468,29 @@ class TestTwoBlockExit:
         cases = Counter()
         for c_vals in itertools.product(*[range(x) for x in ctx.c_bounds]):
             expected = reference_phi_v_inverse(ctx, rotations, list(c_vals), [], cases)
-            assert phi_v_inverse(ctx, rotations, list(c_vals), []) == expected
+            assert phi_v_inverse(ctx, rotations, list(c_vals), []) == canonical_neighbors(
+                expected)
         assert not cases  # no merge past the first one at b = 2
+
+    def test_random_blocks_every_c(self):
+        """Every (c_1, c_2) of random two-block cut-vertices, whose first
+        edges land anywhere in the canonical tuples, block 1's first among
+        them."""
+        rng = random.Random(28)
+        firsts = Counter()
+        for _ in range(200):
+            blocks = [canonical_neighbors(rng.sample(range(2, 30), rng.randint(1, 6)))
+                      for _ in range(2)]
+            if set(blocks[0]) & set(blocks[1]):
+                continue
+            blocks.sort(key=min)
+            ctx = BlocksAtV.make(1, blocks)
+            for c1, c2 in itertools.product(*[range(x) for x in ctx.c_bounds]):
+                expected = reference_phi_v_inverse(ctx, blocks, [c1, c2], [], Counter())
+                got = phi_v_inverse(ctx, blocks, [c1, c2], [])
+                assert got == canonical_neighbors(expected), (blocks, c1, c2)
+                firsts[blocks[0].index(ctx.edges[0][c1]) == 0] += 1
+        assert firsts[True] > 100 and firsts[False] > 100, firsts
 
     def test_configs_cover_two_blocks(self):
         assert len(TWO_BLOCK_CONFIGS) == 5

@@ -30,7 +30,7 @@ def reference_enumerate(ranker, start=0, limit=None):
     total = ranker.count()
     if not 0 <= start < total:
         raise RankOutOfRange(f"rank {start} outside 0..{total - 1}")
-    values = tuple_unrank(start, ranker.bounds)
+    values = tuple_unrank(start, ranker.radix)
     r = start
     emitted = 0
     while r < total and (limit is None or emitted < limit):
@@ -82,7 +82,7 @@ def rank_below_carry(ranker, i, rng) -> int:
     values[i] = rng.randrange(bounds[i] - 1)
     for j in range(i + 1, len(bounds)):
         values[j] = bounds[j] - 1
-    return tuple_rank(values, bounds)
+    return tuple_rank(values, ranker.radix)
 
 
 def changed_owners(ranker, before, after):
@@ -156,7 +156,7 @@ class TestStepRedoesOnlyChangedOwners:
         for r, _emb in ranker.enumerate(start, 101):
             seen = dict(calls)
             calls.update(dict.fromkeys(calls, 0))
-            values = tuple_unrank(r, ranker.bounds)
+            values = tuple_unrank(r, ranker.radix)
             if prev is None:
                 assert seen == {"chi_inverse": len(ranker.blocks),
                                 "phi_v_inverse": len(ranker.cuts), "nesting": 1}

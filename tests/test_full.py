@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import os
 import random
+from bisect import bisect_right
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -14,15 +16,17 @@ from _linecount import doubling_ratios, executed_lines
 from _oracle import TooLarge, enumerate_disconnected
 from planarrank import cutvertex, full
 from planarrank.biconnected import biconn_bounds, chi, chi_inverse
-from planarrank.codecs import check_bounds, tuple_rank, tuple_unrank
+from planarrank.codecs import MixedRadix, check_bounds, tuple_rank, tuple_unrank
 from planarrank.cutvertex import BlocksAtV, phi_v, phi_v_inverse
-from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
+from planarrank.embedding import (PlanarEmbedding, canonical_neighbors, canonical_rotation,
+                                  embeddings_equal, validate)
 from planarrank.errors import BoundViolation, EmbeddingMismatch, NotPlanar, RankOutOfRange
 from planarrank.full import (DECODED_PER_SHAPE, EmbeddingRanker, _BlockInfo,
                              _CutInfo, _Shape, count_embeddings, sample_uniform)
 from planarrank.graph import Graph, block_cut_tree, connected_components, edge_id
 from planarrank.nesting import NestingCodec
 from planarrank.spqr import build_spqr
+from test_cutvertex import reference_phi_v_inverse
 
 FULL_PY = full.__file__
 PACKAGE = os.path.dirname(full.__file__) + os.sep
@@ -253,7 +257,7 @@ def compare_block_rotations(ranker, rng, rounds):
         r = rng.randrange(ranker.count())
         emb = ranker.unrank(r)
         values = reference_phi(ranker, emb)
-        assert tuple_rank(values, ranker.bounds) == r
+        assert tuple_rank(values, ranker.radix) == r
         assert ranker.phi(emb) == values
         assert ranker.rank(emb) == r
         filtered += sum(len(rot[i]) < len(emb.rot[x]) for info, rot in
@@ -391,7 +395,7 @@ class ReferenceLayout:
         for cut in ranker.cuts:
             nc, nd = len(cut.ctx.c_bounds), len(cut.ctx.d_bounds)
             rot[cut.v] = phi_v_inverse(
-                cut.ctx, [block_rot[b][cut.v] for b in cut.block_ids],
+                cut.ctx, [canonical_neighbors(block_rot[b][cut.v]) for b in cut.block_ids],
                 c_vals[ci:ci + nc], d_vals[di:di + nd],
             )
             ci += nc
@@ -406,7 +410,7 @@ def compare_layouts(ranker, ranks):
     ref = ReferenceLayout(ranker)
     assert ranker.bounds == ref.bounds
     for r in ranks:
-        values = tuple_unrank(r, ranker.bounds)
+        values = tuple_unrank(r, ranker.radix)
         emb = ranker.phi_inverse(values)
         assert emb.to_json() == ref.phi_inverse(values).to_json()
         assert ranker.phi(emb) == ref.phi(emb) == values
@@ -444,7 +448,7 @@ class TestLayoutAgainstReference:
         emb = ranker.unrank(PINNED_RANK)
         assert emb.to_json() == PINNED_JSON
         assert ranker.phi(emb) == PINNED_TUPLE
-        assert tuple_rank(PINNED_TUPLE, PINNED_BOUNDS) == PINNED_RANK
+        assert tuple_rank(PINNED_TUPLE, MixedRadix(PINNED_BOUNDS)) == PINNED_RANK
         compare_layouts(ranker, [0, PINNED_RANK, ranker.count() - 1])
 
     def test_atlas(self):
@@ -506,9 +510,12 @@ class ReferenceConstruction(EmbeddingRanker):
                 tree = build_spqr(bg)
                 # Its own tables: no tree, and so no table, is shared.
                 self.shapes[tree] = _Shape(
-                    tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}),
-                    tuple(x for x in bg.vertices if bg.degree(x) >= 3))
-                self.blocks.append(_BlockInfo(ci, g_edges, fwd, inv, tree))
+                    tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}))
+                info = _BlockInfo(ci, g_edges, fwd, inv, tree)
+                info.decided = tuple(
+                    (inv[x], x) for x in bg.vertices
+                    if bg.degree(x) >= 3 and verts[x - 1] not in bct.cut_vertices)
+                self.blocks.append(info)
             cut_vertices.extend(to_global[v] for v in bct.cut_vertices)
         self.blocks.sort(key=lambda info: info.edges[0])
 
@@ -539,6 +546,13 @@ class ReferenceConstruction(EmbeddingRanker):
                 lo = sum(len(ws) for ws in cut.ctx.edges[:j])
                 poles.append((x, u, k, lo, lo + len(cut.ctx.edges[j])))
             info.poles = tuple(poles)
+        # A block with at most two edges at v has one rotation there.
+        for cut in self.cuts:
+            cut.at_v = []
+            for b, ws in zip(cut.block_ids, cut.ctx.edges):
+                info = self.blocks[b]
+                cut.at_v.append((tuple(sorted(ws)), 0, 0, ()) if len(ws) <= 2
+                                else ((), b, info.to_local[cut.v], info.to_global))
         self.nesting_codec = NestingCodec(self.face_counts)
         # Read off the edge list: a vertex with at most two neighbors has
         # one rotation, (smaller, larger); every unrank writes each other
@@ -568,6 +582,7 @@ class ReferenceConstruction(EmbeddingRanker):
             info.p = segment(bb[:y])
         for info, (bb, y) in zip(self.blocks, chi_bounds):
             info.r = segment(bb[y:])
+        self.radix = MixedRadix(self.bounds)
 
 
 def local_graph(info) -> Graph:
@@ -587,13 +602,15 @@ def compare_construction(g: Graph, rng: random.Random, k: int = 24) -> int:
     assert list(new.base.items()) == list(ref.base.items())
     assert len(new.blocks) == len(ref.blocks)
     for a, b in zip(new.blocks, ref.blocks):
-        assert (a.edges, a.poles) == (b.edges, b.poles)
+        assert (a.edges, a.poles, a.decided) == (b.edges, b.poles, b.decided)
         assert a.tree.dump(relabel=a.to_global) == b.tree.dump(relabel=b.to_global)
+    assert [[(fixed, b, x) for fixed, b, x, _ in cut.at_v] for cut in new.cuts] == [
+        [(fixed, b, x) for fixed, b, x, _ in cut.at_v] for cut in ref.cuts]
     count = new.count()
     ranks = range(count) if count <= k else [0, count - 1] + [
         rng.randrange(count) for _ in range(k - 2)]
     for r in ranks:
-        values = tuple_unrank(r, new.bounds)
+        values = tuple_unrank(r, new.radix)
         emb = new.unrank(r)
         assert emb.to_json() == ref.unrank(r).to_json()
         assert new.phi(emb) == ref.phi(emb) == values
@@ -748,7 +765,7 @@ class ReferenceBlockCache:
                 rot[x] = nbrs
         for cut in ranker.cuts:
             rot[cut.v] = phi_v_inverse(
-                cut.ctx, [block_rot[b][cut.v] for b in cut.block_ids],
+                cut.ctx, [canonical_neighbors(block_rot[b][cut.v]) for b in cut.block_ids],
                 values[cut.c], values[cut.d],
             )
         tree, ft = ranker.nesting_codec.inverse(values[ranker.a], values[ranker.b])
@@ -760,7 +777,7 @@ def compare_decoders(ranker, ranks):
     these ranks, in this order, both caches carried across ranks."""
     ref = ReferenceBlockCache(ranker)
     for r in ranks:
-        values = tuple_unrank(r, ranker.bounds)
+        values = tuple_unrank(r, ranker.radix)
         new, old = ranker.phi_inverse(values), ref.phi_inverse(values)
         assert list(new.rot) == sorted(old.rot)  # ascending, as the base is keyed
         assert new.to_json() == old.to_json()
@@ -804,7 +821,7 @@ class TestDecodeCacheBound:
     def test_at_most_16_keys_per_shape_after_2000_ranks(self):
         assert DECODED_PER_SHAPE == 16
         assert {f.name for f in dataclasses.fields(_BlockInfo)} == {
-            "comp", "edges", "to_local", "to_global", "tree", "poles", "p", "r"}
+            "comp", "edges", "to_local", "to_global", "tree", "poles", "decided", "p", "r"}
         ranker = EmbeddingRanker(repeated_shapes_chain(12))  # 96 blocks
         trees = {id(info.tree): info.tree for info in ranker.blocks}
         rng = random.Random(16)
@@ -820,6 +837,150 @@ class TestDecodeCacheBound:
         for r in sorted(ranks, reverse=True)[:200]:
             ranker.unrank(r)
         assert {id(tree): len(shape.decoded) for tree, shape in ranker.shapes.items()} == sizes
+
+
+class ReferenceWrites:
+    """Reference copy of _decode_blocks and _merge_cuts before unrank wrote
+    each vertex once: a decoded block writes every vertex of local degree
+    >= 3, a cut-vertex too, and a merge gathers the blocks' rotations at v
+    as lists of global ids and makes the merged list canonical.  Blocks
+    decode through chi_inverse alone, without the shape's table, and each
+    merge runs the cell-based reference merge.  It reads the ranker's
+    decomposition only, and records the vertices each call writes."""
+
+    def __init__(self, ranker):
+        self.ranker = ranker
+        self.written = set()
+
+    def decode_blocks(self, values, block_ids, block_rot, rot):
+        for b in block_ids:
+            info = self.ranker.blocks[b]
+            local = canonical_rotation(
+                chi_inverse(list(values[info.p]), list(values[info.r]), info.tree))
+            block_rot[b] = local
+            to_global = info.to_global
+            for x, nbrs in info.tree.graph.adj.items():
+                if len(nbrs) >= 3:
+                    rot[to_global[x]] = tuple(to_global[w] for w in local[x])
+                    self.written.add(to_global[x])
+
+    def merge_cuts(self, values, cuts, block_rot, rot):
+        for cut in cuts:
+            at_v = []
+            for b in cut.block_ids:
+                info = self.ranker.blocks[b]
+                at_v.append([info.to_global[w] for w in block_rot[b][info.to_local[cut.v]]])
+            rot[cut.v] = canonical_neighbors(reference_phi_v_inverse(
+                cut.ctx, at_v, values[cut.c], values[cut.d], Counter()))
+            self.written.add(cut.v)
+
+    def phi_inverse(self, values):
+        """(rotation, nesting, face tuple) of a digit tuple."""
+        ranker = self.ranker
+        block_rot = [None] * len(ranker.blocks)
+        rot = ranker.base.copy()
+        self.decode_blocks(values, range(len(ranker.blocks)), block_rot, rot)
+        self.merge_cuts(values, ranker.cuts, block_rot, rot)
+        return (rot, *ranker.nesting_codec.inverse(values[ranker.a], values[ranker.b]))
+
+    def enumerate(self, start, limit):
+        """The enumerate loop on these copies: (rank, rotation, the
+        vertices the step wrote) of each item."""
+        ranker = self.ranker
+        top, block_reach, blocks, cut_reach, cuts = ranker._owners_by_reach
+        bounds = ranker.bounds
+        values = tuple_unrank(start, ranker.radix)
+        block_rot = [None] * len(ranker.blocks)
+        rot = ranker.base.copy()
+        i = -1
+        for r in range(start, min(ranker.count(), start + limit)):
+            if r > start:
+                i = top
+                while values[i] == bounds[i] - 1:
+                    values[i] = 0
+                    i -= 1
+                values[i] += 1
+            self.written = set()
+            self.decode_blocks(values, blocks[bisect_right(block_reach, i):], block_rot, rot)
+            self.merge_cuts(values, cuts[bisect_right(cut_reach, i):], block_rot, rot)
+            yield r, dict(rot), self.written
+
+
+def compare_writes(ranker, ranks, seed, steps):
+    """unrank, sample and enumerate against ReferenceWrites: the same
+    rotation, in the same key order, nesting and face tuple; and each
+    enumerate item shares with the one before it the tuple of every
+    vertex the reference's step did not write.  Returns how many tuples
+    were found shared."""
+    ref = ReferenceWrites(ranker)
+
+    def check(emb, values):
+        rot, tree, ft = ref.phi_inverse(values)
+        assert list(emb.rot.items()) == list(rot.items())
+        assert (emb.nesting, emb.face_tuple) == (tree, ft)
+
+    for r in ranks:
+        check(ranker.unrank(r), tuple_unrank(r, ranker.radix))
+    rng = random.Random(seed)
+    for emb in ranker.sample(seed, 3):
+        check(emb, [rng.randrange(x) for x in ranker.bounds])
+    start = rng.randrange(max(1, ranker.count() - steps))
+    shared = 0
+    prev = None
+    for (r, emb), (r_ref, rot, written) in zip(ranker.enumerate(start, steps),
+                                               ref.enumerate(start, steps)):
+        assert r == r_ref and list(emb.rot.items()) == list(rot.items())
+        check(emb, tuple_unrank(r, ranker.radix))
+        if prev is not None:
+            kept = [v for v in rot if v not in written]
+            assert all(emb.rot[v] is prev.rot[v] for v in kept), r
+            shared += len(kept)
+        prev = emb
+    return shared
+
+
+class TestWritesAgainstReference:
+    @pytest.mark.parametrize("components", [1, 60], ids=["forest", "nested"])
+    def test_forest_and_nested_graphs(self, components):
+        rng = random.Random(28 + components)
+        for seed in range(2):
+            ranker = EmbeddingRanker(random_planar(400, seed=2800 + seed,
+                                                   components=components))
+            assert any(cut.ctx.b == 2 for cut in ranker.cuts)
+            assert any(cut.ctx.b > 2 for cut in ranker.cuts)
+            count = ranker.count()
+            ranks = [0, count - 1] + [rng.randrange(count) for _ in range(6)]
+            assert compare_writes(ranker, ranks, seed, 40) > 0
+
+    def test_atlas(self):
+        rng = random.Random(29)
+        shared = 0
+        for g in atlas_planar():
+            ranker = EmbeddingRanker(g)
+            count = ranker.count()
+            ranks = range(count) if count <= 6 else [rng.randrange(count) for _ in range(6)]
+            shared += compare_writes(ranker, ranks, rng.randrange(100), 8)
+        assert shared > 0
+
+    @pytest.mark.parametrize("components", [1, 60], ids=["forest", "nested"])
+    def test_decode_writes_no_cut_vertex(self, components):
+        """_decode_blocks writes exactly the vertices of degree >= 3 that are
+        no cut-vertex, each once; every cut-vertex is _merge_cuts' alone."""
+        ranker = EmbeddingRanker(random_planar(400, seed=2810, components=components))
+        cut_vertices = {cut.v for cut in ranker.cuts}
+        assert any(ranker.graph.degree(v) >= 3 for v in cut_vertices)
+        sentinel = ("sentinel",)
+        decided = [v for v in ranker.graph.adj
+                   if ranker.graph.degree(v) >= 3 and v not in cut_vertices]
+        rng = random.Random(components)
+        for _ in range(5):
+            values = tuple_unrank(rng.randrange(ranker.count()), ranker.radix)
+            rot = dict.fromkeys(ranker.graph.adj, sentinel)
+            ranker._decode_blocks(values, range(len(ranker.blocks)),
+                                  [None] * len(ranker.blocks), rot)
+            assert all(rot[v] is sentinel for v in cut_vertices)
+            assert [v for v, nbrs in rot.items() if nbrs is not sentinel] == decided
+        assert sorted(x for info in ranker.blocks for x, _ in info.decided) == decided
 
 
 def table_snapshot(ranker):
