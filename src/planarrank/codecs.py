@@ -18,11 +18,11 @@ from .errors import BoundViolation, RankOutOfRange
 
 
 def check_bounds(values: list[int], bounds: list[int]) -> None:
+    """Each value lies within its bound.  The bounds are the ranker's,
+    which MixedRadix checked positive when the ranker made them."""
     if len(values) != len(bounds):
         raise BoundViolation(f"{len(values)} values against {len(bounds)} bounds")
     for i, (b, limit) in enumerate(zip(values, bounds)):
-        if limit < 1:
-            raise BoundViolation(f"bound B_{i + 1}={limit} must be positive")
         if not 0 <= b < limit:
             raise BoundViolation(f"value b_{i + 1}={b} outside 0..{limit - 1}")
 
@@ -82,9 +82,9 @@ def tuple_rank(values: list[int], radix: MixedRadix) -> int:
     """Rank of a bounded tuple: p_i = p_{i-1} * B_i + b_i, p_0 = 0.
 
     The first element is the most significant digit, so ranks increase
-    with the lexicographic order of tuples.
+    with the lexicographic order of tuples.  The values are trusted: phi
+    makes each within its bound.
     """
-    check_bounds(values, radix.bounds)
     return _rank_span(values, radix.bounds, radix.tree)
 
 
@@ -169,9 +169,8 @@ def perm_rank(perm: list[int]) -> int:
 
 
 def perm_unrank(rank: int, k: int) -> list[int]:
-    fact = math.factorial(k)
-    if not 0 <= rank < fact:
-        raise RankOutOfRange(f"rank {rank} outside 0..{fact - 1}")
+    """The permutation of 0..k-1 with this rank, which the caller keeps
+    within 0..k!-1: chi_inverse's digits passed check_bounds."""
     if k == 0:
         return []
     return _compose(_raw_unrank(rank, k), _invert(_sigma0(k)))

@@ -3,12 +3,20 @@
 Vertices are the dense integers 1..n.  An edge is the pair (u, v) with
 u < v; pairs compare lexicographically, which fixes every "minimum edge"
 tie-break used by the ranking layers.
+
+One lowpoint search, lowpoint_dfs (Hopcroft and Tarjan, "Efficient
+algorithms for graph manipulation", CACM 1973), gives the blocks and
+cut-vertices that block_cut_tree reads and the palm tree (numbers,
+parents, lowpt1, lowpt2, ND) from which spqr.build_spqr starts its path
+search.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 from .errors import EdgelessComponent, MalformedInput
 
@@ -173,78 +181,104 @@ class BlockCutTree:
     cut_vertices: list[int]
 
 
-def lowpoint_dfs(adj: dict[int, list[int]], root: int
-                 ) -> tuple[dict[int, int], set[int], list[list[Edge]]]:
-    """Iterative DFS with lowpoints from root over a simple graph's
-    adjacency lists.
+class PalmTree(NamedTuple):
+    """One depth-first search over a whole graph, as a forest of palm
+    trees.  Lists are indexed by vertex; index 0 is unused.
 
-    Returns the discovery index of every vertex reached, the cut-vertices
-    of the part reached and its blocks as edge lists.  Linear in the size
-    of that part.
+    number is the preorder number, from 1 across the whole forest, and
+    parent is 0 at a root.  lowpt1 and lowpt2 are the lowest and second
+    lowest of the vertex's own number and the numbers that fronds from
+    its subtree reach, and nd is the size of that subtree.  blocks lists
+    the edges of each biconnected component, and cut_vertices the
+    vertices that separate two of them.
     """
-    disc: dict[int, int] = {root: 0}
-    low: dict[int, int] = {root: 0}
-    parent: dict[int, int | None] = {root: None}
-    edge_stack: list[Edge] = []
-    raw_blocks: list[list[Edge]] = []
-    cut: set[int] = set()
-    timer = 1
 
-    # Frame: (vertex, iterator over its neighbors); tree-edge pops update
-    # lowpoints.
-    stack = [(root, iter(adj[root]))]
-    root_children = 0
-    while stack:
-        v, nbrs = stack[-1]
-        for w in nbrs:
-            if w not in disc:
-                parent[w] = v
-                disc[w] = low[w] = timer
-                timer += 1
-                edge_stack.append(edge_id(v, w))
-                stack.append((w, iter(adj[w])))
-                break
-            if w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append(edge_id(v, w))
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            u = parent[v]
-            if u is None:
-                continue
-            low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                # u separates v's subtree: pop one block.
-                block: list[Edge] = []
-                e = edge_id(u, v)
-                while True:
-                    top = edge_stack.pop()
-                    block.append(top)
-                    if top == e:
-                        break
-                raw_blocks.append(block)
-                if u == root:
-                    root_children += 1
-                    if root_children > 1:
-                        cut.add(u)
+    number: list[int]
+    parent: list[int]
+    lowpt1: list[int]
+    lowpt2: list[int]
+    nd: list[int]
+    blocks: list[list[Edge]]
+    cut_vertices: set[int]
+
+
+def lowpoint_dfs(g: Graph) -> PalmTree:
+    """Hopcroft and Tarjan's lowpoint search over every component of g.
+
+    Each tree is rooted at its component's smallest vertex, and each
+    vertex scans its neighbors in ascending order, so the search is
+    deterministic.  A block's edges are popped off the stack of edges
+    when its lowest vertex finishes the child that opened it.  Iterative
+    and linear in n + m.  No edge is oriented here: a tree arc runs from
+    parent to child, and a frond from the higher number to the lower.
+    """
+    adj, n = g.adj, g.n
+    number = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    low1 = [0] * (n + 1)
+    low2 = [0] * (n + 1)
+    nd = [1] * (n + 1)
+    blocks: list[list[Edge]] = []
+    cut: set[int] = set()
+    estack: list[Edge] = []
+    count = 0
+    for root in g.vertices:
+        if number[root]:
+            continue
+        count += 1
+        number[root] = low1[root] = low2[root] = count
+        # Frame: (vertex, iterator over its neighbors, the estack slot of
+        # the tree arc into it).
+        stack = [(root, iter(adj[root]), 0)]
+        while stack:
+            v, nbrs, at = stack[-1]
+            for w in nbrs:
+                x = number[w]
+                if not x:
+                    count += 1
+                    number[w] = low1[w] = low2[w] = count
+                    parent[w] = v
+                    stack.append((w, iter(adj[w]), len(estack)))
+                    estack.append((v, w) if v < w else (w, v))
+                    break
+                if x < number[v] and w != parent[v]:  # a frond to an ancestor
+                    estack.append((w, v) if w < v else (v, w))
+                    if x < low1[v]:
+                        low2[v], low1[v] = low1[v], x
+                    elif low1[v] < x < low2[v]:
+                        low2[v] = x
+            else:
+                stack.pop()
+                u = parent[v]
+                if not u:
+                    continue
+                lo1, lo2 = low1[v], low2[v]
+                if lo1 < low1[u]:
+                    low2[u] = min(low1[u], lo2)
+                    low1[u] = lo1
+                elif lo1 == low1[u]:
+                    low2[u] = min(low2[u], lo2)
                 else:
-                    cut.add(u)
-    return disc, cut, raw_blocks
+                    low2[u] = min(low2[u], lo1)
+                if lo1 >= number[u]:
+                    # u separates v's subtree from the rest: pop one block.
+                    # The root does so for every child, and is a
+                    # cut-vertex from its second on (nd holds the
+                    # subtrees of the children before v).
+                    blocks.append(estack[at:])
+                    del estack[at:]
+                    if u != root or nd[u] > 1:
+                        cut.add(u)
+                nd[u] += nd[v]
+    return PalmTree(number, parent, low1, low2, nd, blocks, cut)
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
-    """Blocks and cut-vertices of every component via lowpoint_dfs.
-
-    Each component's DFS starts at its smallest vertex and scans neighbors
-    in ascending order, so the result is deterministic.  Linear in n + m.
+    """Blocks and cut-vertices of every component, read off lowpoint_dfs.
+    Linear in n + m.
     """
-    blocks = []
-    cut: set[int] = set()
-    for _, comp in connected_components(g):
-        _, comp_cut, raw_blocks = lowpoint_dfs(g.adj, min(comp))
-        cut |= comp_cut
-        for edges in raw_blocks:
-            vs = frozenset(x for e in edges for x in e)
-            blocks.append(Block(vs, tuple(sorted(edges))))
+    palm = lowpoint_dfs(g)
+    blocks = [Block(frozenset(chain.from_iterable(edges)), tuple(sorted(edges)))
+              for edges in palm.blocks]
     blocks.sort(key=lambda b: b.min_edge)
-    return BlockCutTree(blocks, sorted(cut))
+    return BlockCutTree(blocks, sorted(palm.cut_vertices))

@@ -3,18 +3,21 @@
 The split components come from one path search: Hopcroft and Tarjan,
 "Dividing a graph into triconnected components" (SIAM J. Comput. 1973),
 with the corrections of Gutwenger and Mutzel, "A linear time
-implementation of SPQR-trees" (GD 2000).  A palm-tree DFS gives lowpt1,
-lowpt2 and ND, a bucket sort orders the arcs by phi, a second DFS
-renumbers the vertices and marks where each path starts, and the path
-search finds the type-1 and type-2 separation pairs with its stack of
-triples (TSTACK) and pops each split component's edges off its stack of
-edges (ESTACK).  A split component is a bond (P), a triangle (S) or a
-triconnected graph (R).  Merging bonds with bonds and polygons with
-polygons gives the triconnected components, which are unique, so the
-tree is.  Set-up is linear in the size of the graph, and no search
-recurses.  The builder keeps a component as a list of twin-pair ids,
-with each pair's ends kept once: no record per edge.  Pair i (1..m) is real edge
-i, whose Q-node is made once, at the start.
+implementation of SPQR-trees" (GD 2000).  The palm tree is
+graph.lowpoint_dfs, the package's one lowpoint search, which also gives
+the block-cut tree: preorder numbers, parents, lowpt1, lowpt2 and ND.
+The path search directs each edge from numbers and parents, a bucket
+sort orders the arcs by phi, a second DFS renumbers the vertices and
+marks where each path starts, and the path search finds the type-1 and
+type-2 separation pairs with its stack of triples (TSTACK) and pops each
+split component's edges off its stack of edges (ESTACK).  A split
+component is a bond (P), a triangle (S) or a triconnected graph (R).
+Merging bonds with bonds and polygons with polygons gives the
+triconnected components, which are unique, so the tree is.  Set-up is
+linear in the size of the graph, and no search recurses.  The builder
+keeps a component as a list of twin-pair ids, with each pair's ends kept
+once: no record per edge.  Pair i (1..m) is real edge i, whose Q-node is
+made once, at the start.
 
 The tree is rooted at the Q-node of the graph's minimum edge.  Node
 identifiers are (depth, minimum pertinent edge); "conventional order"
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from .errors import NotBiconnected, NotPlanar
-from .graph import Edge, Graph, edge_id
+from .graph import Edge, Graph, PalmTree, edge_id, lowpoint_dfs
 
 
 @dataclass
@@ -213,75 +216,7 @@ class SpqrTree:
 # ---------------------------------------------------------------------------
 
 
-def _palm_tree(g: Graph):
-    """Palm tree of g: a depth-first search from vertex 1 that numbers the
-    vertices in preorder and directs every edge, a tree arc from parent to
-    child or a frond from a vertex to an ancestor.  Raises NotBiconnected
-    unless g is biconnected.
-
-    Returns, by vertex, the preorder number, lowpt1 and lowpt2 (the lowest
-    and second lowest number among the vertex and the heads of fronds that
-    leave its subtree, as numbers) and ND (the size of its subtree); and,
-    by edge id (edge i is g.edges[i - 1]), its tail, its head and whether
-    it is a tree arc.
-    """
-    n, m = g.n, g.m
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for e, (a, b) in enumerate(g.edges, 1):
-        incident[a].append((b, e))
-        incident[b].append((a, e))
-    number = [0] * (n + 1)
-    parent = [0] * (n + 1)
-    low1 = [0] * (n + 1)
-    low2 = [0] * (n + 1)
-    nd = [1] * (n + 1)
-    tail = [0] * (m + 1)
-    head = [0] * (m + 1)
-    tree = [False] * (m + 1)
-    number[1] = low1[1] = low2[1] = count = 1
-    stack = [(1, iter(incident[1]))]
-    while stack:
-        v, arcs = stack[-1]
-        for w, e in arcs:
-            if tail[e]:
-                continue  # the tree arc from the parent
-            tail[e], head[e] = v, w
-            if not number[w]:
-                count += 1
-                number[w] = low1[w] = low2[w] = count
-                parent[w] = v
-                tree[e] = True
-                stack.append((w, iter(incident[w])))
-                break
-            x = number[w]  # a frond: w is an ancestor of v
-            if x < low1[v]:
-                low2[v], low1[v] = low1[v], x
-            elif low1[v] < x < low2[v]:
-                low2[v] = x
-        else:
-            stack.pop()
-            u = parent[v]
-            if not u:
-                continue
-            # u separates v's subtree from the rest unless a frond leaves
-            # it above u; the root does as soon as it has a second child
-            # (nd[1] holds the earlier children's subtrees).
-            if low1[v] >= number[u] and (u != 1 or nd[1] > 1):
-                raise NotBiconnected("SPQR-trees require a biconnected graph")
-            if low1[v] < low1[u]:
-                low2[u] = min(low1[u], low2[v])
-                low1[u] = low1[v]
-            elif low1[v] == low1[u]:
-                low2[u] = min(low2[u], low2[v])
-            else:
-                low2[u] = min(low2[u], low1[v])
-            nd[u] += nd[v]
-    if count < n:
-        raise NotBiconnected("SPQR-trees require a biconnected graph")
-    return number, low1, low2, nd, tail, head, tree
-
-
-def _path_search(g: Graph, palm) -> tuple[list[tuple[str, list[int]]], list[Edge]]:
+def _path_search(g: Graph, palm: PalmTree) -> tuple[list[tuple[str, list[int]]], list[Edge]]:
     """The split components of a biconnected graph g, by Hopcroft and
     Tarjan's path search with Gutwenger and Mutzel's corrections.
 
@@ -298,7 +233,19 @@ def _path_search(g: Graph, palm) -> tuple[list[tuple[str, list[int]]], list[Edge
     graph's own edge where they are adjacent, so a large tree holds few.
     """
     n, m = g.n, g.m
-    number, low1, low2, nd, tail, head, tree = palm
+    number, parent, low1, low2, nd = palm.number, palm.parent, palm.lowpt1, palm.lowpt2, palm.nd
+
+    # Direct each edge by its ends' numbers: a tree arc from parent to
+    # child, a frond from the higher number to the lower.  Edge id i
+    # (1..m) is g.edges[i - 1].
+    tail = [0] * (m + 1)
+    head = [0] * (m + 1)
+    tree = [False] * (m + 1)
+    for e, (a, b) in enumerate(g.edges, 1):
+        if number[a] > number[b]:
+            a, b = b, a
+        tree[e] = parent[b] == a
+        tail[e], head[e] = (a, b) if tree[e] else (b, a)
 
     # An acceptable adjacency structure: the arcs leaving each vertex in
     # ascending phi, by bucket sort.
@@ -603,7 +550,9 @@ def build_spqr(g: Graph) -> SpqrTree:
         return SpqrTree(g, [SpqrNode(0, "Q", min_edge=g.edges[0], poles=g.edges[0])], 0,
                         nx.PlanarEmbedding())
 
-    palm = _palm_tree(g)
+    palm = lowpoint_dfs(g)
+    if len(palm.blocks) > 1:  # every component holds an edge, so a block
+        raise NotBiconnected("SPQR-trees require a biconnected graph")
     planar, witness = nx.check_planarity(nx.Graph(g.edges))
     if not planar:
         raise NotPlanar("graph admits no planar embedding")

@@ -3,11 +3,14 @@
 random_planar grows graphs by gluing small biconnected blocks at existing
 vertices, so they are planar by construction and exercise every layer:
 multiple components, cut vertices with mixed block degrees, P- and
-R-nodes.  atlas_planar lists every small planar graph.
+R-nodes.  atlas_planar lists every small planar graph, and
+benchmark_graphs loads the benchmark's seed-201 graphs.
 """
 
+import importlib.util
 import random
 from functools import cache
+from pathlib import Path
 
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
@@ -160,3 +163,12 @@ def necklace(k: int) -> Graph:
         a, b = k + 2 * i + 1, k + 2 * i + 2
         edges += [(u, a), (u, b), (v, a), (v, b), (a, b)]
     return Graph(3 * k, edges)
+
+
+def benchmark_graphs(workload: str) -> list[Graph]:
+    """The benchmark's seed-201 graphs of a workload."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.graphs(workload, 201)

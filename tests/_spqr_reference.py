@@ -1,4 +1,4 @@
-"""Reference copies of two earlier SPQR-tree builders.
+"""Reference copies of two earlier SPQR-tree builders and their search.
 
 build_spqr is the builder on per-edge records: every skeleton edge was a
 SkelEdge with a uid, every skeleton a _RawNode, and each split took one
@@ -13,6 +13,11 @@ vertex of the skeleton, so each search is O(n*m); reference_find_split
 is the all-pairs search before it, which pair_build_spqr takes in its
 place.
 
+lowpoint_dfs, which they all run, is the package's earlier lowpoint
+search, kept verbatim: one component, from one root, on dicts.
+graph.lowpoint_dfs now searches the whole graph at once, and
+tests/test_graph.py compares the block-cut tree with one built on this.
+
 The tree is unique, so the builder in planarrank.spqr, one path search
 in linear time, must give the same tree as each of them node for node,
 with indices aside.  Tests compare them by node identifier.
@@ -25,8 +30,67 @@ from dataclasses import dataclass
 import networkx as nx
 
 from planarrank.errors import NotBiconnected, NotPlanar, PlanarRankError
-from planarrank.graph import Edge, Graph, edge_id, lowpoint_dfs
+from planarrank.graph import Edge, Graph, edge_id
 from planarrank.spqr import SpqrNode, SpqrTree
+
+
+def lowpoint_dfs(adj: dict[int, list[int]], root: int
+                 ) -> tuple[dict[int, int], set[int], list[list[Edge]]]:
+    """Iterative DFS with lowpoints from root over a simple graph's
+    adjacency lists.
+
+    Returns the discovery index of every vertex reached, the cut-vertices
+    of the part reached and its blocks as edge lists.  Linear in the size
+    of that part.
+    """
+    disc: dict[int, int] = {root: 0}
+    low: dict[int, int] = {root: 0}
+    parent: dict[int, int | None] = {root: None}
+    edge_stack: list[Edge] = []
+    raw_blocks: list[list[Edge]] = []
+    cut: set[int] = set()
+    timer = 1
+
+    # Frame: (vertex, iterator over its neighbors); tree-edge pops update
+    # lowpoints.
+    stack = [(root, iter(adj[root]))]
+    root_children = 0
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in disc:
+                parent[w] = v
+                disc[w] = low[w] = timer
+                timer += 1
+                edge_stack.append(edge_id(v, w))
+                stack.append((w, iter(adj[w])))
+                break
+            if w != parent[v] and disc[w] < disc[v]:
+                edge_stack.append(edge_id(v, w))
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            u = parent[v]
+            if u is None:
+                continue
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                # u separates v's subtree: pop one block.
+                block: list[Edge] = []
+                e = edge_id(u, v)
+                while True:
+                    top = edge_stack.pop()
+                    block.append(top)
+                    if top == e:
+                        break
+                raw_blocks.append(block)
+                if u == root:
+                    root_children += 1
+                    if root_children > 1:
+                        cut.add(u)
+                else:
+                    cut.add(u)
+    return disc, cut, raw_blocks
 
 
 @dataclass(frozen=True)

@@ -9,28 +9,14 @@ canonicalising constructor builds from the same rotation started
 anywhere else.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
-from _graphgen import atlas_planar, random_planar
+from _graphgen import atlas_planar, benchmark_graphs, random_planar
 from planarrank import full
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
 from planarrank.full import EmbeddingRanker
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def benchmark_graphs(workload: str):
-    """The benchmark's seed-201 graphs of a workload."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.graphs(workload, 201)
-
 
 def assert_canonical_by_construction(emb, rng):
     """Every rotation is a tuple starting at its minimum, the embedding

@@ -1,11 +1,21 @@
 """Graph core: components, block-cut tree, JSON."""
 
 import itertools
+import os
 
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
-from planarrank.errors import EdgelessComponent, MalformedInput
-from planarrank.graph import Block, Graph, block_cut_tree, connected_components
+from _graphgen import (benchmark_graphs, fan, necklace, p_fan, random_planar,
+                       series_parallel, triangulated_grid, wheel)
+from _linecount import doubling_ratios, executed_lines
+from _shapes import chain_of_triangles, disjoint_k4s, hub_of_k4s, star_of_bridges
+from _spqr_reference import lowpoint_dfs as reference_lowpoint_dfs
+from planarrank import graph
+from planarrank.errors import EdgelessComponent, MalformedInput, NotBiconnected, NotPlanar
+from planarrank.graph import (Block, BlockCutTree, Graph, block_cut_tree,
+                              connected_components)
+from planarrank.spqr import build_spqr
 
 
 def brute_cut_vertices(g: Graph) -> set[int]:
@@ -163,3 +173,84 @@ class TestBlockCutTree:
         assert verts == [3, 5, 8]
         assert key == (3, ((1, 2), (1, 3), (2, 3)))
         assert Graph(*key).edges == key[1]
+
+
+def reference_block_cut_tree(g: Graph) -> BlockCutTree:
+    """The block-cut tree as it was built before one search covered the
+    whole graph: one lowpoint search per component, from its smallest
+    vertex."""
+    blocks = []
+    cut: set[int] = set()
+    for _, comp in connected_components(g):
+        _, comp_cut, raw_blocks = reference_lowpoint_dfs(g.adj, min(comp))
+        cut |= comp_cut
+        for edges in raw_blocks:
+            blocks.append(Block(frozenset(x for e in edges for x in e), tuple(sorted(edges))))
+    blocks.sort(key=lambda b: b.min_edge)
+    return BlockCutTree(blocks, sorted(cut))
+
+
+def atlas_without_isolated_vertices():
+    """Every graph of networkx's atlas (at most 7 vertices), planar or
+    not, that has no isolated vertex, relabeled to 1..n."""
+    return [Graph(h.number_of_nodes(), [(u + 1, v + 1) for u, v in h.edges])
+            for h in graph_atlas_g()
+            if h.number_of_nodes() and min(d for _, d in h.degree()) > 0]
+
+
+def all_benchmark_graphs():
+    return [g for w in ("forest", "nested", "bigblock") for g in benchmark_graphs(w)]
+
+
+def random_planar_graphs():
+    return [random_planar(n, seed) for seed in range(10) for n in (60, 600)] + [
+        random_planar(3000, 7)]
+
+
+def large_blocks():
+    """Biconnected graphs of 40 to 200 vertices, planar or not."""
+    return [triangulated_grid(8, "down"), triangulated_grid(8, "up"), fan(60), wheel(60),
+            necklace(40), p_fan(50),
+            *(series_parallel(100 + 20 * seed, seed) for seed in range(5)),
+            Graph(40, [(u, v) for u in range(1, 41) for v in range(u + 1, 41)])]
+
+
+def raises_not_biconnected(g: Graph) -> bool:
+    try:
+        build_spqr(g)
+    except NotBiconnected:
+        return True
+    except NotPlanar:
+        pass
+    return False
+
+
+CORPORA = [atlas_without_isolated_vertices, all_benchmark_graphs, random_planar_graphs,
+           large_blocks]
+CORPUS_IDS = ["atlas", "benchmark", "random_planar", "large_blocks"]
+
+
+class TestOneLowpointSearch:
+    """block_cut_tree and build_spqr read one lowpoint search over the
+    whole graph; the per-component search before it is the reference."""
+
+    @pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
+    def test_block_cut_tree_against_reference(self, corpus):
+        for g in corpus():
+            assert block_cut_tree(g) == reference_block_cut_tree(g), g.edges
+
+    @pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
+    def test_build_spqr_rejects_exactly_what_is_not_one_block(self, corpus):
+        for g in corpus():
+            one_block = len(reference_block_cut_tree(g).blocks) == 1
+            assert raises_not_biconnected(g) is not one_block, g.edges
+
+
+@pytest.mark.parametrize("family", [chain_of_triangles, star_of_bridges, disjoint_k4s,
+                                    hub_of_k4s])
+def test_block_cut_tree_is_linear_under_doubling(family):
+    """The lines block_cut_tree executes in src/planarrank grow at most
+    2.2 times per doubling: each edge is pushed and popped once."""
+    package = os.path.dirname(graph.__file__) + os.sep
+    counts = [executed_lines(package, block_cut_tree, family(k)) for k in (250, 500, 1000, 2000)]
+    assert max(doubling_ratios(counts)) <= 2.2, counts
