@@ -12,26 +12,40 @@ blocks' rotations at v.  This module ranks such merges into the tuple
   embedding (insert right after it) or in the block's own partial
   embedding (wrap the block around block 2's nest).
 
-The inverse direction replays the merges on flat far-endpoint links: the
-growing rotation is a doubly linked list held in two dicts (next and
-previous far endpoint), the partial embeddings are a union-find over block
-indices in a parent list whose roots keep their partial's first and last
-edge, and S and its fused pairs are far endpoints too.  A call allocates
-no object per edge and merges in O(degree of v * alpha) steps.
+With three or more blocks, the c digits only turn each block's run to
+start at first_j, and the block rotations only name the positions.  So
+the inverse direction replays the merges on positions in the runs
+concatenated, held in flat lists: the growing rotation is a doubly linked
+list (next and previous position), the partial embeddings are a
+union-find over block indices in a parent list whose roots keep their
+partial's first and last position, and S and its fused pairs are
+positions too.  A merge allocates no object per edge and takes
+O(degree of v * alpha) steps.  Its result, an order of positions, is a
+pure function of the blocks' degrees at v (deltas) and the d digits; the
+call maps it through the concatenated runs.
 
 The forward direction never replays merges: it rebuilds the merge history
 from how the block runs nest in the rotation.  Each run is held as its
-first and last position in the rotation and the run enclosing it, so the
-edge just before a run is its anchor for an ordinary insert, the run just
-after it is its right neighbor, and precomputed jump pointers resolve
-wraps; membership in the partial embeddings is a union-find over block
-indices in a parent list.  A call allocates no object per run or edge and
-takes O(degree of v) operations.
+first and last position in the walk (the rotation from first_1 on) and
+the run enclosing it, so the edge just before a run is its anchor for an
+ordinary insert, the run just after it is its right neighbor, and
+precomputed jump pointers resolve wraps; membership in the partial
+embeddings is a union-find over block indices in a parent list.  A
+derivation allocates no object per run or edge and takes O(degree of v)
+operations.  It reads only deltas and the block of each position in the
+walk, so d and each run's first position are a pure function of those;
+c is the index of each run's first edge in its block.
+
+Both results are kept per deltas (MergeTables): the cut-vertices of one
+ranker with equal deltas share one table per direction, each capped at
+DECODED_PER_SHAPE entries.  A miss runs the merge or the derivation with
+all its checks; a hit costs a few passes over v's edges inside builtins
+and O(b) steps for the runs and c.
 
 Both bounds are checked by measurement: tests/test_cutvertex.py counts
-the lines of this module executed during one call, for several digit
-patterns, while the number of blocks at v doubles, and requires each
-count to no more than about double.
+the lines of this module executed during one call on empty tables, for
+several digit patterns, while the number of blocks at v doubles, and
+requires each count to no more than about double.
 
 Edges at v are named by their far endpoint.
 
@@ -52,9 +66,14 @@ holds v's smallest neighbor, so the merge is turned to start at block
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import EmbeddingMismatch
+
+DECODED_PER_SHAPE = 16  # per table and direction: a shape with at most 16 embeddings keeps them all
 
 
 def arrangement_bounds(deltas: list[int]) -> tuple[list[int], list[int]]:
@@ -67,6 +86,25 @@ def arrangement_bounds(deltas: list[int]) -> tuple[list[int], list[int]]:
     return list(deltas), [total - j for j in range(1, len(deltas) - 1)]
 
 
+@dataclass(slots=True)
+class MergeTables:
+    """What a ranker keeps per tuple of block degrees at a cut-vertex.
+
+    With three or more blocks the merge is a pure function of the degrees
+    and the d digits, and d of the degrees and the block of each edge in
+    the walk, so every cut-vertex with these degrees shares one table per
+    direction.  Each holds at most DECODED_PER_SHAPE entries.  phi_v runs
+    only on rotations that validate accepted, and fills its table only
+    after the derived d passed its bound check.
+    """
+    # d digits -> the merge, as positions in the block runs concatenated.
+    decoded: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
+    # The block of each edge in the walk -> (d digits, each block's first
+    # position in the walk).
+    encoded: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = field(
+        default_factory=dict)
+
+
 @dataclass(frozen=True)
 class BlocksAtV:
     """The fixed data of one cut-vertex v, built once from the graph.
@@ -75,9 +113,10 @@ class BlocksAtV:
     ``edges[j-1]`` lists block j's edges at v by far endpoint in edge-id
     order (at a fixed v, edge-id order is far-endpoint order), and
     ``block_of`` maps each far endpoint to its block.  ``deltas``,
-    ``delta_v`` and the c/d bounds follow from these.  Per-call data (the
-    block rotations, the merged rotation) is passed to phi_v_inverse and
-    phi_v instead.
+    ``delta_v``, ``b`` and the c/d bounds follow from these.  ``tables``
+    is shared by the cut-vertices of one ranker with equal ``deltas``.
+    Per-call data (the block rotations, the merged rotation) is passed to
+    phi_v_inverse and phi_v instead.
     """
 
     v: int
@@ -85,26 +124,32 @@ class BlocksAtV:
     block_of: dict[int, int]
     deltas: tuple[int, ...]
     delta_v: int
+    b: int
     c_bounds: tuple[int, ...]
     d_bounds: tuple[int, ...]
+    tables: MergeTables = field(compare=False, repr=False)
 
     @classmethod
-    def make(cls, v: int, blocks) -> "BlocksAtV":
-        """From each block's far endpoints at v, in any order."""
+    def make(cls, v: int, blocks,
+             tables: dict[tuple[int, ...], MergeTables] | None = None) -> "BlocksAtV":
+        """From each block's far endpoints at v, in any order.  ``tables``
+        maps deltas to the MergeTables its cut-vertices share; without it
+        the cut-vertex gets tables of its own."""
         edges = tuple(sorted(tuple(sorted(ws)) for ws in blocks))
         if len(edges) < 2:
             raise EmbeddingMismatch(f"vertex {v} is incident to fewer than 2 blocks")
         deltas = tuple(len(ws) for ws in edges)
         c_bounds, d_bounds = arrangement_bounds(list(deltas))
+        if tables is None:
+            tables = {}
+        shared = tables.get(deltas)
+        if shared is None:
+            shared = tables[deltas] = MergeTables()
         return cls(
             v, edges,
             {w: j for j, ws in enumerate(edges, start=1) for w in ws},
-            deltas, sum(deltas), tuple(c_bounds), tuple(d_bounds),
+            deltas, sum(deltas), len(edges), tuple(c_bounds), tuple(d_bounds), shared,
         )
-
-    @property
-    def b(self) -> int:
-        return len(self.edges)
 
 
 # Union-find over block indices, held as a parent list and a rank list.
@@ -141,15 +186,13 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     list from first_1 on, turned to start at v's smallest neighbor,
     block 1's first edge.
 
-    The growing rotation is a doubly linked list over far endpoints (the
-    ``nxt``/``prv`` dicts), and S and the fused pairs are far endpoints
-    too, so a call allocates no object per edge.  The partial embeddings
-    form a union-find over block indices (a parent list with union by
-    rank); ``head``/``tail`` hold each root's first and last edge.  The
-    merge runs in O(delta_v * alpha).
+    With three or more blocks the c digits only turn each block's run to
+    start at first_j.  The merge orders positions in the runs
+    concatenated, and that order depends on ctx.deltas and the d digits
+    alone: ctx's tables keep it per d tuple (_merge on a miss), and the
+    call maps it through the concatenated runs.
     """
-    b = ctx.b
-    if b == 2:
+    if ctx.b == 2:
         # The first merge only: block 2's run after last_1.  Turned to start
         # at r1[0], that is block 1 up to first_1, then block 2's run, then
         # the rest of block 1; first_1 = r1[0] puts block 2 at the end.
@@ -162,21 +205,45 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     runs = []
     for rot, edges, c in zip(rotations, ctx.edges, c_vals):
         i = rot.index(edges[c])
-        runs.append([*rot[i:], *rot[:i]])
+        runs += rot[i:]
+        runs += rot[:i]
+    decoded = ctx.tables.decoded
+    key = tuple(d_vals)
+    order = decoded.get(key)
+    if order is None:
+        order = _merge(ctx, d_vals)
+        if len(decoded) < DECODED_PER_SHAPE:
+            decoded[key] = order
+    out = itemgetter(*order)(runs)
+    i = out.index(rotations[0][0])
+    return out[i:] + out[:i]
 
-    # The runs linked in order; a missing nxt/prv entry ends the list.
-    nxt: dict[int, int | None] = {}
-    prv: dict[int, int | None] = {}
-    head = [0]
-    tail = [0]
-    for run in runs:
-        nxt.update(zip(run, run[1:]))
-        prv.update(zip(run[1:], run))
-        head.append(run[0])
-        tail.append(run[-1])
+
+def _merge(ctx: BlocksAtV, d_vals) -> tuple[int, ...]:
+    """The merge of three or more blocks, as the positions of its edges in
+    the block runs concatenated (block j's run at ends[j-2]..ends[j-1]-1),
+    from first_1 on.
+
+    The growing rotation is a doubly linked list over positions (the
+    ``nxt``/``prv`` lists, with n for none), and S and the fused pairs are
+    positions too, so a call allocates no object per edge.  The partial
+    embeddings form a union-find over block indices (a parent list with
+    union by rank); ``head``/``tail`` hold each root's first and last
+    position.  The merge runs in O(delta_v * alpha).
+    """
+    b, n = ctx.b, ctx.delta_v
+    ends = list(accumulate(ctx.deltas))
+
+    # Each run linked in order; n as a next or previous position ends a list.
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
+    head = [0, 0, *ends[:-1]]
+    tail = [0, *[e - 1 for e in ends]]
+    for j in range(1, b + 1):
+        nxt[tail[j]] = n
+        prv[head[j]] = n
     parent = list(range(b + 1))
     rank = [0] * (b + 1)
-    block_of = ctx.block_of
 
     # First merge: block 2 appended after last_1, no interleaving.
     first2 = head[2]
@@ -194,36 +261,37 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     # cell is in first_j's partial and resolves through the fused pair
     # (edge, first_j), so the partial and the anchor read from the cell do
     # not change, and a wrap reads the cell's original edge.
-    s = runs[0] + runs[1]
-    for run in runs[2:]:
-        s += run[1:]
-    s += [run[0] for run in reversed(runs[2:])]
+    s = list(range(ends[1]))
+    for j in range(3, b + 1):
+        s += range(head[j] + 1, ends[j - 1])
+    s += head[b:2:-1]
 
     # "Fused" pairs (anchor, first_j): nothing may ever be inserted
     # between them, so an anchor resolves through them before splicing.
     # A pair is only ever added on a chain's end (a resolved anchor, or
     # e*, which has no pair of its own), so a walked chain is compressed
-    # onto its end.
-    fused: dict[int, int] = {}
+    # onto its end.  fused[p] is n while p is in no pair.
+    fused = [n] * n
 
     for j in range(3, b + 1):
         d = d_vals[j - 3]
         root_j = _find(parent, j)
         seg_h, seg_t = head[root_j], tail[root_j]
-        root = _find(parent, block_of[s[d]])
+        ed = s[d]
+        root = _find(parent, bisect_right(ends, ed) + 1)
         if root != root_j:
             # Case 1: insert block j's partial right after the addressed
             # edge, resolved through fused pairs.
-            anchor = end = s[d]
-            while end in fused:
+            anchor = end = ed
+            while fused[end] != n:
                 end = fused[end]
             while anchor != end:
                 fused[anchor], anchor = end, fused[anchor]
-            after = nxt.get(anchor)
+            after = nxt[anchor]
             nxt[anchor] = seg_h
             prv[seg_h] = anchor
             nxt[seg_t] = after
-            if after is None:
+            if after == n:
                 tail[root] = seg_t
             else:
                 prv[after] = seg_t
@@ -233,16 +301,15 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
             # Case 2: wrap block j around block 2's nest.  The original
             # edge at cell d splits the block's run: the tail part goes
             # right after last_2, the head part right before first_2.
-            ed = s[d]
             if ed == seg_h:
                 raise EmbeddingMismatch("wrap split lands on first_j")
             head_t = prv[ed]
             root = _find(parent, 1)
-            after = nxt.get(last2)
+            after = nxt[last2]
             nxt[last2] = ed
             prv[ed] = last2
             nxt[seg_t] = after
-            if after is None:
+            if after == n:
                 tail[root] = seg_t
             else:
                 prv[after] = seg_t
@@ -258,14 +325,13 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
         fused[anchor] = seg_h
 
     out = []
-    w = head[_find(parent, 1)]
-    while w is not None:
-        out.append(w)
-        w = nxt.get(w)
-    if len(out) != ctx.delta_v:
+    p = head[_find(parent, 1)]
+    while p != n:
+        out.append(p)
+        p = nxt[p]
+    if len(out) != n:
         raise EmbeddingMismatch("merge lost or duplicated edges")
-    i = out.index(rotations[0][0])
-    return (*out[i:], *out[:i])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +345,13 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     ``rotation`` is v's rotation in a valid embedding.  Each block's
     rotation at v is read off it, as its restriction to the block's edges.
 
-    Edges are addressed by their position in the walk (the rotation turned
-    to start at first_1).  Block j's run spans positions fpos[j]..lpos[j]
-    and par[j] is the run that encloses it (0 for none).  Block j's anchor
-    is the edge at fpos[j] - 1, and the run right of run j in the same
-    enclosing run is the one starting at lpos[j] + 1, if one starts there.
-
     With two blocks there is no d value, so the call reads first_1 and
-    first_2 off the rotation directly and builds no walk or runs.
+    first_2 off the rotation directly and builds no walk or runs.  With
+    more, it reads the block of each edge in the walk (the rotation turned
+    to start at first_1).  d and each block's first position there depend
+    on ctx.deltas and those blocks alone, and come from ctx's tables
+    (_derive_d on a miss); c_j is the index of block j's first edge in
+    ctx.edges[j-1].
 
     The O(delta_v) bound is checked by counting executed lines under
     doubling, as the module docstring says.
@@ -318,7 +383,29 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     k = steps.index(1, n - steps[::-1].index(2)) + 1
     i0 = (i0 + k) % n
     walk = rotation[i0:] + rotation[:i0]
-    blk = blk[i0:] + blk[:i0]
+    blk = tuple(blk[i0:] + blk[:i0])
+    encoded = ctx.tables.encoded
+    derived = encoded.get(blk)
+    if derived is None:
+        derived = _derive_d(ctx, blk)
+        if len(encoded) < DECODED_PER_SHAPE:
+            encoded[blk] = derived
+    d_vals, fpos = derived
+    c_vals = list(map(tuple.index, ctx.edges, itemgetter(*fpos)(walk)))
+    return c_vals, list(d_vals)
+
+
+def _derive_d(ctx: BlocksAtV, blk: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The d digits of a merge of three or more blocks, and each block's
+    first position in its walk (the rotation from first_1 on), from the
+    block of each position there.
+
+    Block j's run spans positions fpos[j]..lpos[j] and par[j] is the run
+    that encloses it (0 for none).  Block j's anchor is the edge at
+    fpos[j] - 1, and the run right of run j in the same enclosing run is
+    the one starting at lpos[j] + 1, if one starts there.
+    """
+    b, n = ctx.b, ctx.delta_v
 
     # Block runs first_j..last_j: the first and last position of each block.
     fpos = [-1] * (b + 1)
@@ -327,7 +414,6 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
         if fpos[j] < 0:
             fpos[j] = p
         lpos[j] = p
-    c_vals = [edges.index(walk[f]) for edges, f in zip(ctx.edges, fpos[1:])]
 
     # Labels: positions in S (block 1, block 2, blocks 3.. minus firsts,
     # then firsts in decreasing block order).  The same pass records each
@@ -440,4 +526,4 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     for d, limit in zip(d_vals, ctx.d_bounds):
         if not 0 <= d < limit:
             raise EmbeddingMismatch(f"derived d={d} outside 0..{limit - 1}")
-    return c_vals, d_vals
+    return tuple(d_vals), tuple(fpos[1:])

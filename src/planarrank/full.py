@@ -26,7 +26,11 @@ each way: unrank keeps the block-local rotations decoded from p and r
 digits and translates them to global ids per call, and rank keeps chi's
 digits by the block-local rotations at the shape's P/R poles, which are
 all chi reads.  The id maps, global poles and slices stay on the block's
-record.
+record.  A cut-vertex's shape is its blocks' degrees at it (deltas): the
+cut-vertices with equal deltas share one MergeTables, made at set-up
+with one dict lookup per cut-vertex and filled by phi_v_inverse and
+phi_v under the same cap, which keeps the merge per d tuple and the d
+digits per block sequence around v (see cutvertex).
 A graph is planar exactly when each of its blocks is, and build_spqr
 tests each distinct block, so no whole-graph planarity test runs.
 
@@ -61,14 +65,12 @@ from operator import itemgetter
 from . import codecs
 from .biconnected import biconn_bounds, chi, chi_inverse
 from .codecs import MixedRadix, tuple_rank, tuple_unrank
-from .cutvertex import BlocksAtV, phi_v, phi_v_inverse
+from .cutvertex import DECODED_PER_SHAPE, BlocksAtV, MergeTables, phi_v, phi_v_inverse
 from .embedding import PlanarEmbedding, Rotation, canonical_rotation, validate
 from .errors import EmbeddingMismatch, RankOutOfRange
 from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
-
-DECODED_PER_SHAPE = 16  # per tree and direction: a shape with at most 16 embeddings keeps them all
 
 
 @dataclass(slots=True)
@@ -169,11 +171,12 @@ class EmbeddingRanker:
             e: b for b, info in enumerate(self.blocks) for e in info.edges
         }
         self.cuts: list[_CutInfo] = []
+        merge_tables: dict[tuple[int, ...], MergeTables] = {}  # by deltas
         for v in bct.cut_vertices:
             at_v: dict[int, list[int]] = {}
             for w in graph.adj[v]:
                 at_v.setdefault(block_of_edge[edge_id(v, w)], []).append(w)
-            ctx = BlocksAtV.make(v, at_v.values())
+            ctx = BlocksAtV.make(v, at_v.values(), merge_tables)
             ids = [block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
             self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
         # Each block's poles, with the run of its edges at a cut-vertex pole

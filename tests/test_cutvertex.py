@@ -8,9 +8,11 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from _graphgen import benchmark_graphs
 from _linecount import doubling_ratios, executed_lines
 from _oracle import canonical_cycle, enumerate_arrangements, is_planar_rotation
 from planarrank.cutvertex import (
+    DECODED_PER_SHAPE,
     BlocksAtV,
     arrangement_bounds,
     phi_v,
@@ -256,12 +258,17 @@ def wide_cut_vertex(b, pattern):
 class TestWorkUnderDoubling:
     """The per-call bounds O(delta_v * alpha) for phi_v_inverse and
     O(delta_v) for phi_v, checked by measurement: doubling the blocks at
-    v (and so delta_v) at most about doubles the lines executed."""
+    v (and so delta_v) at most about doubles the lines executed.  Each
+    counted call runs on an empty table, so it merges or derives."""
 
     @pytest.mark.parametrize("pattern", DIGIT_PATTERNS)
     def test_phi_v_inverse(self, pattern):
-        counts = [executed_lines(CUTVERTEX_PY, phi_v_inverse, *wide_cut_vertex(b, pattern))
-                  for b in BLOCK_COUNTS]
+        counts = []
+        for b in BLOCK_COUNTS:
+            ctx, *args = wide_cut_vertex(b, pattern)
+            assert not ctx.tables.decoded
+            counts.append(executed_lines(CUTVERTEX_PY, phi_v_inverse, ctx, *args))
+            assert phi_v_inverse(ctx, *args) == dict_phi_v_inverse(ctx, *args)
         assert max(doubling_ratios(counts)) <= 2.2, counts
 
     @pytest.mark.parametrize("pattern", DIGIT_PATTERNS)
@@ -270,8 +277,9 @@ class TestWorkUnderDoubling:
         for b in BLOCK_COUNTS:
             ctx, rotations, c_vals, d_vals = wide_cut_vertex(b, pattern)
             merged = phi_v_inverse(ctx, rotations, c_vals, d_vals)
-            assert phi_v(ctx, merged) == (c_vals, d_vals)
+            assert not ctx.tables.encoded
             counts.append(executed_lines(CUTVERTEX_PY, phi_v, ctx, merged))
+            assert phi_v(ctx, merged) == (c_vals, d_vals)
         assert max(doubling_ratios(counts)) <= 2.2, counts
 
 
@@ -420,6 +428,175 @@ def reference_phi_v_inverse(ctx, rotations, c_vals, d_vals, cases):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Reference: the merge over far-endpoint dicts
+# ---------------------------------------------------------------------------
+#
+# phi_v_inverse as it was before the merge moved onto run positions and
+# per-deltas tables: it links far endpoints in two dicts and merges afresh
+# on every call.  Kept as it was, with its union-find helpers, under new
+# names.
+
+
+def dict_find(parent: list[int], x: int) -> int:
+    """Root of x's set; compresses the path."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def dict_union(parent: list[int], rank: list[int], x: int, y: int) -> int:
+    """Join the sets with roots x and y by rank; returns the new root.
+    Equal roots leave the sets as they are."""
+    if rank[x] < rank[y]:
+        x, y = y, x
+    elif rank[x] == rank[y]:
+        rank[x] += 1
+    parent[y] = x
+    return x
+
+
+def dict_phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
+                       d_vals: list[int]) -> tuple[int, ...]:
+    """Merge the block embeddings as dictated by the tuple.
+
+    ``rotations[j-1]`` is block j's counter-clockwise rotation at v (far
+    endpoints), a canonical tuple, in ctx's block order, holding exactly
+    block j's edges, and the digits lie within ctx's bounds.  Returns the
+    rotation at v as a canonical tuple: the counter-clockwise neighbor
+    list from first_1 on, turned to start at v's smallest neighbor,
+    block 1's first edge.
+
+    The growing rotation is a doubly linked list over far endpoints (the
+    ``nxt``/``prv`` dicts), and S and the fused pairs are far endpoints
+    too, so a call allocates no object per edge.  The partial embeddings
+    form a union-find over block indices (a parent list with union by
+    rank); ``head``/``tail`` hold each root's first and last edge.  The
+    merge runs in O(delta_v * alpha).
+    """
+    b = ctx.b
+    if b == 2:
+        # The first merge only: block 2's run after last_1.  Turned to start
+        # at r1[0], that is block 1 up to first_1, then block 2's run, then
+        # the rest of block 1; first_1 = r1[0] puts block 2 at the end.
+        r1, r2 = rotations
+        i = r1.index(ctx.edges[0][c_vals[0]]) or len(r1)
+        j = r2.index(ctx.edges[1][c_vals[1]])
+        return (*r1[:i], *r2[j:], *r2[:j], *r1[i:])
+
+    # Block runs first_j..last_j: each rotation turned to start at first_j.
+    runs = []
+    for rot, edges, c in zip(rotations, ctx.edges, c_vals):
+        i = rot.index(edges[c])
+        runs.append([*rot[i:], *rot[:i]])
+
+    # The runs linked in order; a missing nxt/prv entry ends the list.
+    nxt: dict[int, int | None] = {}
+    prv: dict[int, int | None] = {}
+    head = [0]
+    tail = [0]
+    for run in runs:
+        nxt.update(zip(run, run[1:]))
+        prv.update(zip(run[1:], run))
+        head.append(run[0])
+        tail.append(run[-1])
+    parent = list(range(b + 1))
+    rank = [0] * (b + 1)
+    block_of = ctx.block_of
+
+    # First merge: block 2 appended after last_1, no interleaving.
+    first2 = head[2]
+    last2 = tail[2]
+    nxt[tail[1]] = first2
+    prv[first2] = tail[1]
+    tail[1] = last2
+    parent[2] = 1
+    rank[1] = 1
+
+    # S: block 1, block 2, each block 3.. without its first edge, then the
+    # first edges in decreasing block order.  Labels are positions in S.
+    # Each merge hands one cell to first_j (cell d on an insert, e*'s cell
+    # on a wrap).  S is kept as built all the same: the edge that held the
+    # cell is in first_j's partial and resolves through the fused pair
+    # (edge, first_j), so the partial and the anchor read from the cell do
+    # not change, and a wrap reads the cell's original edge.
+    s = runs[0] + runs[1]
+    for run in runs[2:]:
+        s += run[1:]
+    s += [run[0] for run in reversed(runs[2:])]
+
+    # "Fused" pairs (anchor, first_j): nothing may ever be inserted
+    # between them, so an anchor resolves through them before splicing.
+    # A pair is only ever added on a chain's end (a resolved anchor, or
+    # e*, which has no pair of its own), so a walked chain is compressed
+    # onto its end.
+    fused: dict[int, int] = {}
+
+    for j in range(3, b + 1):
+        d = d_vals[j - 3]
+        root_j = dict_find(parent, j)
+        seg_h, seg_t = head[root_j], tail[root_j]
+        root = dict_find(parent, block_of[s[d]])
+        if root != root_j:
+            # Case 1: insert block j's partial right after the addressed
+            # edge, resolved through fused pairs.
+            anchor = end = s[d]
+            while end in fused:
+                end = fused[end]
+            while anchor != end:
+                fused[anchor], anchor = end, fused[anchor]
+            after = nxt.get(anchor)
+            nxt[anchor] = seg_h
+            prv[seg_h] = anchor
+            nxt[seg_t] = after
+            if after is None:
+                tail[root] = seg_t
+            else:
+                prv[after] = seg_t
+            if anchor == last2:
+                last2 = seg_t
+        else:
+            # Case 2: wrap block j around block 2's nest.  The original
+            # edge at cell d splits the block's run: the tail part goes
+            # right after last_2, the head part right before first_2.
+            ed = s[d]
+            if ed == seg_h:
+                raise EmbeddingMismatch("wrap split lands on first_j")
+            head_t = prv[ed]
+            root = dict_find(parent, 1)
+            after = nxt.get(last2)
+            nxt[last2] = ed
+            prv[ed] = last2
+            nxt[seg_t] = after
+            if after is None:
+                tail[root] = seg_t
+            else:
+                prv[after] = seg_t
+            anchor = prv[first2]  # e*
+            nxt[anchor] = seg_h
+            prv[seg_h] = anchor
+            nxt[head_t] = first2
+            prv[first2] = head_t
+        # j's partial joins the anchor's, which keeps its head and tail.
+        h, t = head[root], tail[root]
+        root = dict_union(parent, rank, root, root_j)
+        head[root], tail[root] = h, t
+        fused[anchor] = seg_h
+
+    out = []
+    w = head[dict_find(parent, 1)]
+    while w is not None:
+        out.append(w)
+        w = nxt.get(w)
+    if len(out) != ctx.delta_v:
+        raise EmbeddingMismatch("merge lost or duplicated edges")
+    i = out.index(rotations[0][0])
+    return (*out[i:], *out[:i])
+
+
 def random_blocks(rng):
     """Far endpoints of 2..8 blocks of 1..4 edges each, shuffled within
     each block and sorted by minimum, as BlocksAtV.make takes them."""
@@ -439,18 +616,34 @@ def random_blocks(rng):
 class TestAgainstReferenceMerge:
     def test_random_cut_vertices_match_reference(self):
         """phi_v_inverse, given the blocks' canonical tuples, returns the
-        reference's merge made canonical."""
+        reference's merge made canonical, as the dict-based merge does.
+        Each case runs on a cold table, then on the warm one, then on a
+        table that cut-vertices of earlier cases with the same deltas
+        filled with other blocks and c digits."""
         rng = random.Random(20261018)
         cases = Counter()
+        shared: dict = {}
+        hits = Counter()
         for _ in range(2000):
             blocks = random_blocks(rng)
             ctx = BlocksAtV.make(1, blocks)
             c_vals = [rng.randrange(x) for x in ctx.c_bounds]
             d_vals = [rng.randrange(x) for x in ctx.d_bounds]
-            expected = reference_phi_v_inverse(ctx, blocks, c_vals, d_vals, cases)
-            got = phi_v_inverse(ctx, [canonical_neighbors(r) for r in blocks], c_vals, d_vals)
-            assert got == canonical_neighbors(expected), (blocks, c_vals, d_vals)
+            expected = canonical_neighbors(
+                reference_phi_v_inverse(ctx, blocks, c_vals, d_vals, cases))
+            rotations = [canonical_neighbors(r) for r in blocks]
+            assert dict_phi_v_inverse(ctx, rotations, c_vals, d_vals) == expected
+            assert not ctx.tables.decoded
+            for table in ("cold", "warm"):
+                got = phi_v_inverse(ctx, rotations, c_vals, d_vals)
+                assert got == expected, (table, blocks, c_vals, d_vals)
+            assert list(ctx.tables.decoded) == ([tuple(d_vals)] if ctx.b > 2 else [])
+            other = BlocksAtV.make(1, blocks, shared)
+            hits[tuple(d_vals) in other.tables.decoded] += 1
+            assert phi_v_inverse(other, rotations, c_vals, d_vals) == expected
         assert cases["insert"] > 0 and cases["wrap"] > 0, cases
+        assert hits[True] > 50, hits
+        assert all(len(t.decoded) <= DECODED_PER_SHAPE for t in shared.values())
 
 
 TWO_BLOCK_CONFIGS = [c for c in CONFIGS if len(c[2]) == 2]
@@ -512,6 +705,56 @@ class TestTwoBlockExit:
     ])
     def test_bound_violation(self, c_vals, d_vals):
         assert_unrank_rejects([[2, 3], [4]], c_vals, d_vals)
+
+
+def hub(k):
+    """Vertex 1 shared by k blocks: a bridge, a triangle, a 4-cycle and a
+    K4 in turn, of degrees 1, 2, 2 and 3 at vertex 1."""
+    templates = [[(0, 1)], [(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2), (2, 3), (0, 3)],
+                 [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
+    edges, n = [], 1
+    for i in range(k):
+        t = templates[i % 4]
+        ids = {0: 1, **{x: n + x for x in range(1, max(map(max, t)) + 1)}}
+        edges += [(ids[a], ids[b]) for a, b in t]
+        n = max(ids.values())
+    return Graph(n, sorted(edges))
+
+
+def tables_of(ranker):
+    """The distinct MergeTables of a ranker's cut-vertices, by identity."""
+    return list({id(cut.ctx.tables): cut.ctx.tables for cut in ranker.cuts}.values())
+
+
+class TestMergeTables:
+    """The per-deltas tables of merges and derivations."""
+
+    @pytest.mark.parametrize("name", ["forest", "hub-40"])
+    def test_capped_after_many_pairs(self, name):
+        g = benchmark_graphs("forest")[0] if name == "forest" else hub(40)
+        ranker = EmbeddingRanker(g)
+        rng = random.Random(201)
+        for _ in range(200):
+            r = rng.randrange(ranker.count())
+            assert ranker.rank(ranker.unrank(r)) == r
+        tables = tables_of(ranker)
+        assert all(len(t.decoded) <= DECODED_PER_SHAPE for t in tables)
+        assert all(len(t.encoded) <= DECODED_PER_SHAPE for t in tables)
+        # Some cut-vertex of three or more blocks met more d tuples and
+        # more arrangements than a table holds.
+        assert max(len(t.decoded) for t in tables) == DECODED_PER_SHAPE
+        assert max(len(t.encoded) for t in tables) == DECODED_PER_SHAPE
+
+    def test_equal_deltas_share_one_table(self):
+        g = benchmark_graphs("forest")[0]
+        ranker = EmbeddingRanker(g)
+        by_deltas = {}
+        for cut in ranker.cuts:
+            by_deltas.setdefault(cut.ctx.deltas, set()).add(id(cut.ctx.tables))
+        assert all(len(ids) == 1 for ids in by_deltas.values())
+        assert len(tables_of(ranker)) == len(by_deltas) < len(ranker.cuts)
+        other = EmbeddingRanker(g)
+        assert not {id(t) for t in tables_of(ranker)} & {id(t) for t in tables_of(other)}
 
 
 class TestWideCutVertex:
@@ -760,10 +1003,27 @@ def outcome(forward, ctx, rotation):
 
 class TestAgainstReferenceForward:
     def test_random_cut_vertices_match_reference(self):
+        """Each case runs on a cold table, then on the warm one, then on a
+        table that cut-vertices of earlier cases with the same deltas
+        filled from other rotations."""
         rng = random.Random(20261019)
         cases = Counter()
         accepted_shuffles = 0
         two = interleaved = 0  # two-block cases, which take phi_v's exit
+        shared: dict = {}
+        hits = Counter()
+
+        def check(ctx, rotation, expected):
+            assert not ctx.tables.encoded
+            for table in ("cold", "warm"):
+                assert phi_v(ctx, rotation) == expected, (table, ctx.edges, rotation)
+            other = BlocksAtV.make(1, ctx.edges, shared)
+            encoded = other.tables.encoded
+            size = len(encoded)
+            assert phi_v(other, rotation) == expected, (ctx.edges, rotation)
+            if ctx.b > 2:  # a miss below the cap adds its entry
+                hits[len(encoded) == size < DECODED_PER_SHAPE] += 1
+
         for _ in range(2500):
             blocks = random_blocks(rng)
             ctx = BlocksAtV.make(1, blocks)
@@ -771,7 +1031,7 @@ class TestAgainstReferenceForward:
             d_vals = [rng.randrange(x) for x in ctx.d_bounds]
             merged = reference_phi_v_inverse(ctx, blocks, c_vals, d_vals, cases)
             assert reference_phi_v(ctx, merged) == (c_vals, d_vals)
-            assert phi_v(ctx, merged) == (c_vals, d_vals), (blocks, merged)
+            check(ctx, merged, (c_vals, d_vals))
 
             # A shuffle whose block runs do not nest is no planar rotation
             # at v: validate rejects it before phi_v runs, so only the
@@ -780,7 +1040,7 @@ class TestAgainstReferenceForward:
             expected = outcome(reference_phi_v, ctx, shuffled)
             if isinstance(expected, type):
                 continue
-            assert phi_v(ctx, shuffled) == expected, (blocks, shuffled)
+            check(BlocksAtV.make(1, blocks), shuffled, expected)
             if ctx.b > 2:
                 accepted_shuffles += 1
             else:
@@ -794,3 +1054,6 @@ class TestAgainstReferenceForward:
         # The reference accepts every two-block shuffle, those whose blocks
         # interleave too, and the exit agrees with it on each.
         assert two >= 300 and interleaved >= 100, (two, interleaved)
+        # Shared tables held their entries for cut-vertices of later cases.
+        assert hits[True] > 50, hits
+        assert all(len(t.encoded) <= DECODED_PER_SHAPE for t in shared.values())

@@ -195,9 +195,9 @@ class TestBijection:
         calls = []
         original = cutvertex.BlocksAtV.make.__func__
 
-        def counted(cls, v, blocks):
+        def counted(cls, v, *args):
             calls.append(v)
-            return original(cls, v, blocks)
+            return original(cls, v, *args)
 
         monkeypatch.setattr(cutvertex.BlocksAtV, "make", classmethod(counted))
         g = random_planar(30, seed=3)

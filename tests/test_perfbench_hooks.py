@@ -92,3 +92,30 @@ def test_rank_records_each_layer_call():
         assert spans.count("cutvertex.phi_v") == 3
         assert spans.count("embedding.validate") == 1
         assert spans.count("biconnected.chi") == expected_chi
+
+
+def test_unrank_records_each_cut_merge():
+    # phi_inverse must look phi_v_inverse up on the full module, where the
+    # tracer wraps it: one span per cut-vertex per unrank, on a fresh
+    # ranker and again once its merge tables hold the same d digits, so no
+    # table routes a merge around the traced binding.  Vertex 4 joins K4,
+    # a triangle and the bridge to 7; vertex 7 joins that bridge and the
+    # bridge to 8.
+    tracing = _load_tracing()
+    ranker = EmbeddingRanker(Graph(8, [
+        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+        (4, 5), (4, 6), (5, 6), (4, 7), (7, 8),
+    ]))
+    assert [(cut.v, cut.ctx.b) for cut in ranker.cuts] == [(4, 3), (7, 2)]
+    r = ranker.count() - 1
+    for warm in (False, True):
+        assert bool(ranker.cuts[0].ctx.tables.decoded) == warm
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            with tracer.op_span("unrank", 0):
+                ranker.unrank(r)
+        finally:
+            tracer.uninstall()
+        spans = [tracer.names[k] for k in tracer.name_id]
+        assert spans.count("cutvertex.phi_v_inverse") == 2
