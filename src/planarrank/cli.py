@@ -91,8 +91,7 @@ def cmd_enumerate(args) -> int:
     _check_count("--limit", args.limit)
     ranker = EmbeddingRanker(g)
     for r, emb in ranker.enumerate(start, args.limit):
-        print(json.dumps({"rank": str(r), "embedding": emb.canonical_data()},
-                         sort_keys=True))
+        print('{"embedding": %s, "rank": "%d"}' % (emb.to_json(), r))
     return 0
 
 

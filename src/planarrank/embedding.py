@@ -11,6 +11,11 @@ An embedding holds each neighbor list as a tuple of ints, so embeddings
 can share the tuples of the vertices whose rotation they agree on: the
 ranker's embeddings share every rotation no digit decides (full.py).
 
+to_json is the one writer of an embedding's JSON.  It writes every id from
+its graph's text table, whose owner is graph.vertex_text: the decimal text
+of each vertex id and the vertices in the order of that text, built once
+per graph.
+
 For a disconnected graph the rotation alone does not fix the embedding;
 a nesting tree (which face of which component hosts each other component)
 plus a face tuple (per-component outer face under the reference-face
@@ -23,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .errors import GraphMismatch, MalformedInput
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, vertex_text
 
 Rotation = dict[int, tuple[int, ...]]
 
@@ -144,15 +149,25 @@ class PlanarEmbedding:
 
     # -- equality and serialization ---------------------------------------
 
-    def canonical_data(self) -> dict:
-        return {
-            "rotations": {str(v): list(self.rot[v]) for v in sorted(self.rot)},
-            "nesting": [list(e) for e in self.nesting],
-            "face_tuple": list(self.face_tuple),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.canonical_data(), sort_keys=True)
+        """The embedding as JSON with sorted keys: "face_tuple", "nesting",
+        then "rotations", keyed by decimal vertex id in text order.
+
+        The text is json.dumps(..., sort_keys=True)'s for the same data,
+        byte for byte, whenever every key and entry of the rotation has
+        type int, ids outside 1..n included.  Each id is written from the
+        graph's text table (vertex_text), in the table's order when the
+        rotation covers exactly the graph's vertices.
+        """
+        g = self.graph
+        text, order = vertex_text(g)
+        rot = self.rot
+        if rot.keys() != g.adj.keys():
+            order = sorted(rot, key=str)
+        tx = text.__getitem__
+        rows = ", ".join([f'"{tx(v)}": [{", ".join(map(tx, rot[v]))}]' for v in order])
+        return '{"face_tuple": %s, "nesting": %s, "rotations": {%s}}' % (
+            json.dumps(self.face_tuple), json.dumps(self.nesting), rows)
 
     @classmethod
     def from_json(cls, graph: Graph, text: str) -> "PlanarEmbedding":
@@ -188,7 +203,7 @@ class PlanarEmbedding:
             raise MalformedInput('"nesting" must be a list of integer triples')
         if not (ft is None or isinstance(ft, list) and all(type(x) is int for x in ft)):
             raise MalformedInput('"face_tuple" must be a list of integers')
-        return cls(graph, rot, [tuple(e) for e in nesting or []] or None, ft or None)
+        return cls(graph, rot, None if nesting is None else [tuple(e) for e in nesting], ft)
 
 
 def embeddings_equal(e1: PlanarEmbedding, e2: PlanarEmbedding) -> bool:

@@ -35,7 +35,7 @@ class Graph:
     deterministic.
     """
 
-    __slots__ = ("n", "edges", "adj", "_components")
+    __slots__ = ("n", "edges", "adj", "_components", "_text")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
@@ -65,6 +65,7 @@ class Graph:
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
         self.adj = adj
         self._components: list[tuple[int, frozenset[int]]] | None = None
+        self._text: tuple[DecimalText, tuple[int, ...]] | None = None
 
     @property
     def m(self) -> int:
@@ -145,6 +146,33 @@ def connected_components(g: Graph) -> list[tuple[int, frozenset[int]]]:
         comps.append(frozenset(comp))
     g._components = [(i + 1, comp) for i, comp in enumerate(comps)]
     return list(g._components)
+
+
+class DecimalText(dict):
+    """The JSON text of ints, keyed by int.  vertex_text fills it with a
+    graph's vertex ids; any other int is written by json.dumps when it is
+    looked up, and not kept, so an id outside 1..n is written exactly as
+    well.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, k) -> str:
+        return json.dumps(k)
+
+
+def vertex_text(g: Graph) -> tuple[DecimalText, tuple[int, ...]]:
+    """The decimal text of every vertex id, and the vertices in the order
+    of that text (1, 10, 11, ..., 2, ...): the key order that json.dumps
+    with sort_keys=True gives a dict keyed by vertex ids.
+
+    Both depend only on the graph, which is immutable, so the table is
+    built once per graph, when an embedding of it is first written.
+    """
+    if g._text is None:
+        text = DecimalText(zip(g.adj, map(str, g.adj)))
+        g._text = (text, tuple(sorted(g.adj, key=text.__getitem__)))
+    return g._text
 
 
 @dataclass(frozen=True)

@@ -165,10 +165,10 @@ def necklace(k: int) -> Graph:
     return Graph(3 * k, edges)
 
 
-def benchmark_graphs(workload: str) -> list[Graph]:
-    """The benchmark's seed-201 graphs of a workload."""
+def benchmark_graphs(workload: str, seed: int = 201) -> list[Graph]:
+    """The benchmark's graphs of a workload, by default at seed 201."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.graphs(workload, 201)
+    return module.graphs(workload, seed)

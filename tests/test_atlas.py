@@ -9,6 +9,7 @@ R-nodes, nested series-parallel blocks and disconnected graphs.
 import pytest
 
 from _graphgen import atlas_planar
+from _json_reference import reference_to_json
 from _oracle import all_rotation_systems, enumerate_disconnected, is_planar_rotation
 from planarrank.embedding import PlanarEmbedding, embeddings_equal, validate
 from planarrank.errors import EmbeddingMismatch
@@ -22,11 +23,14 @@ def test_atlas_size():
 
 
 def test_every_rank_round_trips():
+    """And each embedding's to_json is the reference writer's text."""
     ranks = 0
     for g in atlas_planar():
         ranker = EmbeddingRanker(g)
         for r in range(ranker.count()):
-            assert ranker.rank(ranker.unrank(r)) == r, (g.edges, r)
+            emb = ranker.unrank(r)
+            assert ranker.rank(emb) == r, (g.edges, r)
+            assert emb.to_json() == reference_to_json(emb), (g.edges, r)
         ranks += ranker.count()
     assert ranks == 46172
 

@@ -216,6 +216,26 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("override, err", [
+        ({"nesting": [], "face_tuple": []},
+         "face tuple has 0 entries, expected 1; "
+         "nesting tree does not give every component exactly one parent"),
+        ({"nesting": None, "face_tuple": None}, None),
+    ], ids=["empty-lists", "nulls"])
+    def test_rank_empty_nesting_is_not_the_default(self, triangle_file, tmp_path, capsys,
+                                                   override, err):
+        """Only an absent or null nesting or face tuple means the
+        connected-graph default: explicit empty lists are rejected."""
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({"rotations": {"1": [2, 3], "2": [1, 3], "3": [1, 2]},
+                                   **override}))
+        code = main(["rank", "-g", triangle_file, "-e", str(emb)])
+        captured = capsys.readouterr()
+        if err is None:
+            assert (code, captured.out, captured.err) == (0, "0\n", "")
+        else:
+            assert (code, captured.out, captured.err) == (1, "", f"error: {err}\n")
+
     def test_numbers_past_the_int_str_limit(self, tmp_path, capsys):
         """Vertex 1 joined to 2,000 triangles: the count has more than the
         4,300 digits to which Python limits int-str conversion by default,

@@ -1,11 +1,13 @@
 """Rotation systems, face tracing, labels, validation, equality."""
 
+import json
 import random
 from collections import Counter
 
 import pytest
 
-from _graphgen import random_planar
+from _graphgen import benchmark_graphs, random_planar
+from _json_reference import reference_to_json
 from _oracle import (
     UnknownFace,
     all_rotation_systems,
@@ -25,7 +27,7 @@ from planarrank.embedding import (
 )
 from planarrank.errors import EmbeddingMismatch, GraphMismatch
 from planarrank.full import EmbeddingRanker
-from planarrank.graph import Graph, connected_components
+from planarrank.graph import Graph, connected_components, vertex_text
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 TRI_ROT = {1: [2, 3], 2: [3, 1], 3: [1, 2]}
@@ -336,6 +338,137 @@ class TestEquality:
                 assert not embeddings_equal(emb, other) or key in seen
             seen[key] = emb
         assert len(seen) == 2  # K4's mirror pair
+
+
+def assert_reference_json(emb):
+    """to_json writes what the old writer writes, byte for byte."""
+    assert emb.to_json() == reference_to_json(emb)
+
+
+class TestToJsonAgainstReference:
+    """to_json writes from the graph's text table; the reference converts
+    every int and sorts the keys per call (tests/_json_reference.py)."""
+
+    @pytest.mark.parametrize("seed", [201, 307])
+    @pytest.mark.parametrize("workload", ["forest", "nested", "bigblock"])
+    def test_benchmark_items(self, workload, seed):
+        rng = random.Random(seed)
+        for g in benchmark_graphs(workload, seed):
+            ranker = EmbeddingRanker(g)
+            for emb in ranker.sample(seed=rng.randrange(1 << 30), k=4):
+                assert_reference_json(emb)
+            for _, emb in ranker.enumerate(rng.randrange(ranker.count()), 4):
+                assert_reference_json(emb)
+
+    @pytest.mark.parametrize("n, components, seed", [
+        (12, 3, 3101), (40, 5, 3102), (130, 12, 3103), (1100, 30, 3104)])
+    def test_disconnected_past_ten_vertices(self, n, components, seed):
+        """Text order (1, 10, 11, ..., 2) differs from numeric order from
+        ten vertices on, across component boundaries too."""
+        g = random_planar(n, seed=seed, components=components)
+        assert g.n >= 10 and len(connected_components(g)) == components
+        _, order = vertex_text(g)
+        assert list(order) != sorted(order)
+        ranker = EmbeddingRanker(g)
+        rng = random.Random(seed)
+        for r in (0, ranker.count() - 1, *(rng.randrange(ranker.count()) for _ in range(6))):
+            assert_reference_json(ranker.unrank(r))
+        for emb in ranker.sample(seed=seed, k=3):
+            assert_reference_json(emb)
+
+    def test_keys_inserted_in_descending_order(self):
+        g = random_planar(60, seed=3105, components=4)
+        ranker = EmbeddingRanker(g)
+        for r in (0, ranker.count() // 3, ranker.count() - 1):
+            emb = ranker.unrank(r)
+            backwards = {v: list(emb.rot[v]) for v in sorted(emb.rot, reverse=True)}
+            built = PlanarEmbedding(g, backwards, emb.nesting, emb.face_tuple)
+            assert list(built.rot) == sorted(g.adj, reverse=True)
+            assert_reference_json(built)
+            assert built.to_json() == emb.to_json()
+
+    def test_rotation_misses_or_adds_a_vertex(self):
+        g = random_planar(25, seed=3106, components=2)
+        rot = EmbeddingRanker(g).unrank(7).rot
+        tables = [
+            {v: nbrs for v, nbrs in rot.items() if v != 10},
+            {v: nbrs for v, nbrs in rot.items() if v != 1},
+            {**rot, g.n + 1: (1, 2)},
+            {**rot, 100: (3,), 0: (), -4: (9, 10)},
+            {v: nbrs for v, nbrs in rot.items() if v > 12},
+            {},
+        ]
+        for table in tables:
+            emb = PlanarEmbedding(g, table, [(0, 1, 0), (0, 2, 0)], [0, 0])
+            assert emb.rot.keys() != g.adj.keys()
+            assert_reference_json(emb)
+
+    def test_entries_outside_one_to_n(self):
+        """An id no vertex has is written by json.dumps, not wrapped or
+        refused, and the table keeps no entry for it."""
+        g = random_planar(15, seed=3107, components=2)
+        rot = dict(EmbeddingRanker(g).unrank(3).rot)
+        rot[1] = (*rot[1], 0, -1, -15, g.n + 1, 10 ** 20)
+        rot[11] = (-3, -16, 16)
+        rot[-2] = (-1, 0, 1)
+        rot[g.n + 5] = (g.n, g.n + 1)
+        emb = PlanarEmbedding(g, rot, [(0, 1, 0), (0, 2, 0)], [0, 0])
+        assert_reference_json(emb)
+        # The same entries in a table that covers exactly the vertices.
+        emb = PlanarEmbedding(g, {v: rot[v] for v in g.adj}, [(0, 1, 0), (0, 2, 0)], [0, 0])
+        assert emb.rot.keys() == g.adj.keys()
+        assert_reference_json(emb)
+        text, order = vertex_text(g)
+        assert len(text) == g.n and sorted(order) == list(g.vertices)
+
+    def test_table_built_once_per_graph(self):
+        g = random_planar(30, seed=3108, components=3)
+        table = vertex_text(g)
+        ranker = EmbeddingRanker(g)
+        ranker.unrank(0).to_json()
+        assert vertex_text(g) is table
+        twin = Graph(g.n, g.edges)
+        assert twin == g and hash(twin) == hash(g)
+        assert twin._text is None and g._text is table
+
+
+class TestFromJson:
+    """Only an absent or null "nesting"/"face_tuple" takes the
+    connected-graph default; an explicit [] is kept, and validate judges it."""
+
+    TRI_TEXT = {"rotations": {"1": [2, 3], "2": [1, 3], "3": [1, 2]}}
+
+    @pytest.mark.parametrize("extra", [{}, {"nesting": None, "face_tuple": None}])
+    def test_absent_or_null_is_the_default(self, extra):
+        emb = PlanarEmbedding.from_json(TRIANGLE, json.dumps({**self.TRI_TEXT, **extra}))
+        assert emb.nesting == [(0, 1, 0)] and emb.face_tuple == [0]
+        assert validate(emb) == []
+
+    @pytest.mark.parametrize("extra, problems", [
+        ({"nesting": [], "face_tuple": []},
+         ["face tuple has 0 entries, expected 1",
+          "nesting tree does not give every component exactly one parent"]),
+        ({"face_tuple": []}, ["face tuple has 0 entries, expected 1"]),
+        ({"nesting": []},
+         ["nesting tree does not give every component exactly one parent"]),
+    ], ids=["both", "face-tuple", "nesting"])
+    def test_explicit_empty_list_is_kept(self, extra, problems):
+        emb = PlanarEmbedding.from_json(TRIANGLE, json.dumps({**self.TRI_TEXT, **extra}))
+        assert emb.nesting == ([] if "nesting" in extra else [(0, 1, 0)])
+        assert emb.face_tuple == ([] if "face_tuple" in extra else [0])
+        assert validate(emb) == problems
+        with pytest.raises(EmbeddingMismatch) as info:
+            EmbeddingRanker(TRIANGLE).rank(emb)
+        assert str(info.value) == "; ".join(problems)
+
+    def test_two_components_explicit_empty_nesting(self):
+        g = Graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+        text = json.dumps({"rotations": {str(v): g.adj[v] for v in g.vertices},
+                           "nesting": [], "face_tuple": [0, 0]})
+        emb = PlanarEmbedding.from_json(g, text)
+        assert emb.nesting == []
+        assert validate(emb) == [
+            "nesting tree does not give every component exactly one parent"]
 
 
 class TestCanonicalCycle:

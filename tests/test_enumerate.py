@@ -256,7 +256,8 @@ def test_cli_enumerate_lines_are_unrank_json_across_a_carry(tmp_path, capsys):
     assert main(["enumerate", "-g", str(path), "--from", str(start), "--limit", "5"]) == 0
     out = capsys.readouterr()
     assert out.err == ""
-    assert out.out.splitlines() == [
-        json.dumps({"rank": str(r), "embedding": ranker.unrank(r).canonical_data()},
-                   sort_keys=True)
-        for r in range(start, start + 5)]
+    lines = out.out.splitlines()
+    assert lines == ['{"embedding": %s, "rank": "%d"}' % (ranker.unrank(r).to_json(), r)
+                     for r in range(start, start + 5)]
+    assert [json.loads(line)["rank"] for line in lines] == [
+        str(r) for r in range(start, start + 5)]
