@@ -1,7 +1,7 @@
 """Uniform random sampling of embeddings.
 
-Sampling factorizes over the tuple: every bounded element is drawn
-independently, so the resulting embedding is uniform over all embeddings.
+Sampling draws a rank uniformly from 0..count-1 and unranks it.  The
+codec is a bijection, so the embedding is uniform over all embeddings.
 The histogram over 6000 draws of a triangle-with-pendant (4 embeddings)
 comes out flat.
 """

@@ -97,12 +97,16 @@ def cmd_enumerate(args) -> int:
 
 def cmd_decompose(args) -> int:
     ranker = EmbeddingRanker(_load_graph(args.graph))
-    for ci, (cid, comp) in enumerate(ranker.comps):
+    cuts = [[] for _ in ranker.comps]
+    blocks = [[] for _ in ranker.comps]
+    for cut in ranker.cuts:
+        cuts[cut.comp].append(cut.v)
+    for info in ranker.blocks:
+        blocks[info.comp].append(info)
+    for (cid, comp), comp_cuts, comp_blocks in zip(ranker.comps, cuts, blocks):
         print(f"component {cid}: vertices {sorted(comp)}")
-        print(f"  cut-vertices: {[cut.v for cut in ranker.cuts if cut.comp == ci]}")
-        for info in ranker.blocks:
-            if info.comp != ci:
-                continue
+        print(f"  cut-vertices: {comp_cuts}")
+        for info in comp_blocks:
             print(f"  block {info.edges}")
             for line in info.tree.dump(relabel=info.to_global).splitlines():
                 print(f"    {line}")

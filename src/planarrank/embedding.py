@@ -26,6 +26,7 @@ rho-G1 and a one-entry face tuple.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .errors import GraphMismatch, MalformedInput
 from .graph import Graph, connected_components, vertex_text
@@ -120,7 +121,8 @@ class PlanarEmbedding:
     ) -> None:
         """By default the embedding holds canonical tuples of rot's lists
         (canonical_rotation), and its own sorted list of int nesting
-        triples and list of face tuple ints.
+        triples and list of face tuple ints.  An id or entry whose type is
+        not int (a bool, a float, a str) raises MalformedInput.
 
         canonical=True: rot's values are canonical tuples, nesting is a
         sorted list of int triples and face_tuple a list of ints, and the
@@ -131,21 +133,22 @@ class PlanarEmbedding:
         default.
         """
         self.graph = graph
-        c = len(connected_components(graph))
-        if nesting is None:
-            if c != 1:
-                raise MalformedInput("nesting tree required for a disconnected graph")
-            nesting = [(0, 1, 0)]
-        if face_tuple is None:
-            if c != 1:
-                raise MalformedInput("face tuple required for a disconnected graph")
-            face_tuple = [0]
+        if nesting is None or face_tuple is None:
+            if len(connected_components(graph)) != 1:
+                raise MalformedInput("a disconnected graph needs a nesting tree and a face tuple")
+            nesting = [(0, 1, 0)] if nesting is None else nesting
+            face_tuple = [0] if face_tuple is None else face_tuple
         if canonical:
             self.rot, self.nesting, self.face_tuple = rot, nesting, face_tuple
         else:
+            nesting, face_tuple = [tuple(e) for e in nesting], list(face_tuple)
+            entries = chain(rot, *rot.values(), *nesting, face_tuple)
+            if any(len(e) != 3 for e in nesting) or not {int}.issuperset(map(type, entries)):
+                raise MalformedInput("rotation ids, nesting triples and face tuple entries "
+                                     "must be ints")
             self.rot = canonical_rotation(rot)
-            self.nesting = sorted((int(p), int(ch), int(lb)) for p, ch, lb in nesting)
-            self.face_tuple = [int(x) for x in face_tuple]
+            self.nesting = sorted(nesting)
+            self.face_tuple = face_tuple
 
     # -- equality and serialization ---------------------------------------
 
@@ -173,8 +176,9 @@ class PlanarEmbedding:
     def from_json(cls, graph: Graph, text: str) -> "PlanarEmbedding":
         """The embedding a to_json text describes, on graph.
 
-        Checks only the text's shape.  Whether the embedding is one of
-        graph's is validate's to say, and rank runs it on its input.
+        Checks only the text's shape, and the constructor its entries'
+        types.  Whether the embedding is one of graph's is validate's to
+        say, and rank runs it on its input.
         """
         try:
             data = json.loads(text)
@@ -182,28 +186,24 @@ class PlanarEmbedding:
             raise MalformedInput(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "rotations" not in data:
             raise MalformedInput('embedding JSON needs a "rotations" key')
-        # Each key must be the decimal text to_json writes, and each neighbor
-        # a JSON integer: int() would also take " 1", "2", 2.9 and true.
+        # Each key must be the decimal text to_json writes: int() would also
+        # take " 1".
         rot = {}
         try:
             for v, nbrs in data["rotations"].items():
-                if str(int(v)) != v or not all(type(w) is int for w in nbrs):
-                    raise ValueError(f"{v!r}: {nbrs!r} is not a vertex id with its "
-                                     "integer neighbors")
-                rot[int(v)] = list(nbrs)
+                if str(int(v)) != v or not isinstance(nbrs, list):
+                    raise ValueError(f"{v!r}: {nbrs!r} is not a vertex id with its neighbors")
+                rot[int(v)] = nbrs
         except (AttributeError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad rotation table: {exc}") from exc
-        # An absent or null "nesting"/"face_tuple" means the default.  JSON
-        # true/false would pass an isinstance(x, int) test as 1/0.
+        # An absent or null "nesting"/"face_tuple" means the default.
         nesting, ft = data.get("nesting"), data.get("face_tuple")
-        if not (nesting is None or isinstance(nesting, list) and all(
-            isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)
-            for e in nesting
-        )):
+        if not (nesting is None or isinstance(nesting, list)
+                and all(isinstance(e, list) for e in nesting)):
             raise MalformedInput('"nesting" must be a list of integer triples')
-        if not (ft is None or isinstance(ft, list) and all(type(x) is int for x in ft)):
+        if not (ft is None or isinstance(ft, list)):
             raise MalformedInput('"face_tuple" must be a list of integers')
-        return cls(graph, rot, None if nesting is None else [tuple(e) for e in nesting], ft)
+        return cls(graph, rot, nesting, ft)
 
 
 def embeddings_equal(e1: PlanarEmbedding, e2: PlanarEmbedding) -> bool:

@@ -15,7 +15,9 @@ of the tuple, each cut-vertex its c and d slices, each block its p and r
 slices.  The mixed-radix codec turns the tuple into a single natural
 number; the product of all bounds is the number of embeddings.  The
 ranker derives the codec's product tree of the bounds once (MixedRadix),
-and every count, rank and unrank reads it.
+and every count, rank and unrank reads it; sample unranks uniform ranks.
+Set-up searches the graph once: block_cut_tree's lowpoint search also
+gives the components that connected_components reads.
 
 A block's SPQR-tree, in block-local ids, depends only on the block-local
 graph, so blocks with the same local graph share one tree, built complete
@@ -127,6 +129,7 @@ class EmbeddingRanker:
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
+        bct = block_cut_tree(graph)  # first: its search fills the components
         self.comps = connected_components(graph)
         self.t = len(self.comps)
 
@@ -144,7 +147,6 @@ class EmbeddingRanker:
         # Each tree's local vertices of local degree >= 3, ascending.
         branching: dict[SpqrTree, tuple[int, ...]] = {}
         self.shapes: dict[SpqrTree, _Shape] = {}
-        bct = block_cut_tree(graph)
         for blk in bct.blocks:  # sorted by minimum edge: the p/r order
             # The id map is monotone, so every ordering convention agrees
             # across coordinate systems, and the block's sorted edges stay
@@ -356,11 +358,11 @@ class EmbeddingRanker:
     # -- sampling and enumeration --------------------------------------------
 
     def sample(self, seed: int, k: int = 1):
-        """k embeddings drawn independently and uniformly (fixed seed)."""
+        """k embeddings drawn independently and uniformly (fixed seed): the
+        unranks of k uniform ranks, since the codec is a bijection."""
         rng = random.Random(seed)
         for _ in range(k):
-            values = [rng.randrange(limit) for limit in self.bounds]
-            yield self.phi_inverse(values)
+            yield self.unrank(rng.randrange(self.count()))
 
     @cached_property
     def _owners_by_reach(self) -> tuple[int, list[int], list[int], list[int], list[_CutInfo]]:

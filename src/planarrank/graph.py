@@ -6,9 +6,10 @@ tie-break used by the ranking layers.
 
 One lowpoint search, lowpoint_dfs (Hopcroft and Tarjan, "Efficient
 algorithms for graph manipulation", CACM 1973), gives the blocks and
-cut-vertices that block_cut_tree reads and the palm tree (numbers,
+cut-vertices that block_cut_tree reads, the palm tree (numbers,
 parents, lowpt1, lowpt2, ND) from which spqr.build_spqr starts its path
-search.
+search, and the components that connected_components returns: a
+graph's first search fills them in, and no other search finds them.
 """
 
 from __future__ import annotations
@@ -122,29 +123,12 @@ class Graph:
 def connected_components(g: Graph) -> list[tuple[int, frozenset[int]]]:
     """Components as (1-based id, vertex set), ordered by smallest vertex.
 
-    Component 1 always contains vertex 1 because ids are dense, so the
-    order is simply the order of discovery from ascending start vertices.
-    The graph is immutable, so the search runs once per graph.
+    lowpoint_dfs owns them: its forest has one tree per component, rooted
+    at the component's smallest vertex, and it fills g._components the
+    first time it runs on g.  A graph never searched is searched here.
     """
-    if g._components is not None:
-        return list(g._components)
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    g._components = [(i + 1, comp) for i, comp in enumerate(comps)]
+    if g._components is None:
+        lowpoint_dfs(g)
     return list(g._components)
 
 
@@ -239,6 +223,7 @@ def lowpoint_dfs(g: Graph) -> PalmTree:
     when its lowest vertex finishes the child that opened it.  Iterative
     and linear in n + m.  No edge is oriented here: a tree arc runs from
     parent to child, and a frond from the higher number to the lower.
+    The first search of g also fills g._components (connected_components).
     """
     adj, n = g.adj, g.n
     number = [0] * (n + 1)
@@ -246,6 +231,8 @@ def lowpoint_dfs(g: Graph) -> PalmTree:
     low1 = [0] * (n + 1)
     low2 = [0] * (n + 1)
     nd = [1] * (n + 1)
+    order = [0] * (n + 1)  # the vertex of each number
+    roots: list[int] = []
     blocks: list[list[Edge]] = []
     cut: set[int] = set()
     estack: list[Edge] = []
@@ -255,6 +242,8 @@ def lowpoint_dfs(g: Graph) -> PalmTree:
             continue
         count += 1
         number[root] = low1[root] = low2[root] = count
+        order[count] = root
+        roots.append(root)
         # Frame: (vertex, iterator over its neighbors, the estack slot of
         # the tree arc into it).
         stack = [(root, iter(adj[root]), 0)]
@@ -265,6 +254,7 @@ def lowpoint_dfs(g: Graph) -> PalmTree:
                 if not x:
                     count += 1
                     number[w] = low1[w] = low2[w] = count
+                    order[count] = w
                     parent[w] = v
                     stack.append((w, iter(adj[w]), len(estack)))
                     estack.append((v, w) if v < w else (w, v))
@@ -298,6 +288,9 @@ def lowpoint_dfs(g: Graph) -> PalmTree:
                     if u != root or nd[u] > 1:
                         cut.add(u)
                 nd[u] += nd[v]
+    if g._components is None:  # root r's tree: numbers number[r] .. + nd[r] - 1
+        g._components = [(i, frozenset(order[number[r]:number[r] + nd[r]]))
+                         for i, r in enumerate(roots, 1)]
     return PalmTree(number, parent, low1, low2, nd, blocks, cut)
 
 

@@ -39,3 +39,10 @@ def hub_of_k4s(k: int) -> Graph:
     """k K4s that share vertex 1: k blocks at one cut-vertex."""
     return Graph(3 * k + 1, [e for i in range(k) for e in _k4(1, 3 * i + 2,
                                                             3 * i + 3, 3 * i + 4)])
+
+
+def disjoint_bowties(k: int) -> Graph:
+    """k components, each two triangles sharing one vertex: 2k blocks and
+    k cut-vertices."""
+    return Graph(5 * k, [(a + i, a + j) for a in range(1, 5 * k, 5)
+                         for i, j in ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))])

@@ -2,11 +2,15 @@
 
 import itertools
 import json
+import random
 import sys
 
 import pytest
 
-from planarrank import embedding, full
+from _graphgen import random_planar
+from _linecount import doubling_ratios, executed_lines
+from _shapes import disjoint_bowties
+from planarrank import cli, embedding, full
 from planarrank.cli import main
 from planarrank.embedding import validate
 from planarrank.graph import Graph
@@ -99,6 +103,42 @@ class TestCli:
         out = capsys.readouterr().out
         assert "component 1" in out
         assert "S " in out and "Q " in out
+
+    def test_decompose_is_linear_in_components(self, tmp_path, capsys):
+        """The lines decompose executes in cli.py grow at most 2.2 times per
+        doubling of the bowtie components: it groups the blocks and
+        cut-vertices by component in one pass, not once per component."""
+        counts = []
+        for k in (100, 200, 400, 800):
+            p = tmp_path / f"bowties-{k}.json"
+            p.write_text(disjoint_bowties(k).to_json())
+            counts.append(executed_lines(cli.__file__, main, ["decompose", "-g", str(p)]))
+            capsys.readouterr()
+        assert max(doubling_ratios(counts)) <= 2.2, counts
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_decompose_against_a_scan_per_component(self, tmp_path, capsys, seed):
+        """decompose prints what a scan of every cut-vertex and block per
+        component prints, on graphs whose components interleave ids."""
+        g = random_planar(120, seed=seed, components=6)
+        order = list(range(1, g.n + 1))
+        random.Random(seed).shuffle(order)
+        g = Graph(g.n, [(order[u - 1], order[v - 1]) for u, v in g.edges])
+        p = tmp_path / "g.json"
+        p.write_text(g.to_json())
+        assert main(["decompose", "-g", str(p)]) == 0
+        ranker = full.EmbeddingRanker(g)
+        want = []
+        for ci, (cid, comp) in enumerate(ranker.comps):
+            want.append(f"component {cid}: vertices {sorted(comp)}")
+            want.append(f"  cut-vertices: {[cut.v for cut in ranker.cuts if cut.comp == ci]}")
+            for info in ranker.blocks:
+                if info.comp == ci:
+                    want.append(f"  block {info.edges}")
+                    want.extend(f"    {line}" for line in
+                                info.tree.dump(relabel=info.to_global).splitlines())
+        assert len(ranker.comps) > 1 and ranker.cuts
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
 
     def test_decompose_cycle_block(self, tmp_path, capsys):
         # The S-node's identifier is its minimum pertinent edge, 2-5, not

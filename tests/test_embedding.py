@@ -25,7 +25,7 @@ from planarrank.embedding import (
     face_intervals,
     validate,
 )
-from planarrank.errors import EmbeddingMismatch, GraphMismatch
+from planarrank.errors import EmbeddingMismatch, GraphMismatch, MalformedInput
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, connected_components, vertex_text
 
@@ -430,6 +430,41 @@ class TestToJsonAgainstReference:
         twin = Graph(g.n, g.edges)
         assert twin == g and hash(twin) == hash(g)
         assert twin._text is None and g._text is table
+
+
+class TestIntEntries:
+    """The constructor takes ints only: a float or bool compares equal to
+    an int, so it would validate and rank, then be written as other text."""
+
+    @pytest.mark.parametrize("rot, nesting, ft", [
+        ({1: [2.0, 3], 2: [True, 3], 3: [1, 2]}, None, None),
+        ({1: [2.0, 3], 2: [1, 3], 3: [1, 2]}, None, None),
+        ({1: [2, 3], 2: [True, 3], 3: [1, 2]}, None, None),
+        ({1: [2, 3], 2: [1, "3"], 3: [1, 2]}, None, None),
+        ({1.0: [2, 3], 2: [1, 3], 3: [1, 2]}, None, None),
+        ({True: [2, 3], 2: [1, 3], 3: [1, 2]}, None, None),
+        ({"1": [2, 3], 2: [1, 3], 3: [1, 2]}, None, None),
+        (TRI_ROT, [(0, 1.0, 0)], [0]),
+        (TRI_ROT, [(False, 1, 0)], [0]),
+        (TRI_ROT, [("0", 1, 0)], [0]),
+        (TRI_ROT, [("0", 1.0, False)], [0]),
+        (TRI_ROT, [(0, 1)], [0]),
+        (TRI_ROT, [(0, 1, 0)], [0.0]),
+        (TRI_ROT, [(0, 1, 0)], [False]),
+        (TRI_ROT, None, ["0"]),
+    ], ids=["float-and-bool-neighbors", "float-neighbor", "bool-neighbor", "str-neighbor",
+            "float-vertex", "bool-vertex", "str-vertex", "float-nesting", "bool-nesting",
+            "str-nesting", "mixed-nesting", "nesting-pair", "float-face", "bool-face",
+            "str-face"])
+    def test_rejected(self, rot, nesting, ft):
+        with pytest.raises(MalformedInput):
+            PlanarEmbedding(TRIANGLE, rot, nesting, ft)
+
+    def test_ints_kept(self):
+        emb = PlanarEmbedding(TRIANGLE, TRI_ROT, [[0, 1, 0]], (0,))
+        assert (emb.nesting, emb.face_tuple) == ([(0, 1, 0)], [0])
+        ranker = EmbeddingRanker(TRIANGLE)
+        assert embeddings_equal(ranker.unrank(ranker.rank(emb)), emb)
 
 
 class TestFromJson:

@@ -923,7 +923,7 @@ def compare_writes(ranker, ranks, seed, steps):
         check(ranker.unrank(r), tuple_unrank(r, ranker.radix))
     rng = random.Random(seed)
     for emb in ranker.sample(seed, 3):
-        check(emb, [rng.randrange(x) for x in ranker.bounds])
+        check(emb, tuple_unrank(rng.randrange(ranker.count()), ranker.radix))
     start = rng.randrange(max(1, ranker.count() - steps))
     shared = 0
     prev = None
@@ -1122,6 +1122,18 @@ class TestSampleEnumerate:
         e1 = sample_uniform(g, 1)
         e2 = sample_uniform(g, 999)
         assert embeddings_equal(e1, e2)
+
+    @pytest.mark.parametrize("g", [CATALOG[11][1], random_planar(300, seed=7, components=12)],
+                             ids=["bowtie", "nested"])
+    def test_sample_is_unrank_of_uniform_ranks(self, g):
+        """sample(seed, k) is the unranks of k draws of
+        random.Random(seed).randrange(count), in order."""
+        ranker = EmbeddingRanker(g)
+        for seed in (0, 1, 2024):
+            rng = random.Random(seed)
+            want = [ranker.unrank(rng.randrange(ranker.count())) for _ in range(6)]
+            got = list(ranker.sample(seed, 6))
+            assert [e.to_json() for e in got] == [e.to_json() for e in want]
 
     def test_fixed_seed_is_deterministic(self):
         g = CATALOG[11][1]  # bowtie

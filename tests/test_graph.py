@@ -11,11 +11,15 @@ from _graphgen import (benchmark_graphs, fan, necklace, p_fan, random_planar,
 from _linecount import doubling_ratios, executed_lines
 from _shapes import chain_of_triangles, disjoint_k4s, hub_of_k4s, star_of_bridges
 from _spqr_reference import lowpoint_dfs as reference_lowpoint_dfs
-from planarrank import graph
+from planarrank import embedding, graph, spqr
 from planarrank.errors import EdgelessComponent, MalformedInput, NotBiconnected, NotPlanar
+from planarrank.full import EmbeddingRanker
 from planarrank.graph import (Block, BlockCutTree, Graph, block_cut_tree,
-                              connected_components)
+                              connected_components, lowpoint_dfs)
 from planarrank.spqr import build_spqr
+
+
+TRIANGLE_GRAPH = Graph(3, [(1, 2), (1, 3), (2, 3)])
 
 
 def brute_cut_vertices(g: Graph) -> set[int]:
@@ -175,13 +179,36 @@ class TestBlockCutTree:
         assert Graph(*key).edges == key[1]
 
 
+def reference_connected_components(g: Graph) -> list[tuple[int, frozenset[int]]]:
+    """The components as connected_components found them before the
+    lowpoint search owned them: a search of their own, from each vertex
+    not yet seen in ascending order."""
+    seen: set[int] = set()
+    comps: list[frozenset[int]] = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        stack = [start]
+        comp = {start}
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            for w in g.adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return [(i + 1, comp) for i, comp in enumerate(comps)]
+
+
 def reference_block_cut_tree(g: Graph) -> BlockCutTree:
     """The block-cut tree as it was built before one search covered the
     whole graph: one lowpoint search per component, from its smallest
     vertex."""
     blocks = []
     cut: set[int] = set()
-    for _, comp in connected_components(g):
+    for _, comp in reference_connected_components(g):
         _, comp_cut, raw_blocks = reference_lowpoint_dfs(g.adj, min(comp))
         cut |= comp_cut
         for edges in raw_blocks:
@@ -244,6 +271,79 @@ class TestOneLowpointSearch:
         for g in corpus():
             one_block = len(reference_block_cut_tree(g).blocks) == 1
             assert raises_not_biconnected(g) is not one_block, g.edges
+
+    @pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
+    def test_components_against_reference(self, corpus):
+        """The components read off the search, on a fresh graph and on one
+        whose blocks were searched first, equal those of a search of
+        their own."""
+        for g in corpus():
+            want = reference_connected_components(g)
+            assert connected_components(g) == want, g.edges
+            fresh = Graph(g.n, g.edges)
+            block_cut_tree(fresh)
+            assert connected_components(fresh) == want, g.edges
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every graph lowpoint_dfs runs on, through graph's binding (what
+    block_cut_tree and connected_components call) and spqr's."""
+    searched = []
+
+    def counted(g):
+        searched.append(g)
+        return lowpoint_dfs(g)
+
+    monkeypatch.setattr(graph, "lowpoint_dfs", counted)
+    monkeypatch.setattr(spqr, "lowpoint_dfs", counted)
+    return searched
+
+
+class TestComponentsOwner:
+    """lowpoint_dfs owns a graph's components: connected_components has
+    no search of its own."""
+
+    def test_searched_once_per_graph(self, searches):
+        g = Graph(7, [(1, 3), (3, 5), (2, 4), (5, 6), (5, 7), (6, 7)])
+        want = [(1, frozenset({1, 3, 5, 6, 7})), (2, frozenset({2, 4}))]
+        assert connected_components(g) == want
+        assert connected_components(g) == want
+        assert searches == [g]
+        # A second search leaves the components it found first in place.
+        first = g._components
+        block_cut_tree(g)
+        assert g._components is first and searches == [g, g]
+
+    @pytest.mark.parametrize("g", [random_planar(600, seed=3, components=1),
+                                   random_planar(600, seed=3, components=40),
+                                   Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])],
+                             ids=["forest", "nested", "k4"])
+    def test_ranker_setup_searches_the_graph_once(self, searches, g):
+        """Set-up runs one lowpoint search over the whole graph; build_spqr's
+        searches are over block-local graphs, none of them g."""
+        g = Graph(g.n, g.edges)  # never searched
+        ranker = EmbeddingRanker(g)
+        assert sum(x is g for x in searches) == 1
+        assert ranker.comps == reference_connected_components(g)
+
+    def test_unrank_reads_no_components(self, monkeypatch):
+        """PlanarEmbedding asks for the components only to fill in a missing
+        nesting or face tuple, which the ranker always passes."""
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return connected_components(g)
+
+        ranker = EmbeddingRanker(random_planar(300, seed=5, components=20))
+        monkeypatch.setattr(embedding, "connected_components", counted)
+        ranker.unrank(ranker.count() // 3)
+        list(ranker.sample(1, 3))
+        list(ranker.enumerate(0, 3))
+        assert calls == []
+        embedding.PlanarEmbedding(TRIANGLE_GRAPH, {1: [2, 3], 2: [1, 3], 3: [1, 2]})
+        assert calls == [TRIANGLE_GRAPH]
 
 
 @pytest.mark.parametrize("family", [chain_of_triangles, star_of_bridges, disjoint_k4s,
