@@ -1,4 +1,4 @@
-"""Numeric bijections: mixed-radix tuples, permutations, nesting labels.
+"""Numeric bijections: mixed-radix tuples and permutations.
 
 These are the arithmetic workhorses behind every ranking layer.  All of
 them are exact over Python's arbitrary-precision integers; ranks of large
@@ -8,9 +8,8 @@ graphs routinely need hundreds of bits.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
-from .errors import BoundViolation, RankOutOfRange
+from .errors import BoundViolation, MalformedInput, RankOutOfRange
 
 # ---------------------------------------------------------------------------
 # Mixed-radix tuples  <->  naturals
@@ -101,7 +100,10 @@ def _unrank_span(rank: int, bounds: tuple[int, ...], node: tuple) -> list[int]:
 
 
 def tuple_unrank(rank: int, radix: MixedRadix) -> list[int]:
-    """Inverse of tuple_rank: split by halves, then peel digits with mod/div."""
+    """Inverse of tuple_rank: split by halves, then peel digits with mod/div.
+    The rank is checked once: its type is int (not bool), then its range."""
+    if type(rank) is not int:
+        raise MalformedInput(f"rank {rank!r} is not an int")
     if not 0 <= rank < radix.total:
         raise RankOutOfRange(f"rank {rank} outside 0..{radix.total - 1}")
     return _unrank_span(rank, radix.bounds, radix.tree)
@@ -174,30 +176,3 @@ def perm_unrank(rank: int, k: int) -> list[int]:
     if k == 0:
         return []
     return _compose(_raw_unrank(rank, k), _invert(_sigma0(k)))
-
-
-# ---------------------------------------------------------------------------
-# Nesting-tuple preprocessing (Pruefer variant support)
-# ---------------------------------------------------------------------------
-
-
-def nesting_tuple_preprocess(
-    tau: list[int], intervals: list[tuple[int, int]]
-) -> tuple[list[int], dict[int, int]]:
-    """Map nesting labels to parent components and count degrees.
-
-    The labels passed ``check_bounds``: each is 0 or lies in one of the
-    intervals.  tau'_i is 0 for label 0 (parent rho), otherwise the h
-    with tau_i in I_h, found by binary search over the intervals' lower
-    ends (O(log c) per label).  An empty interval (lo, lo - 1) shares its
-    lo with the next interval, so the search lands on the non-empty one.
-    Returns (tau', deltas) where deltas[h] is the number of occurrences
-    of h in tau' plus one, and deltas[0] that plus two.
-    """
-    los = [lo for lo, _ in intervals]
-    tau_prime = [bisect_right(los, x) if x else 0 for x in tau]
-    deltas = {h: 1 for h in range(1, len(intervals) + 1)}
-    deltas[0] = 2
-    for h in tau_prime:
-        deltas[h] += 1
-    return tau_prime, deltas

@@ -20,7 +20,7 @@ For a disconnected graph the rotation alone does not fix the embedding;
 a nesting tree (which face of which component hosts each other component)
 plus a face tuple (per-component outer face under the reference-face
 projection) complete it.  A connected graph carries the trivial tree
-rho-G1 and a one-entry face tuple.
+rho-G1 and a one-entry face tuple.  nesting.py checks both for validate.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from itertools import chain
 
 from .errors import GraphMismatch, MalformedInput
 from .graph import Graph, connected_components, vertex_text
+from .nesting import NestingEdge, nesting_problems
 
 Rotation = dict[int, tuple[int, ...]]
 
@@ -88,23 +89,6 @@ def edges_and_faces(rot: Rotation, parts) -> list[tuple[int, int]]:
     return out
 
 
-def face_intervals(face_counts: list[int]) -> list[tuple[int, int]]:
-    """Consecutive label intervals I_1..I_c over [1 .. sum(F_i - 1)].
-
-    Interval I_h addresses the inner faces of component h; an interval is
-    empty (lo > hi) for a single-face component.
-    """
-    out = []
-    lo = 1
-    for f in face_counts:
-        out.append((lo, lo + f - 2))
-        lo += f - 1
-    return out
-
-
-NestingEdge = tuple[int, int, int]  # (parent component, child component, label); parent 0 is rho
-
-
 class PlanarEmbedding:
     """A full embedding: graph, rotation, nesting tree and face tuple."""
 
@@ -122,7 +106,8 @@ class PlanarEmbedding:
         """By default the embedding holds canonical tuples of rot's lists
         (canonical_rotation), and its own sorted list of int nesting
         triples and list of face tuple ints.  An id or entry whose type is
-        not int (a bool, a float, a str) raises MalformedInput.
+        not int (a bool, a float, a str), or a nesting, triple, face tuple
+        or neighbor list that is not iterable, raises MalformedInput.
 
         canonical=True: rot's values are canonical tuples, nesting is a
         sorted list of int triples and face_tuple a list of ints, and the
@@ -141,9 +126,13 @@ class PlanarEmbedding:
         if canonical:
             self.rot, self.nesting, self.face_tuple = rot, nesting, face_tuple
         else:
-            nesting, face_tuple = [tuple(e) for e in nesting], list(face_tuple)
-            entries = chain(rot, *rot.values(), *nesting, face_tuple)
-            if any(len(e) != 3 for e in nesting) or not {int}.issuperset(map(type, entries)):
+            try:
+                nesting, face_tuple = [tuple(e) for e in nesting], list(face_tuple)
+                entries = chain(rot, *rot.values(), *nesting, face_tuple)
+                ok = all(len(e) == 3 for e in nesting) and {int}.issuperset(map(type, entries))
+            except TypeError:  # not iterable: either list, a triple or a neighbor list
+                ok = False
+            if not ok:
                 raise MalformedInput("rotation ids, nesting triples and face tuple entries "
                                      "must be ints")
             self.rot = canonical_rotation(rot)
@@ -237,7 +226,6 @@ def validate(emb: PlanarEmbedding) -> list[str]:
         return problems
 
     comps = connected_components(g)
-    c = len(comps)
 
     # Per-component Euler formula (sphere check); face_counts holds the
     # count Euler's formula gives each component.  One pass over the
@@ -249,51 +237,5 @@ def validate(emb: PlanarEmbedding) -> list[str]:
             problems.append(f"component {cid} violates Euler's formula (f={f})")
         face_counts.append(m_c - len(comp) + 2)
 
-    # Face tuple ranges.
-    if len(emb.face_tuple) != c:
-        problems.append(f"face tuple has {len(emb.face_tuple)} entries, expected {c}")
-    else:
-        for i, (o, f) in enumerate(zip(emb.face_tuple, face_counts), start=1):
-            if not 0 <= o < f:
-                problems.append(f"face tuple entry o_{i}={o} outside 0..{f - 1}")
-
-    # Nesting tree: one parent per component, labels in the right intervals.
-    parent: dict[int, tuple[int, int]] = {}
-    for p, ch, lb in emb.nesting:
-        if not (0 <= p <= c and 1 <= ch <= c):
-            problems.append(f"nesting edge ({p},{ch}) names unknown components")
-            continue
-        if ch in parent:
-            problems.append(f"component {ch} has two parents in the nesting tree")
-        parent[ch] = (p, lb)
-    if set(parent) != set(range(1, c + 1)):
-        problems.append("nesting tree does not give every component exactly one parent")
-        return problems
-    intervals = face_intervals(face_counts)
-    for ch, (p, lb) in sorted(parent.items()):
-        if p == 0:
-            if lb != 0:
-                problems.append(f"edge rho-G{ch} must carry label 0, got {lb}")
-        else:
-            lo, hi = intervals[p - 1]
-            if not lo <= lb <= hi:
-                problems.append(
-                    f"edge G{p}-G{ch} label {lb} outside interval [{lo}..{hi}]"
-                )
-    # Rootedness: following parents from every component must reach rho.
-    # A walk stops at rho, at a component settled before or back on itself
-    # (a cycle); every component on it takes that answer, so each is
-    # walked once.
-    rooted: dict[int, bool] = {0: True}
-    for ch in range(1, c + 1):
-        walk = []
-        cur = ch
-        while cur not in rooted:
-            rooted[cur] = False  # on the walk: meeting it again is a cycle
-            walk.append(cur)
-            cur = parent[cur][0]
-        for x in walk:
-            rooted[x] = rooted[cur]
-    problems.extend(f"nesting tree has a cycle through G{ch}"
-                    for ch in range(1, c + 1) if not rooted[ch])
-    return problems
+    # The face tuple and the nesting tree, against those counts.
+    return problems + nesting_problems(emb.nesting, emb.face_tuple, face_counts)

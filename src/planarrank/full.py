@@ -69,7 +69,7 @@ from .biconnected import biconn_bounds, chi, chi_inverse
 from .codecs import MixedRadix, tuple_rank, tuple_unrank
 from .cutvertex import DECODED_PER_SHAPE, BlocksAtV, MergeTables, phi_v, phi_v_inverse
 from .embedding import PlanarEmbedding, Rotation, canonical_rotation, validate
-from .errors import EmbeddingMismatch, RankOutOfRange
+from .errors import EmbeddingMismatch
 from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
@@ -151,7 +151,7 @@ class EmbeddingRanker:
             # The id map is monotone, so every ordering convention agrees
             # across coordinate systems, and the block's sorted edges stay
             # sorted in each.
-            verts, key = blk.local()
+            to_local, key = blk.local()
             tree = trees.get(key)
             if tree is None:  # raises NotPlanar for a non-planar block
                 tree = trees[key] = build_spqr(Graph(*key))
@@ -159,13 +159,10 @@ class EmbeddingRanker:
                     tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}))
                 branching[tree] = tuple(x for x, nbrs in tree.graph.adj.items()
                                         if len(nbrs) >= 3)
-            inv = (0, *verts)  # ints: the collector untracks it
-            comp = comp_of[verts[0]]
+            inv = (0, *to_local)  # ints: the collector untracks it
+            comp = comp_of[inv[1]]
             comp_edges[comp] += len(blk.edges)
-            self.blocks.append(
-                _BlockInfo(comp, list(blk.edges),
-                           {x: i for i, x in enumerate(inv) if i}, inv, tree)
-            )
+            self.blocks.append(_BlockInfo(comp, list(blk.edges), to_local, inv, tree))
         # A component's face count is m_c - n_c + 2 (Euler).
         self.face_counts = [m - len(comp) + 2 for m, (_, comp) in zip(comp_edges, self.comps)]
 
@@ -248,9 +245,7 @@ class EmbeddingRanker:
             raise EmbeddingMismatch("; ".join(problems))
 
         values = [0] * len(self.bounds)
-        values[self.a], values[self.b] = self.nesting_codec.forward(
-            list(emb.nesting), list(emb.face_tuple)
-        )
+        values[self.a], values[self.b] = self.nesting_codec.forward(emb.nesting, emb.face_tuple)
         rot = emb.rot
         cuts = self.cuts
         for cut in cuts:
@@ -410,12 +405,10 @@ class EmbeddingRanker:
         not rewrite, and each item owns its rotation dict, nesting list
         and face tuple list: no two items share a mutable object.
         """
+        values = tuple_unrank(start, self.radix)  # checks start's type and range
         total = self.count()
-        if not 0 <= start < total:
-            raise RankOutOfRange(f"rank {start} outside 0..{total - 1}")
         top, block_reach, blocks, cut_reach, cuts = self._owners_by_reach
         bounds = self.bounds
-        values = tuple_unrank(start, self.radix)
         block_rot: list[Rotation | None] = [None] * len(self.blocks)
         rot = self.base.copy()
         i = -1  # the first item decodes every owner

@@ -170,15 +170,15 @@ class Block:
     def min_edge(self) -> Edge:
         return self.edges[0]
 
-    def local(self) -> tuple[list[int], tuple[int, tuple[Edge, ...]]]:
-        """The sorted vertices, and the block-local graph as (n, edges).
+    def local(self) -> tuple[dict[int, int], tuple[int, tuple[Edge, ...]]]:
+        """The map to block-local ids, and the block-local graph as (n, edges).
 
-        Block-local id i is the i-th smallest vertex (from 1).  The map is
-        monotone, so the edges stay sorted and Graph(*key) builds the graph.
+        Block-local id i is the i-th smallest vertex (from 1), in the map's
+        order.  The map is monotone, so the edges stay sorted and
+        Graph(*key) builds the graph.
         """
-        verts = sorted(self.vertices)
-        remap = {v: i for i, v in enumerate(verts, start=1)}
-        return verts, (len(verts), tuple((remap[u], remap[v]) for u, v in self.edges))
+        remap = {v: i for i, v in enumerate(sorted(self.vertices), start=1)}
+        return remap, (len(remap), tuple((remap[u], remap[v]) for u, v in self.edges))
 
 
 @dataclass

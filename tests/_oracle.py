@@ -3,7 +3,9 @@
 The specification is what the ranking layers compute but never need at
 run time: Euler's check, the face identifiers that give face-tuple entries
 and nesting labels their meaning, and the classic Pruefer codec, the
-worked example behind the nesting codec.  The enumerations run
+worked example behind the nesting codec.  It also states the nesting
+labels' intervals, which nesting.py lays out for the library, so the
+reference never reads them from the layer it checks.  The enumerations run
 exhaustively and filter with Euler's check.  Nothing here imports the
 ranking layers (full, biconnected, cutvertex, spqr, nesting, codecs), so
 the reference stays independent of what it checks, and nothing in the
@@ -16,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from planarrank.embedding import PlanarEmbedding, Rotation, edges_and_faces, face_intervals
+from planarrank.embedding import PlanarEmbedding, Rotation, edges_and_faces
 from planarrank.errors import PlanarRankError
 from planarrank.graph import Edge, Graph, connected_components, edge_id
 
@@ -78,6 +80,21 @@ def enumerate_connected(g: Graph) -> list[Rotation]:
     if len(comps) != 1:
         raise ValueError("enumerate_connected needs a connected graph")
     return [rot for rot in all_rotation_systems(g) if is_planar_rotation(g, rot)]
+
+
+def face_intervals(face_counts: list[int]) -> list[tuple[int, int]]:
+    """The nesting labels of each component's inner faces: consecutive
+    intervals I_1..I_c over [1 .. sum(F_i - 1)], label 0 being rho's.
+
+    I_h holds F_h - 1 labels, one per inner face of component h; it is
+    empty (lo > hi) for a single-face component.
+    """
+    out = []
+    lo = 1
+    for f in face_counts:
+        out.append((lo, lo + f - 2))
+        lo += f - 1
+    return out
 
 
 def all_nesting_trees(c: int, face_counts: list[int]):

@@ -20,19 +20,18 @@ from _oracle import (
     prufer_unrank,
 )
 from planarrank.biconnected import biconn_bounds
-from planarrank.codecs import (
-    MixedRadix,
-    nesting_tuple_preprocess,
-    perm_rank,
-    perm_unrank,
-    tuple_rank,
-    tuple_unrank,
-)
+from planarrank.codecs import MixedRadix, perm_rank, perm_unrank, tuple_rank, tuple_unrank
 from planarrank.cutvertex import BlocksAtV
 from planarrank.embedding import validate
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, block_cut_tree, edge_id
-from planarrank.nesting import nesting_decode, nesting_encode
+from planarrank.nesting import (
+    NestingCodec,
+    face_intervals,
+    nesting_decode,
+    nesting_encode,
+    nesting_tuple_preprocess,
+)
 from planarrank.spqr import build_spqr
 from test_full import CATALOG
 
@@ -66,10 +65,12 @@ class TestAcceptance:
     def test_03_nesting_variant_10_3_0_13(self):
         """Criterion 3: preprocessing and decode/encode of <10,3,0,13>."""
         intervals = [(1, 3), (4, 5), (6, 9), (10, 13), (14, 15)]
-        tau_prime, _ = nesting_tuple_preprocess([10, 3, 0, 13], intervals)
         face_counts = [4, 3, 5, 5, 3]  # yields exactly those intervals
-        tree = nesting_decode([10, 3, 0, 13], face_counts)
-        ok = (tau_prime == [4, 1, 0, 4]
+        owner = NestingCodec(face_counts).owner
+        tau_prime, _ = nesting_tuple_preprocess([10, 3, 0, 13], owner, 5)
+        tree = nesting_decode([10, 3, 0, 13], owner)
+        ok = (face_intervals(face_counts) == intervals
+              and tau_prime == [4, 1, 0, 4]
               and nesting_encode(tree, 5) == [10, 3, 0, 13])
         report("3 (nesting tuple preprocessing)", ok)
 

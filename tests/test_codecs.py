@@ -7,18 +7,12 @@ from math import factorial
 import pytest
 
 from _oracle import MalformedTree, prufer_rank, prufer_unrank
-from planarrank.codecs import (
-    MixedRadix,
-    nesting_tuple_preprocess,
-    perm_rank,
-    perm_unrank,
-    tuple_rank,
-    tuple_unrank,
-)
-from planarrank.embedding import face_intervals
+from planarrank.codecs import MixedRadix, perm_rank, perm_unrank, tuple_rank, tuple_unrank
 from planarrank.errors import BoundViolation, RankOutOfRange
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
+from planarrank.nesting import NestingCodec, face_intervals, nesting_tuple_preprocess
+from test_nesting import reference_preprocess
 
 # Values and bounds from the worked 22-element example; the product of the
 # bounds and the rank of the value tuple are pinned exactly.
@@ -153,21 +147,34 @@ class TestPruferCodec:
             prufer_rank([(1, 2), (3, 4)], root=1, n=4)
 
 
+def preprocess(tau, intervals):
+    """nesting_tuple_preprocess through the label table of the components
+    whose intervals these are, checked against the interval scan; deltas
+    as a dict keyed by component."""
+    face_counts = [hi - lo + 2 for lo, hi in intervals]
+    assert face_intervals(face_counts) == intervals
+    codec = NestingCodec(face_counts)
+    tau_prime, deltas = nesting_tuple_preprocess(tau, codec.owner, len(intervals))
+    deltas = dict(enumerate(deltas))
+    assert (tau_prime, deltas) == reference_preprocess(tau, intervals)
+    return tau_prime, deltas
+
+
 class TestNestingPreprocess:
     INTERVALS = [(1, 3), (4, 5), (6, 9), (10, 13), (14, 15)]
 
     def test_five_component_example(self):
-        tau_prime, deltas = nesting_tuple_preprocess([10, 3, 0, 13], self.INTERVALS)
+        tau_prime, deltas = preprocess([10, 3, 0, 13], self.INTERVALS)
         assert tau_prime == [4, 1, 0, 4]
         assert deltas[4] == 3 and deltas[1] == 2 and deltas[0] == 3
 
     def test_all_zero(self):
-        tau_prime, deltas = nesting_tuple_preprocess([0, 0], self.INTERVALS)
+        tau_prime, deltas = preprocess([0, 0], self.INTERVALS)
         assert tau_prime == [0, 0]
         assert deltas[0] == 4
 
     def test_single_label_direct_count(self):
-        tau_prime, deltas = nesting_tuple_preprocess([1], [(1, 2)])
+        tau_prime, deltas = preprocess([1], [(1, 2)])
         assert tau_prime == [1]
         assert deltas[1] == 2 and deltas[0] == 2
 
@@ -180,17 +187,18 @@ class TestNestingPreprocess:
             ranker.phi_inverse(with_labels(ranker, [0, 16, 0, 0]))
 
     # Face counts 3, 1, 1, 4, 1: components 2, 3 and 5 have one face, so
-    # their intervals are empty; I_2 and I_3 share lo = 3 with I_4.
+    # their intervals are empty and the label table holds none of them:
+    # label 3 after label 2 (component 1) is component 4's first.
     GAPPED = [(1, 2), (3, 2), (3, 2), (3, 5), (6, 5)]
 
     def test_shared_lo_maps_to_the_non_empty_interval(self):
-        tau_prime, deltas = nesting_tuple_preprocess([3, 2], self.GAPPED)
+        tau_prime, deltas = preprocess([3, 2], self.GAPPED)
         assert tau_prime == [4, 1]
         assert deltas == {0: 2, 1: 2, 2: 1, 3: 1, 4: 2, 5: 1}
 
     def test_top_label_maps_to_last_non_empty_component(self):
-        assert nesting_tuple_preprocess([5], self.GAPPED)[0] == [4]
-        assert nesting_tuple_preprocess([15], self.INTERVALS)[0] == [5]
+        assert preprocess([5], self.GAPPED)[0] == [4]
+        assert preprocess([15], self.INTERVALS)[0] == [5]
 
     @pytest.mark.parametrize("intervals, label, message", [
         (INTERVALS, 16, "label 16 outside 0..15"),

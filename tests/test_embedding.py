@@ -18,16 +18,12 @@ from _oracle import (
     sorted_faces,
     trace_faces,
 )
-from planarrank.embedding import (
-    PlanarEmbedding,
-    edges_and_faces,
-    embeddings_equal,
-    face_intervals,
-    validate,
-)
+from _oracle import face_intervals as oracle_intervals
+from planarrank.embedding import PlanarEmbedding, edges_and_faces, embeddings_equal, validate
 from planarrank.errors import EmbeddingMismatch, GraphMismatch, MalformedInput
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph, connected_components, vertex_text
+from planarrank.nesting import face_intervals
 
 TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
 TRI_ROT = {1: [2, 3], 2: [3, 1], 3: [1, 2]}
@@ -210,7 +206,7 @@ def reference_validate(emb):
     if set(parent) != set(range(1, c + 1)):
         problems.append("nesting tree does not give every component exactly one parent")
         return problems
-    intervals = face_intervals(face_counts)
+    intervals = oracle_intervals(face_counts)
     for ch, (p, lb) in sorted(parent.items()):
         if p == 0:
             if lb != 0:
@@ -458,6 +454,18 @@ class TestIntEntries:
             "str-face"])
     def test_rejected(self, rot, nesting, ft):
         with pytest.raises(MalformedInput):
+            PlanarEmbedding(TRIANGLE, rot, nesting, ft)
+
+    @pytest.mark.parametrize("rot, nesting, ft", [
+        (TRI_ROT, 5, [0]),
+        (TRI_ROT, [5], [0]),
+        (TRI_ROT, [(0, 1, 0)], 7),
+        (TRI_ROT, None, 7),
+        ({1: 5, 2: [1, 3], 3: [1, 2]}, None, None),
+    ], ids=["nesting", "nesting-edge", "face-tuple", "face-tuple-default-nesting",
+            "neighbor-list"])
+    def test_not_iterable_rejected(self, rot, nesting, ft):
+        with pytest.raises(MalformedInput, match="must be ints"):
             PlanarEmbedding(TRIANGLE, rot, nesting, ft)
 
     def test_ints_kept(self):

@@ -20,7 +20,13 @@ from planarrank.codecs import MixedRadix, check_bounds, tuple_rank, tuple_unrank
 from planarrank.cutvertex import BlocksAtV, phi_v, phi_v_inverse
 from planarrank.embedding import (PlanarEmbedding, canonical_neighbors, canonical_rotation,
                                   embeddings_equal, validate)
-from planarrank.errors import BoundViolation, EmbeddingMismatch, NotPlanar, RankOutOfRange
+from planarrank.errors import (
+    BoundViolation,
+    EmbeddingMismatch,
+    MalformedInput,
+    NotPlanar,
+    RankOutOfRange,
+)
 from planarrank.full import (DECODED_PER_SHAPE, EmbeddingRanker, _BlockInfo,
                              _CutInfo, _Shape, count_embeddings, sample_uniform)
 from planarrank.graph import Graph, block_cut_tree, connected_components, edge_id
@@ -500,7 +506,8 @@ class ReferenceConstruction(EmbeddingRanker):
             bct = block_cut_tree(sub)
 
             for blk in bct.blocks:
-                verts, key = blk.local()
+                remap, key = blk.local()
+                verts = list(remap)
                 bg = Graph(*key)
                 inv = {i: to_global[v] for i, v in enumerate(verts, start=1)}
                 fwd = {to_global[v]: i for i, v in enumerate(verts, start=1)}
@@ -1151,6 +1158,17 @@ class TestSampleEnumerate:
         ranker = EmbeddingRanker(TRIANGLE)
         items = list(ranker.enumerate(ranker.count() - 1, None))
         assert len(items) == 1
+
+    @pytest.mark.parametrize("rank", [1.5, 2.0, "3", None, True],
+                             ids=["float", "integral-float", "str", "none", "bool"])
+    def test_rank_that_is_no_int(self, rank):
+        # Rejected before any comparison, so no TypeError escapes; a bool
+        # is no rank either, as it is no vertex id.
+        ranker = EmbeddingRanker(CATALOG[11][1])  # bowtie
+        with pytest.raises(MalformedInput, match="is not an int"):
+            ranker.unrank(rank)
+        with pytest.raises(MalformedInput, match="is not an int"):
+            next(ranker.enumerate(rank, 2))
 
     def test_enumerate_matches_unrank(self):
         g = CATALOG[12][1]

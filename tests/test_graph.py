@@ -173,8 +173,8 @@ class TestBlockCutTree:
 
     def test_block_local_remaps_densely(self):
         b = Block(frozenset({3, 5, 8}), ((3, 5), (3, 8), (5, 8)))
-        verts, key = b.local()
-        assert verts == [3, 5, 8]
+        remap, key = b.local()
+        assert remap == {3: 1, 5: 2, 8: 3} and list(remap) == [3, 5, 8]
         assert key == (3, ((1, 2), (1, 3), (2, 3)))
         assert Graph(*key).edges == key[1]
 

@@ -1,19 +1,36 @@
 """Nesting trees, the Pruefer-variant codec, and the digamma data of an embedding."""
 
+import heapq
 import itertools
 import random
 
 import pytest
 
+from _linecount import doubling_ratios, executed_lines
 from _oracle import all_nesting_trees
-from planarrank.embedding import PlanarEmbedding, face_intervals, validate
+from _oracle import face_intervals as oracle_intervals
+from planarrank import nesting
+from planarrank.embedding import PlanarEmbedding, validate
 from planarrank.errors import BoundViolation
 from planarrank.full import EmbeddingRanker
 from planarrank.graph import Graph
-from planarrank.nesting import NestingCodec, nesting_decode, nesting_encode
+from planarrank.nesting import (
+    NestingCodec,
+    face_intervals,
+    nesting_decode,
+    nesting_encode,
+    nesting_tuple_preprocess,
+)
+
+
+def decode(tau, face_counts):
+    """nesting_decode through the label table of these face counts."""
+    return nesting_decode(tau, NestingCodec(face_counts).owner)
+
 
 def reference_preprocess(tau, intervals):
-    """The interval scan nesting_tuple_preprocess used to do: O(c) per label."""
+    """The interval scan nesting_tuple_preprocess once did: O(c) per label.
+    deltas is a dict keyed by component, 0 (rho) included."""
     top = intervals[-1][1] if intervals else 0
     tau_prime = []
     for x in tau:
@@ -38,7 +55,7 @@ def reference_preprocess(tau, intervals):
 def reference_decode(tau, face_counts):
     """Quadratic decode: each round takes the smallest leaf over all components."""
     c = len(face_counts)
-    tau_prime, deltas = reference_preprocess(tau, face_intervals(face_counts))
+    tau_prime, deltas = reference_preprocess(tau, oracle_intervals(face_counts))
     edges = []
     attached = set()
     for i in range(c - 1):
@@ -53,6 +70,28 @@ def reference_decode(tau, face_counts):
     return sorted(edges)
 
 
+def reference_encode(tree, c):
+    """The encode with a heap of leaves over per-call child sets:
+    O(c log c)."""
+    parent: dict[int, tuple[int, int]] = {}
+    children: dict[int, set[int]] = {h: set() for h in range(0, c + 1)}
+    for p, ch, lb in tree:
+        parent[ch] = (p, lb)
+        children[p].add(ch)
+
+    leaves = [h for h in range(1, c + 1) if not children[h]]
+    heapq.heapify(leaves)
+    out = []
+    for _ in range(c - 1):
+        leaf = heapq.heappop(leaves)
+        p, lb = parent[leaf]
+        out.append(lb)
+        children[p].discard(leaf)
+        if p != 0 and not children[p]:
+            heapq.heappush(leaves, p)
+    return out
+
+
 # Five components with face counts 4, 3, 5, 5, 3 give the label intervals
 # I_1=[1..3], I_2=[4..5], I_3=[6..9], I_4=[10..13], I_5=[14..15].
 FC5 = [4, 3, 5, 5, 3]
@@ -63,7 +102,7 @@ class TestCodec:
         assert face_intervals(FC5) == [(1, 3), (4, 5), (6, 9), (10, 13), (14, 15)]
 
     def test_decode_10_3_0_13(self):
-        tree = nesting_decode([10, 3, 0, 13], FC5)
+        tree = decode([10, 3, 0, 13], FC5)
         assert tree == [(0, 1, 0), (0, 4, 0), (1, 3, 3), (4, 2, 10), (4, 5, 13)]
 
     def test_encode_matches(self):
@@ -73,27 +112,27 @@ class TestCodec:
     def test_star_encodes_to_zeros(self):
         star = [(0, h, 0) for h in range(1, 5)]
         assert nesting_encode(star, 4) == [0, 0, 0]
-        assert nesting_decode([0, 0, 0], [2, 2, 2, 2]) == sorted(star)
+        assert decode([0, 0, 0], [2, 2, 2, 2]) == sorted(star)
 
     def test_two_components_single_label(self):
         tree = [(0, 1, 0), (1, 2, 1)]
         assert nesting_encode(tree, 2) == [1]
-        assert nesting_decode([1], [3, 1]) == sorted(tree)
+        assert decode([1], [3, 1]) == sorted(tree)
 
     def test_exhaustive_roundtrip_c4(self):
         # All (sum(F-1)+1)^(c-1) = 5^3 tuples decode and re-encode.
         fc = [2, 2, 2, 2]
         seen = set()
         for tau in itertools.product(range(5), repeat=3):
-            tree = nesting_decode(list(tau), fc)
+            tree = decode(list(tau), fc)
             seen.add(tuple(tree))
-            assert nesting_encode(tree, 4) == list(tau)
+            assert nesting_encode(tree, 4) == reference_encode(tree, 4) == list(tau)
         assert len(seen) == 125
 
     def test_decode_covers_exactly_the_oracle_trees(self):
         fc = [3, 2, 2]
         produced = {
-            tuple(nesting_decode(list(tau), fc))
+            tuple(decode(list(tau), fc))
             for tau in itertools.product(range(sum(f - 1 for f in fc) + 1), repeat=2)
         }
         oracle = {tuple(t) for t in all_nesting_trees(3, fc)}
@@ -101,7 +140,7 @@ class TestCodec:
 
     def test_repeated_sibling_labels_are_legal(self):
         # Two components nested side by side in the same inner face.
-        tree = nesting_decode([1, 1], [3, 1, 1])
+        tree = decode([1, 1], [3, 1, 1])
         assert tree == [(0, 1, 0), (1, 2, 1), (1, 3, 1)]
         assert nesting_encode(tree, 3) == [1, 1]
 
@@ -115,7 +154,9 @@ class TestCodec:
 
     def test_matches_reference_decode_on_random_cases(self):
         # Single-face components give empty intervals, in the middle and at
-        # the end; a third of the labels are 0 (parent rho).
+        # the end; a third of the labels are 0 (parent rho).  Every label
+        # maps through the table as through the intervals, and the decoded
+        # tree encodes as the heap encode does, back to tau.
         rng = random.Random(20240)
         for _ in range(2500):
             c = rng.randint(1, 60)
@@ -123,23 +164,55 @@ class TestCodec:
             if rng.random() < 0.3:
                 fc[-1] = 1
             label_bound = sum(f - 1 for f in fc) + 1
+            owner = NestingCodec(fc).owner
+            assert len(owner) == label_bound
+            every_label = list(range(label_bound))
+            assert (nesting_tuple_preprocess(every_label, owner, c)[0]
+                    == reference_preprocess(every_label, oracle_intervals(fc))[0])
             tau = [0 if rng.random() < 0.3 else rng.randrange(label_bound)
                    for _ in range(c - 1)]
-            assert nesting_decode(tau, fc) == reference_decode(tau, fc), (tau, fc)
+            tree = decode(tau, fc)
+            assert tree == reference_decode(tau, fc), (tau, fc)
+            assert nesting_encode(tree, c) == reference_encode(tree, c) == tau, (tau, fc)
 
     @pytest.mark.parametrize("shape", ["path", "star"])
     def test_roundtrip_5000_components(self, shape):
         c = 5000
         fc = [2] * c
-        if shape == "path":
-            # Component h sits in the inner face of component h + 1.
-            tree = [(h + 1, h, h + 1) for h in range(1, c)] + [(0, c, 0)]
-        else:
-            # Every other component sits in the inner face of component 1.
-            tree = [(0, 1, 0)] + [(1, h, 1) for h in range(2, c + 1)]
+        tree = path_and_star(c)[shape]
         tau = nesting_encode(tree, c)
-        assert nesting_decode(tau, fc) == sorted(tree)
-        assert nesting_encode(nesting_decode(tau, fc), c) == tau
+        assert tau == reference_encode(tree, c)
+        assert decode(tau, fc) == sorted(tree)
+        assert nesting_encode(decode(tau, fc), c) == tau
+
+
+def path_and_star(c):
+    """The path and the star nesting trees of c two-face components: in
+    the path, component h sits in the inner face of component h + 1; in
+    the star, every other component sits in component 1's."""
+    path = [(0, c, 0)] + [(h + 1, h, h + 1) for h in range(1, c)]
+    star = [(0, 1, 0)] + [(1, h, 1) for h in range(2, c + 1)]
+    return {"path": sorted(path), "star": star}
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_codec_is_linear_under_doubling(shape, direction):
+    """NestingCodec.forward and .inverse execute at most 2.2 times the
+    lines of nesting.py per doubling of the components: each is one
+    pointer scan over flat lists, and the decode's sort runs in C."""
+    counts = []
+    for c in (250, 500, 1000, 2000):
+        codec = NestingCodec([2] * c)
+        tree = path_and_star(c)[shape]
+        ft = [0] * c
+        if direction == "forward":
+            counts.append(executed_lines(nesting.__file__, codec.forward, tree, ft))
+        else:
+            a, b = codec.forward(tree, ft)
+            assert codec.inverse(a, b) == (tree, ft)
+            counts.append(executed_lines(nesting.__file__, codec.inverse, a, b))
+    assert max(doubling_ratios(counts)) <= 2.2, counts
 
 
 TWO_TRIANGLES = Graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
