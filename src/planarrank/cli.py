@@ -41,11 +41,6 @@ def _parse_rank(text: str) -> int:
         raise MalformedInput(f"rank must be a decimal integer: {text!r}") from exc
 
 
-def _check_count(name: str, value: int | None) -> None:
-    if value is not None and value < 0:
-        raise MalformedInput(f"{name} must be non-negative, got {value}")
-
-
 def cmd_rank(args) -> int:
     g = _load_graph(args.graph)
     emb = _load_embedding(g, args.embedding)
@@ -78,7 +73,6 @@ def cmd_count(args) -> int:
 
 def cmd_sample(args) -> int:
     g = _load_graph(args.graph)
-    _check_count("-k", args.k)
     ranker = EmbeddingRanker(g)
     for emb in ranker.sample(seed=args.seed, k=args.k):
         print(emb.to_json())
@@ -88,7 +82,6 @@ def cmd_sample(args) -> int:
 def cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
     start = _parse_rank(args.start)
-    _check_count("--limit", args.limit)
     ranker = EmbeddingRanker(g)
     for r, emb in ranker.enumerate(start, args.limit):
         print('{"embedding": %s, "rank": "%d"}' % (emb.to_json(), r))
@@ -108,7 +101,7 @@ def cmd_decompose(args) -> int:
         print(f"  cut-vertices: {comp_cuts}")
         for info in comp_blocks:
             print(f"  block {info.edges}")
-            for line in info.tree.dump(relabel=info.to_global).splitlines():
+            for line in info.shape.tree.dump(relabel=info.to_global).splitlines():
                 print(f"    {line}")
     return 0
 

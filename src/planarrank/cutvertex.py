@@ -36,11 +36,11 @@ operations.  It reads only deltas and the block of each position in the
 walk, so d and each run's first position are a pure function of those;
 c is the index of each run's first edge in its block.
 
-Both results are kept per deltas (MergeTables): the cut-vertices of one
-ranker with equal deltas share one table per direction, each capped at
-DECODED_PER_SHAPE entries.  A miss runs the merge or the derivation with
-all its checks; a hit costs a few passes over v's edges inside builtins
-and O(b) steps for the runs and c.
+Both results are kept per deltas (CutShape, with the c and d bounds):
+the cut-vertices of one ranker with equal deltas share one table per
+direction, each capped at DECODED_PER_SHAPE entries.  A miss runs the
+merge or the derivation with all its checks; a hit costs a few passes
+over v's edges inside builtins and O(b) steps for the runs and c.
 
 Both bounds are checked by measurement: tests/test_cutvertex.py counts
 the lines of this module executed during one call on empty tables, for
@@ -86,17 +86,21 @@ def arrangement_bounds(deltas: list[int]) -> tuple[list[int], list[int]]:
     return list(deltas), [total - j for j in range(1, len(deltas) - 1)]
 
 
-@dataclass(slots=True)
-class MergeTables:
-    """What a ranker keeps per tuple of block degrees at a cut-vertex.
+@dataclass(slots=True, eq=False)
+class CutShape:
+    """What a ranker keeps per tuple of block degrees at a cut-vertex
+    (deltas), made once and shared by every cut-vertex with these deltas.
 
-    With three or more blocks the merge is a pure function of the degrees
-    and the d digits, and d of the degrees and the block of each edge in
-    the walk, so every cut-vertex with these degrees shares one table per
-    direction.  Each holds at most DECODED_PER_SHAPE entries.  phi_v runs
-    only on rotations that validate accepted, and fills its table only
-    after the derived d passed its bound check.
+    With three or more blocks the merge is a pure function of deltas and
+    the d digits, and d of deltas and the block of each edge in the walk,
+    so the shape keeps one table per direction.  Each holds at most
+    DECODED_PER_SHAPE entries.  phi_v runs only on rotations that validate
+    accepted, and fills its table only after the derived d passed its
+    bound check.
     """
+    deltas: tuple[int, ...]    # each block's degree at v: the c bounds
+    delta_v: int               # the degree of v
+    d_bounds: tuple[int, ...]
     # d digits -> the merge, as positions in the block runs concatenated.
     decoded: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
     # The block of each edge in the walk -> (d digits, each block's first
@@ -109,47 +113,33 @@ class MergeTables:
 class BlocksAtV:
     """The fixed data of one cut-vertex v, built once from the graph.
 
-    Blocks are indexed 1..b(v) by ascending minimum edge id at v.
-    ``edges[j-1]`` lists block j's edges at v by far endpoint in edge-id
-    order (at a fixed v, edge-id order is far-endpoint order), and
-    ``block_of`` maps each far endpoint to its block.  ``deltas``,
-    ``delta_v``, ``b`` and the c/d bounds follow from these.  ``tables``
-    is shared by the cut-vertices of one ranker with equal ``deltas``.
-    Per-call data (the block rotations, the merged rotation) is passed to
+    Blocks are indexed 1..b(v) by ascending minimum edge id at v; b(v) is
+    ``len(edges)``.  ``edges[j-1]`` lists block j's edges at v by far
+    endpoint in edge-id order (at a fixed v, edge-id order is far-endpoint
+    order), and ``block_of`` maps each far endpoint to its block.
+    ``shape`` holds all that follows from the blocks' degrees.  Per-call
+    data (the block rotations, the merged rotation) is passed to
     phi_v_inverse and phi_v instead.
     """
 
     v: int
     edges: tuple[tuple[int, ...], ...]
     block_of: dict[int, int]
-    deltas: tuple[int, ...]
-    delta_v: int
-    b: int
-    c_bounds: tuple[int, ...]
-    d_bounds: tuple[int, ...]
-    tables: MergeTables = field(compare=False, repr=False)
+    shape: CutShape = field(compare=False, repr=False)
 
     @classmethod
-    def make(cls, v: int, blocks,
-             tables: dict[tuple[int, ...], MergeTables] | None = None) -> "BlocksAtV":
-        """From each block's far endpoints at v, in any order.  ``tables``
-        maps deltas to the MergeTables its cut-vertices share; without it
-        the cut-vertex gets tables of its own."""
+    def make(cls, v: int, blocks, shapes: dict[tuple[int, ...], CutShape]) -> "BlocksAtV":
+        """From each block's far endpoints at v, in any order.  ``shapes``
+        maps deltas to their CutShape; a new tuple of deltas enters it."""
         edges = tuple(sorted(tuple(sorted(ws)) for ws in blocks))
         if len(edges) < 2:
             raise EmbeddingMismatch(f"vertex {v} is incident to fewer than 2 blocks")
         deltas = tuple(len(ws) for ws in edges)
-        c_bounds, d_bounds = arrangement_bounds(list(deltas))
-        if tables is None:
-            tables = {}
-        shared = tables.get(deltas)
-        if shared is None:
-            shared = tables[deltas] = MergeTables()
-        return cls(
-            v, edges,
-            {w: j for j, ws in enumerate(edges, start=1) for w in ws},
-            deltas, sum(deltas), len(edges), tuple(c_bounds), tuple(d_bounds), shared,
-        )
+        shape = shapes.get(deltas)
+        if shape is None:
+            _, d_bounds = arrangement_bounds(list(deltas))
+            shape = shapes[deltas] = CutShape(deltas, sum(deltas), tuple(d_bounds))
+        return cls(v, edges, {w: j for j, ws in enumerate(edges, start=1) for w in ws}, shape)
 
 
 # Union-find over block indices, held as a parent list and a rank list.
@@ -188,11 +178,11 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
 
     With three or more blocks the c digits only turn each block's run to
     start at first_j.  The merge orders positions in the runs
-    concatenated, and that order depends on ctx.deltas and the d digits
-    alone: ctx's tables keep it per d tuple (_merge on a miss), and the
-    call maps it through the concatenated runs.
+    concatenated, and that order depends on the blocks' degrees and the d
+    digits alone: ctx's shape keeps it per d tuple (_merge on a miss), and
+    the call maps it through the concatenated runs.
     """
-    if ctx.b == 2:
+    if len(ctx.edges) == 2:
         # The first merge only: block 2's run after last_1.  Turned to start
         # at r1[0], that is block 1 up to first_1, then block 2's run, then
         # the rest of block 1; first_1 = r1[0] puts block 2 at the end.
@@ -207,11 +197,11 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
         i = rot.index(edges[c])
         runs += rot[i:]
         runs += rot[:i]
-    decoded = ctx.tables.decoded
+    decoded = ctx.shape.decoded
     key = tuple(d_vals)
     order = decoded.get(key)
     if order is None:
-        order = _merge(ctx, d_vals)
+        order = _merge(ctx.shape, d_vals)
         if len(decoded) < DECODED_PER_SHAPE:
             decoded[key] = order
     out = itemgetter(*order)(runs)
@@ -219,7 +209,7 @@ def phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     return out[i:] + out[:i]
 
 
-def _merge(ctx: BlocksAtV, d_vals) -> tuple[int, ...]:
+def _merge(shape: CutShape, d_vals) -> tuple[int, ...]:
     """The merge of three or more blocks, as the positions of its edges in
     the block runs concatenated (block j's run at ends[j-2]..ends[j-1]-1),
     from first_1 on.
@@ -231,8 +221,8 @@ def _merge(ctx: BlocksAtV, d_vals) -> tuple[int, ...]:
     union by rank); ``head``/``tail`` hold each root's first and last
     position.  The merge runs in O(delta_v * alpha).
     """
-    b, n = ctx.b, ctx.delta_v
-    ends = list(accumulate(ctx.deltas))
+    b, n = len(shape.deltas), shape.delta_v
+    ends = list(accumulate(shape.deltas))
 
     # Each run linked in order; n as a next or previous position ends a list.
     nxt = list(range(1, n + 1))
@@ -349,14 +339,13 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     first_2 off the rotation directly and builds no walk or runs.  With
     more, it reads the block of each edge in the walk (the rotation turned
     to start at first_1).  d and each block's first position there depend
-    on ctx.deltas and those blocks alone, and come from ctx's tables
-    (_derive_d on a miss); c_j is the index of block j's first edge in
+    on the blocks' degrees and those blocks alone, and come from ctx's
+    shape (_derive_d on a miss); c_j is the index of block j's first edge in
     ctx.edges[j-1].
 
     The O(delta_v) bound is checked by counting executed lines under
     doubling, as the module docstring says.
     """
-    b = ctx.b
     block_of = ctx.block_of
 
     # first_1: the first edge of block 1 that a scan from past block 1's
@@ -364,7 +353,7 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     # every edge once, so the scan stops within one lap, at step k.
     n = len(rotation)
     i0 = rotation.index(ctx.edges[0][0])
-    if b == 2:
+    if len(ctx.edges) == 2:
         # The lap runs from i0 + 1 round to i0.  Only blocks 1 and 2 meet
         # here, so first_1 follows the lap's last block-2 edge, and first_2,
         # the walk's first block-2 edge, is the lap's first: every edge
@@ -384,10 +373,10 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     i0 = (i0 + k) % n
     walk = rotation[i0:] + rotation[:i0]
     blk = tuple(blk[i0:] + blk[:i0])
-    encoded = ctx.tables.encoded
+    encoded = ctx.shape.encoded
     derived = encoded.get(blk)
     if derived is None:
-        derived = _derive_d(ctx, blk)
+        derived = _derive_d(ctx.shape, blk)
         if len(encoded) < DECODED_PER_SHAPE:
             encoded[blk] = derived
     d_vals, fpos = derived
@@ -395,7 +384,7 @@ def phi_v(ctx: BlocksAtV, rotation: list[int]) -> tuple[list[int], list[int]]:
     return c_vals, list(d_vals)
 
 
-def _derive_d(ctx: BlocksAtV, blk: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _derive_d(shape: CutShape, blk: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The d digits of a merge of three or more blocks, and each block's
     first position in its walk (the rotation from first_1 on), from the
     block of each position there.
@@ -405,7 +394,7 @@ def _derive_d(ctx: BlocksAtV, blk: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     fpos[j] - 1, and the run right of run j in the same enclosing run is
     the one starting at lpos[j] + 1, if one starts there.
     """
-    b, n = ctx.b, ctx.delta_v
+    b, n = len(shape.deltas), shape.delta_v
 
     # Block runs first_j..last_j: the first and last position of each block.
     fpos = [-1] * (b + 1)
@@ -420,7 +409,7 @@ def _derive_d(ctx: BlocksAtV, blk: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     # run's enclosing run.
     label = [0] * (b + 1)  # next label of each block's non-first edges
     k = 0
-    for j, delta in enumerate(ctx.deltas, start=1):
+    for j, delta in enumerate(shape.deltas, start=1):
         label[j] = k
         k += delta if j < 3 else delta - 1
     ell = [0] * n
@@ -523,7 +512,7 @@ def _derive_d(ctx: BlocksAtV, blk: tuple[int, ...]) -> tuple[tuple[int, ...], tu
         skip[f - 1] = f
         gap[_find(skip, f)] = f
 
-    for d, limit in zip(d_vals, ctx.d_bounds):
+    for d, limit in zip(d_vals, shape.d_bounds):
         if not 0 <= d < limit:
             raise EmbeddingMismatch(f"derived d={d} outside 0..{limit - 1}")
     return tuple(d_vals), tuple(fpos[1:])

@@ -106,8 +106,9 @@ class PlanarEmbedding:
         """By default the embedding holds canonical tuples of rot's lists
         (canonical_rotation), and its own sorted list of int nesting
         triples and list of face tuple ints.  An id or entry whose type is
-        not int (a bool, a float, a str), or a nesting, triple, face tuple
-        or neighbor list that is not iterable, raises MalformedInput.
+        not int (a bool, a float, a str), a rotation that is no dict, or a
+        nesting, triple, face tuple or neighbor list that is not iterable,
+        raises MalformedInput.
 
         canonical=True: rot's values are canonical tuples, nesting is a
         sorted list of int triples and face_tuple a list of ints, and the
@@ -130,7 +131,7 @@ class PlanarEmbedding:
                 nesting, face_tuple = [tuple(e) for e in nesting], list(face_tuple)
                 entries = chain(rot, *rot.values(), *nesting, face_tuple)
                 ok = all(len(e) == 3 for e in nesting) and {int}.issuperset(map(type, entries))
-            except TypeError:  # not iterable: either list, a triple or a neighbor list
+            except (TypeError, AttributeError):  # rot no dict, or a list not iterable
                 ok = False
             if not ok:
                 raise MalformedInput("rotation ids, nesting triples and face tuple entries "

@@ -19,20 +19,19 @@ and every count, rank and unrank reads it; sample unranks uniform ranks.
 Set-up searches the graph once: block_cut_tree's lowpoint search also
 gives the components that connected_components reads.
 
-A block's SPQR-tree, in block-local ids, depends only on the block-local
-graph, so blocks with the same local graph share one tree, built complete
-once per distinct shape and read-only from then on.  So does the
-translation between a block's p and r digits and its rotation, in both
-directions, held per shape under one cap of DECODED_PER_SHAPE entries
-each way: unrank keeps the block-local rotations decoded from p and r
-digits and translates them to global ids per call, and rank keeps chi's
-digits by the block-local rotations at the shape's P/R poles, which are
-all chi reads.  The id maps, global poles and slices stay on the block's
-record.  A cut-vertex's shape is its blocks' degrees at it (deltas): the
-cut-vertices with equal deltas share one MergeTables, made at set-up
-with one dict lookup per cut-vertex and filled by phi_v_inverse and
-phi_v under the same cap, which keeps the merge per d tuple and the d
-digits per block sequence around v (see cutvertex).
+Each fact that follows from a shape lives on one record per distinct
+shape, which every element of that shape shares; an element's record
+keeps its own ids, global poles and slices.  A block's shape is its
+block-local graph.  Its _Shape holds the SPQR-tree, built complete once
+and read-only from then on, the P/R poles, the branching vertices, the p
+and r bounds, and the translation between p and r digits and rotation
+both ways, under one cap of DECODED_PER_SHAPE entries each: unrank keeps
+the block-local rotations decoded from p and r digits and translates
+them to global ids per call, and rank keeps chi's digits by the
+block-local rotations at the P/R poles, which are all chi reads.  A
+cut-vertex's shape is its blocks' degrees at it (deltas).  Its CutShape
+holds the c and d bounds and, under the same cap, the merge per d tuple
+and the d digits per block sequence around v (see cutvertex).
 A graph is planar exactly when each of its blocks is, and build_spqr
 tests each distinct block, so no whole-graph planarity test runs.
 
@@ -67,22 +66,27 @@ from operator import itemgetter
 from . import codecs
 from .biconnected import biconn_bounds, chi, chi_inverse
 from .codecs import MixedRadix, tuple_rank, tuple_unrank
-from .cutvertex import DECODED_PER_SHAPE, BlocksAtV, MergeTables, phi_v, phi_v_inverse
+from .cutvertex import DECODED_PER_SHAPE, BlocksAtV, CutShape, phi_v, phi_v_inverse
 from .embedding import PlanarEmbedding, Rotation, canonical_rotation, validate
-from .errors import EmbeddingMismatch
+from .errors import EmbeddingMismatch, MalformedInput
 from .graph import Graph, block_cut_tree, connected_components, edge_id
 from .nesting import NestingCodec
 from .spqr import SpqrTree, build_spqr
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Shape:
-    """What the ranker keeps per distinct block graph besides its tree.
+    """What the ranker derives from one distinct block-local graph, made
+    once and shared by every block with that graph.
 
     Each table holds at most DECODED_PER_SHAPE entries.  rank fills its
     table only past validate, so a rejected embedding never enters.
     """
+    tree: SpqrTree
     poles: tuple[int, ...]     # local pole of each P-/R-node: where chi reads
+    branching: tuple[int, ...]  # local vertices of local degree >= 3, ascending
+    p_bounds: list[int]        # of its P-node digits
+    r_bounds: list[int]        # of its R-node bits
     # (p digits, r digits) -> the block-local rotation chi_inverse
     # returned, made canonical once, on entry.  Read-only: unrank
     # translates its tuples into global ids.
@@ -97,7 +101,7 @@ class _BlockInfo:
     edges: list[tuple[int, int]]
     to_local: dict[int, int]
     to_global: tuple[int, ...]  # global id of each local id (index 0 unused)
-    tree: SpqrTree             # shared by every block with this local graph
+    shape: _Shape              # shared by every block with this local graph
     # (global, local, cut, lo, hi) pole of each P-/R-node.  At a cut-vertex
     # pole, cut indexes it in ranker.cuts and the block's edges are lo..hi
     # of its rotation sorted by block; otherwise cut is -1.
@@ -142,27 +146,26 @@ class EmbeddingRanker:
                                for v, nbrs in graph.adj.items()}
         comp_edges = [0] * self.t  # m_c: the blocks of a component split its edges
         self.blocks: list[_BlockInfo] = []
-        # Block-local (n, edges) -> its tree; a Graph is built on a miss only.
-        trees: dict[tuple, SpqrTree] = {}
-        # Each tree's local vertices of local degree >= 3, ascending.
-        branching: dict[SpqrTree, tuple[int, ...]] = {}
-        self.shapes: dict[SpqrTree, _Shape] = {}
+        # Block-local (n, edges) -> its shape; a Graph is built on a miss only.
+        self.shapes: dict[tuple, _Shape] = {}
         for blk in bct.blocks:  # sorted by minimum edge: the p/r order
             # The id map is monotone, so every ordering convention agrees
             # across coordinate systems, and the block's sorted edges stay
             # sorted in each.
             to_local, key = blk.local()
-            tree = trees.get(key)
-            if tree is None:  # raises NotPlanar for a non-planar block
-                tree = trees[key] = build_spqr(Graph(*key))
-                self.shapes[tree] = _Shape(
-                    tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}))
-                branching[tree] = tuple(x for x, nbrs in tree.graph.adj.items()
-                                        if len(nbrs) >= 3)
+            shape = self.shapes.get(key)
+            if shape is None:
+                tree = build_spqr(Graph(*key))  # raises NotPlanar for a non-planar block
+                # biconn_bounds lists the P-node bounds, then the R-node bits.
+                bounds, y = biconn_bounds(tree), len(tree.conventional[0])
+                shape = self.shapes[key] = _Shape(
+                    tree, tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}),
+                    tuple(x for x, nbrs in tree.graph.adj.items() if len(nbrs) >= 3),
+                    bounds[:y], bounds[y:])
             inv = (0, *to_local)  # ints: the collector untracks it
             comp = comp_of[inv[1]]
             comp_edges[comp] += len(blk.edges)
-            self.blocks.append(_BlockInfo(comp, list(blk.edges), to_local, inv, tree))
+            self.blocks.append(_BlockInfo(comp, list(blk.edges), to_local, inv, shape))
         # A component's face count is m_c - n_c + 2 (Euler).
         self.face_counts = [m - len(comp) + 2 for m, (_, comp) in zip(comp_edges, self.comps)]
 
@@ -170,12 +173,12 @@ class EmbeddingRanker:
             e: b for b, info in enumerate(self.blocks) for e in info.edges
         }
         self.cuts: list[_CutInfo] = []
-        merge_tables: dict[tuple[int, ...], MergeTables] = {}  # by deltas
+        cut_shapes: dict[tuple[int, ...], CutShape] = {}  # by deltas
         for v in bct.cut_vertices:
             at_v: dict[int, list[int]] = {}
             for w in graph.adj[v]:
                 at_v.setdefault(block_of_edge[edge_id(v, w)], []).append(w)
-            ctx = BlocksAtV.make(v, at_v.values(), merge_tables)
+            ctx = BlocksAtV.make(v, at_v.values(), cut_shapes)
             ids = [block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
             self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
         # Each block's poles, with the run of its edges at a cut-vertex pole
@@ -188,7 +191,7 @@ class EmbeddingRanker:
             v = cut.v
             lo = 0
             cut.at_v = at_v = []
-            for b, ws, delta in zip(cut.block_ids, cut.ctx.edges, cut.ctx.deltas):
+            for b, ws, delta in zip(cut.block_ids, cut.ctx.edges, cut.ctx.shape.deltas):
                 span[b, v] = (k, lo, lo + delta)
                 lo += delta
                 if delta < 3:
@@ -200,8 +203,8 @@ class EmbeddingRanker:
         for b, info in enumerate(blocks):
             inv = info.to_global
             info.poles = tuple((inv[u], u, *span.get((b, inv[u]), (-1, 0, 0)))
-                               for u in self.shapes[info.tree].poles)
-            info.decided = tuple([(inv[u], u) for u in branching[info.tree]
+                               for u in info.shape.poles)
+            info.decided = tuple([(inv[u], u) for u in info.shape.branching
                                   if inv[u] not in cut_vertices])
         self.nesting_codec = NestingCodec(self.face_counts)
 
@@ -217,16 +220,13 @@ class EmbeddingRanker:
         self.a = segment(self.nesting_codec.bounds[: self.t - 1])
         self.b = segment(self.face_counts)
         for cut in self.cuts:
-            cut.c = segment(cut.ctx.c_bounds)
+            cut.c = segment(cut.ctx.shape.deltas)
         for cut in self.cuts:
-            cut.d = segment(cut.ctx.d_bounds)
-        # biconn_bounds lists a block's P-node bounds, then its R-node bits.
-        chi_bounds = [(biconn_bounds(info.tree), len(info.tree.conventional[0]))
-                      for info in self.blocks]
-        for info, (bb, y) in zip(self.blocks, chi_bounds):
-            info.p = segment(bb[:y])
-        for info, (bb, y) in zip(self.blocks, chi_bounds):
-            info.r = segment(bb[y:])
+            cut.d = segment(cut.ctx.shape.d_bounds)
+        for info in self.blocks:
+            info.p = segment(info.shape.p_bounds)
+        for info in self.blocks:
+            info.r = segment(info.shape.r_bounds)
         self.radix = MixedRadix(self.bounds)
 
     # -- counting -----------------------------------------------------------
@@ -256,7 +256,6 @@ class EmbeddingRanker:
         # once, on first use, and each block reads its own run of it, so a
         # hub of k blocks is not scanned k times.
         grouped_at: dict[int, list[int]] = {}
-        shapes = self.shapes
         for info in self.blocks:
             if not info.poles:  # choice-free (bridge, cycle): no digits
                 continue
@@ -272,10 +271,10 @@ class EmbeddingRanker:
                     nbrs = grouped[lo:hi]
                 key.append(tuple([to_local[w] for w in nbrs]))
             key = tuple(key)
-            shape = shapes[info.tree]
+            shape = info.shape
             digits = shape.encoded.get(key)
             if digits is None:
-                digits = chi(dict(zip(shape.poles, key)), info.tree)
+                digits = chi(dict(zip(shape.poles, key)), shape.tree)
                 if len(shape.encoded) < DECODED_PER_SHAPE:
                     shape.encoded[key] = digits
             values[info.p], values[info.r] = digits
@@ -300,15 +299,15 @@ class EmbeddingRanker:
         vertex of degree <= 2 keeps its base rotation, and a cut-vertex is
         left to _merge_cuts, which reads block_rot.
         """
-        blocks, shapes = self.blocks, self.shapes
+        blocks = self.blocks
         for b in block_ids:
             info = blocks[b]
-            shape = shapes[info.tree]
+            shape = info.shape
             key = (tuple(values[info.p]), tuple(values[info.r]))
             local = shape.decoded.get(key)
             if local is None:
                 local = canonical_rotation(
-                    chi_inverse(list(key[0]), list(key[1]), info.tree))
+                    chi_inverse(list(key[0]), list(key[1]), shape.tree))
                 if len(shape.decoded) < DECODED_PER_SHAPE:
                     shape.decoded[key] = local
             block_rot[b] = local
@@ -355,6 +354,7 @@ class EmbeddingRanker:
     def sample(self, seed: int, k: int = 1):
         """k embeddings drawn independently and uniformly (fixed seed): the
         unranks of k uniform ranks, since the codec is a bijection."""
+        _check_count("k", k)
         rng = random.Random(seed)
         for _ in range(k):
             yield self.unrank(rng.randrange(self.count()))
@@ -388,7 +388,8 @@ class EmbeddingRanker:
                 [cut_reach[k] for k in cuts], [self.cuts[k] for k in cuts])
 
     def enumerate(self, start: int = 0, limit: int | None = None):
-        """Consecutive (rank, embedding) pairs from a starting rank.
+        """Consecutive (rank, embedding) pairs from a starting rank, at most
+        limit of them (an int >= 0; None for all).
 
         A mixed-radix odometer steps the tuple, and the previous item's
         block and global rotations are kept.  The first item decodes
@@ -406,6 +407,8 @@ class EmbeddingRanker:
         and face tuple list: no two items share a mutable object.
         """
         values = tuple_unrank(start, self.radix)  # checks start's type and range
+        if limit is not None:
+            _check_count("limit", limit)
         total = self.count()
         top, block_reach, blocks, cut_reach, cuts = self._owners_by_reach
         bounds = self.bounds
@@ -425,6 +428,12 @@ class EmbeddingRanker:
             if i < self.b.stop:
                 tree, ft = self.nesting_codec.inverse(values[self.a], values[self.b])
             yield r, PlanarEmbedding(self.graph, dict(rot), tree[:], ft[:], canonical=True)
+
+
+def _check_count(name: str, value) -> None:
+    """A number of items is an int, not a bool, and at least 0."""
+    if type(value) is not int or value < 0:
+        raise MalformedInput(f"{name} must be an int >= 0, got {value!r}")
 
 
 def count_embeddings(g: Graph) -> int:

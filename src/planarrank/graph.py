@@ -39,23 +39,26 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "_components", "_text")
 
     def __init__(self, n: int, edges) -> None:
-        if n < 1:
-            raise MalformedInput("graph must have at least one vertex")
+        if type(n) is not int or n < 1:
+            raise MalformedInput(f"graph must have an int number of vertices >= 1, got {n!r}")
         seen: set[Edge] = set()
         adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        for u, v in edges:
-            if not (type(u) is int and type(v) is int):
-                raise MalformedInput(f"edge endpoints must be integers: {(u, v)!r}")
-            if u == v:
-                raise MalformedInput(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise MalformedInput(f"edge {(u, v)} uses a vertex outside 1..{n}")
-            e = edge_id(u, v)
-            if e in seen:
-                raise MalformedInput(f"parallel edge {e}")
-            seen.add(e)
-            adj[u].append(v)
-            adj[v].append(u)
+        try:
+            for u, v in edges:
+                if not (type(u) is int and type(v) is int):
+                    raise MalformedInput(f"edge endpoints must be integers: {(u, v)!r}")
+                if u == v:
+                    raise MalformedInput(f"self-loop at vertex {u}")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise MalformedInput(f"edge {(u, v)} uses a vertex outside 1..{n}")
+                e = edge_id(u, v)
+                if e in seen:
+                    raise MalformedInput(f"parallel edge {e}")
+                seen.add(e)
+                adj[u].append(v)
+                adj[v].append(u)
+        except (TypeError, ValueError) as exc:  # edges, or an edge, is no pair
+            raise MalformedInput(f"edges must be an iterable of pairs: {exc}") from exc
         for v, nbrs in adj.items():
             if not nbrs:
                 raise EdgelessComponent(

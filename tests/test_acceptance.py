@@ -89,10 +89,10 @@ class TestAcceptance:
             if configs:
                 graphs_with_cuts += 1
             for v, blocks in configs:
-                ctx = BlocksAtV.make(v, [r[v] for r in blocks])
-                if ctx.delta_v > 8:
+                ctx = BlocksAtV.make(v, [r[v] for r in blocks], {})
+                if ctx.shape.delta_v > 8:
                     continue
-                expected = math.prod(ctx.c_bounds + ctx.d_bounds)
+                expected = math.prod(ctx.shape.deltas + ctx.shape.d_bounds)
                 got = len(enumerate_arrangements(v, blocks))
                 assert got == expected, f"E_v mismatch at vertex {v}"
                 checked += 1

@@ -180,7 +180,7 @@ class TestChiRejects:
         # The stranger is not adjacent to vertex 1, the pole of the only
         # P- or R-node: in W4 it lies in the block, in THETA outside it.
         ranker = EmbeddingRanker(g)
-        p_nodes, r_nodes = ranker.blocks[0].tree.conventional
+        p_nodes, r_nodes = ranker.blocks[0].shape.tree.conventional
         assert [min(nd.poles) for nd in p_nodes + r_nodes] == [1]
         rot = dict(ranker.unrank(0).rot)
         rot[1] = [stranger, *rot[1][1:]]
@@ -190,7 +190,7 @@ class TestChiRejects:
         # Vertex 1 is the lower pole of the only P-node.
         g = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
         ranker = EmbeddingRanker(g)
-        (nd,), () = ranker.blocks[0].tree.conventional
+        (nd,), () = ranker.blocks[0].shape.tree.conventional
         assert nd.poles[0] == 1
         rot = dict(ranker.unrank(0).rot)
         del rot[1]
@@ -289,7 +289,7 @@ class TestRunReaderAgainstReference:
             ranker = EmbeddingRanker(random_planar(rng.randint(8, 30), seed=600 + seed))
             cut_graphs += bool(ranker.cuts)
             for info in ranker.blocks:
-                compared += compare_run_readers(info.tree, rng, 4)
+                compared += compare_run_readers(info.shape.tree, rng, 4)
         assert cut_graphs >= 30 and compared >= 1000
 
     def test_atlas(self):
@@ -297,7 +297,7 @@ class TestRunReaderAgainstReference:
         compared = 0
         for g in atlas_planar():
             for info in EmbeddingRanker(g).blocks:
-                compared += compare_run_readers(info.tree, rng, 2)
+                compared += compare_run_readers(info.shape.tree, rng, 2)
         assert compared >= 1000
 
     def test_fans_and_wheels(self):
@@ -471,7 +471,7 @@ def random_tuples(tree, rng, count):
 
 class TestChiInverseAgainstReference:
     def test_every_tuple_of_every_atlas_block(self):
-        trees = {id(info.tree): info.tree
+        trees = {id(info.shape.tree): info.shape.tree
                  for g in atlas_planar() for info in EmbeddingRanker(g).blocks}
         compared = sum(compare_decoders(t, every_tuple(t)) for t in trees.values())
         assert compared >= 4000
@@ -490,5 +490,5 @@ class TestChiInverseAgainstReference:
         compared = 0
         for seed in range(30):
             for info in EmbeddingRanker(random_planar(rng.randint(8, 40), seed=700 + seed)).blocks:
-                compared += compare_decoders(info.tree, random_tuples(info.tree, rng, 4))
+                compared += compare_decoders(info.shape.tree, random_tuples(info.shape.tree, rng, 4))
         assert compared >= 1000

@@ -67,8 +67,8 @@ class TestCanonicalByConstruction:
 
 def decoded_snapshot(ranker):
     """Every shape's decode table and the base rotation, copied."""
-    tables = {id(tree): {key: dict(local) for key, local in shape.decoded.items()}
-              for tree, shape in ranker.shapes.items()}
+    tables = {id(shape.tree): {key: dict(local) for key, local in shape.decoded.items()}
+              for shape in ranker.shapes.values()}
     return tables, dict(ranker.base)
 
 

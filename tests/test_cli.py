@@ -136,7 +136,7 @@ class TestCli:
                 if info.comp == ci:
                     want.append(f"  block {info.edges}")
                     want.extend(f"    {line}" for line in
-                                info.tree.dump(relabel=info.to_global).splitlines())
+                                info.shape.tree.dump(relabel=info.to_global).splitlines())
         assert len(ranker.comps) > 1 and ranker.cuts
         assert capsys.readouterr().out == "\n".join(want) + "\n"
 

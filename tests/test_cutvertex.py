@@ -45,7 +45,7 @@ def at_v(v, blocks):
     """Fixed data of v and the blocks' rotations at v, in its block order,
     as the canonical tuples phi_v_inverse takes."""
     rotations = sorted((canonical_neighbors(r[v]) for r in blocks), key=min)
-    return BlocksAtV.make(v, rotations), rotations
+    return BlocksAtV.make(v, rotations, {}), rotations
 
 
 # (name, v, list of block rotations)
@@ -98,8 +98,8 @@ class TestPhiV:
     @pytest.mark.parametrize("name,v,blocks", CONFIGS, ids=[c[0] for c in CONFIGS])
     def test_bijection_against_oracle(self, name, v, blocks):
         ctx, rotations = at_v(v, blocks)
-        c_bounds, d_bounds = ctx.c_bounds, ctx.d_bounds
-        expected = math.prod(ctx.c_bounds + ctx.d_bounds)
+        c_bounds, d_bounds = ctx.shape.deltas, ctx.shape.d_bounds
+        expected = math.prod(ctx.shape.deltas + ctx.shape.d_bounds)
 
         produced = {}
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
@@ -129,7 +129,7 @@ class TestPhiV:
         )
         g = Graph(len(vertices), edges)
         ctx, rotations = at_v(v, blocks)
-        c_bounds, d_bounds = ctx.c_bounds, ctx.d_bounds
+        c_bounds, d_bounds = ctx.shape.deltas, ctx.shape.d_bounds
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
             for d_vals in itertools.product(*[range(x) for x in d_bounds]):
                 merged = phi_v_inverse(ctx, rotations, list(c_vals), list(d_vals))
@@ -146,7 +146,7 @@ class TestPhiV:
         # cyclic order (rotation-list subsequence equality).
         v, blocks = 1, [triangle(1, 2, 3), triangle(1, 4, 5), bridge(1, 6)]
         ctx, rotations = at_v(v, blocks)
-        c_bounds, d_bounds = ctx.c_bounds, ctx.d_bounds
+        c_bounds, d_bounds = ctx.shape.deltas, ctx.shape.d_bounds
         for c_vals in itertools.product(*[range(x) for x in c_bounds]):
             for d_vals in itertools.product(*[range(x) for x in d_bounds]):
                 merged = phi_v_inverse(ctx, rotations, list(c_vals), list(d_vals))
@@ -240,18 +240,18 @@ def wide_cut_vertex(b, pattern):
         delta = 1 + j % 4
         blocks.append(canonical_neighbors(range(w + delta - 1, w - 1, -1)))
         w += delta
-    ctx = BlocksAtV.make(1, blocks)
+    ctx = BlocksAtV.make(1, blocks, {})
     c_vals = [0] * b
     if pattern == "zero":
         d_vals = [0] * (b - 2)
     elif pattern == "max":
-        d_vals = [x - 1 for x in ctx.d_bounds]
+        d_vals = [x - 1 for x in ctx.shape.d_bounds]
     elif pattern == "alternating":
-        d_vals = [(x - 1) * (i % 2) for i, x in enumerate(ctx.d_bounds)]
+        d_vals = [(x - 1) * (i % 2) for i, x in enumerate(ctx.shape.d_bounds)]
     else:
         rng = random.Random(b)
-        c_vals = [rng.randrange(x) for x in ctx.c_bounds]
-        d_vals = [rng.randrange(x) for x in ctx.d_bounds]
+        c_vals = [rng.randrange(x) for x in ctx.shape.deltas]
+        d_vals = [rng.randrange(x) for x in ctx.shape.d_bounds]
     return ctx, blocks, c_vals, d_vals
 
 
@@ -266,7 +266,7 @@ class TestWorkUnderDoubling:
         counts = []
         for b in BLOCK_COUNTS:
             ctx, *args = wide_cut_vertex(b, pattern)
-            assert not ctx.tables.decoded
+            assert not ctx.shape.decoded
             counts.append(executed_lines(CUTVERTEX_PY, phi_v_inverse, ctx, *args))
             assert phi_v_inverse(ctx, *args) == dict_phi_v_inverse(ctx, *args)
         assert max(doubling_ratios(counts)) <= 2.2, counts
@@ -277,7 +277,7 @@ class TestWorkUnderDoubling:
         for b in BLOCK_COUNTS:
             ctx, rotations, c_vals, d_vals = wide_cut_vertex(b, pattern)
             merged = phi_v_inverse(ctx, rotations, c_vals, d_vals)
-            assert not ctx.tables.encoded
+            assert not ctx.shape.encoded
             counts.append(executed_lines(CUTVERTEX_PY, phi_v, ctx, merged))
             assert phi_v(ctx, merged) == (c_vals, d_vals)
         assert max(doubling_ratios(counts)) <= 2.2, counts
@@ -333,7 +333,7 @@ def reference_phi_v_inverse(ctx, rotations, c_vals, d_vals, cases):
     Counts the merges it makes per case in ``cases`` ("insert", "wrap").
     Expects well-formed input: the checks are the function under test's.
     """
-    b = ctx.b
+    b = len(ctx.edges)
     orders = []
     for rot, edges, c in zip(rotations, ctx.edges, c_vals):
         i = rot.index(edges[c])
@@ -477,7 +477,7 @@ def dict_phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     rank); ``head``/``tail`` hold each root's first and last edge.  The
     merge runs in O(delta_v * alpha).
     """
-    b = ctx.b
+    b = len(ctx.edges)
     if b == 2:
         # The first merge only: block 2's run after last_1.  Turned to start
         # at r1[0], that is block 1 up to first_1, then block 2's run, then
@@ -591,7 +591,7 @@ def dict_phi_v_inverse(ctx: BlocksAtV, rotations, c_vals: list[int],
     while w is not None:
         out.append(w)
         w = nxt.get(w)
-    if len(out) != ctx.delta_v:
+    if len(out) != ctx.shape.delta_v:
         raise EmbeddingMismatch("merge lost or duplicated edges")
     i = out.index(rotations[0][0])
     return (*out[i:], *out[:i])
@@ -626,20 +626,20 @@ class TestAgainstReferenceMerge:
         hits = Counter()
         for _ in range(2000):
             blocks = random_blocks(rng)
-            ctx = BlocksAtV.make(1, blocks)
-            c_vals = [rng.randrange(x) for x in ctx.c_bounds]
-            d_vals = [rng.randrange(x) for x in ctx.d_bounds]
+            ctx = BlocksAtV.make(1, blocks, {})
+            c_vals = [rng.randrange(x) for x in ctx.shape.deltas]
+            d_vals = [rng.randrange(x) for x in ctx.shape.d_bounds]
             expected = canonical_neighbors(
                 reference_phi_v_inverse(ctx, blocks, c_vals, d_vals, cases))
             rotations = [canonical_neighbors(r) for r in blocks]
             assert dict_phi_v_inverse(ctx, rotations, c_vals, d_vals) == expected
-            assert not ctx.tables.decoded
+            assert not ctx.shape.decoded
             for table in ("cold", "warm"):
                 got = phi_v_inverse(ctx, rotations, c_vals, d_vals)
                 assert got == expected, (table, blocks, c_vals, d_vals)
-            assert list(ctx.tables.decoded) == ([tuple(d_vals)] if ctx.b > 2 else [])
+            assert list(ctx.shape.decoded) == ([tuple(d_vals)] if len(ctx.edges) > 2 else [])
             other = BlocksAtV.make(1, blocks, shared)
-            hits[tuple(d_vals) in other.tables.decoded] += 1
+            hits[tuple(d_vals) in other.shape.decoded] += 1
             assert phi_v_inverse(other, rotations, c_vals, d_vals) == expected
         assert cases["insert"] > 0 and cases["wrap"] > 0, cases
         assert hits[True] > 50, hits
@@ -657,9 +657,9 @@ class TestTwoBlockExit:
                              ids=[c[0] for c in TWO_BLOCK_CONFIGS])
     def test_every_c_matches_reference_merge(self, name, v, blocks):
         ctx, rotations = at_v(v, blocks)
-        assert ctx.b == 2 and ctx.d_bounds == ()
+        assert len(ctx.edges) == 2 and ctx.shape.d_bounds == ()
         cases = Counter()
-        for c_vals in itertools.product(*[range(x) for x in ctx.c_bounds]):
+        for c_vals in itertools.product(*[range(x) for x in ctx.shape.deltas]):
             expected = reference_phi_v_inverse(ctx, rotations, list(c_vals), [], cases)
             assert phi_v_inverse(ctx, rotations, list(c_vals), []) == canonical_neighbors(
                 expected)
@@ -677,8 +677,8 @@ class TestTwoBlockExit:
             if set(blocks[0]) & set(blocks[1]):
                 continue
             blocks.sort(key=min)
-            ctx = BlocksAtV.make(1, blocks)
-            for c1, c2 in itertools.product(*[range(x) for x in ctx.c_bounds]):
+            ctx = BlocksAtV.make(1, blocks, {})
+            for c1, c2 in itertools.product(*[range(x) for x in ctx.shape.deltas]):
                 expected = reference_phi_v_inverse(ctx, blocks, [c1, c2], [], Counter())
                 got = phi_v_inverse(ctx, blocks, [c1, c2], [])
                 assert got == canonical_neighbors(expected), (blocks, c1, c2)
@@ -722,12 +722,12 @@ def hub(k):
 
 
 def tables_of(ranker):
-    """The distinct MergeTables of a ranker's cut-vertices, by identity."""
-    return list({id(cut.ctx.tables): cut.ctx.tables for cut in ranker.cuts}.values())
+    """The distinct CutShapes of a ranker's cut-vertices, by identity."""
+    return list({id(cut.ctx.shape): cut.ctx.shape for cut in ranker.cuts}.values())
 
 
 class TestMergeTables:
-    """The per-deltas tables of merges and derivations."""
+    """The per-deltas CutShapes and their tables of merges and derivations."""
 
     @pytest.mark.parametrize("name", ["forest", "hub-40"])
     def test_capped_after_many_pairs(self, name):
@@ -750,7 +750,7 @@ class TestMergeTables:
         ranker = EmbeddingRanker(g)
         by_deltas = {}
         for cut in ranker.cuts:
-            by_deltas.setdefault(cut.ctx.deltas, set()).add(id(cut.ctx.tables))
+            by_deltas.setdefault(cut.ctx.shape.deltas, set()).add(id(cut.ctx.shape))
         assert all(len(ids) == 1 for ids in by_deltas.values())
         assert len(tables_of(ranker)) == len(by_deltas) < len(ranker.cuts)
         other = EmbeddingRanker(g)
@@ -773,8 +773,8 @@ class TestWideCutVertex:
         cut = ranker.cuts[0]
         # The first and last rank set every d digit to 0 and to its
         # maximum, the two patterns that once walked long chains.
-        extremes = {0: [0] * len(cut.ctx.d_bounds),
-                    ranker.count() - 1: [x - 1 for x in cut.ctx.d_bounds]}
+        extremes = {0: [0] * len(cut.ctx.shape.d_bounds),
+                    ranker.count() - 1: [x - 1 for x in cut.ctx.shape.d_bounds]}
         rng = random.Random(7)
         for r in [*extremes] + [rng.randrange(ranker.count()) for _ in range(5)]:
             emb = ranker.unrank(r)
@@ -819,7 +819,7 @@ def _find_first1(ctx, rotation):
     block_of = ctx.block_of
     n = len(rotation)
     i0 = rotation.index(ctx.edges[0][0])
-    need = ctx.deltas[1]
+    need = ctx.shape.deltas[1]
     seen2: set[int] = set()
     for k in range(1, 2 * n + 1):
         w = rotation[(i0 + k) % n]
@@ -834,9 +834,9 @@ def _find_first1(ctx, rotation):
 def reference_phi_v(ctx, rotation):
     """phi_v over an ordered tree of _TNode objects and a UnionFind of
     blocks, with the same checks."""
-    b = ctx.b
+    b = len(ctx.edges)
     block_of = ctx.block_of
-    if len(rotation) != ctx.delta_v or block_of.keys() != set(rotation):
+    if len(rotation) != ctx.shape.delta_v or block_of.keys() != set(rotation):
         raise EmbeddingMismatch("rotation does not cover the incident edges")
 
     first1 = _find_first1(ctx, rotation)
@@ -987,7 +987,7 @@ def reference_phi_v(ctx, rotation):
         del gap_owner[anchor]
         gap_owner[resolve(firsts[j])] = firsts[j]
 
-    for d, limit in zip(d_vals, ctx.d_bounds):
+    for d, limit in zip(d_vals, ctx.shape.d_bounds):
         if not 0 <= d < limit:
             raise EmbeddingMismatch(f"derived d={d} outside 0..{limit - 1}")
     return c_vals, d_vals
@@ -1014,21 +1014,21 @@ class TestAgainstReferenceForward:
         hits = Counter()
 
         def check(ctx, rotation, expected):
-            assert not ctx.tables.encoded
+            assert not ctx.shape.encoded
             for table in ("cold", "warm"):
                 assert phi_v(ctx, rotation) == expected, (table, ctx.edges, rotation)
             other = BlocksAtV.make(1, ctx.edges, shared)
-            encoded = other.tables.encoded
+            encoded = other.shape.encoded
             size = len(encoded)
             assert phi_v(other, rotation) == expected, (ctx.edges, rotation)
-            if ctx.b > 2:  # a miss below the cap adds its entry
+            if len(ctx.edges) > 2:  # a miss below the cap adds its entry
                 hits[len(encoded) == size < DECODED_PER_SHAPE] += 1
 
         for _ in range(2500):
             blocks = random_blocks(rng)
-            ctx = BlocksAtV.make(1, blocks)
-            c_vals = [rng.randrange(x) for x in ctx.c_bounds]
-            d_vals = [rng.randrange(x) for x in ctx.d_bounds]
+            ctx = BlocksAtV.make(1, blocks, {})
+            c_vals = [rng.randrange(x) for x in ctx.shape.deltas]
+            d_vals = [rng.randrange(x) for x in ctx.shape.d_bounds]
             merged = reference_phi_v_inverse(ctx, blocks, c_vals, d_vals, cases)
             assert reference_phi_v(ctx, merged) == (c_vals, d_vals)
             check(ctx, merged, (c_vals, d_vals))
@@ -1040,8 +1040,8 @@ class TestAgainstReferenceForward:
             expected = outcome(reference_phi_v, ctx, shuffled)
             if isinstance(expected, type):
                 continue
-            check(BlocksAtV.make(1, blocks), shuffled, expected)
-            if ctx.b > 2:
+            check(BlocksAtV.make(1, blocks, {}), shuffled, expected)
+            if len(ctx.edges) > 2:
                 accepted_shuffles += 1
             else:
                 two += 1

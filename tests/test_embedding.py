@@ -462,8 +462,10 @@ class TestIntEntries:
         (TRI_ROT, [(0, 1, 0)], 7),
         (TRI_ROT, None, 7),
         ({1: 5, 2: [1, 3], 3: [1, 2]}, None, None),
+        (5, None, None),
+        ([1, 2], None, None),
     ], ids=["nesting", "nesting-edge", "face-tuple", "face-tuple-default-nesting",
-            "neighbor-list"])
+            "neighbor-list", "rotation-int", "rotation-list"])
     def test_not_iterable_rejected(self, rot, nesting, ft):
         with pytest.raises(MalformedInput, match="must be ints"):
             PlanarEmbedding(TRIANGLE, rot, nesting, ft)

@@ -11,13 +11,13 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from _graphgen import TEMPLATES, atlas_planar, fan, p_fan, random_planar
+from _graphgen import TEMPLATES, atlas_planar, benchmark_workloads, fan, p_fan, random_planar
 from _linecount import doubling_ratios, executed_lines
 from _oracle import TooLarge, enumerate_disconnected
 from planarrank import cutvertex, full
 from planarrank.biconnected import biconn_bounds, chi, chi_inverse
 from planarrank.codecs import MixedRadix, check_bounds, tuple_rank, tuple_unrank
-from planarrank.cutvertex import BlocksAtV, phi_v, phi_v_inverse
+from planarrank.cutvertex import BlocksAtV, arrangement_bounds, phi_v, phi_v_inverse
 from planarrank.embedding import (PlanarEmbedding, canonical_neighbors, canonical_rotation,
                                   embeddings_equal, validate)
 from planarrank.errors import (
@@ -249,7 +249,7 @@ def reference_phi(ranker, emb):
     for info, rot in zip(ranker.blocks, reference_block_rotations(ranker, emb)):
         if info.poles:
             values[info.p], values[info.r] = chi({i: rot[i] for _, i, *_ in info.poles},
-                                                 info.tree)
+                                                 info.shape.tree)
     return values
 
 
@@ -315,14 +315,14 @@ class ReferenceLayout:
                                   key=lambda b: ranker.blocks[b].edges[0])
         self.a_bounds = ranker.nesting_codec.bounds[: ranker.t - 1]
         self.b_bounds = list(ranker.face_counts)
-        self.c_bounds = [c for cut in ranker.cuts for c in cut.ctx.c_bounds]
-        self.d_bounds = [d for cut in ranker.cuts for d in cut.ctx.d_bounds]
+        self.c_bounds = [c for cut in ranker.cuts for c in cut.ctx.shape.deltas]
+        self.d_bounds = [d for cut in ranker.cuts for d in cut.ctx.shape.d_bounds]
         self.p_bounds = []
         self.r_bounds = []
         self._block_shapes = []  # (#p, #r) per block
         for b in self.block_order:
-            bb = biconn_bounds(ranker.blocks[b].tree)
-            y = len(ranker.blocks[b].tree.p_nodes())
+            bb = biconn_bounds(ranker.blocks[b].shape.tree)
+            y = len(ranker.blocks[b].shape.tree.p_nodes())
             self.p_bounds.extend(bb[:y])
             self.r_bounds.extend(bb[y:])
             self._block_shapes.append((y, len(bb) - y))
@@ -359,7 +359,7 @@ class ReferenceLayout:
         for bi, b in enumerate(self.block_order):
             if self._block_shapes[bi] == (0, 0):
                 continue  # choice-free block (bridge, cycle)
-            ps, rs = chi(self._block_rotation(emb, b), ranker.blocks[b].tree)
+            ps, rs = chi(self._block_rotation(emb, b), ranker.blocks[b].shape.tree)
             p_vals.extend(ps)
             r_vals.extend(rs)
         return a_vals + b_vals + c_vals + d_vals + p_vals + r_vals
@@ -383,7 +383,7 @@ class ReferenceLayout:
         for bi, b in enumerate(self.block_order):
             y, z = self._block_shapes[bi]
             info = ranker.blocks[b]
-            local = chi_inverse(p_vals[pi:pi + y], r_vals[ri:ri + z], info.tree)
+            local = chi_inverse(p_vals[pi:pi + y], r_vals[ri:ri + z], info.shape.tree)
             pi += y
             ri += z
             block_rot[b] = {
@@ -399,7 +399,7 @@ class ReferenceLayout:
                 rot[x] = nbrs
         ci = di = 0
         for cut in ranker.cuts:
-            nc, nd = len(cut.ctx.c_bounds), len(cut.ctx.d_bounds)
+            nc, nd = len(cut.ctx.shape.deltas), len(cut.ctx.shape.d_bounds)
             rot[cut.v] = phi_v_inverse(
                 cut.ctx, [canonical_neighbors(block_rot[b][cut.v]) for b in cut.block_ids],
                 c_vals[ci:ci + nc], d_vals[di:di + nd],
@@ -477,7 +477,11 @@ class ReferenceConstruction(EmbeddingRanker):
     local graph shared one SPQR-tree: a whole-graph networkx planarity
     test, then one build_spqr call per block.  That call skipped its own
     tests then (pretested=True, now removed); testing the block again
-    does not change the tree.  rank and unrank are the ranker's own."""
+    does not change the tree.  Every bound is derived per element, as
+    before shapes owned them: each block and each cut-vertex gets a shape
+    record of its own, and the layout derives the bounds again from each
+    block's tree and each cut-vertex's degrees.  rank and unrank are the
+    ranker's own."""
 
     def __init__(self, graph: Graph) -> None:
         if not nx.check_planarity(nx.Graph(graph.edges))[0]:
@@ -515,10 +519,12 @@ class ReferenceConstruction(EmbeddingRanker):
                     (min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in bg.edges
                 )
                 tree = build_spqr(bg)
-                # Its own tables: no tree, and so no table, is shared.
-                self.shapes[tree] = _Shape(
-                    tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}))
-                info = _BlockInfo(ci, g_edges, fwd, inv, tree)
+                # Its own shape: no tree, and so no table, is shared.
+                bb, y = biconn_bounds(tree), len(tree.conventional[0])
+                shape = self.shapes[id(tree)] = _Shape(
+                    tree, tuple({nd.poles[0] for nd in tree.nodes if nd.kind in ("P", "R")}),
+                    tuple(x for x in bg.vertices if bg.degree(x) >= 3), bb[:y], bb[y:])
+                info = _BlockInfo(ci, g_edges, fwd, inv, shape)
                 info.decided = tuple(
                     (inv[x], x) for x in bg.vertices
                     if bg.degree(x) >= 3 and verts[x - 1] not in bct.cut_vertices)
@@ -534,7 +540,7 @@ class ReferenceConstruction(EmbeddingRanker):
             at_v = {}
             for w in graph.adj[v]:
                 at_v.setdefault(block_of_edge[edge_id(v, w)], []).append(w)
-            ctx = BlocksAtV.make(v, at_v.values())
+            ctx = BlocksAtV.make(v, at_v.values(), {})  # a shape of its own
             ids = [block_of_edge[edge_id(v, ws[0])] for ws in ctx.edges]
             self.cuts.append(_CutInfo(v, comp_of[v], ids, ctx))
         # At a cut-vertex pole, a block's edges follow those of the blocks
@@ -542,7 +548,7 @@ class ReferenceConstruction(EmbeddingRanker):
         cut_index = {cut.v: k for k, cut in enumerate(self.cuts)}
         for b, info in enumerate(self.blocks):
             poles = []
-            for u in self.shapes[info.tree].poles:
+            for u in info.shape.poles:
                 x = info.to_global[u]
                 k = cut_index.get(x, -1)
                 if k < 0:
@@ -579,11 +585,13 @@ class ReferenceConstruction(EmbeddingRanker):
 
         self.a = segment(self.nesting_codec.bounds[: self.t - 1])
         self.b = segment(self.face_counts)
-        for cut in self.cuts:
-            cut.c = segment(cut.ctx.c_bounds)
-        for cut in self.cuts:
-            cut.d = segment(cut.ctx.d_bounds)
-        chi_bounds = [(biconn_bounds(info.tree), len(info.tree.conventional[0]))
+        cut_bounds = [arrangement_bounds([len(ws) for ws in cut.ctx.edges])
+                      for cut in self.cuts]
+        for cut, (c_bounds, _) in zip(self.cuts, cut_bounds):
+            cut.c = segment(c_bounds)
+        for cut, (_, d_bounds) in zip(self.cuts, cut_bounds):
+            cut.d = segment(d_bounds)
+        chi_bounds = [(biconn_bounds(info.shape.tree), len(info.shape.tree.conventional[0]))
                       for info in self.blocks]
         for info, (bb, y) in zip(self.blocks, chi_bounds):
             info.p = segment(bb[:y])
@@ -610,7 +618,7 @@ def compare_construction(g: Graph, rng: random.Random, k: int = 24) -> int:
     assert len(new.blocks) == len(ref.blocks)
     for a, b in zip(new.blocks, ref.blocks):
         assert (a.edges, a.poles, a.decided) == (b.edges, b.poles, b.decided)
-        assert a.tree.dump(relabel=a.to_global) == b.tree.dump(relabel=b.to_global)
+        assert a.shape.tree.dump(relabel=a.to_global) == b.shape.tree.dump(relabel=b.to_global)
     assert [[(fixed, b, x) for fixed, b, x, _ in cut.at_v] for cut in new.cuts] == [
         [(fixed, b, x) for fixed, b, x, _ in cut.at_v] for cut in ref.cuts]
     count = new.count()
@@ -625,8 +633,8 @@ def compare_construction(g: Graph, rng: random.Random, k: int = 24) -> int:
     tree_of: dict[Graph, object] = {}
     for info in new.blocks:
         local = local_graph(info)
-        assert info.tree.graph == local
-        assert tree_of.setdefault(local, info.tree) is info.tree
+        assert info.shape.tree.graph == local
+        assert tree_of.setdefault(local, info.shape.tree) is info.shape.tree
     assert len({id(tree) for tree in tree_of.values()}) == len(tree_of)
     return len(new.blocks) - len(tree_of)
 
@@ -669,6 +677,55 @@ class TestConstructionAgainstReference:
         # One Graph per distinct block graph; blocks are found in global
         # ids, so the component needs none.
         assert CountedGraph.made == len(built)
+
+
+class TestShapesMadeOnce:
+    """Each fact that follows from a shape is derived once per distinct
+    shape and kept on the shape's one record: a block's bounds per
+    block-local graph, a cut-vertex's per tuple of block degrees at it.
+    The shapes are counted here from the elements, not read off the
+    records."""
+
+    @staticmethod
+    def shapes_of(ranker):
+        blocks = {local_graph(info) for info in ranker.blocks}
+        cuts = {tuple(len(ws) for ws in cut.ctx.edges) for cut in ranker.cuts}
+        return blocks, cuts
+
+    def test_bounds_derived_once_per_shape(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(full, "biconn_bounds", counted("block", biconn_bounds))
+        monkeypatch.setattr(cutvertex, "arrangement_bounds",
+                            counted("cut", arrangement_bounds))
+        ranker = EmbeddingRanker(benchmark_workloads().forest(random.Random(201)))
+        blocks, cuts = self.shapes_of(ranker)
+        assert (len(ranker.blocks), len(ranker.cuts)) == (741, 571)
+        assert (len(blocks), len(cuts)) == (7, 62)
+        assert calls == {"block": 7, "cut": 62}
+
+    def test_equal_shapes_are_one_object(self):
+        ranker = EmbeddingRanker(benchmark_workloads().forest(random.Random(201)))
+        by_graph, by_deltas = {}, {}
+        for info in ranker.blocks:
+            assert by_graph.setdefault(local_graph(info), info.shape) is info.shape
+        for cut in ranker.cuts:
+            deltas, shape = tuple(len(ws) for ws in cut.ctx.edges), cut.ctx.shape
+            assert by_deltas.setdefault(deltas, shape) is shape
+            assert shape.deltas == deltas
+        # Distinct shapes are distinct objects.
+        assert len({id(x) for x in by_graph.values()}) == len(by_graph) == len(ranker.shapes)
+        assert len({id(x) for x in by_deltas.values()}) == len(by_deltas)
+
+    def test_element_records_keep_no_shape_fact(self):
+        assert {f.name for f in dataclasses.fields(BlocksAtV)} == {
+            "v", "edges", "block_of", "shape"}
 
 
 def block_chain(templates) -> Graph:
@@ -755,7 +812,7 @@ class ReferenceBlockCache:
             key = (tuple(values[info.p]), tuple(values[info.r]))
             cached = cache.get(key)
             if cached is None:
-                local = chi_inverse(list(key[0]), list(key[1]), info.tree)
+                local = chi_inverse(list(key[0]), list(key[1]), info.shape.tree)
                 cached = {
                     info.to_global[x]: [info.to_global[w] for w in nbrs]
                     for x, nbrs in local.items()
@@ -828,22 +885,22 @@ class TestDecodeCacheBound:
     def test_at_most_16_keys_per_shape_after_2000_ranks(self):
         assert DECODED_PER_SHAPE == 16
         assert {f.name for f in dataclasses.fields(_BlockInfo)} == {
-            "comp", "edges", "to_local", "to_global", "tree", "poles", "decided", "p", "r"}
+            "comp", "edges", "to_local", "to_global", "shape", "poles", "decided", "p", "r"}
         ranker = EmbeddingRanker(repeated_shapes_chain(12))  # 96 blocks
-        trees = {id(info.tree): info.tree for info in ranker.blocks}
+        trees = {id(info.shape.tree): info.shape.tree for info in ranker.blocks}
         rng = random.Random(16)
         ranks = set()
         while len(ranks) < 2000:
             ranks.add(rng.randrange(ranker.count()))
         for r in sorted(ranks):
             ranker.unrank(r)
-        sizes = {id(tree): len(shape.decoded) for tree, shape in ranker.shapes.items()}
+        sizes = {id(shape.tree): len(shape.decoded) for shape in ranker.shapes.values()}
         assert sizes.keys() <= trees.keys()
         assert max(sizes.values()) == DECODED_PER_SHAPE  # K2,5 fills its cap
         assert sum(sizes.values()) <= DECODED_PER_SHAPE * len(trees)
         for r in sorted(ranks, reverse=True)[:200]:
             ranker.unrank(r)
-        assert {id(tree): len(shape.decoded) for tree, shape in ranker.shapes.items()} == sizes
+        assert {id(shape.tree): len(shape.decoded) for shape in ranker.shapes.values()} == sizes
 
 
 class ReferenceWrites:
@@ -863,10 +920,10 @@ class ReferenceWrites:
         for b in block_ids:
             info = self.ranker.blocks[b]
             local = canonical_rotation(
-                chi_inverse(list(values[info.p]), list(values[info.r]), info.tree))
+                chi_inverse(list(values[info.p]), list(values[info.r]), info.shape.tree))
             block_rot[b] = local
             to_global = info.to_global
-            for x, nbrs in info.tree.graph.adj.items():
+            for x, nbrs in info.shape.tree.graph.adj.items():
                 if len(nbrs) >= 3:
                     rot[to_global[x]] = tuple(to_global[w] for w in local[x])
                     self.written.add(to_global[x])
@@ -953,8 +1010,8 @@ class TestWritesAgainstReference:
         for seed in range(2):
             ranker = EmbeddingRanker(random_planar(400, seed=2800 + seed,
                                                    components=components))
-            assert any(cut.ctx.b == 2 for cut in ranker.cuts)
-            assert any(cut.ctx.b > 2 for cut in ranker.cuts)
+            assert any(len(cut.ctx.edges) == 2 for cut in ranker.cuts)
+            assert any(len(cut.ctx.edges) > 2 for cut in ranker.cuts)
             count = ranker.count()
             ranks = [0, count - 1] + [rng.randrange(count) for _ in range(6)]
             assert compare_writes(ranker, ranks, seed, 40) > 0
@@ -992,8 +1049,8 @@ class TestWritesAgainstReference:
 
 def table_snapshot(ranker):
     """Every shape's decode and encode table, copied."""
-    return {id(tree): (dict(shape.decoded), dict(shape.encoded))
-            for tree, shape in ranker.shapes.items()}
+    return {id(shape.tree): (dict(shape.decoded), dict(shape.encoded))
+            for shape in ranker.shapes.values()}
 
 
 # The wheel with hub 1 is one R-node whose pole, the hub, has four
@@ -1008,14 +1065,14 @@ class TestEncodeTable:
         embs = [ranker.unrank(rng.randrange(ranker.count())) for _ in range(1000)]
         for emb in embs:
             ranker.rank(emb)
-        sizes = {id(tree): len(shape.encoded) for tree, shape in ranker.shapes.items()}
+        sizes = {id(shape.tree): len(shape.encoded) for shape in ranker.shapes.values()}
         assert max(sizes.values()) == DECODED_PER_SHAPE  # K2,5 fills its cap
         assert all(len(shape.decoded) <= DECODED_PER_SHAPE
                    for shape in ranker.shapes.values())
         for emb in embs[:200]:
             ranker.rank(emb)
-        assert {id(tree): len(shape.encoded)
-                for tree, shape in ranker.shapes.items()} == sizes
+        assert {id(shape.tree): len(shape.encoded)
+                for shape in ranker.shapes.values()} == sizes
 
     def test_rejected_rank_leaves_every_table_unchanged(self):
         ranker = EmbeddingRanker(W4_HUB)
@@ -1169,6 +1226,22 @@ class TestSampleEnumerate:
             ranker.unrank(rank)
         with pytest.raises(MalformedInput, match="is not an int"):
             next(ranker.enumerate(rank, 2))
+
+    @pytest.mark.parametrize("count", [1.5, "2", True, -1],
+                             ids=["float", "str", "bool", "negative"])
+    def test_count_that_is_no_int_or_negative(self, count):
+        # The library rejects a bad k or limit itself: a TypeError no
+        # longer escapes, True is no count, and a negative one no longer
+        # yields nothing.
+        ranker = EmbeddingRanker(CATALOG[11][1])  # bowtie
+        with pytest.raises(MalformedInput, match="must be an int >= 0"):
+            next(ranker.sample(0, count))
+        with pytest.raises(MalformedInput, match="must be an int >= 0"):
+            next(ranker.enumerate(0, count))
+
+    def test_zero_count_yields_nothing(self):
+        ranker = EmbeddingRanker(CATALOG[11][1])  # bowtie
+        assert list(ranker.sample(0, 0)) == [] == list(ranker.enumerate(0, 0))
 
     def test_enumerate_matches_unrank(self):
         g = CATALOG[12][1]

@@ -74,6 +74,18 @@ class TestGraph:
         with pytest.raises(MalformedInput):
             Graph(3, [(True, 2), (2, 3), (1, 3)])
 
+    @pytest.mark.parametrize("n, edges", [
+        ("3", []),
+        (2.5, [(1, 2)]),
+        (True, [(1, 2)]),
+        (3, 5),
+        (3, [(1, 2, 3)]),
+        (3, [5]),
+    ], ids=["str-n", "float-n", "bool-n", "edges-not-iterable", "edge-triple", "edge-int"])
+    def test_rejects_malformed_arguments(self, n, edges):
+        with pytest.raises(MalformedInput):
+            Graph(n, edges)
+
     def test_json_roundtrip(self):
         g = Graph(4, [(1, 2), (3, 4), (2, 3)])
         assert Graph.from_json(g.to_json()) == g

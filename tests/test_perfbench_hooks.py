@@ -106,10 +106,10 @@ def test_unrank_records_each_cut_merge():
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         (4, 5), (4, 6), (5, 6), (4, 7), (7, 8),
     ]))
-    assert [(cut.v, cut.ctx.b) for cut in ranker.cuts] == [(4, 3), (7, 2)]
+    assert [(cut.v, len(cut.ctx.edges)) for cut in ranker.cuts] == [(4, 3), (7, 2)]
     r = ranker.count() - 1
     for warm in (False, True):
-        assert bool(ranker.cuts[0].ctx.tables.decoded) == warm
+        assert bool(ranker.cuts[0].ctx.shape.decoded) == warm
         tracer = tracing.Tracer()
         tracer.install()
         try:
